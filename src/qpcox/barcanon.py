@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coxeter import CoxeterSystem, ExtElement
-from .errors import TruncationRequired
+from .errors import ConsistencyError, TruncationRequired
 from .hecke import HeckeElt
-from .laurent import ONE, V, VINV, ZERO, LaurentPoly, canonical_columns, v_power
+from .laurent import ONE, V, VINV, ZERO, LaurentPoly, add_scaled, canonical_columns, v_power
 from .qpsets import (
     ScaledWSet,
     bruhat_order,
@@ -42,7 +42,8 @@ class ModuleVector:
     __slots__ = ("kind", "X", "coords")
 
     def __init__(self, kind: str, X: ScaledWSet, coords: dict[int, LaurentPoly]):
-        assert kind in ("M", "N")
+        if kind not in ("M", "N"):
+            raise ConsistencyError(f"module kind must be 'M' or 'N', got {kind!r}")
         self.kind = kind
         self.X = X
         self.coords = {p: c for p, c in coords.items() if c}
@@ -52,21 +53,13 @@ class ModuleVector:
         return cls(kind, X, {pid: ONE})
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        out = dict(self.coords)
-        for p, c in other.coords.items():
-            s = out.get(p, ZERO) + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        return ModuleVector(self.kind, self.X, out)
+        return ModuleVector(self.kind, self.X, add_scaled(dict(self.coords), other.coords))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scale(-1)
+        return ModuleVector(self.kind, self.X, add_scaled(dict(self.coords), other.coords, -1))
 
     def scale(self, c) -> "ModuleVector":
-        c = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-        return ModuleVector(self.kind, self.X, {p: c * q for p, q in self.coords.items()})
+        return ModuleVector(self.kind, self.X, add_scaled({}, self.coords, c))
 
     def coeff(self, pid: int) -> LaurentPoly:
         return self.coords.get(pid, ZERO)
@@ -98,34 +91,30 @@ class ModuleVector:
 def act_gen(vec: ModuleVector, s: int) -> ModuleVector:
     """Left action of H_s, by the three-case rule."""
     X = vec.X
-    out: dict[int, LaurentPoly] = {}
-
-    def put(p, c):
-        t = out.get(p, ZERO) + c
-        if t:
-            out[p] = t
-        else:
-            out.pop(p, None)
-
+    row, h2 = X.action[s], X.height2
+    out: dict[int, LaurentPoly] = {}  # M_x -> M_sx; s permutes the points
+    down: dict[int, LaurentPoly] = {}  # + (v - v^-1) M_x where s lowers x
+    level: dict[int, LaurentPoly] = {}  # v M_x (kind M) or -v^-1 N_x where s keeps the height
     for x, c in vec.coords.items():
-        y = X.action[s][x]
+        y = row[x]
         if y is None:
             raise TruncationRequired(f"generator {s} leaves the carrier at point {x}")
-        if X.height2[y] > X.height2[x]:
-            put(y, c)
-        elif X.height2[y] < X.height2[x]:
-            put(y, c)
-            put(x, (V - VINV) * c)
-        elif vec.kind == "M":
-            put(x, V * c)
+        if h2[y] == h2[x]:
+            level[x] = c
         else:
-            put(x, -VINV * c)
+            out[y] = c
+            if h2[y] < h2[x]:
+                down[x] = c
+    add_scaled(out, down, V - VINV)
+    add_scaled(out, level, V if vec.kind == "M" else -VINV)
     return ModuleVector(vec.kind, X, out)
 
 
 def act_bar_gen(vec: ModuleVector, s: int) -> ModuleVector:
     """Left action of bar(H_s) = H_s^-1 = H_s + (v^-1 - v)."""
-    return act_gen(vec, s) + vec.scale(VINV - V)
+    out = act_gen(vec, s)
+    add_scaled(out.coords, vec.coords, VINV - V)
+    return out
 
 
 def act_word(vec: ModuleVector, word) -> ModuleVector:
@@ -144,10 +133,15 @@ def act_bar_word(vec: ModuleVector, word) -> ModuleVector:
 
 def act_hecke(vec: ModuleVector, A: HeckeElt) -> ModuleVector:
     """Left action of an arbitrary Hecke element (same acting system as X)."""
-    out = ModuleVector(vec.kind, vec.X, {})
-    for w, c in A.coords.items():
-        out = out + act_word(vec, w.word()).scale(c)
-    return out
+    return _combine(vec.kind, vec.X, ((act_word(vec, w.word()).coords, c) for w, c in A.coords.items()))
+
+
+def _combine(kind: str, X: ScaledWSet, terms) -> ModuleVector:
+    """The vector sum of c * coords over the (coords, c) pairs of terms."""
+    out: dict[int, LaurentPoly] = {}
+    for coords, c in terms:
+        add_scaled(out, coords, c)
+    return ModuleVector(kind, X, out)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +193,7 @@ def bar_standard(kind: str, X: ScaledWSet, pid: int) -> ModuleVector:
 def bar_vector(vec: ModuleVector) -> ModuleVector:
     """The antilinear extension of the bar operator to any vector."""
     cols = bar_columns(vec.kind, vec.X)
-    out = ModuleVector(vec.kind, vec.X, {})
-    for p, c in vec.coords.items():
-        out = out + cols[p].scale(c.bar())
-    return out
+    return _combine(vec.kind, vec.X, ((cols[p].coords, c.bar()) for p, c in vec.coords.items()))
 
 
 @dataclass
@@ -278,12 +269,14 @@ class CanonicalTable:
     def __init__(self, kind: str, X: ScaledWSet):
         self.kind = kind
         self.X = X
-        cols = bar_columns(kind, X)
         heights = X.height2
-        for pid in range(1, len(X)):
-            assert heights[pid - 1] <= heights[pid]  # ids refine the height order
-        bar_dicts = [dict(col.coords) for col in cols]
-        self.p, self.mu = canonical_columns(bar_dicts)
+        if any(heights[pid - 1] > heights[pid] for pid in range(1, len(X))):
+            raise ConsistencyError("point ids do not refine the height order")
+        self.p, self.mu = canonical_columns([col.coords for col in bar_columns(kind, X)])
+        # cols[y] = {x: p[x, y]}, shared with every caller: read-only
+        self.cols: list[dict[int, LaurentPoly]] = [{} for _ in range(len(X))]
+        for (x, y), c in self.p.items():
+            self.cols[y][x] = c
         self.label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
 
     def poly(self, x: int, y: int) -> LaurentPoly:
@@ -292,11 +285,8 @@ class CanonicalTable:
     def mu_of(self, x: int, y: int) -> int:
         return self.mu.get((x, y), 0)
 
-    def col(self, y: int) -> dict[int, LaurentPoly]:
-        return {x: c for (x, yy), c in self.p.items() if yy == y}
-
     def underline(self, y: int) -> ModuleVector:
-        return ModuleVector(self.kind, self.X, self.col(y))
+        return ModuleVector(self.kind, self.X, self.cols[y])
 
     def to_canonical_coords(self, vec: ModuleVector) -> dict[int, LaurentPoly]:
         """Expand a vector over the canonical basis by back substitution."""
@@ -304,16 +294,11 @@ class CanonicalTable:
         out = {}
         for y in range(len(self.X) - 1, -1, -1):
             c = rem.get(y)
-            if not c:
-                continue
-            out[y] = c
-            for x, q in self.col(y).items():
-                s = rem.get(x, ZERO) - c * q
-                if s:
-                    rem[x] = s
-                else:
-                    rem.pop(x, None)
-        assert not rem
+            if c is not None:
+                out[y] = c
+                add_scaled(rem, self.cols[y], -c)
+        if rem:
+            raise ConsistencyError(f"back substitution left a remainder at points {sorted(rem)}")
         return out
 
     def to_json(self) -> dict:
@@ -366,42 +351,29 @@ def verify_parity(table: CanonicalTable) -> CheckVerdict:
 def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
     """The action of underline H_s on the canonical basis, per kind."""
     X = table.X
-    kind = table.kind
+    h2 = X.height2
     order = bruhat_order(X)
-    n = len(X)
+    weak = table.kind == "M"  # M descends weakly, N strictly
+
+    def descends(s, x):
+        d = h2[X.action[s][x]] - h2[x]
+        return d < 0 or (weak and d == 0)
+
     for s in range(X.n_gens):
-        for x in range(n):
+        for x in range(len(X)):
             u = table.underline(x)
-            lhs = act_gen(u, s) + u.scale(VINV)
+            lhs = act_gen(u, s)
+            add_scaled(lhs.coords, u.coords, VINV)
             sx = X.action[s][x]
-            dh = X.height2[sx] - X.height2[x]
-            if kind == "M":
-                if dh <= 0:
-                    rhs = u.scale(V + VINV)
-                else:
-                    rhs = table.underline(sx)
-                    for w in order.downset_ids(x):
-                        if w == x:
-                            continue
-                        sw = X.action[s][w]
-                        if X.height2[sw] <= X.height2[w]:
-                            m = table.mu_of(w, x)
-                            if m:
-                                rhs = rhs + table.underline(w).scale(m)
+            if descends(s, x):
+                rhs = add_scaled({}, u.coords, V + VINV)
             else:
-                if dh < 0:
-                    rhs = u.scale(V + VINV)
-                else:
-                    rhs = table.underline(sx) if dh > 0 else ModuleVector(kind, X, {})
-                    for w in order.downset_ids(x):
-                        if w == x:
-                            continue
-                        sw = X.action[s][w]
-                        if X.height2[sw] < X.height2[w]:
-                            m = table.mu_of(w, x)
-                            if m:
-                                rhs = rhs + table.underline(w).scale(m)
-            if lhs != rhs:
+                rhs = dict(table.cols[sx]) if h2[sx] > h2[x] else {}
+                for w in order.downset_ids(x):
+                    m = table.mu_of(w, x)
+                    if m and descends(s, w):
+                        add_scaled(rhs, table.cols[w], m)
+            if lhs.coords != rhs:
                 return CheckVerdict(False, "multiplication", {"s": s, "x": x})
     return CheckVerdict(True, "multiplication")
 
@@ -499,18 +471,15 @@ class PhiMaps:
         self.nm_cols = [bar_m[x].scale(self.eps[x]) for x in range(len(X))]
 
     def mn(self, vec: ModuleVector) -> ModuleVector:
-        assert vec.kind == "M"
-        out = ModuleVector("N", self.X, {})
-        for p, c in vec.coords.items():
-            out = out + self.mn_cols[p].scale(c)
-        return out
+        return self._apply(vec, "M", "N", self.mn_cols)
 
     def nm(self, vec: ModuleVector) -> ModuleVector:
-        assert vec.kind == "N"
-        out = ModuleVector("M", self.X, {})
-        for p, c in vec.coords.items():
-            out = out + self.nm_cols[p].scale(c)
-        return out
+        return self._apply(vec, "N", "M", self.nm_cols)
+
+    def _apply(self, vec: ModuleVector, source: str, target: str, cols) -> ModuleVector:
+        if vec.kind != source:
+            raise ConsistencyError(f"this Phi map takes a vector of kind {source}, got {vec.kind}")
+        return _combine(target, self.X, ((cols[p].coords, c) for p, c in vec.coords.items()))
 
     def verify(self) -> CheckVerdict:
         X = self.X
@@ -555,7 +524,7 @@ def primed_basis(
     vectors = []
     for y in range(len(X)):
         coords = {}
-        for x, c in src.col(y).items():
+        for x, c in src.cols[y].items():
             sign = -1 if ((X.height2[y] - X.height2[x]) // 2) % 2 else 1
             coords[x] = c.bar() * sign
         vectors.append(ModuleVector(kind, X, coords))
@@ -656,14 +625,13 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
                     return verdict
         # corollary: the standard basis expands over the canonical one
         for x in range(n):
-            acc = ModuleVector("M", K, {})
+            terms = []
             for w in range(n):
                 c = table_n.poly(part[x], part[w])
-                if not c:
-                    continue
-                sign = -1 if ((K.height2[x] - K.height2[w]) // 2) % 2 else 1
-                acc = acc + table_m.underline(w).scale(c * sign)
-            if acc != ModuleVector.standard("M", K, x):
+                if c:
+                    sign = -1 if ((K.height2[x] - K.height2[w]) // 2) % 2 else 1
+                    terms.append((table_m.cols[w], c * sign))
+            if _combine("M", K, terms) != ModuleVector.standard("M", K, x):
                 verdict.ok = False
                 verdict.failure = {"class": K.describe_point(0), "x": x, "corollary": True}
                 return verdict

@@ -189,31 +189,6 @@ class ClassReport:
     strong_exchange_ok: Optional[bool] = None
     X: ScaledWSet = field(repr=False, default=None)
 
-    def row(self) -> list:
-        flags = ""
-        if self.structure is not None:
-            flags = "".join(
-                "1" if b else "0"
-                for b in (
-                    self.structure.fixed_by_J,
-                    self.structure.J_theta_stable,
-                    self.structure.x_is_longest,
-                    self.structure.centralizer_is_twisted_normalizer,
-                    self.structure.squares_onto_iota,
-                )
-            )
-        return [
-            self.system,
-            " ".join(f"s{i + 1}->s{j + 1}" for i, j in enumerate(self.theta)) or "id",
-            self.size,
-            self.min_length,
-            self.is_twisted_involution_class,
-            self.qp.is_qp,
-            self.perfect,
-            "{" + ",".join(f"s{j + 1}" for j in self.J or ()) + "}",
-            flags,
-        ]
-
     def to_json(self) -> dict:
         out = {
             "system": self.system,

@@ -6,7 +6,8 @@ verification failed for the selected carrier (evidence relevant to the
 existence conjecture for bar operators).
 
 Survey and basis results are cached on disk keyed by a content hash of the
-resolved configuration; --no-cache bypasses the cache entirely.  Cached
+resolved configuration, the resolved Coxeter matrix and the package version;
+--no-cache bypasses the cache entirely.  Cached
 survey witnesses are re-validated against a freshly built carrier before
 being served.  All outputs are deterministic for a fixed configuration.
 """
@@ -19,12 +20,14 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
-from . import barcanon, classify, hecke, qpsets, wgraph
+from . import __version__, barcanon, classify, hecke, qpsets, wgraph
 from .coxeter import CoxeterSystem, DiagramAut, ExtElement, build_system
-from .errors import QpcoxError
+from .errors import ConsistencyError, QpcoxError
 from .laurent import V, VINV
 
 EXIT_OK = 0
@@ -140,10 +143,13 @@ def carrier_descriptor(X: qpsets.ScaledWSet) -> dict:
 # caching
 
 
-def _cache_path(args, key_obj) -> Path | None:
+def _cache_path(args, key_obj, system: CoxeterSystem) -> Path | None:
+    """The cache file for a configuration.  The name also hashes the resolved
+    matrix (a --type path can change content) and the package version."""
     if args.no_cache:
         return None
-    blob = json.dumps(key_obj, sort_keys=True).encode()
+    full_key = {"config": key_obj, "matrix": system.matrix, "version": __version__}
+    blob = json.dumps(full_key, sort_keys=True).encode()
     digest = hashlib.sha256(blob).hexdigest()[:24]
     return Path(args.cache_dir) / f"{digest}.json"
 
@@ -161,7 +167,15 @@ def _cache_store(path: Path | None, obj) -> None:
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True))
+    # a temp file renamed into place: a reader never sees a partial entry
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(obj, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +230,7 @@ def cmd_survey(args) -> int:
         "theta": theta_key,
         "diagnostics": args.diagnostics,
     }
-    path = _cache_path(args, key)
+    path = _cache_path(args, key, system)
     payload = _cache_load(path)
     if payload is not None and not _revalidate_survey(system, payload):
         payload = None
@@ -272,7 +286,7 @@ def cmd_basis(args) -> int:
         "carrier": carrier_descriptor(X),
         "kinds": kinds,
     }
-    path = _cache_path(args, key)
+    path = _cache_path(args, key, system)
     payload = _cache_load(path)
     if payload is None:
         payload = {"schema_version": SCHEMA_VERSION, "config": key, "tables": {}}
@@ -521,7 +535,6 @@ def _add_common(p):
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", default=None, help="json | csv | dot")
     p.add_argument("--cutoff", type=int, help="height cutoff for universal carriers")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (advisory)")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--cache-dir", default=".qpcox-cache")
 
@@ -585,6 +598,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"qpcox: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ConsistencyError as exc:
+        print(f"qpcox: consistency check failed: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
     except QpcoxError as exc:
         print(f"qpcox: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,8 +25,9 @@ class TruncationRequired(QpcoxError):
     """An enumeration over an infinite group needs an explicit height cutoff."""
 
 
-class NoMinimal(QpcoxError):
-    """No W-minimal element is reachable (typically hidden by a truncation)."""
+class ConsistencyError(QpcoxError):
+    """An internal consistency gate failed: a computed object breaks an
+    invariant the theory guarantees (the CLI exits with code 2)."""
 
 
 class NotQuasiparabolic(QpcoxError):

@@ -18,7 +18,7 @@ import weakref
 
 from .coxeter import CoxeterSystem, Element
 from .errors import SystemMismatch
-from .laurent import ONE, V, VINV, LaurentPoly, ZERO, canonical_columns, v_power
+from .laurent import ONE, V, VINV, LaurentPoly, ZERO, add_scaled, canonical_columns, v_power
 
 _bar_cache: "weakref.WeakKeyDictionary[CoxeterSystem, dict]" = weakref.WeakKeyDictionary()
 
@@ -46,45 +46,29 @@ class HeckeElt:
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        out = dict(self.coords)
-        for w, c in other.coords.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return HeckeElt(self.system, out)
+        return HeckeElt(self.system, add_scaled(dict(self.coords), other.coords))
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        return self + other.scale(-1)
+        return HeckeElt(self.system, add_scaled(dict(self.coords), other.coords, -1))
 
     def scale(self, c) -> "HeckeElt":
-        c = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-        return HeckeElt(self.system, {w: c * p for w, p in self.coords.items()})
+        return HeckeElt(self.system, add_scaled({}, self.coords, c))
 
     def coeff(self, w: Element) -> LaurentPoly:
         return self.coords.get(w, ZERO)
 
     def gen_mult(self, s: int) -> "HeckeElt":
         """Left multiplication by H_s."""
-        sys = self.system
-        gen = sys.generator(s)
-        out: dict[Element, LaurentPoly] = {}
-
-        def put(w, c):
-            t = out.get(w, ZERO) + c
-            if t:
-                out[w] = t
-            else:
-                out.pop(w, None)
-
+        gen = self.system.generator(s)
+        out: dict[Element, LaurentPoly] = {}  # H_w -> H_sw; left multiplication permutes W
+        down: dict[Element, LaurentPoly] = {}  # + (v - v^-1) H_w where s lowers w
         for w, c in self.coords.items():
             sw = gen * w
-            put(sw, c)
+            out[sw] = c
             if sw.length < w.length:
-                put(w, (V - VINV) * c)
-        return HeckeElt(sys, out)
+                down[w] = c
+        return HeckeElt(self.system, add_scaled(out, down, V - VINV))
 
     def word_mult(self, word) -> "HeckeElt":
         """Left multiplication by H_{s_1} ... H_{s_k} for word = (s_1, ..., s_k)."""
@@ -95,25 +79,24 @@ class HeckeElt:
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        out = HeckeElt(self.system, {})
+        out: dict[Element, LaurentPoly] = {}
         for w, c in self.coords.items():
-            out = out + other.word_mult(w.word()).scale(c)
-        return out
+            add_scaled(out, other.word_mult(w.word()).coords, c)
+        return HeckeElt(self.system, out)
 
     def bar(self) -> "HeckeElt":
         """The bar involution: v -> v^-1 on coefficients and H_w -> (H_{w^-1})^-1."""
-        out = HeckeElt(self.system, {})
+        out: dict[Element, LaurentPoly] = {}
         for w, c in self.coords.items():
-            out = out + _bar_of_basis(self.system, w).scale(c.bar())
-        return out
+            add_scaled(out, _bar_of_basis(self.system, w).coords, c.bar())
+        return HeckeElt(self.system, out)
 
     def theta(self) -> "HeckeElt":
         """The algebra automorphism with H_w -> (-1)^len(w) bar(H_w), A-linearly."""
-        out = HeckeElt(self.system, {})
+        out: dict[Element, LaurentPoly] = {}
         for w, c in self.coords.items():
-            sign = -1 if w.length % 2 else 1
-            out = out + _bar_of_basis(self.system, w).scale(c * sign)
-        return out
+            add_scaled(out, _bar_of_basis(self.system, w).coords, -c if w.length % 2 else c)
+        return HeckeElt(self.system, out)
 
     def to_t_pairs(self) -> list:
         """Coordinates over the T-basis (T_w = v^len(w) H_w), for import/export."""
@@ -124,12 +107,11 @@ class HeckeElt:
 
     @classmethod
     def from_t_pairs(cls, system: CoxeterSystem, pairs) -> "HeckeElt":
-        out = cls(system, {})
+        out: dict[Element, LaurentPoly] = {}
         for word, poly_pairs in pairs:
             w = system.element_from_word(word)
-            c = LaurentPoly.from_pairs(poly_pairs) * v_power(w.length)
-            out = out + cls(system, {w: c})
-        return out
+            add_scaled(out, {w: LaurentPoly.from_pairs(poly_pairs)}, v_power(w.length))
+        return cls(system, out)
 
     def __eq__(self, other):
         return (
@@ -169,7 +151,8 @@ def _bar_of_basis(system: CoxeterSystem, w: Element) -> HeckeElt:
         if prev is None:
             stack.append(rest)
             continue
-        bar_s = prev.gen_mult(s) + prev.scale(VINV - V)  # H_s^-1 = H_s + (v^-1 - v)
+        bar_s = prev.gen_mult(s)
+        add_scaled(bar_s.coords, prev.coords, VINV - V)  # H_s^-1 = H_s + (v^-1 - v)
         cache[x.key] = bar_s
         stack.pop()
     return cache[w.key]
@@ -187,6 +170,9 @@ class KLTable:
             col = _bar_of_basis(system, Element(system, y))
             bar_cols.append({w.key: c for w, c in col.coords.items()})
         self.h, self.mu = canonical_columns(bar_cols)
+        self.cols: list[dict[int, LaurentPoly]] = [{} for _ in range(n)]
+        for (x, y), c in self.h.items():
+            self.cols[y][x] = c
 
     def poly(self, x: Element, y: Element) -> LaurentPoly:
         return self.h.get((x.key, y.key), ZERO)
@@ -196,10 +182,7 @@ class KLTable:
 
     def underline(self, y: Element) -> HeckeElt:
         sys = self.system
-        return HeckeElt(
-            sys,
-            {Element(sys, x): c for (x, yy), c in self.h.items() if yy == y.key},
-        )
+        return HeckeElt(sys, {Element(sys, x): c for x, c in self.cols[y.key].items()})
 
     def to_json(self) -> dict:
         return {

@@ -228,6 +228,43 @@ def solve_skew(g: LaurentPoly) -> LaurentPoly:
     return g.neg_part()
 
 
+def add_scaled(acc: dict, vec: dict, c=ONE) -> dict:
+    """acc += c * vec for sparse vectors {key: LaurentPoly}, in place; returns acc.
+
+    Entries that cancel are removed, so acc never holds a zero polynomial.
+    Each touched key gets one freshly built polynomial: no polynomial held by
+    acc, vec or c is mutated, so shared values such as ONE stay intact.  c is
+    a LaurentPoly or an int; acc must be a different dict from vec.
+
+    >>> acc = {0: ONE}
+    >>> add_scaled(acc, {0: V, 1: ONE}, VINV)
+    {0: LaurentPoly({0: 2}), 1: LaurentPoly({-1: 1})}
+    """
+    ct = (c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)).terms
+    if not ct:
+        return acc
+    scalar = list(ct.items())
+    for k, q in vec.items():
+        old = acc.get(k)
+        t = dict(old.terms) if old is not None else {}
+        for e1, c1 in scalar:
+            for e2, c2 in q.terms.items():
+                e = e1 + e2
+                s = t.get(e, 0) + c1 * c2
+                if s:
+                    t[e] = s
+                else:
+                    del t[e]  # both factors are nonzero, so e was present
+        if t:
+            fresh = LaurentPoly.__new__(LaurentPoly)  # t is clean: skip the filter
+            fresh.terms = t
+            fresh._hash = None
+            acc[k] = fresh
+        elif old is not None:
+            del acc[k]
+    return acc
+
+
 def canonical_columns(
     bar_col: list[dict[int, LaurentPoly]],
 ) -> tuple[dict[tuple[int, int], LaurentPoly], dict[tuple[int, int], int]]:
@@ -242,28 +279,24 @@ def canonical_columns(
 
     Raises SkewViolation if no such basis exists for the supplied bar data.
     """
-    n = len(bar_col)
     p: dict[tuple[int, int], LaurentPoly] = {}
     mu: dict[tuple[int, int], int] = {}
-    for j in range(n):
-        r = bar_col[j]
+    for j, r in enumerate(bar_col):
         if r.get(j, ZERO) != ONE:
             raise SkewViolation(f"bar matrix is not unitriangular at position {j}")
-        col: dict[int, LaurentPoly] = {j: ONE}
+        p[(j, j)] = ONE
+        # g[i] accumulates bar(p[z, j]) * bar_col[z][i] over the entries z > i
+        # found so far; bar_col[i] only reaches positions <= i
+        g = dict(r)
         for i in range(j - 1, -1, -1):
-            g = ZERO
-            for z, c in col.items():
-                rz = bar_col[z].get(i)
-                if rz is not None:
-                    g = g + c.bar() * rz
-            if g.is_zero():
+            gi = g.get(i)
+            if gi is None:
                 continue
-            m = solve_skew(g)
+            m = solve_skew(gi)
             if m:
-                col[i] = m
+                p[(i, j)] = m
+                add_scaled(g, bar_col[i], m.bar())
                 m1 = m.coeff(-1)
                 if m1:
                     mu[(i, j)] = m1
-        for i, c in col.items():
-            p[(i, j)] = c
     return p, mu

@@ -20,6 +20,7 @@ from typing import Optional
 
 from .coxeter import CoxeterSystem, Element, ExtElement, twisted_conjugate
 from .errors import (
+    ConsistencyError,
     InfiniteParabolic,
     NotQuasiparabolic,
     SystemMismatch,
@@ -361,7 +362,8 @@ def even_double_cover(X: ScaledWSet) -> ScaledWSet:
     action.append([index[(b, 1 - k)] for (b, k) in payloads])  # s0
     cover = ScaledWSet(X.system, "double-cover", payloads, height2, action, base=X)
     for s in range(cover.n_gens):  # evenness: no generator fixes a point
-        assert all(cover.action[s][x] != x for x in range(len(cover)))
+        if any(cover.action[s][x] == x for x in range(len(cover))):
+            raise ConsistencyError(f"double cover is not even: generator {s} fixes a point")
     return cover
 
 
@@ -434,13 +436,13 @@ def check_quasiparabolic(X: ScaledWSet, max_reflection_length: Optional[int] = N
 
 
 def check_qp1_only(X: ScaledWSet, max_reflection_length: Optional[int] = None) -> bool:
-    """Whether (QP1) alone holds; a diagnostic for counterexample hunting."""
-    refl = X.reflection_actions(max_reflection_length)
-    for ra in refl:
-        for x in range(len(X)):
-            if ra.img_h2[x] == X.height2[x] and ra.img[x] != x:
-                return False
-    return True
+    """Whether (QP1) alone holds; a diagnostic for counterexample hunting.
+
+    check_quasiparabolic scans (QP1) in full before (QP2), so (QP1) holds
+    exactly when its verdict passes or names (QP2).
+    """
+    verdict = check_quasiparabolic(X, max_reflection_length)
+    return verdict.is_qp or verdict.axiom == "QP2"
 
 
 def revalidate_witness(X: ScaledWSet, witness: dict) -> bool:
@@ -504,7 +506,7 @@ def bruhat_order(X: ScaledWSet, max_reflection_length: Optional[int] = None) -> 
 
     Requires the quasiparabolic axioms (raises NotQuasiparabolic otherwise).
     The result is graded: closing only over height-unit edges gives the same
-    order, which is asserted on untruncated carriers.
+    order, which is checked on untruncated carriers (ConsistencyError).
     """
     if X._order is not None and max_reflection_length is None:
         return X._order
@@ -533,8 +535,8 @@ def bruhat_order(X: ScaledWSet, max_reflection_length: Optional[int] = None) -> 
         return down
 
     down = close(in_edges)
-    if X.truncated_at is None:
-        assert down == close(cover_in), "Bruhat order on the carrier is not graded"
+    if X.truncated_at is None and down != close(cover_in):
+        raise ConsistencyError("Bruhat order on the carrier is not graded")
     label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
     order = XOrder(down, label)
     if max_reflection_length is None:
@@ -573,5 +575,6 @@ def rht_witness(X: ScaledWSet, pid: int) -> Element:
         raise ValueError("double-cover witnesses are words over S + [s0]; use rht_witness_word")
     word = rht_witness_word(X, pid)
     w = X.system.element_from_word(word)
-    assert w.length == len(word), "greedy descent produced a non-reduced witness"
+    if w.length != len(word):
+        raise ConsistencyError("greedy descent produced a non-reduced witness")
     return w

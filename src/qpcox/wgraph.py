@@ -12,10 +12,11 @@ connected components of the nonzero-weight digraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .barcanon import CanonicalTable, CheckVerdict
-from .laurent import V, VINV, ZERO, LaurentPoly
+from .laurent import V, VINV, LaurentPoly, add_scaled
 from .qpsets import ScaledWSet
 
 
@@ -30,9 +31,13 @@ class WGraph:
     def vertices(self):
         return range(len(self.tau))
 
+    @cached_property
+    def colors(self) -> list[int]:
+        """Per vertex, the parity of its height above its orbit minimum."""
+        return [((h - m) // 2) % 2 for h, m in zip(self.X.height2, self.X.h_min2())]
+
     def bipartition_color(self, x: int) -> int:
-        hmin2 = self.X.h_min2()
-        return ((self.X.height2[x] - hmin2[x]) // 2) % 2
+        return self.colors[x]
 
 
 def build_wgraph(table: CanonicalTable) -> WGraph:
@@ -97,49 +102,31 @@ def check_quasi_admissible(G: WGraph) -> AdmissibilityVerdict:
 
 
 def _rho_columns(G: WGraph, s: int) -> list[dict[int, LaurentPoly]]:
-    cols = []
-    for x in G.vertices():
-        if s not in G.tau[x]:
-            cols.append({x: V})
-        else:
-            col = {x: -VINV}
-            for (xx, y), w in G.omega.items():
-                if xx == x and s not in G.tau[y]:
-                    col[y] = col.get(y, ZERO) + LaurentPoly.const(w)
-            cols.append({y: c for y, c in col.items() if c})
+    cols = [{x: -VINV if s in G.tau[x] else V} for x in G.vertices()]
+    for (x, y), w in G.omega.items():  # omega holds nonzero weights off the diagonal
+        if s in G.tau[x] and s not in G.tau[y]:
+            cols[x][y] = LaurentPoly.const(w)
     return cols
 
 
 def _mat_mult(A: list[dict], B: list[dict]) -> list[dict]:
     out = []
-    for x in range(len(B)):
-        col: dict[int, LaurentPoly] = {}
-        for y, c in B[x].items():
-            for z, d in A[y].items():
-                t = col.get(z, ZERO) + c * d
-                if t:
-                    col[z] = t
-                else:
-                    col.pop(z, None)
-        out.append(col)
+    for col in B:
+        acc: dict[int, LaurentPoly] = {}
+        for y, c in col.items():
+            add_scaled(acc, A[y], c)
+        out.append(acc)
     return out
 
 
 def verify_wgraph_module(G: WGraph) -> CheckVerdict:
     """The quadratic relation and the braid relations for the rho-matrices."""
-    n = len(G.tau)
     system = G.X.system
     rho = [_rho_columns(G, s) for s in range(G.n_gens)]
     for s in range(G.n_gens):
         # (rho(H_s) - v)(rho(H_s) + v^-1) = 0
-        minus, plus = [], []
-        for x in range(n):
-            a = dict(rho[s][x])
-            a[x] = a.get(x, ZERO) - V
-            minus.append({y: c for y, c in a.items() if c})
-            b = dict(rho[s][x])
-            b[x] = b.get(x, ZERO) + VINV
-            plus.append({y: c for y, c in b.items() if c})
+        minus = [add_scaled(dict(col), {x: V}, -1) for x, col in enumerate(rho[s])]
+        plus = [add_scaled(dict(col), {x: VINV}) for x, col in enumerate(rho[s])]
         if any(col for col in _mat_mult(minus, plus)):
             return CheckVerdict(False, "wgraph-quadratic", {"s": s})
     for s in range(G.n_gens):

@@ -1,3 +1,5 @@
+import pytest
+
 from qpcox.barcanon import (
     CanonicalTable,
     ModuleVector,
@@ -19,6 +21,7 @@ from qpcox.barcanon import (
     verify_recurrences,
 )
 from qpcox.coxeter import ExtElement, build_system
+from qpcox.errors import ConsistencyError
 from qpcox.hecke import HeckeElt, kl_basis
 from qpcox.laurent import ONE, V, VINV
 from qpcox.qpsets import (
@@ -275,6 +278,18 @@ def test_phi_maps():
         assert phi.verify().ok
         for x0 in X.minimal_elements():
             assert phi.mn(M(X, x0)) == N(X, x0)
+
+
+def test_kind_gates_raise_typed_errors():
+    # typed errors, not asserts, so the gates survive python -O
+    X = regular_set(build_system("A2"))
+    with pytest.raises(ConsistencyError):
+        ModuleVector("Q", X, {0: ONE})
+    phi = PhiMaps(X)
+    with pytest.raises(ConsistencyError):
+        phi.mn(N(X, 0))
+    with pytest.raises(ConsistencyError):
+        phi.nm(M(X, 0))
 
 
 def test_inversion_a1_trivial():

@@ -1,6 +1,10 @@
+import csv
+import io
+
 import pytest
 
 from qpcox.classify import (
+    SURVEY_COLUMNS,
     ClassReport,
     check_w0_translation,
     class_report,
@@ -12,6 +16,7 @@ from qpcox.classify import (
     twisted_classes,
     universal_qp_check,
 )
+from qpcox.cli import _survey_csv
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.errors import NotInvolutionClass
 from qpcox.qpsets import check_quasiparabolic, conjugacy_set
@@ -202,11 +207,21 @@ def test_universal_truncated_brute_force_agrees():
 def test_report_rows_and_json():
     a2 = build_system("A2")
     reports = survey(a2, thetas=[a2.identity_aut()])
-    for r in reports:
-        row = r.row()
-        assert row[0] == "A2" and isinstance(row[2], int)
-        d = r.to_json()
-        assert d["qp"] == r.qp.is_qp
+    payload = [r.to_json() for r in reports]
+    rows = list(csv.reader(io.StringIO(_survey_csv(payload))))
+    assert rows[0] == SURVEY_COLUMNS and len(rows) == len(reports) + 1
+    for r, d, row in zip(reports, payload, rows[1:]):
+        assert row[0] == "A2" and int(row[2]) == r.size
+        assert d["qp"] == r.qp.is_qp and row[5] == str(r.qp.is_qp)
+    # the 5-bit structure column, in the order documented in the README
+    order = [
+        "J_theta_stable", "centralizer_is_twisted_normalizer", "fixed_by_J",
+        "squares_onto_iota", "x_is_longest",
+    ]
+    for i, flag in enumerate(order):
+        rep = dict(payload[0], structure={k: k == flag for k in order})
+        row = list(csv.reader(io.StringIO(_survey_csv([rep]))))[1]
+        assert row[-1] == "".join("1" if j == i else "0" for j in range(5))
 
 
 def test_diagnostics_fields():

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from qpcox import barcanon
 from qpcox.cli import main
+from qpcox.errors import ConsistencyError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(tmp_path, *argv, cache=False):
@@ -185,3 +193,42 @@ def test_usage_errors(tmp_path):
     assert run(tmp_path, "basis", "--type", "A2", "--regular", "--coset", "s1") == 1
     assert run(tmp_path, "verify", "--type", "A2", "--suite", "nonsense") == 1
     assert run(tmp_path, "basis", "--type", "A2", "--class", "fpf") == 1  # even rank
+    assert run(tmp_path, "survey", "--type", "A2", "--jobs", "2") == 1  # no such flag
+
+
+def test_cache_follows_matrix_file_content(tmp_path):
+    # I2(6) and A2 x A1 both have order 12; the cache is keyed on the matrix
+    # the file holds, not on its path
+    mat = tmp_path / "m.json"
+    argv = ["basis", "--type", str(mat), "--regular", "--format", "csv"]
+    mat.write_text('{"matrix": [[1, 6], [6, 1]]}')
+    first = tmp_path / "i2.csv"
+    assert run(tmp_path, *argv, "--out", str(first), cache=True) == 0
+    mat.write_text('{"matrix": [[1, 3, 2], [3, 1, 2], [2, 2, 1]]}')
+    cached, fresh = tmp_path / "cached.csv", tmp_path / "fresh.csv"
+    assert run(tmp_path, *argv, "--out", str(cached), cache=True) == 0
+    assert run(tmp_path, *argv, "--out", str(fresh)) == 0
+    assert len(first.read_text().splitlines()) == 41
+    assert len(fresh.read_text().splitlines()) == 45
+    assert cached.read_text() == fresh.read_text()
+    # two entries, no temp files left behind by the atomic write
+    assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".json", ".json"]
+
+
+def test_consistency_error_exits_2(tmp_path, monkeypatch):
+    def broken(kind, X):
+        raise ConsistencyError("planted")
+
+    monkeypatch.setattr(barcanon, "canonical_basis", broken)
+    assert run(tmp_path, "basis", "--type", "A2", "--regular") == 2
+
+
+def test_verify_under_optimize_flag(tmp_path):
+    # python -O strips asserts; the gates are typed errors and still run
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qpcox.cli", "verify", "--type", "A2", "--suite", "all"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stdout and "PASS inversion" in proc.stdout

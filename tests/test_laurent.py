@@ -2,17 +2,22 @@ import random
 
 import pytest
 
+from qpcox.barcanon import ModuleVector
+from qpcox.coxeter import build_system
 from qpcox.errors import SkewViolation
+from qpcox.hecke import HeckeElt
 from qpcox.laurent import (
     LaurentPoly,
     ONE,
     V,
     VINV,
     ZERO,
+    add_scaled,
     canonical_columns,
     solve_skew,
     v_power,
 )
+from qpcox.qpsets import regular_set
 
 
 # ---------------------------------------------------------------------------
@@ -152,3 +157,76 @@ def test_canonical_columns_rejects_inconsistent_bar():
     bar_col = [{0: ONE}, {0: V, 1: ONE}]
     with pytest.raises(SkewViolation):
         canonical_columns(bar_col)
+
+
+# ---------------------------------------------------------------------------
+# the sparse-vector kernel, against the LaurentPoly operators as the oracle
+
+
+def random_vector(rng, keys=8, nonzero=True):
+    vec = {}
+    for _ in range(rng.randrange(keys)):
+        p = random_poly(rng, span=6, nterms=4, cmax=3)
+        if p or not nonzero:
+            vec[rng.randrange(keys)] = p
+    return vec
+
+
+def oracle_add_scaled(acc, vec, c):
+    out = dict(acc)
+    for k, q in vec.items():
+        out[k] = out.get(k, ZERO) + c * q
+    return {k: q for k, q in out.items() if q}
+
+
+def test_add_scaled_matches_polynomial_operators():
+    rng = random.Random(20261017)
+    for _ in range(500):
+        acc = random_vector(rng)
+        vec = random_vector(rng, nonzero=rng.random() < 0.8)
+        c = random_poly(rng, span=3, nterms=3, cmax=4) if rng.random() < 0.7 else rng.randrange(-3, 4)
+        expect = oracle_add_scaled(acc, vec, c)
+        held = [(q, dict(q.terms)) for q in [*acc.values(), *vec.values(), c] if isinstance(q, LaurentPoly)]
+        out = add_scaled(acc, vec, c)
+        assert out is acc
+        assert acc == expect
+        assert all(acc.values())  # no zero polynomial is kept
+        assert all(q.terms == t for q, t in held)  # no input polynomial was mutated
+
+
+def test_add_scaled_cancellation_and_scalars():
+    rng = random.Random(5)
+    for _ in range(100):
+        vec = random_vector(rng)
+        acc = dict(vec)
+        assert add_scaled(acc, vec, -1) == {}
+        acc = {k: q * V for k, q in vec.items()}
+        assert add_scaled(acc, vec, -V) == {}
+        assert add_scaled(dict(vec), vec, 0) == vec
+        assert add_scaled(dict(vec), vec, ZERO) == vec
+        assert add_scaled({}, vec) == vec
+        assert add_scaled({}, vec, -v_power(3)) == {k: -q.shift(3) for k, q in vec.items()}
+    # shared constants are never mutated
+    acc = {0: ONE, 1: V}
+    add_scaled(acc, {0: ONE, 1: ONE}, VINV)
+    assert ONE.terms == {0: 1} and V.terms == {1: 1} and VINV.terms == {-1: 1}
+    assert acc == {0: ONE + VINV, 1: V + VINV}
+    h = LaurentPoly({2: 1})
+    hash(h)
+    acc = {0: h}
+    add_scaled(acc, {0: h})
+    assert h == v_power(2) and hash(h) == hash(v_power(2))
+
+
+def test_vector_minus_itself_is_zero():
+    a2 = build_system("A2")
+    X = regular_set(a2)
+    rng = random.Random(11)
+    for _ in range(20):
+        coords = {k % len(X): q for k, q in random_vector(rng).items()}
+        m = ModuleVector("M", X, coords)
+        assert (m - m).is_zero() and (m - m) == ModuleVector("M", X, {})
+        assert (m + m) == m.scale(2) and (m + m - m) == m
+        h = HeckeElt(a2, {a2.elements()[k % 6]: q for k, q in coords.items()})
+        assert (h - h).coords == {} and (h - h) == HeckeElt(a2, {})
+        assert (h + h) == h.scale(2) and (h + h - h) == h

@@ -2,8 +2,10 @@ import pytest
 
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.errors import InfiniteParabolic, NotQuasiparabolic, TruncationRequired
+from qpcox.classify import twisted_classes
 from qpcox.qpsets import (
     bruhat_order,
+    check_qp1_only,
     check_quasiparabolic,
     conjugacy_set,
     coset_set,
@@ -214,3 +216,23 @@ def test_json_dump():
     assert d["quasiparabolic"] is True
     assert d["points"][0]["height2"] == 0
     assert len(d["action"]) == 2
+
+
+def qp1_oracle(X):
+    """The direct (QP1) scan over R x X that check_qp1_only used to run."""
+    for ra in X.reflection_actions():
+        for x in range(len(X)):
+            if ra.img_h2[x] == X.height2[x] and ra.img[x] != x:
+                return False
+    return True
+
+
+def test_check_qp1_only_matches_direct_scan_on_b3():
+    b3 = build_system("B3")
+    seen = {True: 0, False: 0}
+    for theta in b3.diagram_automorphisms():
+        for K in twisted_classes(b3, theta):
+            expect = qp1_oracle(K)
+            assert check_qp1_only(K) == expect
+            seen[expect] += 1
+    assert seen[True] and seen[False]  # both verdicts occur
