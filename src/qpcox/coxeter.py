@@ -1,19 +1,23 @@
 """Coxeter systems with exact element arithmetic.
 
-Two families are supported.  A *finite* system represents each group element
-as a permutation of the full root set of the geometric representation: roots
-are generated numerically (entries are snapped to previously seen vectors
-with tolerance 1e-9), after which all arithmetic is exact integer permutation
-arithmetic.  The construction is self-validating: generator permutations must
-be involutions satisfying the braid relations, and the root count must be
-twice the number of positive roots, so a misidentified root fails loudly.
-A *universal* system (every off-diagonal order infinite) represents each
-element by its unique reduced word.
+Two families are supported.  A *finite* system is built from the root set of
+its geometric representation: roots are generated numerically (entries are
+snapped to previously seen vectors with tolerance 1e-9), and each generator
+becomes an integer permutation of the root indices.  The construction is
+self-validating: generator permutations must be involutions satisfying the
+braid relations, and the root count must be twice the number of positive
+roots, so a misidentified root fails loudly.  Root vectors are used nowhere
+else.  A *universal* system (every off-diagonal order infinite) represents
+each element by its unique reduced word.
 
-Elements of an enumerated finite group carry dense integer ids, assigned by
-breadth-first search from the identity, so downstream tables are plain arrays
-indexed by id.  Enumeration is lazy: building a system only builds and
-validates the root tables.
+Elements of an enumerated finite group are dense integer ids, assigned by
+breadth-first search from the identity, with integer action tables indexed
+by id.  The search keys w by the root indices of w^-1(alpha_1..alpha_n), so
+the step w -> w s is n lookups in the generator permutations.  Left
+multiplication, inverses and diagram automorphisms follow from each
+element's search parent by table recurrences, and a product folds a table
+over a reduced word.  Enumeration is lazy (building a system only builds and
+validates the root tables) and refuses groups larger than MAX_ORDER.
 
 Type strings: "A n", "B n", "D n" (n >= 4), "E6"/"E7"/"E8", "F4", "H3",
 "H4", "I2(m)", "U n" (universal of rank n).  Labeling follows Bourbaki; in
@@ -26,9 +30,13 @@ import itertools
 import math
 import re
 
-from .errors import BadMatrix, InfiniteParabolic, NotFinite, SystemMismatch
+from .errors import (
+    BadMatrix, ConsistencyError, GroupTooLarge, InfiniteParabolic, NotFinite, SystemMismatch
+)
 
 INF = 0  # internal marker for an infinite bond order
+
+MAX_ORDER = 500_000  # the largest |W| enumerated: above |A8| = 362880, below |E7|
 
 _SNAP = 1e-9
 
@@ -148,6 +156,7 @@ class CoxeterSystem:
         self._reflections = None
         self._bruhat_down = None
         self._aut_list = None
+        self._aut_images: dict[tuple, list] = {}
         if self.family == "finite":
             self._build_roots()
 
@@ -189,27 +198,16 @@ class CoxeterSystem:
             out[i] -= pairing
             return tuple(out)
 
-        frontier = list(range(n))
-        while frontier:
-            nxt = []
-            for k in frontier:
-                for i in range(n):
-                    img = reflect(i, roots[k])
-                    if find(img) is None:
-                        nxt.append(add(img))
-            frontier = nxt
+        # iterating the growing list closes the root set in discovery order
+        perms = [[] for _ in range(n)]
+        for vec in roots:
+            for i in range(n):
+                img = reflect(i, vec)
+                k = find(img)
+                perms[i].append(add(img) if k is None else k)
             if len(roots) > 100000:
                 raise NotFinite(f"root closure of {self.name} did not terminate")
-
-        perms = []
-        for i in range(n):
-            images = []
-            for vec in roots:
-                k = find(reflect(i, vec))
-                if k is None:
-                    raise NotFinite("root snapping failed to close")
-                images.append(k)
-            perms.append(tuple(images))
+        perms = [tuple(p) for p in perms]
 
         def sign(vec):
             for c in vec:
@@ -217,13 +215,9 @@ class CoxeterSystem:
                     return c > 0
             raise NotFinite("root with vanishing coordinates")
 
-        positive = tuple(sign(vec) for vec in roots)
-        negation = []
         for vec in roots:
-            k = find(tuple(-c for c in vec))
-            if k is None:
+            if find(tuple(-c for c in vec)) is None:
                 raise NotFinite("root set is not symmetric under negation")
-            negation.append(k)
 
         # structural self-checks gating the floating-point snapping
         ident = tuple(range(len(roots)))
@@ -238,13 +232,11 @@ class CoxeterSystem:
                     power = _compose(power, prod)
                 if power != ident:
                     raise NotFinite(f"braid relation ({i},{j}) fails on roots")
-        if sum(positive) * 2 != len(roots):
+        if sum(sign(vec) for vec in roots) * 2 != len(roots):
             raise NotFinite("root set is not split evenly into positive and negative")
 
         self.roots = tuple(roots)
         self.gen_root_perm = tuple(perms)
-        self.root_positive = positive
-        self.root_negation = tuple(negation)
         self.n_positive_roots = len(roots) // 2
 
     # -- group enumeration (finite family) ----------------------------------
@@ -303,8 +295,7 @@ class CoxeterSystem:
                     if c not in seen:
                         seen.add(c)
                         queue.append(c)
-            ids = sorted(seen, key=lambda i: (table.length[i], i))
-            self._reflections = [Element(self, i) for i in ids]
+            self._reflections = [Element(self, i) for i in sorted(seen)]  # (length, id) order
         return self._reflections
 
     def reflections_up_to(self, max_length: int) -> list["Element"]:
@@ -332,9 +323,8 @@ class CoxeterSystem:
         if self._bruhat_down is None:
             table = self._ensure_table()
             refl = [r.key for r in self.reflections()]
-            ids = sorted(range(len(table.perms)), key=lambda i: (table.length[i], i))
             down = [0] * len(table.perms)
-            for y in ids:
+            for y in range(len(down)):  # ids are in length order
                 bits = 1 << y
                 ly = table.length[y]
                 for r in refl:
@@ -443,52 +433,68 @@ def _u_mult(a, b):
 
 
 class _GroupTable:
-    """Dense-id tables for an enumerated finite group."""
+    """Dense-id tables for an enumerated finite group.
+
+    ``perms[w]`` is the key of w (the root indices of w^-1(alpha_i)); each
+    w != e is parent[w] * last[w], the edge on which the search found it.
+    """
 
     def __init__(self, system: CoxeterSystem):
         gens = system.gen_root_perm
         n = system.rank
-        ident = tuple(range(len(system.roots)))
+        ident = tuple(range(n))  # simple root i is root i
         perms = [ident]
         index = {ident: 0}
         length = [0]
+        parent = [0]
+        last = [0]
         rmult = []
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                pw = perms[w]
-                for s in range(n):
-                    p = _compose(pw, gens[s])  # w * s
-                    i = index.get(p)
-                    if i is None:
-                        i = len(perms)
-                        perms.append(p)
-                        index[p] = i
-                        length.append(length[w] + 1)
-                        nxt.append(i)
-            frontier = nxt
-            # rmult rows are filled after ids stabilize
-        for w, pw in enumerate(perms):
-            rmult.append([index[_compose(pw, gens[s])] for s in range(n)])
-        lmult = [[index[_compose(gens[s], pw)] for s in range(n)] for pw in perms]
-        inverse = []
-        for pw in perms:
-            inv = [0] * len(pw)
-            for i, j in enumerate(pw):
-                inv[j] = i
-            inverse.append(index[tuple(inv)])
+        # iterating the growing list visits ids in breadth-first order
+        for w, key in enumerate(perms):
+            row = []
+            for s in range(n):
+                g = gens[s]
+                k = tuple([g[r] for r in key])  # (w s)^-1 alpha_i = s(w^-1 alpha_i)
+                i = index.get(k)
+                if i is None:
+                    i = len(perms)
+                    if i >= MAX_ORDER:
+                        raise GroupTooLarge(f"{system.name} has more than "
+                                            f"MAX_ORDER = {MAX_ORDER} elements; enumeration refused")
+                    perms.append(k)
+                    index[k] = i
+                    length.append(length[w] + 1)
+                    parent.append(w)
+                    last.append(s)
+                row.append(i)
+            rmult.append(row)
+        lmult = [rmult[0]]
+        inverse = [0]
+        for w in range(1, len(perms)):
+            u, t = parent[w], last[w]
+            lmult.append([rmult[x][t] for x in lmult[u]])  # s w = (s u) t
+            inverse.append(lmult[inverse[u]][t])  # w^-1 = t u^-1
         self.perms = perms
-        self.index = index
         self.length = length
+        self.parent = parent
+        self.last = last
         self.rmult = rmult
         self.lmult = lmult
         self.inverse = inverse
-        self.gen_ids = [rmult[0][s] for s in range(n)]
+        self.gen_ids = rmult[0]
         self._words: dict[int, tuple] = {}
 
     def mult_ids(self, a: int, b: int) -> int:
-        return self.index[_compose(self.perms[a], self.perms[b])]
+        """The id of a*b, folding lmult up the parents of the shorter factor
+        (through a*b = (b^-1 a^-1)^-1 when that factor is b)."""
+        inv, parent, last, lmult = self.inverse, self.parent, self.last, self.lmult
+        via_inverse = self.length[a] > self.length[b]
+        if via_inverse:
+            a, b = inv[b], inv[a]
+        while a:  # a = u t, so a b = u (t b)
+            b = lmult[b][last[a]]
+            a = parent[a]
+        return inv[b] if via_inverse else b
 
     def word(self, w: int, n_gens: int) -> tuple:
         cached = self._words.get(w)
@@ -591,7 +597,7 @@ class Element:
 class DiagramAut:
     """An automorphism of (W, S) given by a permutation of the generator indices."""
 
-    __slots__ = ("system", "sigma", "_elt_cache", "_root_perm")
+    __slots__ = ("system", "sigma")
 
     def __init__(self, system: CoxeterSystem, sigma):
         sigma = tuple(sigma)
@@ -604,8 +610,6 @@ class DiagramAut:
                     raise BadMatrix(f"{sigma} does not preserve the Coxeter matrix")
         self.system = system
         self.sigma = sigma
-        self._elt_cache: dict = {}
-        self._root_perm = None
 
     def is_identity(self) -> bool:
         return all(self.sigma[i] == i for i in range(len(self.sigma)))
@@ -613,40 +617,33 @@ class DiagramAut:
     def gen(self, i: int) -> int:
         return self.sigma[i]
 
-    def _roots_permuted(self):
-        # the linear map sending simple root i to simple root sigma(i), as a
-        # permutation of root indices
-        if self._root_perm is None:
-            sys = self.system
-            images = []
-            for vec in sys.roots:
-                img = [0.0] * sys.rank
-                for i, c in enumerate(vec):
-                    img[self.sigma[i]] = c
-                for k, r in enumerate(sys.roots):
-                    if all(abs(a - b) < _SNAP for a, b in zip(r, img)):
-                        images.append(k)
-                        break
-                else:
-                    raise BadMatrix("diagram automorphism does not permute the roots")
-            self._root_perm = tuple(images)
-        return self._root_perm
+    def _images(self):
+        """theta(w) for every id w: theta(u t) = theta(u) sigma(t) along the
+        search tree, then checked on every edge (w, s), once per system."""
+        system = self.system
+        images = system._aut_images.get(self.sigma)
+        if images is None:
+            table = system._ensure_table()
+            rmult, sigma = table.rmult, self.sigma
+            images = [0]
+            for u, t in zip(table.parent[1:], table.last[1:]):
+                images.append(rmult[images[u]][sigma[t]])
+            for w, row in enumerate(rmult):
+                image_row = rmult[images[w]]
+                for s, ws in enumerate(row):
+                    if images[ws] != image_row[sigma[s]]:
+                        raise ConsistencyError(
+                            f"{self!r} breaks theta(w s) = theta(w) theta(s) "
+                            f"at w = {Element(system, w)!r}, s = s{s + 1}"
+                        )
+            system._aut_images[self.sigma] = images
+        return images
 
     def __call__(self, x: Element) -> Element:
         self.system._check(x)
         if self.system.family == "universal":
             return Element(self.system, tuple(self.sigma[s] for s in x.key))
-        cached = self._elt_cache.get(x.key)
-        if cached is None:
-            table = self.system._table
-            A = self._roots_permuted()
-            Ainv = [0] * len(A)
-            for i, j in enumerate(A):
-                Ainv[j] = i
-            p = table.perms[x.key]
-            cached = table.index[tuple(A[p[Ainv[j]]] for j in range(len(A)))]
-            self._elt_cache[x.key] = cached
-        return Element(self.system, cached)
+        return Element(self.system, self._images()[x.key])
 
     def __mul__(self, other: "DiagramAut") -> "DiagramAut":
         if other.system is not self.system:

@@ -25,6 +25,10 @@ class TruncationRequired(QpcoxError):
     """An enumeration over an infinite group needs an explicit height cutoff."""
 
 
+class GroupTooLarge(QpcoxError):
+    """A finite group has more elements than the enumeration limit (coxeter.MAX_ORDER)."""
+
+
 class ConsistencyError(QpcoxError):
     """An internal consistency gate failed: a computed object breaks an
     invariant the theory guarantees (the CLI exits with code 2)."""

@@ -1,0 +1,74 @@
+"""Independent oracle for the finite group tables of qpcox.coxeter.
+
+Represents every element by the full permutation of root indices it induces
+and multiplies by composing permutations; a diagram automorphism acts by the
+linear map alpha_i -> alpha_sigma(i), matched against the root vectors.
+Shares only the root vectors and generator permutations with the
+implementation, whose tables come from simple-root keys and recurrences
+along the search tree.
+"""
+
+SNAP = 1e-9
+
+
+def compose(p, q):
+    """Permutation composition: (p o q)[i] = p[q[i]]."""
+    return tuple(p[i] for i in q)
+
+
+def invert(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+class OracleGroup:
+    """Breadth-first enumeration of root permutations, ids in discovery order."""
+
+    def __init__(self, system):
+        gens = system.gen_root_perm
+        n = system.rank
+        ident = tuple(range(len(system.roots)))
+        self.rank = n
+        self.perms = [ident]
+        self.index = {ident: 0}
+        self.length = [0]
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for s in range(n):
+                    p = compose(self.perms[w], gens[s])  # w * s
+                    if p not in self.index:
+                        self.index[p] = len(self.perms)
+                        self.perms.append(p)
+                        self.length.append(self.length[w] + 1)
+                        nxt.append(self.index[p])
+            frontier = nxt
+        self.rmult = [[self.index[compose(p, g)] for g in gens] for p in self.perms]
+        self.lmult = [[self.index[compose(g, p)] for g in gens] for p in self.perms]
+        self.inverse = [self.index[invert(p)] for p in self.perms]
+
+    def mult_ids(self, a, b):
+        return self.index[compose(self.perms[a], self.perms[b])]
+
+    def simple_root_key(self, w):
+        """The root indices of w^-1(alpha_i), i = 0..n-1 (simple root i is root i)."""
+        return invert(self.perms[w])[: self.rank]
+
+    def automorphism_images(self, system, sigma):
+        """theta(w) for every oracle id w, theta the linear map alpha_i -> alpha_sigma(i)."""
+        A = []
+        for vec in system.roots:
+            img = [0.0] * system.rank
+            for i, c in enumerate(vec):
+                img[sigma[i]] = c
+            matches = [
+                k for k, r in enumerate(system.roots)
+                if all(abs(a - b) < SNAP for a, b in zip(r, img))
+            ]
+            assert len(matches) == 1, "diagram automorphism does not permute the roots"
+            A.append(matches[0])
+        A_inv = invert(A)
+        return [self.index[tuple(A[p[A_inv[j]]] for j in range(len(A)))] for p in self.perms]

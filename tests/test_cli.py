@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qpcox import barcanon
+from qpcox import barcanon, coxeter
 from qpcox.cli import main
 from qpcox.errors import ConsistencyError
 
@@ -221,6 +221,12 @@ def test_consistency_error_exits_2(tmp_path, monkeypatch):
 
     monkeypatch.setattr(barcanon, "canonical_basis", broken)
     assert run(tmp_path, "basis", "--type", "A2", "--regular") == 2
+
+
+def test_group_too_large_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(coxeter, "MAX_ORDER", 1000)
+    assert run(tmp_path, "survey", "--type", "B5", "--theta", "id") == 1
+    assert "MAX_ORDER = 1000" in capsys.readouterr().err
 
 
 def test_verify_under_optimize_flag(tmp_path):

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from oracle_group import OracleGroup
+from qpcox import coxeter
 from qpcox.coxeter import ExtElement, build_system, twisted_conjugate
-from qpcox.errors import BadMatrix, InfiniteParabolic, NotFinite, SystemMismatch
+from qpcox.errors import (
+    BadMatrix, ConsistencyError, GroupTooLarge, InfiniteParabolic, NotFinite, SystemMismatch
+)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +210,19 @@ def test_diagram_automorphisms():
         assert aut.sigma[1] == 1
 
 
+def assert_group_automorphism(system, aut, seed, pairs):
+    rng = random.Random(seed)
+    elements = system.elements()
+    for _ in range(pairs):
+        x, y = rng.choice(elements), rng.choice(elements)
+        assert aut(x * y) == aut(x) * aut(y)
+        assert aut(x).length == x.length
+
+
 def test_aut_acts_as_group_automorphism():
     a3 = build_system("A3")
     rev = next(a for a in a3.diagram_automorphisms() if not a.is_identity())
-    rng = random.Random(3)
-    elements = a3.elements()
-    for _ in range(100):
-        x, y = rng.choice(elements), rng.choice(elements)
-        assert rev(x * y) == rev(x) * rev(y)
-        assert rev(x).length == x.length
+    assert_group_automorphism(a3, rev, 3, 100)
     assert (rev * rev).is_identity()
 
 
@@ -223,12 +231,71 @@ def test_d4_triality_is_a_group_automorphism():
     rot = next(a for a in d4.diagram_automorphisms() if a.order() == 3)
     assert rot.sigma[1] == 1  # fixes the branch node
     assert (rot * rot * rot).is_identity()
-    rng = random.Random(17)
-    elements = d4.elements()
-    for _ in range(60):
-        x, y = rng.choice(elements), rng.choice(elements)
-        assert rot(x * y) == rot(x) * rot(y)
-        assert rot(x).length == x.length
+    assert_group_automorphism(d4, rot, 17, 60)
+
+
+def test_e6_flip_is_a_group_automorphism():
+    e6 = build_system("E6")
+    flip = next(a for a in e6.diagram_automorphisms() if not a.is_identity())
+    assert flip.sigma == (5, 1, 4, 3, 2, 0)  # s1<->s6, s3<->s5, fixing s2 and s4
+    assert_group_automorphism(e6, flip, 19, 300)
+
+
+@pytest.mark.parametrize("type_string", ["A4", "B4", "D4", "D5", "F4", "H3", "I2(8)"])
+def test_group_tables_match_root_permutation_oracle(type_string):
+    system = build_system(type_string)
+    table = system._ensure_table()
+    oracle = OracleGroup(system)
+    # the same element gets the same id on both sides
+    assert table.perms == [oracle.simple_root_key(w) for w in range(len(oracle.perms))]
+    assert table.length == oracle.length
+    assert table.rmult == oracle.rmult
+    assert table.lmult == oracle.lmult
+    assert table.inverse == oracle.inverse
+    rng = random.Random(23)
+    n = len(oracle.perms)
+    for _ in range(2000):
+        a, b = rng.randrange(n), rng.randrange(n)
+        assert table.mult_ids(a, b) == oracle.mult_ids(a, b)
+    for aut in system.diagram_automorphisms():
+        images = [aut(w).key for w in system.elements()]
+        assert images == oracle.automorphism_images(system, aut.sigma), aut
+
+
+def test_automorphism_table_gate_checks_every_edge():
+    a3 = build_system("A3")
+    flip = next(a for a in a3.diagram_automorphisms() if not a.is_identity())
+    theta = [flip(x).key for x in a3.elements()]  # from an intact table
+    a3 = build_system("A3")
+    flip = next(a for a in a3.diagram_automorphisms() if not a.is_identity())
+    table = a3._ensure_table()
+
+    def tree_edge(w, s):
+        ws = table.rmult[w][s]
+        return table.parent[ws] == w and table.last[ws] == s
+
+    # the recurrence reads only the images of tree edges, and flip is an
+    # involution: corrupt an edge off the tree whose image is off it too, so
+    # that only the check over every edge can see it
+    w, s = next(
+        (w, s)
+        for w in range(len(table.perms))
+        for s in range(3)
+        if table.length[table.rmult[w][s]] > table.length[w]
+        and not tree_edge(w, s)
+        and not tree_edge(theta[w], flip.sigma[s])
+    )
+    table.rmult[w][s] = w
+    with pytest.raises(ConsistencyError, match="theta"):
+        flip(a3.identity)
+
+
+def test_enumeration_refused_above_max_order(monkeypatch):
+    assert 362880 <= coxeter.MAX_ORDER < 2903040  # |A8| <= limit < |E7|
+    monkeypatch.setattr(coxeter, "MAX_ORDER", 1000)
+    b5 = build_system("B5")
+    with pytest.raises(GroupTooLarge, match="MAX_ORDER = 1000"):
+        b5.order()
 
 
 def test_ext_group_laws():
