@@ -259,9 +259,12 @@ def _revalidate_survey(system: CoxeterSystem, payload) -> bool:
         wit = rep.get("witness")
         if not wit:
             continue
-        theta = DiagramAut(system, tuple(rep["theta"]))
-        seed = ExtElement(system.element_from_word(rep["seed_word"]), theta)
-        K = qpsets.conjugacy_set(system, seed)
+        try:
+            theta = DiagramAut(system, tuple(rep["theta"]))
+            seed = ExtElement(system.element_from_word(rep["seed_word"]), theta)
+            K = qpsets.conjugacy_set(system, seed)
+        except QpcoxError:  # a cached theta or seed word that names no class
+            return False
         if not qpsets.revalidate_witness(K, wit):
             return False
     return True

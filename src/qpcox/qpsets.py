@@ -6,6 +6,13 @@ classes in the extended group, the regular set (W acting on itself on the
 left), and the even double cover of an integer-height set (a W x A1-set over
 the generator list S + [s0]).
 
+Every carrier comes from one breadth-first orbit search that records each
+generator step once; the points are then sorted and the recorded steps become
+integer action rows.  Reflection actions compose those rows along a reduced
+word of each reflection.  After the search, group elements are used only on
+truncated carriers, whose images can leave the carrier, and in witness
+re-checks.
+
 Heights are stored doubled (height2 = 2 ht), so the half-integer heights of
 conjugacy classes stay exact integers.  Point ids are dense and sorted by
 (height2, payload), which makes exports deterministic.  Truncated universal
@@ -51,7 +58,7 @@ class _ReflAction:
     word: tuple
     img: list  # point id or None (out of a truncated carrier)
     img_h2: list  # exact height2 of the image, even when out of carrier
-    img_payload: list | None = None  # conjugacy kind only
+    img_payload: list | None = None  # truncated carriers only
 
 
 class ScaledWSet:
@@ -73,7 +80,7 @@ class ScaledWSet:
         self.n_gens = len(action)
         self._qp = None
         self._order = None
-        self._refl = {}
+        self._refl = None
         self._validate_scaled()
 
     # -- basics -------------------------------------------------------------
@@ -164,64 +171,36 @@ class ScaledWSet:
 
     # -- reflection actions -----------------------------------------------------
 
-    def reflection_actions(self, max_length: Optional[int] = None) -> list[_ReflAction]:
-        key = max_length
-        if key in self._refl:
-            return self._refl[key]
-        sys = self.system
-        if self.kind == "double-cover":
-            # reflections of W x A1 are the reflections of W plus s0 itself
-            out = []
-            for ra in self.base.reflection_actions(max_length):
-                img, h2 = [], []
-                for pid, (b, k) in enumerate(self.payloads):
-                    rb = ra.img[b]
-                    q = self.index[(rb, 1 - k)]
-                    img.append(q)
-                    h2.append(self.height2[q])
-                out.append(_ReflAction(ra.word, img, h2))
-            s0 = self.n_gens - 1
-            img = [self.action[s0][pid] for pid in range(len(self))]
-            out.append(_ReflAction((s0,), img, [self.height2[q] for q in img]))
-            self._refl[key] = out
-            return out
+    def reflection_actions(self) -> list[_ReflAction]:
+        """r . x for every reflection r of W, in (length, id) order; a double
+        cover adds s0, the reflection of its A1 factor.
 
-        if sys.family == "universal":
-            if self.kind != "conjugacy":
-                raise TruncationRequired(
-                    "reflection actions on universal carriers exist only for conjugacy kind"
-                )
-            bound = max_length if max_length is not None else (self.truncated_at or 0) + 1
-            refl = sys.reflections_up_to(bound)
-        else:
-            refl = sys.reflections()
-
+        An untruncated carrier composes its generator rows along r.word().  A
+        truncated carrier twisted-conjugates payloads instead, over the
+        reflections of length <= cutoff + 1: an image may leave the carrier,
+        and its exact height and payload are still needed.
+        """
+        if self._refl is not None:
+            return self._refl
+        h2 = self.height2
         out = []
-        for r in refl:
-            img, h2 = [], []
-            payloads = [] if self.kind == "conjugacy" else None
-            for pid in range(len(self)):
-                q_payload = self._act_element(r, pid)
-                q = self.index.get(q_payload)
-                img.append(q)
-                if q is not None:
-                    h2.append(self.height2[q])
-                else:
-                    h2.append(q_payload.length)  # exact, conjugacy payloads only
-                if payloads is not None:
-                    payloads.append(q_payload)
-            out.append(_ReflAction(r.word(), img, h2, payloads))
-        self._refl[key] = out
+        if self.truncated_at is not None:  # a universal conjugacy class
+            for r in self.system.reflections_up_to(self.truncated_at + 1):
+                payloads = [twisted_conjugate(r, p) for p in self.payloads]
+                img = [self.index.get(q) for q in payloads]
+                out.append(_ReflAction(r.word(), img, [q.length for q in payloads], payloads))
+        else:
+            words = [r.word() for r in self.system.reflections()]
+            if self.kind == "double-cover":
+                words.append((self.n_gens - 1,))
+            for word in words:
+                img = list(range(len(self)))
+                for s in reversed(word):
+                    row = self.action[s]
+                    img = [row[y] for y in img]
+                out.append(_ReflAction(word, img, [h2[y] for y in img]))
+        self._refl = out
         return out
-
-    def _act_element(self, w: Element, pid: int):
-        """The payload of w . x for a whole group element w (non-cover kinds)."""
-        p = self.payloads[pid]
-        if self.kind == "conjugacy":
-            return twisted_conjugate(w, p)
-        if self.kind == "coset":
-            return _coset_canonical(self.system, w * p, self.J)
-        return w * p  # regular
 
     # -- JSON ---------------------------------------------------------------------
 
@@ -245,21 +224,26 @@ class ScaledWSet:
         return out
 
 
-def _coset_canonical(system, w: Element, J) -> Element:
-    # minimal-length representative of the coset w W_J
-    while True:
-        for t in J:
-            wt = w * system.generator(t)
-            if wt.length < w.length:
-                w = wt
-                break
-        else:
-            return w
+def _orbit_carrier(system, start, n_gens, step, height2, keyfn, **kw) -> ScaledWSet:
+    """The orbit of start, where step(s, p) is the image of p under generator
+    s (None when it leaves a truncated carrier).
 
-
-def _sort_points(payload_h2_pairs, keyfn):
-    pairs = sorted(payload_h2_pairs, key=lambda it: (it[1], keyfn(it[0])))
-    return [p for p, _ in pairs], [h for _, h in pairs]
+    One breadth-first search records every step once; the points are then
+    sorted by (height2, key) and the recorded steps renumbered into rows.
+    """
+    steps = {start: None}
+    queue = [start]
+    for p in queue:  # iterating the growing list is the breadth-first search
+        images = steps[p] = [step(s, p) for s in range(n_gens)]
+        for q in images:
+            if q is not None and q not in steps:
+                steps[q] = None
+                queue.append(q)
+    payloads = sorted(queue, key=lambda p: (height2(p), keyfn(p)))
+    index = {p: i for i, p in enumerate(payloads)}
+    action = [[index.get(steps[p][s]) for p in payloads] for s in range(n_gens)]
+    return ScaledWSet(system, payloads=payloads, height2=[height2(p) for p in payloads],
+                      action=action, **kw)
 
 
 def coset_set(system: CoxeterSystem, J) -> ScaledWSet:
@@ -267,32 +251,15 @@ def coset_set(system: CoxeterSystem, J) -> ScaledWSet:
     J = tuple(sorted(set(J)))
     if system.family == "universal":
         raise InfiniteParabolic("universal coset sets are infinite; use a conjugacy carrier")
-    ident = system.identity
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in range(system.rank):
-                z = system.generator(s) * w
-                if z in seen:
-                    continue
-                if all((z * system.generator(t)).length > z.length for t in J):
-                    seen.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    payloads, height2 = _sort_points([(w, 2 * w.length) for w in seen], lambda w: w.key)
-    index = {p: i for i, p in enumerate(payloads)}
-    action = []
-    for s in range(system.rank):
-        gen = system.generator(s)
-        row = []
-        for w in payloads:
-            z = gen * w
-            row.append(index[z] if z in index else index[w])  # bullet action
-        action.append(row)
-    kind = "coset" if J else "regular"
-    return ScaledWSet(system, kind, payloads, height2, action, J=J)
+    gens = system.generators()
+
+    def step(s, w):  # the bullet action: s w, or w when s w is not in W^J
+        z = gens[s] * w
+        return w if z.right_descents().intersection(J) else z
+
+    return _orbit_carrier(system, system.identity, system.rank, step,
+                          lambda w: 2 * w.length, lambda w: w.key,
+                          kind="coset" if J else "regular", J=J)
 
 
 def regular_set(system: CoxeterSystem) -> ScaledWSet:
@@ -307,36 +274,15 @@ def conjugacy_set(system: CoxeterSystem, seed: ExtElement, cutoff: Optional[int]
     if seed.system is not system:
         raise SystemMismatch("seed belongs to a different system")
     limit = None if system.family == "finite" else cutoff
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in range(system.rank):
-                q = twisted_conjugate(system.generator(s), p)
-                if q not in seen and (limit is None or q.length <= limit):
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    gens = system.generators()
 
-    def keyfn(p):
-        return p.x.key
+    def step(s, p):
+        q = twisted_conjugate(gens[s], p)
+        return q if limit is None or q.length <= limit else None
 
     # ht = length / 2, so height2 is the length itself
-    payloads, height2 = _sort_points([(p, p.length) for p in seen], keyfn)
-    index = {p: i for i, p in enumerate(payloads)}
-    action = []
-    for s in range(system.rank):
-        gen = system.generator(s)
-        row = []
-        for p in payloads:
-            q = twisted_conjugate(gen, p)
-            row.append(index.get(q))
-        action.append(row)
-    return ScaledWSet(
-        system, "conjugacy", payloads, height2, action,
-        theta=seed.theta, seed=seed, truncated_at=limit,
-    )
+    return _orbit_carrier(system, seed, system.rank, step, lambda p: p.length, lambda p: p.x.key,
+                          kind="conjugacy", theta=seed.theta, seed=seed, truncated_at=limit)
 
 
 def even_double_cover(X: ScaledWSet) -> ScaledWSet:
@@ -345,22 +291,20 @@ def even_double_cover(X: ScaledWSet) -> ScaledWSet:
         raise TruncationRequired("double cover of a truncated carrier is not supported")
     if any(h % 2 for h in X.height2):
         raise ValueError("even double cover needs integer heights (height2 even)")
-    pts = []
-    for b in range(len(X)):
-        h = X.height2[b]
-        for k in (0, 1):
-            lift = h + (0 if (h // 2) % 2 == k else 2)
-            pts.append(((b, k), lift))
-    payloads, height2 = _sort_points(pts, lambda p: p)
-    index = {p: i for i, p in enumerate(payloads)}
-    action = []
-    for s in range(X.n_gens):
-        row = []
-        for (b, k) in payloads:
-            row.append(index[(X.action[s][b], 1 - k)])
-        action.append(row)
-    action.append([index[(b, 1 - k)] for (b, k) in payloads])  # s0
-    cover = ScaledWSet(X.system, "double-cover", payloads, height2, action, base=X)
+    s0 = X.n_gens
+
+    def step(s, p):
+        b, k = p
+        return (b if s == s0 else X.action[s][b], 1 - k)
+
+    def lift(p):
+        h = X.height2[p[0]]
+        return h + (0 if (h // 2) % 2 == p[1] else 2)
+
+    cover = _orbit_carrier(X.system, (0, 0), s0 + 1, step, lift, lambda p: p,
+                           kind="double-cover", base=X)
+    if len(cover) != 2 * len(X):
+        raise ValueError("even double cover needs a carrier with a single orbit")
     for s in range(cover.n_gens):  # evenness: no generator fixes a point
         if any(cover.action[s][x] == x for x in range(len(cover))):
             raise ConsistencyError(f"double cover is not even: generator {s} fixes a point")
@@ -371,17 +315,17 @@ def even_double_cover(X: ScaledWSet) -> ScaledWSet:
 # quasiparabolicity
 
 
-def check_quasiparabolic(X: ScaledWSet, max_reflection_length: Optional[int] = None) -> QpVerdict:
+def check_quasiparabolic(X: ScaledWSet) -> QpVerdict:
     """Exhaustively check (QP1) over R x X and (QP2) over R x X x S.
 
     On truncated universal carriers the reflection range is finite (word
-    length <= cutoff + 1 by default) and heights of out-of-carrier images are
-    still computed exactly from payload lengths, so every reported witness is
+    length <= cutoff + 1) and heights of out-of-carrier images are still
+    computed exactly from payload lengths, so every reported witness is
     genuine.
     """
-    if X._qp is not None and max_reflection_length is None:
+    if X._qp is not None:
         return X._qp
-    refl = X.reflection_actions(max_reflection_length)
+    refl = X.reflection_actions()
     h2 = X.height2
     verdict = None
     bound = max(len(ra.word) for ra in refl) if refl and X.truncated_at is not None else None
@@ -404,20 +348,11 @@ def check_quasiparabolic(X: ScaledWSet, max_reflection_length: Optional[int] = N
                     sx = X.action[s][x]
                     if sx is None:
                         continue
-                    if rx is not None:
-                        srx = X.action[s][rx]
-                        if srx is not None:
-                            h_srx = h2[srx]
-                        elif ra.img_payload is not None:
-                            h_srx = twisted_conjugate(
-                                X.system.generator(s), ra.img_payload[x]
-                            ).length
-                        else:
-                            continue
-                    elif ra.img_payload is not None:
-                        h_srx = twisted_conjugate(
-                            X.system.generator(s), ra.img_payload[x]
-                        ).length
+                    srx = X.action[s][rx] if rx is not None else None
+                    if srx is not None:
+                        h_srx = h2[srx]
+                    elif ra.img_payload is not None:  # s r x left the truncated carrier
+                        h_srx = twisted_conjugate(X.system.generator(s), ra.img_payload[x]).length
                     else:
                         continue
                     if h_srx < h2[sx] and rx != sx:
@@ -428,44 +363,55 @@ def check_quasiparabolic(X: ScaledWSet, max_reflection_length: Optional[int] = N
             if verdict:
                 break
 
-    if verdict is None:
-        verdict = QpVerdict(True, checked_r_length=bound)
-    if max_reflection_length is None:
-        X._qp = verdict
-    return verdict
+    X._qp = verdict or QpVerdict(True, checked_r_length=bound)
+    return X._qp
 
 
-def check_qp1_only(X: ScaledWSet, max_reflection_length: Optional[int] = None) -> bool:
+def check_qp1_only(X: ScaledWSet) -> bool:
     """Whether (QP1) alone holds; a diagnostic for counterexample hunting.
 
     check_quasiparabolic scans (QP1) in full before (QP2), so (QP1) holds
     exactly when its verdict passes or names (QP2).
     """
-    verdict = check_quasiparabolic(X, max_reflection_length)
+    verdict = check_quasiparabolic(X)
     return verdict.is_qp or verdict.axiom == "QP2"
 
 
+def _in_range(v, n) -> bool:
+    return type(v) is int and 0 <= v < n
+
+
 def revalidate_witness(X: ScaledWSet, witness: dict) -> bool:
-    """Re-check a stored QP witness against a freshly built carrier."""
-    word = tuple(witness["r_word"])
-    x = witness["x"]
-    r = X.system.element_from_word(word)
-    if r.length != len(word):
+    """Re-check a stored QP witness against a freshly built carrier.
+
+    On a conjugacy carrier r . x is recomputed by twisted conjugation,
+    independently of the carrier's tables; other kinds read the reflection
+    row of the witness word.  A witness with a missing key or an
+    out-of-range point, generator or letter is rejected.
+    """
+    try:
+        axiom, word, x = witness["axiom"], witness["r_word"], witness["x"]
+        s = witness["s"] if axiom == "QP2" else None
+    except (KeyError, TypeError):
         return False
-    rx = X._act_element(r, x) if X.kind != "double-cover" else None
-    if X.kind == "double-cover":
-        for ra in X.reflection_actions():
-            if ra.word == word:
-                rx_id, h_rx = ra.img[x], ra.img_h2[x]
-                break
-        else:
+    if axiom not in ("QP1", "QP2") or not isinstance(word, list) or not _in_range(x, len(X)):
+        return False
+    if not all(_in_range(i, X.n_gens) for i in word) or (axiom == "QP2" and not _in_range(s, X.n_gens)):
+        return False
+    word = tuple(word)
+    if X.kind == "conjugacy":
+        r = X.system.element_from_word(word)
+        if r.length != len(word):
             return False
+        rx = twisted_conjugate(r, X.payloads[x])
+        rx_id, h_rx = X.index.get(rx), rx.length
     else:
-        rx_id = X.index.get(rx)
-        h_rx = X.height2[rx_id] if rx_id is not None else rx.length
-    if witness["axiom"] == "QP1":
+        ra = next((ra for ra in X.reflection_actions() if ra.word == word), None)
+        if ra is None:
+            return False
+        rx_id, h_rx = ra.img[x], ra.img_h2[x]
+    if axiom == "QP1":
         return h_rx == X.height2[x] and rx_id != x
-    s = witness["s"]
     sx = X.action[s][x]
     if sx is None or rx_id is None:
         return False
@@ -501,19 +447,19 @@ class XOrder:
         return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
-def bruhat_order(X: ScaledWSet, max_reflection_length: Optional[int] = None) -> XOrder:
+def bruhat_order(X: ScaledWSet) -> XOrder:
     """Transitive closure of x < rx over reflections that raise the height.
 
     Requires the quasiparabolic axioms (raises NotQuasiparabolic otherwise).
     The result is graded: closing only over height-unit edges gives the same
     order, which is checked on untruncated carriers (ConsistencyError).
     """
-    if X._order is not None and max_reflection_length is None:
+    if X._order is not None:
         return X._order
-    verdict = check_quasiparabolic(X, max_reflection_length)
+    verdict = check_quasiparabolic(X)
     if not verdict.is_qp:
         raise NotQuasiparabolic(f"carrier fails {verdict.axiom} at point {verdict.x}")
-    refl = X.reflection_actions(max_reflection_length)
+    refl = X.reflection_actions()
     n = len(X)
     in_edges: list[list[int]] = [[] for _ in range(n)]
     cover_in: list[list[int]] = [[] for _ in range(n)]
@@ -538,10 +484,8 @@ def bruhat_order(X: ScaledWSet, max_reflection_length: Optional[int] = None) -> 
     if X.truncated_at is None and down != close(cover_in):
         raise ConsistencyError("Bruhat order on the carrier is not graded")
     label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
-    order = XOrder(down, label)
-    if max_reflection_length is None:
-        X._order = order
-    return order
+    X._order = XOrder(down, label)
+    return X._order
 
 
 # ---------------------------------------------------------------------------

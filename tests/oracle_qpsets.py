@@ -1,0 +1,156 @@
+"""Carrier constructors and reflection actions by group arithmetic on payloads.
+
+This is how qpsets built carriers before one orbit search did it and before
+reflection actions were composed from generator rows: each constructor runs
+its own search, then computes every generator step a second time to fill the
+action rows, and r . x is computed from the payload of x for every
+reflection r (twisted conjugation, coset reduction or a left product; the
+double cover flips the bit over the base's reflection action).  It is kept
+as an independent oracle for those paths.
+"""
+
+from __future__ import annotations
+
+from qpcox.coxeter import twisted_conjugate
+from qpcox.qpsets import ScaledWSet, _ReflAction
+
+
+class OracleWSet(ScaledWSet):
+    """A carrier whose reflection actions are computed from its payloads."""
+
+    def reflection_actions(self):
+        if self._refl is not None:
+            return self._refl
+        if self.kind == "double-cover":
+            # reflections of W x A1 are the reflections of W plus s0 itself
+            out = []
+            for ra in self.base.reflection_actions():
+                img, h2 = [], []
+                for b, k in self.payloads:
+                    q = self.index[(ra.img[b], 1 - k)]
+                    img.append(q)
+                    h2.append(self.height2[q])
+                out.append(_ReflAction(ra.word, img, h2))
+            s0 = self.n_gens - 1
+            img = [self.action[s0][pid] for pid in range(len(self))]
+            out.append(_ReflAction((s0,), img, [self.height2[q] for q in img]))
+            self._refl = out
+            return out
+
+        sys = self.system
+        if sys.family == "universal":
+            refl = sys.reflections_up_to((self.truncated_at or 0) + 1)
+        else:
+            refl = sys.reflections()
+        out = []
+        for r in refl:
+            img, h2 = [], []
+            payloads = [] if self.kind == "conjugacy" else None
+            for pid in range(len(self)):
+                q_payload = act_element(self, r, pid)
+                q = self.index.get(q_payload)
+                img.append(q)
+                h2.append(self.height2[q] if q is not None else q_payload.length)
+                if payloads is not None:
+                    payloads.append(q_payload)
+            out.append(_ReflAction(r.word(), img, h2, payloads))
+        self._refl = out
+        return out
+
+
+def act_element(X, w, pid):
+    """The payload of w . x for a whole group element w (non-cover kinds)."""
+    p = X.payloads[pid]
+    if X.kind == "conjugacy":
+        return twisted_conjugate(w, p)
+    if X.kind == "coset":
+        return coset_canonical(X.system, w * p, X.J)
+    return w * p  # regular
+
+
+def coset_canonical(system, w, J):
+    # minimal-length representative of the coset w W_J
+    while True:
+        for t in J:
+            wt = w * system.generator(t)
+            if wt.length < w.length:
+                w = wt
+                break
+        else:
+            return w
+
+
+def _sort_points(payload_h2_pairs, keyfn):
+    pairs = sorted(payload_h2_pairs, key=lambda it: (it[1], keyfn(it[0])))
+    return [p for p, _ in pairs], [h for _, h in pairs]
+
+
+def coset_set(system, J):
+    J = tuple(sorted(set(J)))
+    ident = system.identity
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in range(system.rank):
+                z = system.generator(s) * w
+                if z in seen:
+                    continue
+                if all((z * system.generator(t)).length > z.length for t in J):
+                    seen.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    payloads, height2 = _sort_points([(w, 2 * w.length) for w in seen], lambda w: w.key)
+    index = {p: i for i, p in enumerate(payloads)}
+    action = []
+    for s in range(system.rank):
+        gen = system.generator(s)
+        row = []
+        for w in payloads:
+            z = gen * w
+            row.append(index[z] if z in index else index[w])  # bullet action
+        action.append(row)
+    kind = "coset" if J else "regular"
+    return OracleWSet(system, kind, payloads, height2, action, J=J)
+
+
+def conjugacy_set(system, seed, cutoff=None):
+    limit = None if system.family == "finite" else cutoff
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in range(system.rank):
+                q = twisted_conjugate(system.generator(s), p)
+                if q not in seen and (limit is None or q.length <= limit):
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    payloads, height2 = _sort_points([(p, p.length) for p in seen], lambda p: p.x.key)
+    index = {p: i for i, p in enumerate(payloads)}
+    action = []
+    for s in range(system.rank):
+        gen = system.generator(s)
+        action.append([index.get(twisted_conjugate(gen, p)) for p in payloads])
+    return OracleWSet(
+        system, "conjugacy", payloads, height2, action,
+        theta=seed.theta, seed=seed, truncated_at=limit,
+    )
+
+
+def even_double_cover(X):
+    pts = []
+    for b in range(len(X)):
+        h = X.height2[b]
+        for k in (0, 1):
+            lift = h + (0 if (h // 2) % 2 == k else 2)
+            pts.append(((b, k), lift))
+    payloads, height2 = _sort_points(pts, lambda p: p)
+    index = {p: i for i, p in enumerate(payloads)}
+    action = []
+    for s in range(X.n_gens):
+        action.append([index[(X.action[s][b], 1 - k)] for (b, k) in payloads])
+    action.append([index[(b, 1 - k)] for (b, k) in payloads])  # s0
+    return OracleWSet(X.system, "double-cover", payloads, height2, action, base=X)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qpcox import barcanon, coxeter
 from qpcox.cli import main
 from qpcox.errors import ConsistencyError
@@ -52,6 +54,31 @@ def test_survey_cache_roundtrip(tmp_path):
     assert run(tmp_path, "survey", "--type", "A2", "--format", "json",
                "--out", str(out2), cache=True) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda rep: rep["witness"].update(x=999),
+    lambda rep: rep["witness"].update(r_word=[0, 9, 0]),
+    lambda rep: rep["witness"].update(axiom="QP2", s=-1),
+    lambda rep: rep["witness"].pop("x"),
+    lambda rep: rep.update(theta=[7, 7, 7]),
+    lambda rep: rep.update(seed_word=[9]),
+], ids=["x", "r_word", "s", "missing-key", "theta", "seed_word"])
+def test_malformed_cached_witness_is_recomputed(tmp_path, capsys, tamper):
+    argv = ["survey", "--type", "A3"]
+    assert run(tmp_path, *argv) == 0
+    fresh = capsys.readouterr().out
+    assert run(tmp_path, *argv, cache=True) == 0
+    capsys.readouterr()
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    payload = json.loads(entry.read_text())
+    witnessed = [rep for rep in payload["reports"] if rep["witness"]]
+    assert witnessed
+    for rep in witnessed:
+        tamper(rep)
+    entry.write_text(json.dumps(payload))
+    assert run(tmp_path, *argv, cache=True) == 0
+    assert capsys.readouterr().out == fresh
 
 
 def test_basis_fpf_both_kinds(tmp_path):
@@ -238,3 +265,15 @@ def test_verify_under_optimize_flag(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout and "PASS inversion" in proc.stdout
+
+
+def test_benchmark_trace_targets_exist():
+    # the benchmark's per-layer trace wraps named entry points of every
+    # layer; a refactor that drops one must fail here, not only in the trace
+    repo = SRC.parent
+    code = ("import json, sys; sys.path.insert(0, 'qpbench'); import tracecli; "
+            "print(json.dumps(tracecli.install()))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=repo, env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == []

@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
-from qpcox.coxeter import ExtElement, build_system
+import oracle_qpsets as oracle
+from qpcox.coxeter import ExtElement, build_system, twisted_conjugate
 from qpcox.errors import InfiniteParabolic, NotQuasiparabolic, TruncationRequired
 from qpcox.classify import twisted_classes
 from qpcox.qpsets import (
+    ScaledWSet,
     bruhat_order,
     check_qp1_only,
     check_quasiparabolic,
@@ -167,7 +171,7 @@ def test_rht_witness():
     assert w.length == 2
     assert w.word() == (0, 1)  # lowest-index tie-breaking from the top point
     # witness moves the minimal point to the given point
-    assert X._act_element(w, 0) == X.payloads[2]
+    assert twisted_conjugate(w, X.payloads[0]) == X.payloads[2]
 
     Xj = coset_set(a3, [2])
     for pid, w in enumerate(Xj.payloads):
@@ -236,3 +240,82 @@ def test_check_qp1_only_matches_direct_scan_on_b3():
             assert check_qp1_only(K) == expect
             seen[expect] += 1
     assert seen[True] and seen[False]  # both verdicts occur
+
+
+def refl_rows(X, payloads=False):
+    return [
+        (ra.word, ra.img, ra.img_h2) + ((ra.img_payload,) if payloads else ())
+        for ra in X.reflection_actions()
+    ]
+
+
+def assert_same_carrier(X, Y, payloads=False):
+    assert (X.kind, X.truncated_at) == (Y.kind, Y.truncated_at)
+    assert X.payloads == Y.payloads
+    assert X.height2 == Y.height2
+    assert X.action == Y.action
+    assert refl_rows(X, payloads) == refl_rows(Y, payloads)
+    assert check_quasiparabolic(X) == check_quasiparabolic(Y)
+
+
+@pytest.mark.parametrize("type_string", ["A3", "B3", "D4", "H3", "I2(5)"])
+def test_carriers_and_reflections_match_element_oracle(type_string):
+    # one orbit search and rows composed along reflection words against two
+    # searches and reflection images from group arithmetic on payloads
+    system = build_system(type_string)
+    pairs = [(regular_set(system), oracle.coset_set(system, ()))]
+    for r in range(1, system.rank + 1):
+        for J in itertools.combinations(range(system.rank), r):
+            pairs.append((coset_set(system, J), oracle.coset_set(system, J)))
+    for theta in system.diagram_automorphisms():  # D4: both swaps and triality
+        for K in twisted_classes(system, theta):
+            pairs.append((K, oracle.conjugacy_set(system, K.seed)))
+    pairs += [
+        (even_double_cover(X), oracle.even_double_cover(Y))
+        for X, Y in pairs
+        if not any(h % 2 for h in X.height2)
+    ]
+    for X, Y in pairs:
+        assert_same_carrier(X, Y)
+    assert {X.kind for X, _ in pairs} == {"regular", "coset", "conjugacy", "double-cover"}
+
+
+def test_truncated_u3_classes_match_element_oracle():
+    u3 = build_system("U3")
+    rot = next(a for a in u3.diagram_automorphisms() if a.order() == 3)
+    verdicts = set()
+    for cutoff in (6, 7):  # reflections have odd length: 6 checks the cutoff + 1 bound
+        for word, theta in [((), None), ((0,), None), ((0, 1), None), ((0, 1), rot)]:
+            seed = ext(u3, word, theta)
+            X = conjugacy_set(u3, seed, cutoff=cutoff)
+            assert_same_carrier(X, oracle.conjugacy_set(u3, seed, cutoff=cutoff), payloads=True)
+            verdicts.add(check_quasiparabolic(X).is_qp)
+    assert verdicts == {True, False}
+
+
+def test_revalidate_witness_rejects_malformed_witnesses():
+    a4 = build_system("A4")
+    Y = conjugacy_set(a4, ext(a4, (0, 2)))
+    for X in (Y, even_double_cover(Y)):
+        good = check_quasiparabolic(X).witness()
+        assert revalidate_witness(X, good)
+        bad = [
+            {k: v for k, v in good.items() if k != "r_word"},
+            {**good, "x": len(X)},
+            {**good, "x": -1},
+            {**good, "x": "0"},
+            {**good, "r_word": [X.n_gens]},
+            {**good, "r_word": [0, 0, 0]},
+            {**good, "axiom": "QP2", "s": X.n_gens},
+            {**good, "axiom": "QP3"},
+        ]
+        for witness in bad:
+            assert not revalidate_witness(X, witness), witness
+
+
+def test_double_cover_needs_one_orbit():
+    a1 = build_system("A1")
+    e = a1.identity
+    two_fixed_points = ScaledWSet(a1, "regular", [e, a1.generator(0)], [0, 0], [[0, 1]])
+    with pytest.raises(ValueError):
+        even_double_cover(two_fixed_points)
