@@ -182,7 +182,6 @@ class ScaledWSet:
         """
         if self._refl is not None:
             return self._refl
-        h2 = self.height2
         out = []
         if self.truncated_at is not None:  # a universal conjugacy class
             for r in self.system.reflections_up_to(self.truncated_at + 1):
@@ -198,7 +197,7 @@ class ScaledWSet:
                 for s in reversed(word):
                     row = self.action[s]
                     img = [row[y] for y in img]
-                out.append(_ReflAction(word, img, [h2[y] for y in img]))
+                out.append(_ReflAction(word, img, [self.height2[y] for y in img]))
         self._refl = out
         return out
 
