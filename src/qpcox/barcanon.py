@@ -10,12 +10,16 @@ has the closed form
     bar M_(x,t) = v^lmin   . bar(H_x) M_(x^-1,t)
     bar N_(x,t) = (-v)^-lmin . bar(H_x) N_(x^-1,t)
 
-with lmin the minimal length in the class, and on any other carrier it is
-computed generically through a height-witness word.  Canonical bases, their
-mu-coefficients, the primed bases, the Phi twists between M and N, and the
-inversion pairing of a class with its w0+-translate are all built and
-verified here; every verification returns a verdict object rather than
-asserting, so failures surface with witnesses.
+with lmin the minimal length in the class, and on any other carrier by the
+recurrence bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x.
+Canonical bases, their mu-coefficients, the primed bases, the Phi twists
+between M and N, and the inversion pairing of a class with its w0+-translate
+are all built and verified here; every verification returns a verdict object
+rather than asserting, so failures surface with witnesses.
+
+The Hecke algebra itself is M on the regular carrier (see hecke), so this
+module never imports hecke: act_hecke reads only the words of an element's
+support.
 """
 
 from __future__ import annotations
@@ -23,17 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .classify import twisted_classes
 from .coxeter import CoxeterSystem, ExtElement
 from .errors import ConsistencyError, TruncationRequired
-from .hecke import HeckeElt
 from .laurent import ONE, V, VINV, ZERO, LaurentPoly, add_scaled, canonical_columns, v_power
-from .qpsets import (
-    ScaledWSet,
-    bruhat_order,
-    check_quasiparabolic,
-    conjugacy_set,
-    rht_witness_word,
-)
+from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic
 
 
 class ModuleVector:
@@ -131,8 +129,8 @@ def act_bar_word(vec: ModuleVector, word) -> ModuleVector:
     return vec
 
 
-def act_hecke(vec: ModuleVector, A: HeckeElt) -> ModuleVector:
-    """Left action of an arbitrary Hecke element (same acting system as X)."""
+def act_hecke(vec: ModuleVector, A) -> ModuleVector:
+    """Left action of a Hecke element A (a hecke.HeckeElt of X's system)."""
     return _combine(vec.kind, vec.X, ((act_word(vec, w.word()).coords, c) for w, c in A.coords.items()))
 
 
@@ -159,9 +157,12 @@ def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
         cache = X._barcols = {}
     if kind in cache:
         return cache[kind]
-    hmin2 = X.h_min2()
+    h2 = X.height2
+    if any(h2[pid - 1] > h2[pid] for pid in range(1, len(X))):
+        raise ConsistencyError("point ids do not refine the height order")
     cols = []
     if _is_twisted_involution_class(X):
+        hmin2 = X.h_min2()
         # closed form through the Hecke bar of H_x
         for pid, p in enumerate(X.payloads):
             q = X.index[ExtElement(p.x.inverse(), p.theta)]
@@ -174,20 +175,19 @@ def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
                 vec = vec.scale(v_power(-lmin) * (-1 if lmin % 2 else 1))
             cols.append(vec)
     else:
-        for pid in range(len(X)):
-            word = rht_witness_word(X, pid)
-            x0 = pid  # endpoint of the descent path is the orbit minimum
-            for s in word:
-                x0 = X.action[s][x0]
-            base = ModuleVector.standard(kind, X, x0)
-            cols.append(act_bar_word(base, word))
+        # bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x;
+        # ids refine height, so the column of sx is already built.  A minimal
+        # point (a truncated-away image lies above the cutoff) keeps M_x.
+        for x in range(len(X)):
+            for s in range(X.n_gens):
+                y = X.action[s][x]
+                if y is not None and h2[y] < h2[x]:
+                    cols.append(act_bar_gen(cols[y], s))
+                    break
+            else:
+                cols.append(ModuleVector.standard(kind, X, x))
     cache[kind] = cols
     return cols
-
-
-def bar_standard(kind: str, X: ScaledWSet, pid: int) -> ModuleVector:
-    """bar of the standard basis vector at a point."""
-    return bar_columns(kind, X)[pid]
 
 
 def bar_vector(vec: ModuleVector) -> ModuleVector:
@@ -269,9 +269,6 @@ class CanonicalTable:
     def __init__(self, kind: str, X: ScaledWSet):
         self.kind = kind
         self.X = X
-        heights = X.height2
-        if any(heights[pid - 1] > heights[pid] for pid in range(1, len(X))):
-            raise ConsistencyError("point ids do not refine the height order")
         self.p, self.mu = canonical_columns([col.coords for col in bar_columns(kind, X)])
         # cols[y] = {x: p[x, y]}, shared with every caller: read-only
         self.cols: list[dict[int, LaurentPoly]] = [{} for _ in range(len(X))]
@@ -385,8 +382,13 @@ def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
     order = bruhat_order(X)
     h2 = X.height2
 
+    # wt(x, y) = v^(ht y - ht x) p[x, y] on x <= y, built once per pair
+    wts = {
+        (x, y): c.shift((h2[y] - h2[x]) // 2) for (x, y), c in table.p.items() if order.leq(x, y)
+    }
+
     def wt(x, y):
-        return table.poly(x, y).shift((h2[y] - h2[x]) // 2) if order.leq(x, y) else ZERO
+        return wts.get((x, y), ZERO)
 
     vv = v_power(2)
     n = len(X)
@@ -400,6 +402,15 @@ def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
                 continue
             if h2[sy] >= h2[y]:
                 continue
+            # the correction runs over x <= t < sy with s descending t (weakly
+            # for M, strictly for N); the t = x term is nonzero exactly when
+            # mu(x, sy) is
+            corrections = []
+            for t in order.downset_ids(sy):
+                m = table.mu_of(t, sy)
+                drop = h2[X.action[s][t]] - h2[t]
+                if m and t != sy and (drop < 0 or (kind == "M" and drop == 0)):
+                    corrections.append((t, m * v_power((h2[y] - h2[t]) // 2)))
             for x in range(n):
                 sx = X.action[s][x]
                 dh = h2[sx] - h2[x]
@@ -413,17 +424,9 @@ def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
                     else:
                         bracket = ZERO
                 total = bracket
-                for t in order.downset_ids(sy):
-                    # the correction runs over x <= t < sy; the t = x term is
-                    # nonzero exactly when mu(x, sy) is
-                    if t == sy or not order.leq(x, t):
-                        continue
-                    st = X.action[s][t]
-                    drop = h2[st] - h2[t]
-                    if (kind == "M" and drop <= 0) or (kind == "N" and drop < 0):
-                        m = table.mu_of(t, sy)
-                        if m:
-                            total = total - wt(x, t) * m * v_power((h2[y] - h2[t]) // 2)
+                for t, c in corrections:
+                    if order.leq(x, t):
+                        total = total - wt(x, t) * c
                 if wt(x, y) != total or wt(x, y) != wt(sx, y):
                     return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": x})
     return CheckVerdict(True, "recurrence")
@@ -507,10 +510,6 @@ class PhiMaps:
         return CheckVerdict(True, "phi")
 
 
-def phi_maps(X: ScaledWSet) -> PhiMaps:
-    return PhiMaps(X)
-
-
 def primed_basis(
     table_m: CanonicalTable, table_n: CanonicalTable, kind: str
 ) -> tuple[list[ModuleVector], CheckVerdict]:
@@ -561,22 +560,13 @@ class InversionVerdict:
 def iplus_qp_classes(system: CoxeterSystem):
     """All quasiparabolic conjugacy classes of twisted involutions, over every
     involutive diagram automorphism (including the identity)."""
-    out = []
-    for theta in system.diagram_automorphisms():
-        if not (theta * theta).is_identity():
-            continue
-        seen = set()
-        for x in system.elements():
-            if theta(x) != x.inverse():
-                continue
-            p = ExtElement(x, theta)
-            if p in seen:
-                continue
-            K = conjugacy_set(system, p)
-            seen.update(K.payloads)
-            if check_quasiparabolic(K).is_qp:
-                out.append(K)
-    return out
+    return [
+        K
+        for theta in system.diagram_automorphisms()
+        if (theta * theta).is_identity()
+        for K in twisted_classes(system, theta, involutions_only=True)
+        if check_quasiparabolic(K).is_qp
+    ]
 
 
 def inversion_check(system: CoxeterSystem) -> InversionVerdict:

@@ -7,9 +7,10 @@ existence conjecture for bar operators).
 
 Survey and basis results are cached on disk keyed by a content hash of the
 resolved configuration, the resolved Coxeter matrix and the package version;
---no-cache bypasses the cache entirely.  Cached
-survey witnesses are re-validated against a freshly built carrier before
-being served.  All outputs are deterministic for a fixed configuration.
+--no-cache bypasses the cache entirely.  Cached survey witnesses are
+re-validated against a freshly built carrier before being served, and a basis
+entry made for another configuration or with malformed tables is recomputed.
+All outputs are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def cmd_basis(args) -> int:
     }
     path = _cache_path(args, key, system)
     payload = _cache_load(path)
-    if payload is None:
+    if not _basis_entry_ok(payload, key):
         payload = {"schema_version": SCHEMA_VERSION, "config": key, "tables": {}}
         for kind in kinds:
             verdict = barcanon.verify_bar_operator(kind, X)
@@ -338,6 +339,25 @@ def cmd_basis(args) -> int:
     else:
         _emit(args, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_CONSISTENCY if payload.get("failures") else EXIT_OK
+
+
+def _ints(row, n) -> bool:
+    return isinstance(row, list) and len(row) == n and all(type(v) is int for v in row)
+
+
+def _basis_entry_ok(payload, key) -> bool:
+    """Whether a cached basis entry was made for this key and is well formed
+    (mu rows [x, y, m], entries [x, y, [[e, c], ...]]); any other entry is
+    recomputed and overwritten."""
+    try:
+        tables = payload["tables"]
+        return payload["config"] == key and sorted(tables) == sorted(key["kinds"]) and all(
+            all(_ints(r, 3) for r in t["mu"])
+            and all(_ints(r[:2], 2) and len(r) == 3 and all(_ints(p, 2) for p in r[2]) for r in t["entries"])
+            for t in tables.values()
+        )
+    except (AttributeError, IndexError, KeyError, TypeError):  # not dicts and lists as above
+        return False
 
 
 def cmd_wgraph(args) -> int:
@@ -422,19 +442,19 @@ def _suite_bar_canonical(system) -> list[tuple[str, bool]]:
     for X in _qp_carriers(system):
         tag = f"{X.kind}:{len(X)}"
         ok = True
+        tables = {}
         for kind in ("M", "N"):
             verdict = barcanon.verify_bar_operator(kind, X)
             ok = ok and verdict.ok
             if not verdict.ok:
                 break
-            table = barcanon.canonical_basis(kind, X)
+            table = tables[kind] = barcanon.canonical_basis(kind, X)
             ok = ok and barcanon.verify_parity(table).ok
             ok = ok and barcanon.verify_multiplication(table).ok
             ok = ok and barcanon.verify_recurrences(table).ok
             ok = ok and barcanon.verify_mu_lemma(table).ok
         if ok:
-            tm = barcanon.canonical_basis("M", X)
-            tn = barcanon.canonical_basis("N", X)
+            tm, tn = tables["M"], tables["N"]
             ok = ok and barcanon.PhiMaps(X).verify().ok
             ok = ok and barcanon.primed_basis(tm, tn, "M")[1].ok
             ok = ok and barcanon.primed_basis(tm, tn, "N")[1].ok

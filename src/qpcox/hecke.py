@@ -6,21 +6,33 @@ in Z[v, v^-1].  The defining relation is
     H_s H_w = H_{sw}                    if the length goes up,
     H_s H_w = H_{sw} + (v - v^-1) H_w   if the length goes down,
 
-so H_s^-1 = H_s + (v^-1 - v).  The bar involution is the unique ring map
-sending v to v^-1 and H_w to (H_{w^-1})^-1; it is computed as a product of
-H_s^-1 factors along a reversed reduced word.  The T-basis of the older
+so H_s^-1 = H_s + (v^-1 - v).  H is the module M of barcanon on the regular
+carrier (W, length), whose point ids are the element ids: products are
+act_hecke, the bar involution (v -> v^-1, H_w -> (H_{w^-1})^-1) is
+bar_vector, and the Kazhdan-Lusztig basis is the canonical table of M.  These
+need a finite system (InfiniteParabolic otherwise).  The T-basis of the older
 literature (T_w = v^len(w) H_w) is supported as a conversion only.
 """
 
 from __future__ import annotations
 
-import weakref
-
+from .barcanon import ModuleVector, act_hecke, bar_columns, bar_vector, canonical_basis
 from .coxeter import CoxeterSystem, Element
-from .errors import SystemMismatch
-from .laurent import ONE, V, VINV, LaurentPoly, ZERO, add_scaled, canonical_columns, v_power
+from .errors import ConsistencyError, SystemMismatch
+from .laurent import ONE, LaurentPoly, ZERO, add_scaled, v_power
+from .qpsets import ScaledWSet, regular_set
 
-_bar_cache: "weakref.WeakKeyDictionary[CoxeterSystem, dict]" = weakref.WeakKeyDictionary()
+
+def regular_module(system: CoxeterSystem) -> ScaledWSet:
+    """The regular carrier of a finite system, built once and kept on the system
+    (an entry of a weak-key map would be kept alive by the carrier's system)."""
+    X = getattr(system, "_regular_module", None)
+    if X is None:
+        X = regular_set(system)  # InfiniteParabolic on a universal system
+        if any(w.key != pid for pid, w in enumerate(X.payloads)):
+            raise ConsistencyError("regular carrier point ids differ from element ids")
+        system._regular_module = X
+    return X
 
 
 class HeckeElt:
@@ -44,6 +56,11 @@ class HeckeElt:
         if not isinstance(other, HeckeElt) or other.system is not self.system:
             raise SystemMismatch("Hecke elements from different systems")
 
+    def _vector(self) -> ModuleVector:
+        """This element as a vector of M on the regular carrier."""
+        X = regular_module(self.system)
+        return ModuleVector("M", X, {w.key: c for w, c in self.coords.items()})
+
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
         return HeckeElt(self.system, add_scaled(dict(self.coords), other.coords))
@@ -58,45 +75,21 @@ class HeckeElt:
     def coeff(self, w: Element) -> LaurentPoly:
         return self.coords.get(w, ZERO)
 
-    def gen_mult(self, s: int) -> "HeckeElt":
-        """Left multiplication by H_s."""
-        gen = self.system.generator(s)
-        out: dict[Element, LaurentPoly] = {}  # H_w -> H_sw; left multiplication permutes W
-        down: dict[Element, LaurentPoly] = {}  # + (v - v^-1) H_w where s lowers w
-        for w, c in self.coords.items():
-            sw = gen * w
-            out[sw] = c
-            if sw.length < w.length:
-                down[w] = c
-        return HeckeElt(self.system, add_scaled(out, down, V - VINV))
-
-    def word_mult(self, word) -> "HeckeElt":
-        """Left multiplication by H_{s_1} ... H_{s_k} for word = (s_1, ..., s_k)."""
-        out = self
-        for s in reversed(word):
-            out = out.gen_mult(s)
-        return out
-
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        out: dict[Element, LaurentPoly] = {}
-        for w, c in self.coords.items():
-            add_scaled(out, other.word_mult(w.word()).coords, c)
-        return HeckeElt(self.system, out)
+        return _from_ids(self.system, act_hecke(other._vector(), self).coords)
 
     def bar(self) -> "HeckeElt":
         """The bar involution: v -> v^-1 on coefficients and H_w -> (H_{w^-1})^-1."""
-        out: dict[Element, LaurentPoly] = {}
-        for w, c in self.coords.items():
-            add_scaled(out, _bar_of_basis(self.system, w).coords, c.bar())
-        return HeckeElt(self.system, out)
+        return _from_ids(self.system, bar_vector(self._vector()).coords)
 
     def theta(self) -> "HeckeElt":
         """The algebra automorphism with H_w -> (-1)^len(w) bar(H_w), A-linearly."""
-        out: dict[Element, LaurentPoly] = {}
+        cols = bar_columns("M", regular_module(self.system))
+        out: dict[int, LaurentPoly] = {}
         for w, c in self.coords.items():
-            add_scaled(out, _bar_of_basis(self.system, w).coords, -c if w.length % 2 else c)
-        return HeckeElt(self.system, out)
+            add_scaled(out, cols[w.key].coords, -c if w.length % 2 else c)
+        return _from_ids(self.system, out)
 
     def to_t_pairs(self) -> list:
         """Coordinates over the T-basis (T_w = v^len(w) H_w), for import/export."""
@@ -129,50 +122,20 @@ class HeckeElt:
         return " + ".join(bits)
 
 
-def _bar_of_basis(system: CoxeterSystem, w: Element) -> HeckeElt:
-    """bar(H_w) = H_{s_1}^-1 ... H_{s_k}^-1 along a reduced word w = s_1 ... s_k."""
-    cache = _bar_cache.setdefault(system, {})
-    got = cache.get(w.key)
-    if got is not None:
-        return got
-    stack = [w]
-    while stack:
-        x = stack[-1]
-        if x.key in cache:
-            stack.pop()
-            continue
-        if x.is_identity():
-            cache[x.key] = HeckeElt.unit(system)
-            stack.pop()
-            continue
-        s = min(x.left_descents())
-        rest = system.generator(s) * x
-        prev = cache.get(rest.key)
-        if prev is None:
-            stack.append(rest)
-            continue
-        bar_s = prev.gen_mult(s)
-        add_scaled(bar_s.coords, prev.coords, VINV - V)  # H_s^-1 = H_s + (v^-1 - v)
-        cache[x.key] = bar_s
-        stack.pop()
-    return cache[w.key]
+def _from_ids(system: CoxeterSystem, coords: dict[int, LaurentPoly]) -> HeckeElt:
+    """The Hecke element with coordinates {element id: coefficient}."""
+    return HeckeElt(system, {Element(system, x): c for x, c in coords.items()})
 
 
 class KLTable:
-    """The Kazhdan-Lusztig basis of H: polynomials h_{x,y} and their mu-coefficients."""
+    """The Kazhdan-Lusztig basis of H: polynomials h_{x,y} and their mu-coefficients,
+    the canonical table of M on the regular carrier with element ids for point ids."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        n = system.order()
-        # ids are assigned by BFS from the identity, so id order refines length order
-        bar_cols = []
-        for y in range(n):
-            col = _bar_of_basis(system, Element(system, y))
-            bar_cols.append({w.key: c for w, c in col.coords.items()})
-        self.h, self.mu = canonical_columns(bar_cols)
-        self.cols: list[dict[int, LaurentPoly]] = [{} for _ in range(n)]
-        for (x, y), c in self.h.items():
-            self.cols[y][x] = c
+        table = canonical_basis("M", regular_module(system))
+        # cols[y] = {x: h[x, y]}, shared with the canonical table: read-only
+        self.h, self.mu, self.cols = table.p, table.mu, table.cols
 
     def poly(self, x: Element, y: Element) -> LaurentPoly:
         return self.h.get((x.key, y.key), ZERO)
@@ -181,8 +144,7 @@ class KLTable:
         return self.mu.get((x.key, y.key), 0)
 
     def underline(self, y: Element) -> HeckeElt:
-        sys = self.system
-        return HeckeElt(sys, {Element(sys, x): c for x, c in self.cols[y.key].items()})
+        return _from_ids(self.system, self.cols[y.key])
 
     def to_json(self) -> dict:
         return {

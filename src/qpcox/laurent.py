@@ -52,9 +52,6 @@ class LaurentPoly:
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -74,11 +71,6 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no degree bounds")
         return max(self.terms)
-
-    def in_v_inv(self, strict: bool = True) -> bool:
-        """True if supported on negative exponents (non-positive when strict=False)."""
-        bound = 0 if strict else 1
-        return all(e < bound for e in self.terms)
 
     # -- ring operations --------------------------------------------------
 

@@ -1,0 +1,104 @@
+"""Hecke products, the bar involution and the Kazhdan-Lusztig table by group
+arithmetic on Element-keyed coordinates, and bar columns by witness-word replay.
+
+This is how hecke computed before H became the module M on the regular
+carrier: H_s H_w multiplies group elements, bar(H_w) is built as
+H_s^-1 bar(H_{sw}) for the lowest left descent s, and the Kazhdan-Lusztig
+table solves over those columns.  Before bar_columns used its recurrence,
+every generic column replayed the whole greedy height-witness word of its
+point.  Both are kept as independent oracles.
+"""
+
+from __future__ import annotations
+
+from qpcox.barcanon import ModuleVector, act_bar_word
+from qpcox.coxeter import Element
+from qpcox.laurent import ONE, V, VINV, add_scaled, canonical_columns
+from qpcox.qpsets import rht_witness_word
+
+
+def gen_mult(system, coords: dict, s: int) -> dict:
+    """Left multiplication of {Element: LaurentPoly} coordinates by H_s."""
+    gen = system.generator(s)
+    out = {}  # H_w -> H_sw; left multiplication permutes W
+    down = {}  # + (v - v^-1) H_w where s lowers w
+    for w, c in coords.items():
+        sw = gen * w
+        out[sw] = c
+        if sw.length < w.length:
+            down[w] = c
+    return add_scaled(out, down, V - VINV)
+
+
+def mult(system, a: dict, b: dict) -> dict:
+    """The product of two Element-keyed Hecke elements."""
+    out = {}
+    for w, c in a.items():
+        prod = b
+        for s in reversed(w.word()):
+            prod = gen_mult(system, prod, s)
+        add_scaled(out, prod, c)
+    return out
+
+
+class OracleHecke:
+    """bar(H_w) for every w of a finite system, by Element multiplication."""
+
+    def __init__(self, system):
+        self.system = system
+        self._bar = {}
+
+    def bar_of_basis(self, w: Element) -> dict:
+        """bar(H_w) = H_{s_1}^-1 ... H_{s_k}^-1 along a reduced word w = s_1 ... s_k."""
+        cache, system = self._bar, self.system
+        stack = [w]
+        while stack:
+            x = stack[-1]
+            if x.key in cache:
+                stack.pop()
+            elif x.is_identity():
+                cache[x.key] = {x: ONE}
+            else:
+                s = min(x.left_descents())
+                rest = system.generator(s) * x
+                prev = cache.get(rest.key)
+                if prev is None:
+                    stack.append(rest)
+                    continue
+                bar_s = gen_mult(system, prev, s)
+                cache[x.key] = add_scaled(bar_s, prev, VINV - V)  # H_s^-1 = H_s + (v^-1 - v)
+        return cache[w.key]
+
+    def bar(self, coords: dict) -> dict:
+        out = {}
+        for w, c in coords.items():
+            add_scaled(out, self.bar_of_basis(w), c.bar())
+        return out
+
+    def theta(self, coords: dict) -> dict:
+        out = {}
+        for w, c in coords.items():
+            add_scaled(out, self.bar_of_basis(w), -c if w.length % 2 else c)
+        return out
+
+    def kl(self):
+        """(h, mu) keyed by (x id, y id), solved over the bar columns in id order."""
+        system = self.system
+        cols = []
+        for y in range(system.order()):
+            col = self.bar_of_basis(Element(system, y))
+            cols.append({w.key: c for w, c in col.items()})
+        return canonical_columns(cols)
+
+
+def replay_bar_columns(kind: str, X) -> list[ModuleVector]:
+    """Generic bar columns: bar(H_w) applied to M_x0 along the greedy witness
+    word w of each point x = w . x0."""
+    cols = []
+    for pid in range(len(X)):
+        word = rht_witness_word(X, pid)
+        x0 = pid  # endpoint of the descent path is the orbit minimum
+        for s in word:
+            x0 = X.action[s][x0]
+        cols.append(act_bar_word(ModuleVector.standard(kind, X, x0), word))
+    return cols

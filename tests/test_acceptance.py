@@ -39,6 +39,7 @@ from qpcox.qpsets import (
 from qpcox.wgraph import build_wgraph, cells, check_quasi_admissible, verify_wgraph_module
 
 from oracle_canonical import brute_force_canonical, table_as_int_dicts
+from oracle_hecke import OracleHecke
 
 
 def report(number, name, ok):
@@ -177,6 +178,8 @@ def test_criterion_6_bar_canonical_suite():
                     for (x, y), c in tables[kind].p.items()
                 }
                 ok = ok and got == kl.h
+            # kl_basis is the M table itself; the oracle solves independently
+            ok = ok and (kl.h, kl.mu) == OracleHecke(X.system).kl()
         assert ok, label
     report(6, "bar/canonical suite on fpf, cosets, regular carriers", ok)
 

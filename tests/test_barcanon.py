@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qpcox.barcanon import (
@@ -20,18 +22,22 @@ from qpcox.barcanon import (
     verify_parity,
     verify_recurrences,
 )
+from qpcox.classify import twisted_classes
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.errors import ConsistencyError
 from qpcox.hecke import HeckeElt, kl_basis
 from qpcox.laurent import ONE, V, VINV
 from qpcox.qpsets import (
+    check_quasiparabolic,
     conjugacy_set,
     coset_set,
+    even_double_cover,
     regular_set,
     rht_witness,
 )
 
 from oracle_canonical import brute_force_canonical, table_as_int_dicts
+from oracle_hecke import OracleHecke, replay_bar_columns
 
 
 def ext(system, word, theta=None):
@@ -120,6 +126,47 @@ def test_bar_on_regular_kind_is_hecke_bar():
         hbar = HeckeElt.basis(w).bar()
         expect = {X.index[u]: c for u, c in hbar.coords.items()}
         assert dict(cols[pid].coords) == expect
+        # hecke's bar is bar_vector on this carrier, so also compare with the
+        # Element-keyed oracle
+        oracle = OracleHecke(a2).bar_of_basis(w)
+        assert dict(cols[pid].coords) == {X.index[u]: c for u, c in oracle.items()}
+
+
+def _replay_comparable(X) -> bool:
+    """Whether witness replay gives this carrier's bar operator: the generic
+    branch of bar_columns, or a quasiparabolic twisted-involution class."""
+    closed_form = X.kind == "conjugacy" and all(p.is_twisted_involution() for p in X.payloads)
+    return not closed_form or check_quasiparabolic(X).is_qp
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "I2(5)", "D4"])
+def test_bar_columns_match_witness_replay(name):
+    # every coset set, every twisted class under every automorphism, and the
+    # double covers of the regular set and of the first coset set
+    system = build_system(name)
+    carriers = [regular_set(system)]
+    for r in range(1, system.rank + 1):
+        carriers.extend(coset_set(system, J) for J in itertools.combinations(range(system.rank), r))
+    carriers.extend(even_double_cover(X) for X in carriers[:2])
+    for theta in system.diagram_automorphisms():
+        carriers.extend(twisted_classes(system, theta))
+    for X in carriers:
+        if _replay_comparable(X):
+            for kind in ("M", "N"):
+                assert bar_columns(kind, X) == replay_bar_columns(kind, X), (X, kind)
+
+
+def test_truncated_bar_columns_match_witness_replay():
+    u3 = build_system("U3")
+    auts = u3.diagram_automorphisms()
+    s1, s2, _ = u3.generators()
+    seeds = [ExtElement(u3.identity, a) for a in auts] + [ExtElement(s1, auts[0]), ExtElement(s1 * s2, auts[0])]
+    for cutoff in (5, 7):
+        for seed in seeds:
+            X = conjugacy_set(u3, seed, cutoff)
+            if _replay_comparable(X):
+                for kind in ("M", "N"):
+                    assert bar_columns(kind, X) == replay_bar_columns(kind, X), (seed, cutoff, kind)
 
 
 def test_closed_form_bar_equals_generic_on_fpf():
@@ -189,6 +236,8 @@ def test_regular_table_equals_kl_table():
                 wx, wy = X.payloads[x], X.payloads[y]
                 assert kl.poly(wx, wy) == c
             assert len(table.p) == len(kl.h)
+        # kl_basis is this table, so also compare with the Element-keyed solve
+        assert (kl.h, kl.mu) == OracleHecke(sys).kl()
 
 
 def test_fpf_a3_table_and_brute_force_oracle():

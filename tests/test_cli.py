@@ -81,6 +81,38 @@ def test_malformed_cached_witness_is_recomputed(tmp_path, capsys, tamper):
     assert capsys.readouterr().out == fresh
 
 
+def _set_mu_row(payload, row):
+    payload["tables"]["M"]["mu"][0] = row
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda payload: {"schema_version": 1},
+    lambda payload: _set_mu_row(payload, [0, 1]),
+    lambda payload: _set_mu_row(payload, [0, 1, "x"]),
+    lambda payload: payload["tables"]["M"]["entries"][0].__setitem__(2, [[0]]),
+    lambda payload: payload["tables"].__delitem__("N"),
+    lambda payload: payload["config"].update(type="B2"),
+    lambda payload: [],
+    lambda payload: payload.update(tables=["M", "N"]),
+    lambda payload: _set_mu_row(payload, 5),
+], ids=["no-tables", "short-mu-row", "mu-not-int", "bad-pairs", "missing-kind", "config", "not-a-dict",
+        "tables-list", "mu-row-int"])
+def test_malformed_cached_basis_is_recomputed(tmp_path, capsys, tamper):
+    argv = ["basis", "--type", "A2", "--regular", "--format", "csv"]
+    assert run(tmp_path, *argv) == 0
+    fresh = capsys.readouterr().out
+    assert run(tmp_path, *argv, cache=True) == 0
+    capsys.readouterr()
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    original = json.loads(entry.read_text())
+    payload = json.loads(entry.read_text())
+    replaced = tamper(payload)  # a new entry, or None after editing payload
+    entry.write_text(json.dumps(payload if replaced is None else replaced))
+    assert run(tmp_path, *argv, cache=True) == 0
+    assert capsys.readouterr().out == fresh
+    assert json.loads(entry.read_text()) == original  # overwritten by the recomputed entry
+
+
 def test_basis_fpf_both_kinds(tmp_path):
     out = tmp_path / "fpf.json"
     code = run(

@@ -1,8 +1,16 @@
 import random
 
-from qpcox.coxeter import build_system
+import pytest
+
+from qpcox import hecke
+from qpcox.barcanon import ModuleVector, act_hecke
+from qpcox.coxeter import ExtElement, build_system
+from qpcox.errors import ConsistencyError, InfiniteParabolic
 from qpcox.hecke import HeckeElt, kl_basis
 from qpcox.laurent import ONE, V, VINV, v_power
+from qpcox.qpsets import conjugacy_set, coset_set
+
+from oracle_hecke import OracleHecke, mult
 
 
 def H(w):
@@ -152,3 +160,44 @@ def test_theta_is_algebra_automorphism():
         assert (A * B).theta() == A.theta() * B.theta()
     s = a2.generator(0)
     assert H(s).theta() == H(s).bar().scale(-1)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "I2(5)", "D4"])
+def test_hecke_matches_element_oracle(name):
+    # H as M(regular) against Element multiplication and the Element-keyed bar
+    sys = build_system(name)
+    oracle = OracleHecke(sys)
+    table = kl_basis(sys)
+    h, mu = oracle.kl()
+    assert table.h == h and table.mu == mu
+    elements = sys.elements()
+    for w in elements:
+        assert H(w).bar().coords == oracle.bar({w: ONE})
+    rng = random.Random(5)
+    for _ in range(10):
+        A = random_hecke(rng, sys, elements)
+        B = random_hecke(rng, sys, elements)
+        assert (A * B).coords == mult(sys, A.coords, B.coords)
+        assert A.bar().coords == oracle.bar(A.coords)
+        assert A.theta().coords == oracle.theta(A.coords)
+
+
+def test_universal_products_need_a_finite_system():
+    u3 = build_system("U3")
+    s1, s2, _ = u3.generators()
+    hs = H(s1)
+    for op in (lambda: hs * hs, hs.bar, hs.theta, lambda: kl_basis(u3)):
+        with pytest.raises(InfiniteParabolic):
+            op()
+    # sums, and the action on a truncated carrier, only read words
+    assert (hs + hs).coords == {s1: ONE + ONE}
+    X = conjugacy_set(u3, ExtElement(s1, u3.identity_aut()), cutoff=5)
+    top = X.index[ExtElement(s2 * s1 * s2, u3.identity_aut())]
+    assert act_hecke(ModuleVector.standard("M", X, 0), H(s2)) == ModuleVector.standard("M", X, top)
+
+
+def test_regular_module_checks_point_ids(monkeypatch):
+    # a carrier whose point ids are not the element ids is refused
+    monkeypatch.setattr(hecke, "regular_set", lambda system: coset_set(system, (0,)))
+    with pytest.raises(ConsistencyError):
+        hecke.regular_module(build_system("A2"))
