@@ -17,6 +17,10 @@ between M and N, and the inversion pairing of a class with its w0+-translate
 are all built and verified here; every verification returns a verdict object
 rather than asserting, so failures surface with witnesses.
 
+The carrier is the cache of its own stages: bar_columns, verify_bar_operator,
+canonical_basis and phi_maps each compute once per carrier (and kind) and
+keep the result on X, so every caller holding the same carrier shares them.
+
 The Hecke algebra itself is M on the regular carrier (see hecke), so this
 module never imports hecke: act_hecke reads only the words of an element's
 support.
@@ -150,13 +154,21 @@ def _is_twisted_involution_class(X: ScaledWSet) -> bool:
     return X.kind == "conjugacy" and all(p.is_twisted_involution() for p in X.payloads)
 
 
+def _memo(owner, attr: str, key, build):
+    """build(), computed once and kept as owner.<attr>[key]; key is the module
+    kind, or None for a stage of the whole carrier or system."""
+    cache = owner.__dict__.setdefault(attr, {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     """bar of every standard basis vector, as columns indexed by point id."""
-    cache = getattr(X, "_barcols", None)
-    if cache is None:
-        cache = X._barcols = {}
-    if kind in cache:
-        return cache[kind]
+    return _memo(X, "_barcols", kind, lambda: _bar_columns(kind, X))
+
+
+def _bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     h2 = X.height2
     if any(h2[pid - 1] > h2[pid] for pid in range(1, len(X))):
         raise ConsistencyError("point ids do not refine the height order")
@@ -186,7 +198,6 @@ def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
                     break
             else:
                 cols.append(ModuleVector.standard(kind, X, x))
-    cache[kind] = cols
     return cols
 
 
@@ -215,6 +226,10 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     unitriangular for the Bruhat order.  Points whose neighborhoods fall
     outside a truncation are skipped and counted.
     """
+    return _memo(X, "_barverdicts", kind, lambda: _verify_bar_operator(kind, X))
+
+
+def _verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     verdict = check_quasiparabolic(X)
     if not verdict.is_qp:
         return BarVerdict(False, kind, {"reason": "not quasiparabolic", **(verdict.witness() or {})})
@@ -264,39 +279,30 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
 
 
 class CanonicalTable:
-    """The triangular array p[x, y] expanding the canonical basis of M or N."""
+    """The triangular array p[x, y] expanding the canonical basis of M or N,
+    stored column by column: cols[y] = {x: p[x, y]}."""
 
     def __init__(self, kind: str, X: ScaledWSet):
         self.kind = kind
         self.X = X
-        self.p, self.mu = canonical_columns([col.coords for col in bar_columns(kind, X)])
-        # cols[y] = {x: p[x, y]}, shared with every caller: read-only
+        p, self.mu = canonical_columns([col.coords for col in bar_columns(kind, X)])
+        # the one store, shared with every caller: read-only.  Few distinct
+        # polynomials occur (123 among the 5,491 entries of H3 regular), so each
+        # is kept once: a carrier holds the tables of both kinds.
         self.cols: list[dict[int, LaurentPoly]] = [{} for _ in range(len(X))]
-        for (x, y), c in self.p.items():
-            self.cols[y][x] = c
+        pool: dict[LaurentPoly, LaurentPoly] = {}
+        for (x, y), c in p.items():
+            self.cols[y][x] = pool.setdefault(c, c)
         self.label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
 
     def poly(self, x: int, y: int) -> LaurentPoly:
-        return self.p.get((x, y), ZERO)
+        return self.cols[y].get(x, ZERO)
 
     def mu_of(self, x: int, y: int) -> int:
         return self.mu.get((x, y), 0)
 
     def underline(self, y: int) -> ModuleVector:
         return ModuleVector(self.kind, self.X, self.cols[y])
-
-    def to_canonical_coords(self, vec: ModuleVector) -> dict[int, LaurentPoly]:
-        """Expand a vector over the canonical basis by back substitution."""
-        rem = dict(vec.coords)
-        out = {}
-        for y in range(len(self.X) - 1, -1, -1):
-            c = rem.get(y)
-            if c is not None:
-                out[y] = c
-                add_scaled(rem, self.cols[y], -c)
-        if rem:
-            raise ConsistencyError(f"back substitution left a remainder at points {sorted(rem)}")
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -310,8 +316,7 @@ class CanonicalTable:
             },
             "label": self.label,
             "entries": [
-                [x, y, c.to_pairs()]
-                for (x, y), c in sorted(self.p.items(), key=lambda it: (it[0][1], it[0][0]))
+                [x, y, col[x].to_pairs()] for y, col in enumerate(self.cols) for x in sorted(col)
             ],
             "mu": [
                 [x, y, m] for (x, y), m in sorted(self.mu.items(), key=lambda it: (it[0][1], it[0][0]))
@@ -320,7 +325,7 @@ class CanonicalTable:
 
 
 def canonical_basis(kind: str, X: ScaledWSet) -> CanonicalTable:
-    return CanonicalTable(kind, X)
+    return _memo(X, "_tables", kind, lambda: CanonicalTable(kind, X))
 
 
 @dataclass
@@ -330,15 +335,25 @@ class CheckVerdict:
     failure: Optional[dict] = None
 
 
+def table_checks(table: CanonicalTable) -> list[CheckVerdict]:
+    """Parity, and on an untruncated carrier also the multiplication theorem,
+    the recurrences and the mu-delta lemma."""
+    checks = [verify_parity(table)]
+    if table.X.truncated_at is None:
+        checks += [verify_multiplication(table), verify_recurrences(table), verify_mu_lemma(table)]
+    return checks
+
+
 def verify_parity(table: CanonicalTable) -> CheckVerdict:
     """v^(ht y - ht x) p[x, y] lies in 1 + v^2 Z[v^2] (kind M) or Z[v^2] (kind N)."""
     X = table.X
-    for (x, y), c in table.p.items():
-        wt = c.shift((X.height2[y] - X.height2[x]) // 2)
-        if any(e < 0 or e % 2 for e in wt.terms):
-            return CheckVerdict(False, "parity", {"x": x, "y": y})
-        if table.kind == "M" and wt.constant_term != 1:
-            return CheckVerdict(False, "parity", {"x": x, "y": y})
+    for y, col in enumerate(table.cols):
+        for x, c in col.items():
+            wt = c.shift((X.height2[y] - X.height2[x]) // 2)
+            if any(e < 0 or e % 2 for e in wt.terms):
+                return CheckVerdict(False, "parity", {"x": x, "y": y})
+            if table.kind == "M" and wt.constant_term != 1:
+                return CheckVerdict(False, "parity", {"x": x, "y": y})
     for (x, y), m in table.mu.items():
         if (X.height2[y] - X.height2[x]) % 4 == 0 and m:
             return CheckVerdict(False, "parity", {"x": x, "y": y, "mu": m})
@@ -384,7 +399,10 @@ def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
 
     # wt(x, y) = v^(ht y - ht x) p[x, y] on x <= y, built once per pair
     wts = {
-        (x, y): c.shift((h2[y] - h2[x]) // 2) for (x, y), c in table.p.items() if order.leq(x, y)
+        (x, y): c.shift((h2[y] - h2[x]) // 2)
+        for y, col in enumerate(table.cols)
+        for x, c in col.items()
+        if order.leq(x, y)
     }
 
     def wt(x, y):
@@ -459,6 +477,11 @@ def verify_mu_lemma(table: CanonicalTable) -> CheckVerdict:
 # Phi maps and primed bases
 
 
+def phi_maps(X: ScaledWSet) -> "PhiMaps":
+    """The Phi maps of the carrier, built once and kept on X."""
+    return _memo(X, "_phi", None, lambda: PhiMaps(X))
+
+
 class PhiMaps:
     """The Theta-twisted bijections between M(X) and N(X)."""
 
@@ -528,7 +551,7 @@ def primed_basis(
             coords[x] = c.bar() * sign
         vectors.append(ModuleVector(kind, X, coords))
 
-    phi = PhiMaps(X)
+    phi = phi_maps(X)
     for y, u in enumerate(vectors):
         if bar_vector(u) != u:
             return vectors, CheckVerdict(False, "primed-bar-invariance", {"y": y})
@@ -559,14 +582,15 @@ class InversionVerdict:
 
 def iplus_qp_classes(system: CoxeterSystem):
     """All quasiparabolic conjugacy classes of twisted involutions, over every
-    involutive diagram automorphism (including the identity)."""
-    return [
+    involutive diagram automorphism (including the identity); built once and
+    kept on the system, so their stages are shared by every caller."""
+    return _memo(system, "_iplus_qp", None, lambda: [
         K
         for theta in system.diagram_automorphisms()
         if (theta * theta).is_identity()
         for K in twisted_classes(system, theta, involutions_only=True)
         if check_quasiparabolic(K).is_qp
-    ]
+    ])
 
 
 def inversion_check(system: CoxeterSystem) -> InversionVerdict:

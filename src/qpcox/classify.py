@@ -30,54 +30,29 @@ from .qpsets import (
 )
 
 
-def iota(system: CoxeterSystem, theta: DiagramAut, cutoff=None) -> ScaledWSet:
+def iota(system: CoxeterSystem, theta: DiagramAut) -> ScaledWSet:
     """The twisted conjugacy class of (1, theta)."""
-    return conjugacy_set(system, ExtElement(system.identity, theta), cutoff)
+    return conjugacy_set(system, ExtElement(system.identity, theta))
 
 
 def twisted_classes(
-    system: CoxeterSystem,
-    theta: DiagramAut,
-    involutions_only: bool = False,
-    cutoff: Optional[int] = None,
+    system: CoxeterSystem, theta: DiagramAut, involutions_only: bool = False
 ) -> list[ScaledWSet]:
     """Partition W x {theta} (or its twisted involutions) into conjugacy classes."""
     if system.family == "universal":
-        if cutoff is None:
-            raise TruncationRequired("universal class surveys need a cutoff")
-        pool = _universal_ball(system, cutoff)
-    else:
-        pool = system.elements()
+        raise TruncationRequired("class surveys need a finite system")
     seen: set = set()
     out = []
-    for x in pool:
+    for x in system.elements():
         if x.key in seen:
             continue
         p = ExtElement(x, theta)
         if involutions_only and not p.is_twisted_involution():
             continue
-        K = conjugacy_set(system, p, cutoff)
+        K = conjugacy_set(system, p)
         seen.update(q.x.key for q in K.payloads)
         out.append(K)
     return out
-
-
-def _universal_ball(system, cutoff):
-    words = [system.identity]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            if len(w) >= cutoff:
-                continue
-            for s in range(system.rank):
-                if w and w[-1] == s:
-                    continue
-                nw = w + (s,)
-                nxt.append(nw)
-                words.append(system.element_from_word(nw))
-        frontier = nxt
-    return words
 
 
 # ---------------------------------------------------------------------------

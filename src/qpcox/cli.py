@@ -5,12 +5,17 @@ internal consistency check failed (the report carries a witness), 3 bar
 verification failed for the selected carrier (evidence relevant to the
 existence conjecture for bar operators).
 
+Each carrier keeps its own stages (bar columns, bar verdict, canonical
+tables, Phi maps; see barcanon), and the carriers the suites test are built
+once per system, so one run solves each (carrier, kind) once.  A system is
+built afresh by every call of main, so nothing is shared between calls.
+
 Survey and basis results are cached on disk keyed by a content hash of the
 resolved configuration, the resolved Coxeter matrix and the package version;
---no-cache bypasses the cache entirely.  Cached survey witnesses are
-re-validated against a freshly built carrier before being served, and a basis
-entry made for another configuration or with malformed tables is recomputed.
-All outputs are deterministic for a fixed configuration.
+--no-cache bypasses the cache entirely.  A cached entry made for another
+configuration or with malformed fields is recomputed and overwritten, and
+cached survey witnesses are re-validated against a freshly built carrier
+before being served.  All outputs are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -216,6 +221,9 @@ def _survey_csv(reports_json: list[dict]) -> str:
 # commands
 
 
+_REPORT_FIELDS = {"system", "theta", "seed_word", "size", "min_length", "is_iplus", "qp", "perfect", "J", "witness"}
+
+
 def cmd_survey(args) -> int:
     system = load_system(args.type)
     if args.theta in (None, "all"):
@@ -233,9 +241,7 @@ def cmd_survey(args) -> int:
     }
     path = _cache_path(args, key, system)
     payload = _cache_load(path)
-    if payload is not None and not _revalidate_survey(system, payload):
-        payload = None
-    if payload is None:
+    if not (_survey_entry_ok(payload, key) and _revalidate_survey(system, payload)):
         reports = classify.survey(system, thetas=thetas, diagnostics=args.diagnostics)
         failures = classify.survey_cross_checks(reports)
         payload = {
@@ -255,8 +261,26 @@ def cmd_survey(args) -> int:
     return EXIT_OK
 
 
+def _survey_entry_ok(payload, key) -> bool:
+    """Whether a cached survey entry was made for this key and its report rows
+    and failures have the fields the survey output and re-validation read."""
+    try:
+        reports, failures = payload["reports"], payload["failures"]
+        return (
+            _made_for(payload, key)
+            and isinstance(failures, list) and all(type(f) is str for f in failures)
+            and isinstance(reports, list) and all(
+                _REPORT_FIELDS <= rep.keys() and _ints(rep["theta"]) and _ints(rep["seed_word"])
+                and _ints(rep["J"] or []) and isinstance(rep.get("structure") or {}, dict)
+                for rep in reports
+            )
+        )
+    except (AttributeError, KeyError, TypeError):  # not dicts and lists as above
+        return False
+
+
 def _revalidate_survey(system: CoxeterSystem, payload) -> bool:
-    for rep in payload.get("reports", []):
+    for rep in payload["reports"]:
         wit = rep.get("witness")
         if not wit:
             continue
@@ -272,11 +296,20 @@ def _revalidate_survey(system: CoxeterSystem, payload) -> bool:
 
 
 def _kinds(args) -> list[str]:
-    if args.kind in ("both", None):
-        return ["M", "N"]
-    if args.kind.lower() in ("m", "n"):
-        return [args.kind.upper()]
-    raise _UsageError(f"bad --kind {args.kind!r}")
+    return ["M", "N"] if args.kind == "both" else [args.kind.upper()]
+
+
+def _certified_tables(X: qpsets.ScaledWSet, kinds) -> tuple[dict, dict | None]:
+    """Per kind in turn, certify the bar operator and then solve the canonical
+    table.  Returns the tables and None, or at the first failing bar verdict
+    the tables so far and the failure record {"kind": ..., **witness}."""
+    tables = {}
+    for kind in kinds:
+        verdict = barcanon.verify_bar_operator(kind, X)
+        if not verdict.ok:
+            return tables, {"kind": kind, **(verdict.failure or {})}
+        tables[kind] = barcanon.canonical_basis(kind, X)
+    return tables, None
 
 
 def cmd_basis(args) -> int:
@@ -293,23 +326,15 @@ def cmd_basis(args) -> int:
     path = _cache_path(args, key, system)
     payload = _cache_load(path)
     if not _basis_entry_ok(payload, key):
+        tables, failure = _certified_tables(X, kinds)
+        if failure is not None:
+            report = {"schema_version": SCHEMA_VERSION, "config": key, "bar_failure": failure}
+            _emit(args, json.dumps(report, indent=2, sort_keys=True))
+            return EXIT_BAR
         payload = {"schema_version": SCHEMA_VERSION, "config": key, "tables": {}}
-        for kind in kinds:
-            verdict = barcanon.verify_bar_operator(kind, X)
-            if not verdict.ok:
-                report = {
-                    "schema_version": SCHEMA_VERSION,
-                    "config": key,
-                    "bar_failure": {"kind": kind, **(verdict.failure or {})},
-                }
-                _emit(args, json.dumps(report, indent=2, sort_keys=True))
-                return EXIT_BAR
-            table = barcanon.canonical_basis(kind, X)
-            checks = [barcanon.verify_parity(table)]
-            if X.truncated_at is None:
-                checks.append(barcanon.verify_multiplication(table))
-                checks.append(barcanon.verify_recurrences(table))
-                checks.append(barcanon.verify_mu_lemma(table))
+        for kind, table in tables.items():
+            checks = barcanon.table_checks(table)
+            verdict = barcanon.verify_bar_operator(kind, X)  # the certified verdict, kept on X
             entry = table.to_json()
             entry["verification"] = {c.name: c.ok for c in checks}
             entry["bar"] = {"checked": verdict.checked, "skipped": verdict.skipped, "label": verdict.label}
@@ -341,8 +366,13 @@ def cmd_basis(args) -> int:
     return EXIT_CONSISTENCY if payload.get("failures") else EXIT_OK
 
 
-def _ints(row, n) -> bool:
-    return isinstance(row, list) and len(row) == n and all(type(v) is int for v in row)
+def _ints(row, n=None) -> bool:
+    return isinstance(row, list) and n in (None, len(row)) and all(type(v) is int for v in row)
+
+
+def _made_for(payload, key) -> bool:
+    """Whether a cached entry was made for this configuration key."""
+    return isinstance(payload, dict) and payload.get("config") == key
 
 
 def _basis_entry_ok(payload, key) -> bool:
@@ -351,7 +381,7 @@ def _basis_entry_ok(payload, key) -> bool:
     recomputed and overwritten."""
     try:
         tables = payload["tables"]
-        return payload["config"] == key and sorted(tables) == sorted(key["kinds"]) and all(
+        return _made_for(payload, key) and sorted(tables) == sorted(key["kinds"]) and all(
             all(_ints(r, 3) for r in t["mu"])
             and all(_ints(r[:2], 2) and len(r) == 3 and all(_ints(p, 2) for p in r[2]) for r in t["entries"])
             for t in tables.values()
@@ -363,15 +393,11 @@ def _basis_entry_ok(payload, key) -> bool:
 def cmd_wgraph(args) -> int:
     system = load_system(args.type)
     X = resolve_carrier(system, args)
-    kinds = _kinds(args)
-    graphs = {}
-    for kind in kinds:
-        verdict = barcanon.verify_bar_operator(kind, X)
-        if not verdict.ok:
-            _emit(args, json.dumps({"bar_failure": {"kind": kind, **(verdict.failure or {})}}, indent=2))
-            return EXIT_BAR
-        table = barcanon.canonical_basis(kind, X)
-        graphs[kind.lower()] = wgraph.build_wgraph(table)
+    tables, failure = _certified_tables(X, _kinds(args))
+    if failure is not None:
+        _emit(args, json.dumps({"bar_failure": failure}, indent=2))
+        return EXIT_BAR
+    graphs = {kind.lower(): wgraph.build_wgraph(table) for kind, table in tables.items()}
     if args.format == "dot":
         if len(graphs) != 1:
             raise _UsageError("DOT output needs a single --kind m or --kind n")
@@ -395,70 +421,51 @@ def cmd_wgraph(args) -> int:
 
 
 def _suite_hecke(system) -> list[tuple[str, bool]]:
-    results = []
+    H = hecke.HeckeElt.basis
     one = hecke.HeckeElt.unit(system)
-    ok = True
-    for i in range(system.rank):
-        hs = hecke.HeckeElt.basis(system.generator(i))
-        ok = ok and hs * hs == one + hs.scale(V - VINV)
-    results.append(("hecke-quadratic", ok))
-    ok = True
-    for i in range(system.rank):
-        for j in range(i + 1, system.rank):
-            m = system.matrix[i][j]
-            a = system.generator(i)
-            b = system.generator(j)
-            left = right = one
-            for k in range(m):
-                left = left * hecke.HeckeElt.basis(a if k % 2 == 0 else b)
-                right = right * hecke.HeckeElt.basis(b if k % 2 == 0 else a)
-            ok = ok and left == right
-    results.append(("hecke-braid", ok))
-    ok = True
-    for w in system.elements():
-        hw = hecke.HeckeElt.basis(w)
-        ok = ok and hw.bar().bar() == hw
-    results.append(("hecke-bar-involution", ok))
-    table = hecke.kl_basis(system)
-    ok = True
-    for w in system.elements():
-        u = table.underline(w)
-        ok = ok and u.bar() == u
-    results.append(("kl-bar-invariant", ok))
-    return results
+    gens = system.generators()
+
+    def braid(i, j):  # H_si H_sj H_si ... with m(i, j) factors
+        out = one
+        for k in range(system.matrix[i][j]):
+            out = out * H(gens[j] if k % 2 else gens[i])
+        return out
+
+    return [
+        ("hecke-quadratic", all(H(s) * H(s) == one + H(s).scale(V - VINV) for s in gens)),
+        ("hecke-braid", all(braid(i, j) == braid(j, i) for i, j in itertools.combinations(range(system.rank), 2))),
+        ("hecke-bar-involution", all(H(w).bar().bar() == H(w) for w in system.elements())),
+        ("kl-bar-invariant", all(u.bar() == u for u in map(hecke.kl_basis(system).underline, system.elements()))),
+    ]
 
 
 def _qp_carriers(system) -> list[qpsets.ScaledWSet]:
-    carriers = [qpsets.regular_set(system)]
-    for r in range(1, system.rank + 1):
-        for J in itertools.combinations(range(system.rank), r):
-            carriers.append(qpsets.coset_set(system, J))
-    carriers.extend(barcanon.iplus_qp_classes(system))
+    """The regular carrier, every coset carrier and every quasiparabolic
+    twisted-involution class, built once and kept on the system, so that the
+    suites share their stages."""
+    carriers = getattr(system, "_qp_carriers", None)
+    if carriers is None:
+        cosets = [
+            qpsets.coset_set(system, J)
+            for r in range(1, system.rank + 1)
+            for J in itertools.combinations(range(system.rank), r)
+        ]
+        carriers = [hecke.regular_module(system), *cosets, *barcanon.iplus_qp_classes(system)]
+        system._qp_carriers = carriers
     return carriers
 
 
 def _suite_bar_canonical(system) -> list[tuple[str, bool]]:
     results = []
     for X in _qp_carriers(system):
-        tag = f"{X.kind}:{len(X)}"
-        ok = True
-        tables = {}
-        for kind in ("M", "N"):
-            verdict = barcanon.verify_bar_operator(kind, X)
-            ok = ok and verdict.ok
-            if not verdict.ok:
-                break
-            table = tables[kind] = barcanon.canonical_basis(kind, X)
-            ok = ok and barcanon.verify_parity(table).ok
-            ok = ok and barcanon.verify_multiplication(table).ok
-            ok = ok and barcanon.verify_recurrences(table).ok
-            ok = ok and barcanon.verify_mu_lemma(table).ok
+        tables, failure = _certified_tables(X, ("M", "N"))
+        ok = failure is None and all(c.ok for table in tables.values() for c in barcanon.table_checks(table))
         if ok:
             tm, tn = tables["M"], tables["N"]
-            ok = ok and barcanon.PhiMaps(X).verify().ok
-            ok = ok and barcanon.primed_basis(tm, tn, "M")[1].ok
-            ok = ok and barcanon.primed_basis(tm, tn, "N")[1].ok
-        results.append((f"bar-canonical[{tag}]", ok))
+            ok = barcanon.phi_maps(X).verify().ok and all(
+                barcanon.primed_basis(tm, tn, kind)[1].ok for kind in ("M", "N")
+            )
+        results.append((f"bar-canonical[{X.kind}:{len(X)}]", ok))
     return results
 
 
@@ -466,8 +473,7 @@ def _suite_wgraph(system) -> list[tuple[str, bool]]:
     results = []
     for X in _qp_carriers(system):
         for kind in ("M", "N"):
-            table = barcanon.canonical_basis(kind, X)
-            G = wgraph.build_wgraph(table)
+            G = wgraph.build_wgraph(barcanon.canonical_basis(kind, X))
             qa = wgraph.check_quasi_admissible(G)
             ok = qa.quasi_admissible and wgraph.verify_wgraph_module(G).ok
             results.append((f"wgraph-{kind.lower()}[{X.kind}:{len(X)}]", ok))
@@ -568,6 +574,7 @@ def _add_carrier(p):
     p.add_argument("--class", dest="klass", help="named class (fpf)")
     p.add_argument("--seed", help="seed word for a twisted class, e.g. 's1 s3' or ''")
     p.add_argument("--theta", help="id | swap | rot | explicit images like 2,1")
+    p.add_argument("--kind", default="both", type=str.lower, choices=("m", "n", "both"))
 
 
 def build_parser() -> _Parser:
@@ -575,49 +582,37 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("survey", help="classify twisted conjugacy classes")
+    p.set_defaults(handler=cmd_survey, formats=("csv", "json"))
     _add_common(p)
     p.add_argument("--theta", help="id | swap | rot | all | explicit images")
     p.add_argument("--diagnostics", action="store_true", help="order/strong-exchange diagnostics")
 
     p = sub.add_parser("basis", help="canonical bases on a selected carrier")
+    p.set_defaults(handler=cmd_basis, formats=("json", "csv"))
     _add_common(p)
     _add_carrier(p)
-    p.add_argument("--kind", default="both", help="m | n | both")
 
     p = sub.add_parser("wgraph", help="W-graphs and cells on a selected carrier")
+    p.set_defaults(handler=cmd_wgraph, formats=("json", "dot"))
     _add_common(p)
     _add_carrier(p)
-    p.add_argument("--kind", default="both", help="m | n | both")
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(handler=cmd_verify, formats=("json",))
     _add_common(p)
     p.add_argument("--suite", default="all", help="hecke | bar-canonical | wgraph | inversion | finite-classification | universal | all")
     return parser
 
 
 def main(argv=None) -> int:
-    allowed_formats = {
-        "survey": ("csv", "json"),
-        "basis": ("json", "csv"),
-        "wgraph": ("json", "dot"),
-        "verify": ("json",),
-    }
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.format is None:
-            args.format = allowed_formats[args.command][0]
-        elif args.format not in allowed_formats[args.command]:
-            raise _UsageError(
-                f"--format for {args.command} must be one of {allowed_formats[args.command]}"
-            )
-        handler = {
-            "survey": cmd_survey,
-            "basis": cmd_basis,
-            "wgraph": cmd_wgraph,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(args)
+            args.format = args.formats[0]
+        elif args.format not in args.formats:
+            raise _UsageError(f"--format for {args.command} must be one of {args.formats}")
+        return args.handler(args)
     except _UsageError as exc:
         print(f"qpcox: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

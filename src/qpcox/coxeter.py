@@ -397,19 +397,6 @@ class CoxeterSystem:
         if x.system is not self:
             raise SystemMismatch("operands belong to different Coxeter systems")
 
-    def to_json(self) -> dict:
-        out = {
-            "schema_version": 1,
-            "name": self.name,
-            "rank": self.rank,
-            "family": self.family,
-            "matrix": [list(row) for row in self.matrix],
-        }
-        if self.family == "finite":
-            out["order"] = self.order()
-            out["n_reflections"] = self.n_positive_roots
-        return out
-
 
 def _compose(p, q):
     """Permutation composition: (p o q)[i] = p[q[i]]."""

@@ -134,27 +134,17 @@ class KLTable:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         table = canonical_basis("M", regular_module(system))
-        # cols[y] = {x: h[x, y]}, shared with the canonical table: read-only
-        self.h, self.mu, self.cols = table.p, table.mu, table.cols
+        # cols[y] = {x: h[x, y]}, the canonical table's own store: read-only
+        self.mu, self.cols = table.mu, table.cols
 
     def poly(self, x: Element, y: Element) -> LaurentPoly:
-        return self.h.get((x.key, y.key), ZERO)
+        return self.cols[y.key].get(x.key, ZERO)
 
     def mu_of(self, x: Element, y: Element) -> int:
         return self.mu.get((x.key, y.key), 0)
 
     def underline(self, y: Element) -> HeckeElt:
         return _from_ids(self.system, self.cols[y.key])
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "system": self.system.to_json(),
-            "basis": "kazhdan-lusztig",
-            "entries": [
-                [x, y, c.to_pairs()] for (x, y), c in sorted(self.h.items(), key=lambda it: (it[0][1], it[0][0]))
-            ],
-        }
 
 
 def kl_basis(system: CoxeterSystem) -> KLTable:

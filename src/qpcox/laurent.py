@@ -67,11 +67,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree bounds")
         return min(self.terms)
 
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree bounds")
-        return max(self.terms)
-
     # -- ring operations --------------------------------------------------
 
     @staticmethod

@@ -156,19 +156,6 @@ class ScaledWSet:
                 out.append(x)
         return out
 
-    def maximal_elements(self) -> list[int]:
-        out = []
-        for x in range(len(self)):
-            ok = True
-            for s in range(self.n_gens):
-                y = self.action[s][x]
-                if y is None or self.height2[y] > self.height2[x]:
-                    ok = False  # a truncated-away image counts as an ascent
-                    break
-            if ok:
-                out.append(x)
-        return out
-
     # -- reflection actions -----------------------------------------------------
 
     def reflection_actions(self) -> list[_ReflAction]:
@@ -199,27 +186,6 @@ class ScaledWSet:
                     img = [row[y] for y in img]
                 out.append(_ReflAction(word, img, [self.height2[y] for y in img]))
         self._refl = out
-        return out
-
-    # -- JSON ---------------------------------------------------------------------
-
-    def to_json(self, verdict: Optional[QpVerdict] = None) -> dict:
-        out = {
-            "schema_version": 1,
-            "system": self.system.name,
-            "kind": self.kind,
-            "truncated_at": self.truncated_at,
-            "points": [
-                {"id": i, "payload": self.describe_point(i), "height2": self.height2[i]}
-                for i in range(len(self))
-            ],
-            "action": [list(row) for row in self.action],
-            "minimal": self.minimal_elements(),
-            "maximal": self.maximal_elements(),
-        }
-        if verdict is not None:
-            out["quasiparabolic"] = verdict.is_qp
-            out["witness"] = verdict.witness()
         return out
 
 

@@ -10,6 +10,8 @@ sequential skew-solve of the package is not used anywhere here.
 from fractions import Fraction
 
 from qpcox.barcanon import bar_columns
+from qpcox.errors import ConsistencyError
+from qpcox.laurent import add_scaled
 
 
 def _poly_coeff(poly, e):
@@ -103,8 +105,27 @@ def _solve_unique(rows, rhs, n_unknowns):
     return sol
 
 
+def table_entries(cols):
+    """The (x, y)-keyed map of a table stored as columns cols[y] = {x: p[x, y]}."""
+    return {(x, y): poly for y, col in enumerate(cols) for x, poly in col.items()}
+
+
 def table_as_int_dicts(table):
     """Reshape a CanonicalTable into the oracle's output format."""
     return {
-        (x, y): dict(poly.terms) for (x, y), poly in table.p.items()
+        (x, y): dict(poly.terms) for (x, y), poly in table_entries(table.cols).items()
     }
+
+
+def to_canonical_coords(table, vec):
+    """Expand a vector over the canonical basis of table by back substitution."""
+    rem = dict(vec.coords)
+    out = {}
+    for y in range(len(table.X) - 1, -1, -1):
+        c = rem.get(y)
+        if c is not None:
+            out[y] = c
+            add_scaled(rem, table.cols[y], -c)
+    if rem:
+        raise ConsistencyError(f"back substitution left a remainder at points {sorted(rem)}")
+    return out

@@ -38,7 +38,7 @@ from qpcox.qpsets import (
 )
 from qpcox.wgraph import build_wgraph, cells, check_quasi_admissible, verify_wgraph_module
 
-from oracle_canonical import brute_force_canonical, table_as_int_dicts
+from oracle_canonical import brute_force_canonical, table_as_int_dicts, table_entries
 from oracle_hecke import OracleHecke
 
 
@@ -175,11 +175,11 @@ def test_criterion_6_bar_canonical_suite():
             for kind in ("M", "N"):
                 got = {
                     (X.payloads[x].key, X.payloads[y].key): c
-                    for (x, y), c in tables[kind].p.items()
+                    for (x, y), c in table_entries(tables[kind].cols).items()
                 }
-                ok = ok and got == kl.h
+                ok = ok and got == table_entries(kl.cols)
             # kl_basis is the M table itself; the oracle solves independently
-            ok = ok and (kl.h, kl.mu) == OracleHecke(X.system).kl()
+            ok = ok and (table_entries(kl.cols), kl.mu) == OracleHecke(X.system).kl()
         assert ok, label
     report(6, "bar/canonical suite on fpf, cosets, regular carriers", ok)
 

@@ -18,7 +18,7 @@ from qpcox.classify import (
 )
 from qpcox.cli import _survey_csv
 from qpcox.coxeter import ExtElement, build_system
-from qpcox.errors import NotInvolutionClass
+from qpcox.errors import NotInvolutionClass, TruncationRequired
 from qpcox.qpsets import check_quasiparabolic, conjugacy_set
 
 
@@ -50,6 +50,14 @@ def test_twisted_classes_i24():
     swap = nontrivial_involution(i4)
     K = iota(i4, swap)
     assert len(K) == 4  # size 2m
+
+
+def test_twisted_classes_refuse_universal_system():
+    # a universal group has infinitely many classes, so there is nothing to partition
+    u3 = build_system("U3")
+    for theta in u3.diagram_automorphisms():
+        with pytest.raises(TruncationRequired):
+            twisted_classes(u3, theta)
 
 
 def test_iota_is_class_of_one():

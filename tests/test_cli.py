@@ -81,6 +81,49 @@ def test_malformed_cached_witness_is_recomputed(tmp_path, capsys, tamper):
     assert capsys.readouterr().out == fresh
 
 
+def _check_tampered_entry_is_recomputed(tmp_path, capsys, argv, tamper):
+    """Cache argv's entry, tamper with it, and check that the next cached run
+    prints the fresh output and overwrites the entry with the recomputed one."""
+    assert run(tmp_path, *argv) == 0
+    fresh = capsys.readouterr().out
+    assert run(tmp_path, *argv, cache=True) == 0
+    capsys.readouterr()
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    original = json.loads(entry.read_text())
+    payload = json.loads(entry.read_text())
+    replaced = tamper(payload)  # a new entry, or None after editing payload
+    entry.write_text(json.dumps(payload if replaced is None else replaced))
+    assert run(tmp_path, *argv, cache=True) == 0
+    assert capsys.readouterr().out == fresh
+    assert json.loads(entry.read_text()) == original  # overwritten by the recomputed entry
+
+
+def _edit_report(payload, field, value=None):
+    # the first report holding structure flags, so every field is present
+    rep = next(rep for rep in payload["reports"] if rep.get("structure"))
+    if value is None:
+        del rep[field]
+    else:
+        rep[field] = value
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda payload: {"schema_version": 1},
+    lambda payload: {"schema_version": 1, "reports": [], "failures": []},
+    lambda payload: _edit_report(payload, "system"),
+    lambda payload: _edit_report(payload, "theta", 3),
+    lambda payload: _edit_report(payload, "J", ["s1"]),
+    lambda payload: _edit_report(payload, "structure", [1]),
+    lambda payload: payload["config"].update(theta="id"),
+    lambda payload: payload.update(failures="FAIL"),
+    lambda payload: payload.update(reports={}),
+    lambda payload: [],
+], ids=["no-reports", "empty-no-config", "no-system", "theta-int", "J-str", "structure-list", "config",
+        "failures-str", "reports-dict", "not-a-dict"])
+def test_malformed_cached_survey_is_recomputed(tmp_path, capsys, tamper):
+    _check_tampered_entry_is_recomputed(tmp_path, capsys, ["survey", "--type", "A2"], tamper)
+
+
 def _set_mu_row(payload, row):
     payload["tables"]["M"]["mu"][0] = row
 
@@ -99,18 +142,7 @@ def _set_mu_row(payload, row):
         "tables-list", "mu-row-int"])
 def test_malformed_cached_basis_is_recomputed(tmp_path, capsys, tamper):
     argv = ["basis", "--type", "A2", "--regular", "--format", "csv"]
-    assert run(tmp_path, *argv) == 0
-    fresh = capsys.readouterr().out
-    assert run(tmp_path, *argv, cache=True) == 0
-    capsys.readouterr()
-    (entry,) = (tmp_path / "cache").glob("*.json")
-    original = json.loads(entry.read_text())
-    payload = json.loads(entry.read_text())
-    replaced = tamper(payload)  # a new entry, or None after editing payload
-    entry.write_text(json.dumps(payload if replaced is None else replaced))
-    assert run(tmp_path, *argv, cache=True) == 0
-    assert capsys.readouterr().out == fresh
-    assert json.loads(entry.read_text()) == original  # overwritten by the recomputed entry
+    _check_tampered_entry_is_recomputed(tmp_path, capsys, argv, tamper)
 
 
 def test_basis_fpf_both_kinds(tmp_path):
@@ -272,6 +304,42 @@ def test_cache_follows_matrix_file_content(tmp_path):
     assert cached.read_text() == fresh.read_text()
     # two entries, no temp files left behind by the atomic write
     assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".json", ".json"]
+
+
+def _count_stages(monkeypatch):
+    """Count canonical solves and fresh fills of X._barcols (bar matrices built)."""
+    counts = {"solves": 0, "bar_matrices": 0}
+    solve, fill = barcanon.canonical_columns, barcanon._bar_columns
+
+    def counted_solve(bar_col):
+        counts["solves"] += 1
+        return solve(bar_col)
+
+    def counted_fill(kind, X):
+        counts["bar_matrices"] += 1
+        return fill(kind, X)
+
+    monkeypatch.setattr(barcanon, "canonical_columns", counted_solve)
+    monkeypatch.setattr(barcanon, "_bar_columns", counted_fill)
+    return counts
+
+
+@pytest.mark.parametrize("argv, solves, bar_matrices", [
+    (["verify", "--type", "B3", "--suite", "all"], 24, 24),  # 12 carriers, kinds M and N
+    (["verify", "--type", "A4", "--suite", "hecke"], 1, 1),  # the KL basis: M on the regular carrier
+])
+def test_one_solve_per_carrier_and_kind(tmp_path, monkeypatch, capsys, argv, solves, bar_matrices):
+    counts = _count_stages(monkeypatch)
+    assert run(tmp_path, *argv) == 0
+    assert counts == {"solves": solves, "bar_matrices": bar_matrices}
+
+
+def test_main_calls_share_no_stages(tmp_path, monkeypatch):
+    # every call builds its own system, so the second solves again
+    counts = _count_stages(monkeypatch)
+    for calls in (1, 2):
+        assert run(tmp_path, "verify", "--type", "A2", "--suite", "hecke") == 0
+        assert counts == {"solves": calls, "bar_matrices": calls}
 
 
 def test_consistency_error_exits_2(tmp_path, monkeypatch):

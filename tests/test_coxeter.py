@@ -358,6 +358,21 @@ def test_word_is_reduced_and_reproduces_element():
             assert sys.element_from_word(word) == w
 
 
+def system_to_json(system):
+    """The JSON summary of a system that CoxeterSystem.to_json used to give."""
+    out = {
+        "schema_version": 1,
+        "name": system.name,
+        "rank": system.rank,
+        "family": system.family,
+        "matrix": [list(row) for row in system.matrix],
+    }
+    if system.family == "finite":
+        out["order"] = system.order()
+        out["n_reflections"] = system.n_positive_roots
+    return out
+
+
 def test_system_json():
-    d = build_system("B2").to_json()
+    d = system_to_json(build_system("B2"))
     assert d["order"] == 8 and d["n_reflections"] == 4 and d["rank"] == 2

@@ -2,6 +2,7 @@ from qpcox.barcanon import act_gen, canonical_basis, primed_basis
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.laurent import LaurentPoly, V, VINV, ZERO
 from qpcox.qpsets import conjugacy_set, coset_set, regular_set
+from oracle_canonical import to_canonical_coords
 from qpcox.wgraph import (
     WGraph,
     build_wgraph,
@@ -116,7 +117,7 @@ def test_rho_matches_module_action_on_canonical_basis():
         for s in range(X.n_gens):
             for x in range(len(X)):
                 image = act_gen(table.underline(x), s)
-                coords = table.to_canonical_coords(image)
+                coords = to_canonical_coords(table, image)
                 if s not in G.tau[x]:
                     assert coords == {x: V}
                 else:
