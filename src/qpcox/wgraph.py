@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Optional
 
 from .barcanon import CanonicalTable, CheckVerdict
+from .errors import TruncationRequired
 from .laurent import V, VINV, LaurentPoly, add_scaled
 from .qpsets import ScaledWSet
 
@@ -44,22 +45,19 @@ def build_wgraph(table: CanonicalTable) -> WGraph:
     X = table.X
     kind = table.kind.lower()
     n = len(X)
+    h2 = X.height2
     tau = []
     for x in range(n):
-        if kind == "m":
-            tau.append(
-                frozenset(
-                    s for s in range(X.n_gens)
-                    if X.height2[X.action[s][x]] <= X.height2[x]
+        moves = []
+        for s in range(X.n_gens):
+            y = X.action[s][x]
+            if y is None:
+                raise TruncationRequired(
+                    f"generator {s} leaves the carrier at point {x}: a W-graph needs the tau-set of every point"
                 )
-            )
-        else:
-            tau.append(
-                frozenset(
-                    s for s in range(X.n_gens)
-                    if X.height2[X.action[s][x]] >= X.height2[x]
-                )
-            )
+            moves.append((s, h2[y] - h2[x]))
+        # m: the generators that weakly lower x; n: those that weakly raise it
+        tau.append(frozenset(s for s, d in moves if (d <= 0 if kind == "m" else d >= 0)))
     omega: dict[tuple[int, int], int] = {}
     for x in range(n):
         for y in range(n):

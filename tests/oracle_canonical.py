@@ -1,17 +1,30 @@
-"""Independent oracle for canonical tables.
+"""Independent oracles for canonical tables and for the bar and Phi checks.
 
-Enumerates *all* bar-invariant unitriangular vectors whose off-diagonal
+brute_force_canonical enumerates *all* bar-invariant unitriangular vectors whose off-diagonal
 coefficients lie in v^-1.Z[v^-1], by exact linear algebra over the rationals
 on the parity-bounded coefficient lattice, and checks there is exactly one.
 Shares only the bar-of-standard-vector data with the implementation; the
 sequential skew-solve of the package is not used anywhere here.
+
+full_bar_verdict and full_phi_verdict are the direct checks the package
+replaced by checks at the orbit minima: every identity is checked at every
+point.
 """
 
 from fractions import Fraction
 
-from qpcox.barcanon import bar_columns
-from qpcox.errors import ConsistencyError
-from qpcox.laurent import add_scaled
+from qpcox.barcanon import (
+    BarVerdict,
+    CheckVerdict,
+    ModuleVector,
+    act_bar_gen,
+    act_gen,
+    bar_columns,
+    bar_vector,
+)
+from qpcox.errors import ConsistencyError, TruncationRequired
+from qpcox.laurent import ONE, add_scaled
+from qpcox.qpsets import bruhat_order, check_quasiparabolic
 
 
 def _poly_coeff(poly, e):
@@ -129,3 +142,63 @@ def to_canonical_coords(table, vec):
     if rem:
         raise ConsistencyError(f"back substitution left a remainder at points {sorted(rem)}")
     return out
+
+
+def full_bar_verdict(kind, X):
+    """verify_bar_operator with the involution checked at every point."""
+    verdict = check_quasiparabolic(X)
+    if not verdict.is_qp:
+        return BarVerdict(False, kind, {"reason": "not quasiparabolic", **(verdict.witness() or {})})
+    cols = bar_columns(kind, X)
+    checked = skipped = 0
+    label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
+    if X.truncated_at is None:
+        order = bruhat_order(X)
+        for x in range(len(X)):
+            col = cols[x]
+            if col.coeff(x) != ONE or any(not order.lt(w, x) for w in col.coords if w != x):
+                return BarVerdict(False, kind, {"reason": "not unitriangular", "x": x}, checked, skipped, label)
+    for x in range(len(X)):
+        try:
+            bb = bar_vector(cols[x])
+        except TruncationRequired:
+            skipped += 1
+            continue
+        checked += 1
+        if bb != ModuleVector.standard(kind, X, x):
+            return BarVerdict(False, kind, {"reason": "not an involution", "x": x}, checked, skipped, label)
+    for s in range(X.n_gens):
+        for x in range(len(X)):
+            try:
+                lhs = bar_vector(act_gen(ModuleVector.standard(kind, X, x), s))
+                rhs = act_bar_gen(cols[x], s)
+            except TruncationRequired:
+                skipped += 1
+                continue
+            checked += 1
+            if lhs != rhs:
+                return BarVerdict(
+                    False, kind, {"reason": "incompatible with H_s", "s": s, "x": x}, checked, skipped, label
+                )
+    return BarVerdict(True, kind, None, checked, skipped, label)
+
+
+def full_phi_verdict(phi):
+    """PhiMaps.verify with every identity checked at every point."""
+    X = phi.X
+    for x in range(len(X)):
+        m_std = ModuleVector.standard("M", X, x)
+        n_std = ModuleVector.standard("N", X, x)
+        if phi.nm(phi.mn(m_std)) != m_std or phi.mn(phi.nm(n_std)) != n_std:
+            return CheckVerdict(False, "phi-inverse", {"x": x})
+        if phi.mn(bar_vector(m_std)) != bar_vector(phi.mn(m_std)):
+            return CheckVerdict(False, "phi-bar-square", {"x": x})
+        if phi.nm(bar_vector(n_std)) != bar_vector(phi.nm(n_std)):
+            return CheckVerdict(False, "phi-bar-square-n", {"x": x})
+        # Phi(H_s V) = Theta(H_s) Phi(V) with Theta(H_s) = -bar(H_s)
+        for s in range(X.n_gens):
+            if phi.mn(act_gen(m_std, s)) != act_bar_gen(phi.mn(m_std), s).scale(-1):
+                return CheckVerdict(False, "phi-twisted-law", {"s": s, "x": x})
+            if phi.nm(act_gen(n_std, s)) != act_bar_gen(phi.nm(n_std), s).scale(-1):
+                return CheckVerdict(False, "phi-twisted-law-n", {"s": s, "x": x})
+    return CheckVerdict(True, "phi")

@@ -7,8 +7,6 @@ to tune.  The A5 run of criterion 6 is opt-in via QPCOX_LARGE=1.
 
 import os
 
-import pytest
-
 from qpcox.barcanon import (
     PhiMaps,
     canonical_basis,

@@ -3,15 +3,12 @@ import itertools
 import pytest
 
 from qpcox.barcanon import (
-    CanonicalTable,
     ModuleVector,
     PhiMaps,
     act_bar_word,
     act_gen,
     act_hecke,
-    act_word,
     bar_columns,
-    bar_vector,
     canonical_basis,
     inversion_check,
     iplus_qp_classes,
@@ -36,7 +33,14 @@ from qpcox.qpsets import (
     rht_witness,
 )
 
-from oracle_canonical import brute_force_canonical, table_as_int_dicts, table_entries, to_canonical_coords
+from oracle_canonical import (
+    brute_force_canonical,
+    full_bar_verdict,
+    full_phi_verdict,
+    table_as_int_dicts,
+    table_entries,
+    to_canonical_coords,
+)
 from oracle_hecke import OracleHecke, replay_bar_columns
 
 
@@ -156,17 +160,20 @@ def test_bar_columns_match_witness_replay(name):
                 assert bar_columns(kind, X) == replay_bar_columns(kind, X), (X, kind)
 
 
-def test_truncated_bar_columns_match_witness_replay():
+def _truncated_u3_classes():
+    """(seed, cutoff, class) for a few U3 classes truncated at heights 5 and 7."""
     u3 = build_system("U3")
     auts = u3.diagram_automorphisms()
     s1, s2, _ = u3.generators()
     seeds = [ExtElement(u3.identity, a) for a in auts] + [ExtElement(s1, auts[0]), ExtElement(s1 * s2, auts[0])]
-    for cutoff in (5, 7):
-        for seed in seeds:
-            X = conjugacy_set(u3, seed, cutoff)
-            if _replay_comparable(X):
-                for kind in ("M", "N"):
-                    assert bar_columns(kind, X) == replay_bar_columns(kind, X), (seed, cutoff, kind)
+    return [(seed, cutoff, conjugacy_set(u3, seed, cutoff)) for cutoff in (5, 7) for seed in seeds]
+
+
+def test_truncated_bar_columns_match_witness_replay():
+    for seed, cutoff, X in _truncated_u3_classes():
+        if _replay_comparable(X):
+            for kind in ("M", "N"):
+                assert bar_columns(kind, X) == replay_bar_columns(kind, X), (seed, cutoff, kind)
 
 
 def test_closed_form_bar_equals_generic_on_fpf():
@@ -211,6 +218,71 @@ def test_verify_bar_operator_reports_non_qp():
     X = conjugacy_set(a2, ext(a2, (0,)))
     verdict = verify_bar_operator("M", X)
     assert not verdict.ok and verdict.failure["reason"] == "not quasiparabolic"
+
+
+def _verdict(v):
+    return v.ok, v.checked, v.skipped, v.failure
+
+
+def _untruncated_carriers(system):
+    """The regular set, every coset set, every twisted class under every
+    automorphism, and the double covers of the maximal-parabolic coset sets."""
+    cosets = [
+        coset_set(system, J)
+        for r in range(1, system.rank + 1)
+        for J in itertools.combinations(range(system.rank), r)
+    ]
+    carriers = [regular_set(system), *cosets]
+    carriers.extend(even_double_cover(X) for X in cosets if len(X.J) == system.rank - 1)
+    for theta in system.diagram_automorphisms():
+        carriers.extend(twisted_classes(system, theta))
+    return carriers
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)"])
+def test_minima_checks_match_full_oracle(name):
+    # the involution, the Phi inverse and the Phi-bar squares are checked at
+    # the orbit minima only; the verdicts and counts match checking every point
+    for X in _untruncated_carriers(build_system(name)):
+        for kind in ("M", "N"):
+            assert _verdict(verify_bar_operator(kind, X)) == _verdict(full_bar_verdict(kind, X)), (X, kind)
+        if len(X) <= 60:  # the full Phi oracle is the slow part
+            assert PhiMaps(X).verify() == full_phi_verdict(PhiMaps(X)), X
+
+
+def test_truncated_checks_match_full_oracle():
+    for seed, cutoff, X in _truncated_u3_classes():
+        for kind in ("M", "N"):
+            assert _verdict(verify_bar_operator(kind, X)) == _verdict(full_bar_verdict(kind, X)), (seed, cutoff, kind)
+
+
+def test_bar_broken_off_the_minima_is_refused():
+    X = regular_set(build_system("A3"))
+    top = len(X) - 1
+    cols = bar_columns("M", X)
+    cols[top] = cols[top] + M(X, 0).scale(VINV)  # still unitriangular
+    verdict = verify_bar_operator("M", X)
+    assert not verdict.ok and verdict.failure["reason"] == "incompatible with H_s"
+    assert full_bar_verdict("M", X).failure == {"reason": "not an involution", "x": top}
+
+
+def test_bar_broken_at_a_twisted_involution_minimum_is_refused():
+    X = fpf_class(build_system("A3"))
+    x0 = X.minimal_elements()[0]
+    for kind in ("M", "N"):
+        cols = bar_columns(kind, X)
+        cols[x0] = cols[x0].scale(V)
+        verdict = verify_bar_operator(kind, X)
+        assert not verdict.ok and verdict.failure["x"] == x0
+
+
+def test_phi_broken_off_the_minima_is_refused():
+    X = coset_set(build_system("A3"), [1])
+    top = len(X) - 1  # two generator moves or more from the minimum
+    phi = PhiMaps(X)
+    phi.mn_cols[top] = phi.mn_cols[top] + N(X, 0).scale(V)
+    verdict = phi.verify()
+    assert not verdict.ok and verdict.name == "phi-twisted-law"
 
 
 # -- canonical bases -----------------------------------------------------------

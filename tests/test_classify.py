@@ -5,7 +5,6 @@ import pytest
 
 from qpcox.classify import (
     SURVEY_COLUMNS,
-    ClassReport,
     check_w0_translation,
     class_report,
     iota,

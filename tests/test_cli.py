@@ -190,6 +190,18 @@ def test_basis_universal_truncated_label(tmp_path):
     assert payload["tables"]["M"]["label"] == "verified up to height 6"
 
 
+def test_wgraph_on_truncated_carrier_is_refused(tmp_path, capsys):
+    # a W-graph needs every tau-set; a boundary point's image left the carrier
+    code = run(
+        tmp_path, "wgraph", "--type", "U3", "--seed", "", "--theta", "rot",
+        "--cutoff", "6", "--kind", "m",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qpcox: error: generator ") and "leaves the carrier at point" in err
+    assert err.count("\n") == 1
+
+
 def test_basis_mu_csv(tmp_path):
     out = tmp_path / "mu.csv"
     code = run(

@@ -17,7 +17,6 @@ from qpcox.qpsets import (
     regular_set,
     revalidate_witness,
     rht_witness,
-    rht_witness_word,
 )
 
 

@@ -31,6 +31,7 @@ FAST = [
     "basis --type A5 --class fpf",
     "verify --type B3 --suite all",
     "wgraph --type A4 --regular",
+    "basis --type H3 --regular",
 ]
 
 

@@ -4,7 +4,6 @@ from qpcox.laurent import LaurentPoly, V, VINV, ZERO
 from qpcox.qpsets import conjugacy_set, coset_set, regular_set
 from oracle_canonical import to_canonical_coords
 from qpcox.wgraph import (
-    WGraph,
     build_wgraph,
     cells,
     check_quasi_admissible,
