@@ -9,7 +9,7 @@ from .coxeter import (
     build_system,
     twisted_conjugate,
 )
-from .laurent import LaurentPoly, solve_skew
+from .laurent import LaurentPoly
 from .qpsets import (
     ScaledWSet,
     bruhat_order,
@@ -38,7 +38,6 @@ __all__ = [
     "even_double_cover",
     "regular_set",
     "rht_witness",
-    "solve_skew",
     "twisted_conjugate",
     "__version__",
 ]

@@ -12,14 +12,20 @@ has the closed form
 
 with lmin the minimal length in the class, and on any other carrier by the
 recurrence bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x.
-Canonical bases, their mu-coefficients, the primed bases, the Phi twists
-between M and N, and the inversion pairing of a class with its w0+-translate
-are all built and verified here; every verification returns a verdict object
-rather than asserting, so failures surface with witnesses.
+Canonical bases (built by laurent.canonical_columns from the multiplication
+theorem), their mu-coefficients, the primed bases, the Phi twists between M
+and N, and the inversion pairing of a class with its w0+-translate are all
+built and verified here; every verification returns a verdict object rather
+than asserting, so failures surface with witnesses.
 
 The carrier is the cache of its own stages: bar_columns, verify_bar_operator,
 canonical_basis and phi_maps each compute once per carrier (and kind) and
 keep the result on X, so every caller holding the same carrier shares them.
+Where no generator keeps the height of a point (on a quasiparabolic carrier,
+fixes one) and the generic bar branch applies, as on the regular carrier,
+the N stages are the M stages relabeled N.  That is exact: act_gen, and with
+it the bar recurrence, differs between the kinds only where s keeps the
+height, and so does the descent (weak for M, strict for N) of the solve.
 
 The Hecke algebra itself is M on the regular carrier (see hecke), so this
 module never imports hecke: act_hecke reads only the words of an element's
@@ -28,14 +34,15 @@ support.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import twisted_classes
 from .coxeter import CoxeterSystem, ExtElement
 from .errors import ConsistencyError, TruncationRequired
-from .laurent import ONE, V, VINV, ZERO, LaurentPoly, add_scaled, canonical_columns, v_power
-from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic
+from .laurent import ONE, V, VINV, ZERO, LaurentPoly, act_generator, add_scaled, canonical_columns, v_power
+from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic, lowest_descent
 
 
 class ModuleVector:
@@ -93,23 +100,7 @@ class ModuleVector:
 def act_gen(vec: ModuleVector, s: int) -> ModuleVector:
     """Left action of H_s, by the three-case rule."""
     X = vec.X
-    row, h2 = X.action[s], X.height2
-    out: dict[int, LaurentPoly] = {}  # M_x -> M_sx; s permutes the points
-    down: dict[int, LaurentPoly] = {}  # + (v - v^-1) M_x where s lowers x
-    level: dict[int, LaurentPoly] = {}  # v M_x (kind M) or -v^-1 N_x where s keeps the height
-    for x, c in vec.coords.items():
-        y = row[x]
-        if y is None:
-            raise TruncationRequired(f"generator {s} leaves the carrier at point {x}")
-        if h2[y] == h2[x]:
-            level[x] = c
-        else:
-            out[y] = c
-            if h2[y] < h2[x]:
-                down[x] = c
-    add_scaled(out, down, V - VINV)
-    add_scaled(out, level, V if vec.kind == "M" else -VINV)
-    return ModuleVector(vec.kind, X, out)
+    return ModuleVector(vec.kind, X, act_generator(vec.coords, X.action, s, X.height2, vec.kind))
 
 
 def act_bar_gen(vec: ModuleVector, s: int) -> ModuleVector:
@@ -163,15 +154,35 @@ def _memo(owner, attr: str, key, build):
     return cache[key]
 
 
+def _kinds_agree(X: ScaledWSet) -> bool:
+    """Whether M and N share their stages on X (see the module docstring)."""
+    return _memo(X, "_kinds_agree", None, lambda: not _is_twisted_involution_class(X) and all(
+        y is None or X.height2[y] != X.height2[x] for row in X.action for x, y in enumerate(row)
+    ))
+
+
+def _as_n(obj):
+    """A shallow copy of a stage result of kind M, labeled N."""
+    out = copy.copy(obj)
+    out.kind = "N"
+    return out
+
+
+def _kind_memo(X: ScaledWSet, attr: str, kind: str, build, relabel=_as_n):
+    """build(kind), computed once per carrier and kind and kept as
+    X.<attr>[kind]; where the kinds agree on X, N's is relabel(M's)."""
+    if kind == "N" and _kinds_agree(X):
+        return _memo(X, attr, kind, lambda: relabel(_kind_memo(X, attr, "M", build, relabel)))
+    return _memo(X, attr, kind, lambda: build(kind))
+
+
 def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     """bar of every standard basis vector, as columns indexed by point id."""
-    return _memo(X, "_barcols", kind, lambda: _bar_columns(kind, X))
+    return _kind_memo(X, "_barcols", kind, lambda k: _bar_columns(k, X), lambda cols: list(map(_as_n, cols)))
 
 
 def _bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     h2 = X.height2
-    if any(h2[pid - 1] > h2[pid] for pid in range(1, len(X))):
-        raise ConsistencyError("point ids do not refine the height order")
     cols = []
     if _is_twisted_involution_class(X):
         hmin2 = X.h_min2()
@@ -189,15 +200,10 @@ def _bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     else:
         # bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x;
         # ids refine height, so the column of sx is already built.  A minimal
-        # point (a truncated-away image lies above the cutoff) keeps M_x.
+        # point keeps M_x.
         for x in range(len(X)):
-            for s in range(X.n_gens):
-                y = X.action[s][x]
-                if y is not None and h2[y] < h2[x]:
-                    cols.append(act_bar_gen(cols[y], s))
-                    break
-            else:
-                cols.append(ModuleVector.standard(kind, X, x))
+            step = lowest_descent(X.action, h2, x)
+            cols.append(ModuleVector.standard(kind, X, x) if step is None else act_bar_gen(cols[step[1]], step[0]))
     return cols
 
 
@@ -239,7 +245,7 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     carrier a witness word can leave the carrier, so every point is checked
     directly.
     """
-    return _memo(X, "_barverdicts", kind, lambda: _verify_bar_operator(kind, X))
+    return _kind_memo(X, "_barverdicts", kind, lambda k: _verify_bar_operator(k, X))
 
 
 def _verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
@@ -301,7 +307,7 @@ class CanonicalTable:
     def __init__(self, kind: str, X: ScaledWSet):
         self.kind = kind
         self.X = X
-        p, self.mu = canonical_columns([col.coords for col in bar_columns(kind, X)])
+        p, self.mu = canonical_columns(kind, X.action, X.height2)
         # the one store, shared with every caller: read-only.  Few distinct
         # polynomials occur (123 among the 5,491 entries of H3 regular), so each
         # is kept once: a carrier holds the tables of both kinds.
@@ -310,6 +316,9 @@ class CanonicalTable:
         for (x, y), c in p.items():
             self.cols[y][x] = pool.setdefault(c, c)
         self.label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
+        for y in range(len(X)) if X.truncated_at is not None else ():  # small: check bar invariance too
+            if bar_vector(self.underline(y)) != self.underline(y):
+                raise ConsistencyError(f"canonical {kind}-column {y} is not bar-invariant")
 
     def poly(self, x: int, y: int) -> LaurentPoly:
         return self.cols[y].get(x, ZERO)
@@ -341,7 +350,7 @@ class CanonicalTable:
 
 
 def canonical_basis(kind: str, X: ScaledWSet) -> CanonicalTable:
-    return _memo(X, "_tables", kind, lambda: CanonicalTable(kind, X))
+    return _kind_memo(X, "_tables", kind, lambda k: CanonicalTable(k, X))
 
 
 @dataclass

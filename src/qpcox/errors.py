@@ -45,10 +45,3 @@ class NotInvolutionClass(QpcoxError):
 class NoUniqueMinimal(QpcoxError):
     """Structure checks need a class with a unique minimal element."""
 
-
-class SkewViolation(QpcoxError):
-    """solve_skew received data that is not skew-symmetric under the bar involution.
-
-    During canonical basis construction this certifies that the supplied bar
-    operator data is inconsistent, i.e. no canonical basis exists for it.
-    """

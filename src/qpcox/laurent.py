@@ -5,6 +5,9 @@ integer coefficient; the zero polynomial is the empty map.  Coefficients are
 plain Python ints, so they are arbitrary precision and cannot overflow
 silently.  Values are immutable after construction and safe to share.
 
+Sparse vectors {key: LaurentPoly} share one in-place kernel, add_scaled; on
+them act the H_s rule of M(X) and N(X) and the canonical solve built on it.
+
 >>> p = V - V**-1
 >>> print(p * (V + V**-1))
 -v^-2 + v^2
@@ -16,7 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import SkewViolation
+from .errors import ConsistencyError, TruncationRequired
+from .qpsets import lowest_descent
 
 
 class LaurentPoly:
@@ -34,10 +38,6 @@ class LaurentPoly:
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
-
-    @classmethod
-    def monomial(cls, c: int, e: int) -> "LaurentPoly":
-        return cls({e: c})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
@@ -151,10 +151,6 @@ class LaurentPoly:
         """The ring involution v -> v^-1: every exponent is negated."""
         return LaurentPoly({-e: c for e, c in self.terms.items()})
 
-    def neg_part(self) -> "LaurentPoly":
-        """The strictly-negative-exponent part."""
-        return LaurentPoly({e: c for e, c in self.terms.items() if e < 0})
-
     # -- equality / hashing / display --------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -199,22 +195,6 @@ def v_power(k: int) -> LaurentPoly:
     return LaurentPoly({k: 1})
 
 
-def solve_skew(g: LaurentPoly) -> LaurentPoly:
-    """Solve m - bar(m) = g for the unique m supported on negative exponents.
-
-    Requires bar(g) = -g (which forces the constant term of g to vanish); the
-    solution is the strictly-negative-exponent part of g.
-
-    >>> print(solve_skew(V - VINV))
-    -v^-1
-    """
-    if g.bar() != -g:
-        raise SkewViolation(
-            f"not skew under bar (need bar(g) = -g with zero constant term): {g}"
-        )
-    return g.neg_part()
-
-
 def add_scaled(acc: dict, vec: dict, c=ONE) -> dict:
     """acc += c * vec for sparse vectors {key: LaurentPoly}, in place; returns acc.
 
@@ -252,38 +232,63 @@ def add_scaled(acc: dict, vec: dict, c=ONE) -> dict:
     return acc
 
 
-def canonical_columns(
-    bar_col: list[dict[int, LaurentPoly]],
-) -> tuple[dict[tuple[int, int], LaurentPoly], dict[tuple[int, int], int]]:
-    """Triangular solve producing a bar-invariant basis from a bar matrix.
+def act_generator(coords: dict, action, s: int, height2, kind: str) -> dict:
+    """H_s applied to a sparse vector over the standard basis of M(X) or N(X),
+    X given by its action rows and doubled heights.  The three-case rule:
+    H_s M_x is M_sx where s raises x, M_sx + (v - v^-1) M_x where s lowers x,
+    and v M_x (kind M) or -v^-1 N_x (kind N) where s keeps the height of x."""
+    row = action[s]
+    out, down, level = {}, {}, {}  # M_sx for each moved x; the M_x that s lowers; those it keeps
+    for x, c in coords.items():
+        y = row[x]
+        if y is None:
+            raise TruncationRequired(f"generator {s} leaves the carrier at point {x}")
+        if height2[y] == height2[x]:
+            level[x] = c
+        else:
+            out[y] = c
+            if height2[y] < height2[x]:
+                down[x] = c
+    add_scaled(out, down, V - VINV)
+    return add_scaled(out, level, V if kind == "M" else -VINV)
 
-    ``bar_col[j]`` expands the bar of the j-th standard basis vector over
-    positions i <= j, with coefficient 1 at j itself (positions are assumed to
-    be listed in a linear extension of the underlying order).  Returns the
-    unique coefficients p[i, j] with p[j, j] = 1 and p[i, j] in v^-1.Z[v^-1]
-    for i < j making the new basis bar-invariant, together with the map
-    mu[i, j] = coefficient of v^-1 in p[i, j].
 
-    Raises SkewViolation if no such basis exists for the supplied bar data.
+def canonical_columns(kind: str, action, height2) -> tuple[dict, dict]:
+    """The canonical basis C_y = sum p[x, y] M_x of M(X) or N(X), X given by
+    its action rows and doubled heights (ids refining height).  A minimal
+    point keeps C_y = M_y; otherwise, with s the lowest generator lowering y,
+    the multiplication theorem gives C_y = (H_s + v^-1) C_sy - sum mu(w, sy) C_w
+    over the w < sy that s descends, weakly for M and strictly for N.
+    Returns p keyed (x, y) and the nonzero mu[x, y] = [v^-1] p[x, y].
+
+    The certificate does not rest on that identity: each column must hold 1
+    at y, no entry above id y and all others in v^-1 Z[v^-1], else
+    ConsistencyError.  Bar invariance follows by induction on y for any bar
+    operator verify_bar_operator certifies, which satisfies bar(H_s V) =
+    bar(H_s) bar(V), fixes the minimal points and is unitriangular: C_s =
+    H_s + v^-1 is bar-invariant, and C_sy and the C_w are earlier columns.
+    Two such columns differ by a bar-invariant vector with entries in
+    v^-1 Z[v^-1], whose entry at its highest id is then bar-fixed, hence zero:
+    each column is the unique canonical one.
     """
-    p: dict[tuple[int, int], LaurentPoly] = {}
-    mu: dict[tuple[int, int], int] = {}
-    for j, r in enumerate(bar_col):
-        if r.get(j, ZERO) != ONE:
-            raise SkewViolation(f"bar matrix is not unitriangular at position {j}")
-        p[(j, j)] = ONE
-        # g[i] accumulates bar(p[z, j]) * bar_col[z][i] over the entries z > i
-        # found so far; bar_col[i] only reaches positions <= i
-        g = dict(r)
-        for i in range(j - 1, -1, -1):
-            gi = g.get(i)
-            if gi is None:
-                continue
-            m = solve_skew(gi)
-            if m:
-                p[(i, j)] = m
-                add_scaled(g, bar_col[i], m.bar())
-                m1 = m.coeff(-1)
-                if m1:
-                    mu[(i, j)] = m1
+    weak = kind == "M"  # s descends w weakly for M, strictly for N
+    cols, mus, p, mu = [], [], {}, {}  # per y: C_y and its mu-coefficients; the tables returned
+    for y in range(len(height2)):
+        step = lowest_descent(action, height2, y)
+        if step is None:
+            col = {y: ONE}
+        else:
+            s, sy = step
+            col = act_generator(cols[sy], action, s, height2, kind)
+            add_scaled(col, cols[sy], VINV)
+            for w, m in mus[sy].items():
+                d = height2[action[s][w]] - height2[w]
+                if d < 0 or (weak and d == 0):
+                    add_scaled(col, cols[w], -m)
+        if col.get(y) != ONE or any(x > y or x != y and max(c.terms) >= 0 for x, c in col.items()):
+            raise ConsistencyError(f"canonical {kind}-column {y} is not unitriangular in v^-1 Z[v^-1]")
+        cols.append(col)
+        mus.append({x: c.terms[-1] for x, c in col.items() if -1 in c.terms})  # p[y, y] = 1 has none
+        p.update(((x, y), c) for x, c in col.items())
+        mu.update(((x, y), m) for x, m in mus[y].items())
     return p, mu

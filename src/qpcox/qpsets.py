@@ -93,6 +93,8 @@ class ScaledWSet:
         return f"ScaledWSet({self.kind}, {len(self)} points on {self.system.name}{extra})"
 
     def _validate_scaled(self):
+        if any(a > b for a, b in zip(self.height2, self.height2[1:])):
+            raise ConsistencyError("point ids do not refine the height order")
         for s in range(self.n_gens):
             row = self.action[s]
             for x, y in enumerate(row):
@@ -144,17 +146,7 @@ class ScaledWSet:
 
     def minimal_elements(self) -> list[int]:
         """Points whose height does not drop under any generator."""
-        out = []
-        for x in range(len(self)):
-            ok = True
-            for s in range(self.n_gens):
-                y = self.action[s][x]
-                if y is not None and self.height2[y] < self.height2[x]:
-                    ok = False
-                    break
-            if ok:
-                out.append(x)
-        return out
+        return [x for x in range(len(self)) if lowest_descent(self.action, self.height2, x) is None]
 
     # -- reflection actions -----------------------------------------------------
 
@@ -464,19 +456,21 @@ def rht_witness_word(X: ScaledWSet, pid: int) -> tuple:
     deterministic; any valid choice gives the same bar operator downstream.
     """
     word = []
-    x = pid
-    while True:
-        for s in range(X.n_gens):
-            y = X.action[s][x]
-            if y is not None and X.height2[y] < X.height2[x]:
-                word.append(s)
-                x = y
-                break
-        else:
-            break
-    # a truncated-away image always lies above the cutoff, so the stuck point
-    # is W-minimal even when some of its images are missing from the carrier
+    step = lowest_descent(X.action, X.height2, pid)
+    while step is not None:
+        word.append(step[0])
+        step = lowest_descent(X.action, X.height2, step[1])
     return tuple(word)
+
+
+def lowest_descent(action, height2, x: int) -> tuple[int, int] | None:
+    """(s, sx) for the lowest generator s lowering point x, or None at a
+    minimal point (an image truncated away lies above the cutoff)."""
+    for s, row in enumerate(action):
+        y = row[x]
+        if y is not None and height2[y] < height2[x]:
+            return s, y
+    return None
 
 
 def rht_witness(X: ScaledWSet, pid: int) -> Element:

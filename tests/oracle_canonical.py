@@ -6,6 +6,11 @@ on the parity-bounded coefficient lattice, and checks there is exactly one.
 Shares only the bar-of-standard-vector data with the implementation; the
 sequential skew-solve of the package is not used anywhere here.
 
+generic_canonical_columns is the triangular solve the package used before
+it built canonical columns from the multiplication theorem: it reads only the
+bar matrix and skew-solves each entry (solve_skew), raising SkewViolation
+where the bar data admits no canonical basis.
+
 full_bar_verdict and full_phi_verdict are the direct checks the package
 replaced by checks at the orbit minima: every identity is checked at every
 point.
@@ -23,8 +28,64 @@ from qpcox.barcanon import (
     bar_vector,
 )
 from qpcox.errors import ConsistencyError, TruncationRequired
-from qpcox.laurent import ONE, add_scaled
+from qpcox.laurent import ONE, ZERO, LaurentPoly, add_scaled
 from qpcox.qpsets import bruhat_order, check_quasiparabolic
+
+
+class SkewViolation(Exception):
+    """solve_skew received data that is not skew-symmetric under the bar involution.
+
+    During canonical basis construction this certifies that the supplied bar
+    operator data is inconsistent, i.e. no canonical basis exists for it.
+    """
+
+
+def solve_skew(g: LaurentPoly) -> LaurentPoly:
+    """Solve m - bar(m) = g for the unique m supported on negative exponents.
+
+    Requires bar(g) = -g (which forces the constant term of g to vanish); the
+    solution is the strictly-negative-exponent part of g.
+    """
+    if g.bar() != -g:
+        raise SkewViolation(
+            f"not skew under bar (need bar(g) = -g with zero constant term): {g}"
+        )
+    return LaurentPoly({e: c for e, c in g.terms.items() if e < 0})
+
+
+def generic_canonical_columns(bar_col):
+    """Triangular solve producing a bar-invariant basis from a bar matrix.
+
+    ``bar_col[j]`` expands the bar of the j-th standard basis vector over
+    positions i <= j, with coefficient 1 at j itself (positions are assumed to
+    be listed in a linear extension of the underlying order).  Returns the
+    unique coefficients p[i, j] with p[j, j] = 1 and p[i, j] in v^-1.Z[v^-1]
+    for i < j making the new basis bar-invariant, together with the map
+    mu[i, j] = coefficient of v^-1 in p[i, j].
+
+    Raises SkewViolation if no such basis exists for the supplied bar data.
+    """
+    p = {}
+    mu = {}
+    for j, r in enumerate(bar_col):
+        if r.get(j, ZERO) != ONE:
+            raise SkewViolation(f"bar matrix is not unitriangular at position {j}")
+        p[(j, j)] = ONE
+        # g[i] accumulates bar(p[z, j]) * bar_col[z][i] over the entries z > i
+        # found so far; bar_col[i] only reaches positions <= i
+        g = dict(r)
+        for i in range(j - 1, -1, -1):
+            gi = g.get(i)
+            if gi is None:
+                continue
+            m = solve_skew(gi)
+            if m:
+                p[(i, j)] = m
+                add_scaled(g, bar_col[i], m.bar())
+                m1 = m.coeff(-1)
+                if m1:
+                    mu[(i, j)] = m1
+    return p, mu
 
 
 def _poly_coeff(poly, e):

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from qpcox.barcanon import ModuleVector, act_bar_word
 from qpcox.coxeter import Element
-from qpcox.laurent import ONE, V, VINV, add_scaled, canonical_columns
+from qpcox.laurent import ONE, V, VINV, add_scaled
 from qpcox.qpsets import rht_witness_word
+
+from oracle_canonical import generic_canonical_columns
 
 
 def gen_mult(system, coords: dict, s: int) -> dict:
@@ -88,7 +90,7 @@ class OracleHecke:
         for y in range(system.order()):
             col = self.bar_of_basis(Element(system, y))
             cols.append({w.key: c for w, c in col.items()})
-        return canonical_columns(cols)
+        return generic_canonical_columns(cols)
 
 
 def replay_bar_columns(kind: str, X) -> list[ModuleVector]:

@@ -1,10 +1,13 @@
+import inspect
 import itertools
 
 import pytest
 
+from qpcox import laurent
 from qpcox.barcanon import (
     ModuleVector,
     PhiMaps,
+    _bar_columns,
     act_bar_word,
     act_gen,
     act_hecke,
@@ -37,6 +40,7 @@ from oracle_canonical import (
     brute_force_canonical,
     full_bar_verdict,
     full_phi_verdict,
+    generic_canonical_columns,
     table_as_int_dicts,
     table_entries,
     to_canonical_coords,
@@ -239,13 +243,31 @@ def _untruncated_carriers(system):
     return carriers
 
 
+def _matches_oracles(kind, X):
+    """Whether the bar verdict matches checking every point, and on a carrier
+    that passes it, whether the bar columns and the canonical table match
+    the ones built for this kind alone (not shared with M) and the generic
+    triangular solve over those columns."""
+    verdict = verify_bar_operator(kind, X)
+    if _verdict(verdict) != _verdict(full_bar_verdict(kind, X)):
+        return False
+    if not verdict.ok:
+        return True
+    own = _bar_columns(kind, X)
+    table = canonical_basis(kind, X)
+    return bar_columns(kind, X) == own and (table_entries(table.cols), table.mu) == generic_canonical_columns(
+        [col.coords for col in own]
+    )
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)"])
 def test_minima_checks_match_full_oracle(name):
     # the involution, the Phi inverse and the Phi-bar squares are checked at
-    # the orbit minima only; the verdicts and counts match checking every point
+    # the orbit minima only; the verdicts and counts match checking every
+    # point.  The canonical tables match the generic solve.
     for X in _untruncated_carriers(build_system(name)):
         for kind in ("M", "N"):
-            assert _verdict(verify_bar_operator(kind, X)) == _verdict(full_bar_verdict(kind, X)), (X, kind)
+            assert _matches_oracles(kind, X), (X, kind)
         if len(X) <= 60:  # the full Phi oracle is the slow part
             assert PhiMaps(X).verify() == full_phi_verdict(PhiMaps(X)), X
 
@@ -253,7 +275,27 @@ def test_minima_checks_match_full_oracle(name):
 def test_truncated_checks_match_full_oracle():
     for seed, cutoff, X in _truncated_u3_classes():
         for kind in ("M", "N"):
-            assert _verdict(verify_bar_operator(kind, X)) == _verdict(full_bar_verdict(kind, X)), (seed, cutoff, kind)
+            assert _matches_oracles(kind, X), (seed, cutoff, kind)
+
+
+def _mutated_solve(old, new):
+    """laurent.canonical_columns with one line of its source replaced."""
+    source = inspect.getsource(laurent.canonical_columns)
+    assert old in source
+    namespace = dict(vars(laurent))
+    exec(source.replace(old, new), namespace)
+    return namespace["canonical_columns"]
+
+
+@pytest.mark.parametrize("old, new, kind", [
+    ("add_scaled(col, cols[w], -m)", "pass", "M"),  # no mu correction
+    ("add_scaled(col, cols[w], -m)", "pass", "N"),
+    ('weak = kind == "M"', "weak = False", "M"),  # strict descent for M
+])
+def test_broken_solve_is_refused_by_its_certificate(old, new, kind):
+    X = coset_set(build_system("A3"), [1])  # a fixed point under s2 at the minimum
+    with pytest.raises(ConsistencyError):
+        _mutated_solve(old, new)(kind, X.action, X.height2)
 
 
 def test_bar_broken_off_the_minima_is_refused():

@@ -323,9 +323,9 @@ def _count_stages(monkeypatch):
     counts = {"solves": 0, "bar_matrices": 0}
     solve, fill = barcanon.canonical_columns, barcanon._bar_columns
 
-    def counted_solve(bar_col):
+    def counted_solve(kind, action, height2):
         counts["solves"] += 1
-        return solve(bar_col)
+        return solve(kind, action, height2)
 
     def counted_fill(kind, X):
         counts["bar_matrices"] += 1
@@ -337,8 +337,11 @@ def _count_stages(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, solves, bar_matrices", [
-    (["verify", "--type", "B3", "--suite", "all"], 24, 24),  # 12 carriers, kinds M and N
+    # 12 carriers, kinds M and N; on the regular carrier no generator fixes a
+    # point, so N shares the stages of M there
+    (["verify", "--type", "B3", "--suite", "all"], 23, 23),
     (["verify", "--type", "A4", "--suite", "hecke"], 1, 1),  # the KL basis: M on the regular carrier
+    (["basis", "--type", "H3", "--regular"], 1, 1),
 ])
 def test_one_solve_per_carrier_and_kind(tmp_path, monkeypatch, capsys, argv, solves, bar_matrices):
     counts = _count_stages(monkeypatch)

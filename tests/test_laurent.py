@@ -4,7 +4,6 @@ import pytest
 
 from qpcox.barcanon import ModuleVector
 from qpcox.coxeter import build_system
-from qpcox.errors import SkewViolation
 from qpcox.hecke import HeckeElt
 from qpcox.laurent import (
     LaurentPoly,
@@ -14,10 +13,11 @@ from qpcox.laurent import (
     ZERO,
     add_scaled,
     canonical_columns,
-    solve_skew,
     v_power,
 )
 from qpcox.qpsets import regular_set
+
+from oracle_canonical import SkewViolation, generic_canonical_columns, solve_skew
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +146,21 @@ def test_canonical_columns_smallest_cases():
     # two positions with bar(M1) = M1 + (v^-1 - v) M0, the rank-one parabolic
     # picture: the unique correction in v^-1.Z[v^-1] is p[0,1] = v^-1
     bar_col = [{0: ONE}, {0: VINV - V, 1: ONE}]
-    p, mu = canonical_columns(bar_col)
+    p, mu = generic_canonical_columns(bar_col)
     assert p[(0, 0)] == ONE and p[(1, 1)] == ONE
     assert p[(0, 1)] == VINV
     assert mu == {(0, 1): 1}
+    # the same carrier for the multiplication-theorem solve: one generator
+    # swapping heights 0 and 1, so C_1 = (H_s + v^-1) M_0
+    for kind in ("M", "N"):
+        assert canonical_columns(kind, [[1, 0]], [0, 2]) == (p, mu)
 
 
 def test_canonical_columns_rejects_inconsistent_bar():
     # a "bar" fixing nothing cannot be corrected: g fails skewness
     bar_col = [{0: ONE}, {0: V, 1: ONE}]
     with pytest.raises(SkewViolation):
-        canonical_columns(bar_col)
+        generic_canonical_columns(bar_col)
 
 
 # ---------------------------------------------------------------------------

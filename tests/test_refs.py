@@ -32,6 +32,8 @@ FAST = [
     "verify --type B3 --suite all",
     "wgraph --type A4 --regular",
     "basis --type H3 --regular",
+    "verify --type A4 --suite hecke",
+    "basis --type E6 --coset s1,s2,s3,s4,s5",
 ]
 
 
