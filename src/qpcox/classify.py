@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coxeter import CoxeterSystem, DiagramAut, ExtElement, twisted_conjugate
+from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist
 from .errors import NotInvolutionClass, NoUniqueMinimal, TruncationRequired
 from .qpsets import (
     QpVerdict,
@@ -41,16 +41,20 @@ def twisted_classes(
     """Partition W x {theta} (or its twisted involutions) into conjugacy classes."""
     if system.family == "universal":
         raise TruncationRequired("class surveys need a finite system")
-    seen: set = set()
+    table = system._ensure_table()
+    if involutions_only:  # (x, theta) is a twisted involution iff theta^2 = 1 and theta(x) = x^-1
+        images = theta._images()
+        involutive = (theta * theta).is_identity()
+    seen = [False] * len(table.perms)
     out = []
-    for x in system.elements():
-        if x.key in seen:
+    for x in range(len(seen)):
+        if seen[x]:
             continue
-        p = ExtElement(x, theta)
-        if involutions_only and not p.is_twisted_involution():
+        if involutions_only and not (involutive and images[x] == table.inverse[x]):
             continue
-        K = conjugacy_set(system, p)
-        seen.update(q.x.key for q in K.payloads)
+        K = conjugacy_set(system, ExtElement(Element(system, x), theta))
+        for p in K.payloads:
+            seen[p.x.key] = True
         out.append(K)
     return out
 
@@ -60,16 +64,21 @@ def twisted_classes(
 
 
 def is_perfect(K: ScaledWSet) -> bool:
-    """(rw)^4 = 1 for every reflection r, tested on one representative."""
-    if not all(p.is_twisted_involution() for p in K.payloads):
+    """(rw)^4 = 1 for every reflection r, tested on one representative.
+
+    With w = (x, theta) and theta^2 = 1, (rw)^2 = (y, 1) for y = r x theta(r x),
+    so (rw)^4 = 1 iff y is an involution.
+    """
+    table = K.system._ensure_table()
+    images, inverse, mult = K.theta._images(), table.inverse, table.mult_ids
+    if not (K.theta * K.theta).is_identity() or any(
+            images[p.x.key] != inverse[p.x.key] for p in K.payloads):
         raise NotInvolutionClass("perfectness is defined for twisted involution classes")
-    system = K.system
-    ident = system.identity_aut()
-    w = K.payloads[0]
-    for r in system.reflections():
-        q = ExtElement(r, ident) * w
-        q2 = q * q
-        if not (q2 * q2).is_identity():
+    x = K.payloads[0].x.key
+    for r in K.system.reflections():
+        rx = mult(r.key, x)
+        y = mult(rx, images[rx])
+        if inverse[y] != y:
             return False
     return True
 
@@ -89,53 +98,49 @@ class StructureFlags:
         )
 
 
-def _parabolic_ids(system: CoxeterSystem, J) -> set:
-    ids = {system.identity.key}
-    frontier = [system.identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for j in J:
-                z = w * system.generator(j)
-                if z.key not in ids:
-                    ids.add(z.key)
-                    nxt.append(z)
-        frontier = nxt
-    return ids
-
-
 def structure_check(K: ScaledWSet) -> StructureFlags:
-    """The shape of the unique minimal element of a quasiparabolic class."""
+    """The shape of the unique minimal element of a quasiparabolic class.
+
+    The centralizer {z : z x theta(z)^-1 = x} and the twisted normalizer
+    {z : z W_J = W_J theta(z)} are compared in one pass over the ids, with
+    table lookups only: z x and x theta(z) come from the rows of left
+    multiplication by x and by x^-1, and a right coset W_J z is labelled by
+    its minimal element.
+    """
     system = K.system
     theta = K.theta
     minima = [p for p in K.payloads if p.length == K.height2[0]]
     if len(minima) != 1:
         raise NoUniqueMinimal(f"{len(minima)} elements of minimal length")
     w = minima[0]
-    x = w.x
-    J = tuple(sorted(x.left_descents()))
-    fixed = all(
-        twisted_conjugate(system.generator(s), w) == w for s in J
-    )
+    x = w.x.key
+    J = tuple(sorted(w.x.left_descents()))
+    step = KeyTwist(theta).step
+    fixed = all(step(s, x) == x for s in J)
     stable = tuple(sorted(theta.gen(j) for j in J)) == J
-    x_is_longest = x == system.longest_element(J)
+    x_is_longest = w.x == system.longest_element(J)
 
-    wj_ids = _parabolic_ids(system, J)
-    centralizer = {
-        z.key for z in system.elements() if twisted_conjugate(z, w) == w
-    }
-    normalizer = set()
-    for z in system.elements():
-        # z W_J = W_J theta(z) iff z theta(z)^-1 in W_J and z normalizes W_J
-        if (z * theta(z).inverse()).key not in wj_ids:
-            continue
-        if all((z * system.generator(j) * z.inverse()).key in wj_ids for j in J):
-            normalizer.add(z.key)
-    centralizer_ok = centralizer == normalizer
+    table = system._ensure_table()
+    images, inverse, rmult, lmult, length = (
+        theta._images(), table.inverse, table.rmult, table.lmult, table.length)
+    left_x, left_xinv = [x], [inverse[x]]  # x z and x^-1 z, along the search tree
+    coset = [0]  # the minimal element of W_J z; ids are in length order
+    for z in range(1, len(rmult)):
+        u, t = table.parent[z], table.last[z]
+        left_x.append(rmult[left_x[u]][t])
+        left_xinv.append(rmult[left_xinv[u]][t])
+        down = next((lmult[z][j] for j in J if length[lmult[z][j]] < length[z]), None)
+        coset.append(z if down is None else coset[down])
+    # z x = (x^-1 z^-1)^-1; z theta(z)^-1 is in W_J iff W_J z = W_J theta(z),
+    # and z normalizes W_J iff z s_j is in W_J z for every j in J
+    centralizer_ok = all(
+        (inverse[left_xinv[inverse[z]]] == left_x[images[z]])
+        == (coset[images[z]] == c and all(coset[rmult[z][j]] == c for j in J))
+        for z, c in enumerate(coset)
+    )
 
-    theta2 = theta * theta
-    target = {p for p in iota(system, theta2).payloads}
-    squares = {p * p for p in K.payloads}
+    target = {p.x.key for p in iota(system, theta * theta).payloads}
+    squares = {table.mult_ids(p.x.key, images[p.x.key]) for p in K.payloads}
     squares_onto = squares == target
 
     return StructureFlags(fixed, stable, x_is_longest, centralizer_ok, squares_onto)
@@ -266,10 +271,13 @@ def _strong_exchange(K: ScaledWSet) -> bool:
     # conjectural strong exchange: a length-reducing reflection conjugation
     # moves down in the Bruhat order of W
     system = K.system
+    conj, down = KeyTwist(K.theta).conj, system._bruhat_table()
+    length = system._table.length
     for p in K.payloads:
+        x = p.x.key
         for r in system.reflections():
-            q = twisted_conjugate(r, p)
-            if q.length < p.length and not system.bruhat_leq(q.x, p.x):
+            q = conj(r.key, x)
+            if length[q] < length[x] and not down[x] >> q & 1:
                 return False
     return True
 
@@ -343,19 +351,19 @@ def universal_qp_check(system: CoxeterSystem, seed: ExtElement) -> UniversalQpVe
     the class is quasiparabolic exactly when the stuck element (x, theta) has
     theta(x) = x and x in {1} + S.
     """
-    w = seed
+    twist = KeyTwist(seed.theta)
+    x = seed.x.key
     while True:
         for s in range(system.rank):
-            c = twisted_conjugate(system.generator(s), w)
-            if c.length < w.length:
-                w = c
+            if twist.step_length(s, x) < twist.length(x):
+                x = twist.step(s, x)
                 break
         else:
             break
-    qp = w.x.length <= 1 and w.theta(w.x) == w.x
+    stuck = Element(system, x)
     return UniversalQpVerdict(
-        is_qp=qp,
+        is_qp=stuck.length <= 1 and seed.theta(stuck) == stuck,
         in_iplus=seed.is_twisted_involution(),
-        stuck_word=w.x.word(),
-        stuck_length=w.x.length,
+        stuck_word=stuck.word(),
+        stuck_length=stuck.length,
     )

@@ -528,7 +528,7 @@ def cmd_verify(args) -> int:
         "wgraph": lambda: _suite_wgraph(system),
         "inversion": lambda: _suite_inversion(system),
         "finite-classification": lambda: _suite_finite_classification(system),
-        "universal": lambda: _suite_universal(system, args.cutoff or 6),
+        "universal": lambda: _suite_universal(system, 6 if args.cutoff is None else args.cutoff),
     }
     if system.family == "universal":
         applicable = ["universal"]

@@ -19,6 +19,10 @@ element's search parent by table recurrences, and a product folds a table
 over a reduced word.  Enumeration is lazy (building a system only builds and
 validates the root tables) and refuses groups larger than MAX_ORDER.
 
+KeyTwist is twisted conjugation on keys (ids or words).  Class searches,
+truncated reflection actions and structure checks run on it; Element,
+ExtElement and twisted_conjugate serve input, output and witness re-checks.
+
 Type strings: "A n", "B n", "D n" (n >= 4), "E6"/"E7"/"E8", "F4", "H3",
 "H4", "I2(m)", "U n" (universal of rank n).  Labeling follows Bourbaki; in
 particular D4 has the branch node at s2.
@@ -302,6 +306,11 @@ class CoxeterSystem:
         """Reflections of length <= max_length (universal family)."""
         if self.family != "universal":
             return [r for r in self.reflections() if r.length <= max_length]
+        return [Element(self, w) for w in self.reflection_words(max_length)]
+
+    def reflection_words(self, max_length: int) -> list[tuple]:
+        """The reduced words w s w^-1 of length <= max_length, sorted by
+        (length, word) (universal family)."""
         out = []
         words = [()]
         while words:
@@ -311,11 +320,11 @@ class CoxeterSystem:
                     for s in range(self.rank):
                         if w and w[-1] == s:
                             continue
-                        out.append(Element(self, w + (s,) + tuple(reversed(w))))
+                        out.append(w + (s,) + tuple(reversed(w)))
                         if 2 * (len(w) + 1) + 1 <= max_length:
                             nxt.append(w + (s,))
             words = nxt
-        return sorted(out, key=lambda r: (r.length, r.key))
+        return sorted(out, key=lambda w: (len(w), w))
 
     # -- Bruhat order ---------------------------------------------------------
 
@@ -411,12 +420,11 @@ def _is_subword(x, y):
 
 def _u_mult(a, b):
     """Free product with s^2 = 1: concatenate and cancel at the junction."""
-    a = list(a)
+    n = min(len(a), len(b))
     i = 0
-    while a and i < len(b) and a[-1] == b[i]:
-        a.pop()
+    while i < n and a[-1 - i] == b[i]:
         i += 1
-    return tuple(a) + tuple(b[i:])
+    return a[:len(a) - i] + b[i:]
 
 
 class _GroupTable:
@@ -729,3 +737,68 @@ def twisted_conjugate(w: Element, a: ExtElement) -> ExtElement:
     if w.system is not a.system:
         raise SystemMismatch("operands belong to different Coxeter systems")
     return ExtElement(w * a.x * a.theta(w).inverse(), a.theta)
+
+
+class KeyTwist:
+    """Twisted conjugation by (1, theta) on element keys, without Element objects.
+
+    Keys are dense ids (finite family) or reduced words (universal family).
+    For a generator s and keys w, x:
+
+    - ``step(s, x)`` is s x sigma(s), one generator move in a twisted class;
+    - ``step_length(s, x)`` is the length of s x sigma(s) (on a word it is read
+      from the first and last letters of x, in O(1));
+    - ``conj(w, x)`` is w x theta(w)^-1 (folded along the search parents of w,
+      or by cancelling words at the two junctions);
+    - ``length(x)`` is the length of x.
+
+    twisted_conjugate is the same operation on Element objects.
+    """
+
+    __slots__ = ("step", "step_length", "conj", "length")
+
+    def __init__(self, theta: DiagramAut):
+        sigma = theta.sigma
+        if theta.system.family == "universal":
+            def step(s, x):
+                x = x[1:] if x and x[0] == s else (s,) + x
+                t = sigma[s]
+                return x[:-1] if x and x[-1] == t else x + (t,)
+
+            def step_length(s, x):
+                n = len(x)
+                if n and x[0] == s:  # s x = x[1:]
+                    n -= 1
+                    last = x[-1] if n else None
+                else:  # s x = (s,) + x
+                    n += 1
+                    last = x[-1] if x else s
+                return n - 1 if last == sigma[s] else n + 1
+
+            def conj(w, x):
+                return _u_mult(_u_mult(w, x), tuple([sigma[s] for s in reversed(w)]))
+
+            length = len
+        else:
+            table = theta.system._ensure_table()
+            lmult, rmult, parent, last, lengths = (
+                table.lmult, table.rmult, table.parent, table.last, table.length)
+
+            def step(s, x):
+                return lmult[rmult[x][sigma[s]]][s]
+
+            def step_length(s, x):
+                return lengths[lmult[rmult[x][sigma[s]]][s]]
+
+            def conj(w, x):
+                while w:  # w = u t: w x theta(w)^-1 = u (t x sigma(t)) theta(u)^-1
+                    t = last[w]
+                    x = lmult[rmult[x][sigma[t]]][t]
+                    w = parent[w]
+                return x
+
+            length = lengths.__getitem__
+        self.step = step
+        self.step_length = step_length
+        self.conj = conj
+        self.length = length

@@ -8,10 +8,13 @@ the generator list S + [s0]).
 
 Every carrier comes from one breadth-first orbit search that records each
 generator step once; the points are then sorted and the recorded steps become
-integer action rows.  Reflection actions compose those rows along a reduced
-word of each reflection.  After the search, group elements are used only on
-truncated carriers, whose images can leave the carrier, and in witness
-re-checks.
+integer action rows.  Reflection actions compose those rows, the row of
+r = a r' a from the row of the shorter reflection r'.  A conjugacy class is
+searched on element keys (ids or reduced words) with coxeter.KeyTwist, and
+its ExtElement payloads are built once, after the sort.  A truncated
+universal class, whose images can leave the carrier, twisted-conjugates the
+words of its points by the reflection words, also on keys.  Group elements
+are used in arithmetic only in witness re-checks.
 
 Heights are stored doubled (height2 = 2 ht), so the half-integer heights of
 conjugacy classes stay exact integers.  Point ids are dense and sorted by
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coxeter import CoxeterSystem, Element, ExtElement, twisted_conjugate
+from .coxeter import CoxeterSystem, Element, ExtElement, KeyTwist, twisted_conjugate
 from .errors import (
     ConsistencyError,
     InfiniteParabolic,
@@ -58,7 +61,7 @@ class _ReflAction:
     word: tuple
     img: list  # point id or None (out of a truncated carrier)
     img_h2: list  # exact height2 of the image, even when out of carrier
-    img_payload: list | None = None  # truncated carriers only
+    img_payload: list | None = None  # truncated carriers only: the word of each image
 
 
 class ScaledWSet:
@@ -154,39 +157,50 @@ class ScaledWSet:
         """r . x for every reflection r of W, in (length, id) order; a double
         cover adds s0, the reflection of its A1 factor.
 
-        An untruncated carrier composes its generator rows along r.word().  A
-        truncated carrier twisted-conjugates payloads instead, over the
+        An untruncated carrier composes generator rows: r = a r' a for the
+        first letter a of r.word(), a left descent, so the row of r is the row
+        of a around that of the shorter reflection r' = a r a.  A truncated
+        carrier twisted-conjugates the words of its points instead, over the
         reflections of length <= cutoff + 1: an image may leave the carrier,
-        and its exact height and payload are still needed.
+        and its exact height and word are still needed.
         """
         if self._refl is not None:
             return self._refl
         out = []
         if self.truncated_at is not None:  # a universal conjugacy class
-            for r in self.system.reflections_up_to(self.truncated_at + 1):
-                payloads = [twisted_conjugate(r, p) for p in self.payloads]
-                img = [self.index.get(q) for q in payloads]
-                out.append(_ReflAction(r.word(), img, [q.length for q in payloads], payloads))
+            conj = KeyTwist(self.theta).conj
+            words = [p.x.key for p in self.payloads]
+            index = {x: i for i, x in enumerate(words)}
+            for r in self.system.reflection_words(self.truncated_at + 1):
+                images = [conj(r, x) for x in words]
+                out.append(_ReflAction(r, [index.get(q) for q in images], [len(q) for q in images], images))
         else:
-            words = [r.word() for r in self.system.reflections()]
-            if self.kind == "double-cover":
-                words.append((self.n_gens - 1,))
-            for word in words:
-                img = list(range(len(self)))
-                for s in reversed(word):
-                    row = self.action[s]
-                    img = [row[y] for y in img]
+            table = self.system._table
+            rows = {}  # reflection id -> its row
+            for r in self.system.reflections():  # (length, id) order: r' comes before r
+                word = r.word()
+                a = self.action[word[0]]
+                if len(word) == 1:
+                    img = list(a)
+                else:
+                    inner = rows[table.lmult[table.rmult[r.key][word[0]]][word[0]]]
+                    img = [a[inner[y]] for y in a]
+                rows[r.key] = img
                 out.append(_ReflAction(word, img, [self.height2[y] for y in img]))
+            if self.kind == "double-cover":
+                img = list(self.action[self.n_gens - 1])
+                out.append(_ReflAction((self.n_gens - 1,), img, [self.height2[y] for y in img]))
         self._refl = out
         return out
 
 
-def _orbit_carrier(system, start, n_gens, step, height2, keyfn, **kw) -> ScaledWSet:
+def _orbit_carrier(system, start, n_gens, step, height2, keyfn, payload=None, **kw) -> ScaledWSet:
     """The orbit of start, where step(s, p) is the image of p under generator
     s (None when it leaves a truncated carrier).
 
     One breadth-first search records every step once; the points are then
     sorted by (height2, key) and the recorded steps renumbered into rows.
+    payload(p), when given, is what the carrier stores for the point p.
     """
     steps = {start: None}
     queue = [start]
@@ -196,10 +210,11 @@ def _orbit_carrier(system, start, n_gens, step, height2, keyfn, **kw) -> ScaledW
             if q is not None and q not in steps:
                 steps[q] = None
                 queue.append(q)
-    payloads = sorted(queue, key=lambda p: (height2(p), keyfn(p)))
-    index = {p: i for i, p in enumerate(payloads)}
-    action = [[index.get(steps[p][s]) for p in payloads] for s in range(n_gens)]
-    return ScaledWSet(system, payloads=payloads, height2=[height2(p) for p in payloads],
+    points = sorted(queue, key=lambda p: (height2(p), keyfn(p)))
+    index = {p: i for i, p in enumerate(points)}
+    action = [[index.get(steps[p][s]) for p in points] for s in range(n_gens)]
+    payloads = points if payload is None else [payload(p) for p in points]
+    return ScaledWSet(system, payloads=payloads, height2=[height2(p) for p in points],
                       action=action, **kw)
 
 
@@ -225,21 +240,32 @@ def regular_set(system: CoxeterSystem) -> ScaledWSet:
 
 
 def conjugacy_set(system: CoxeterSystem, seed: ExtElement, cutoff: Optional[int] = None) -> ScaledWSet:
-    """The twisted conjugacy class of seed, with doubled height = length."""
+    """The twisted conjugacy class of seed, with doubled height = length.
+
+    The search steps the keys x -> s x sigma(s); the seed is the payload of
+    its own point, and the other payloads are built after the sort.
+    """
     if system.family == "universal" and cutoff is None:
         raise TruncationRequired("universal conjugacy classes need a height cutoff")
     if seed.system is not system:
         raise SystemMismatch("seed belongs to a different system")
     limit = None if system.family == "finite" else cutoff
-    gens = system.generators()
+    if limit is not None and limit < seed.length:
+        raise TruncationRequired(f"cutoff {limit} is below the length {seed.length} of the seed")
+    twist = KeyTwist(seed.theta)
+    step, length = twist.step, twist.length
+    if limit is not None:
+        def step(s, x, move=step):
+            y = move(s, x)
+            return y if length(y) <= limit else None
+    theta, start = seed.theta, seed.x.key
 
-    def step(s, p):
-        q = twisted_conjugate(gens[s], p)
-        return q if limit is None or q.length <= limit else None
+    def payload(x):
+        return seed if x == start else ExtElement(Element(system, x), theta)
 
     # ht = length / 2, so height2 is the length itself
-    return _orbit_carrier(system, seed, system.rank, step, lambda p: p.length, lambda p: p.x.key,
-                          kind="conjugacy", theta=seed.theta, seed=seed, truncated_at=limit)
+    return _orbit_carrier(system, start, system.rank, step, length, lambda x: x, payload,
+                          kind="conjugacy", theta=theta, seed=seed, truncated_at=limit)
 
 
 def even_double_cover(X: ScaledWSet) -> ScaledWSet:
@@ -277,8 +303,7 @@ def check_quasiparabolic(X: ScaledWSet) -> QpVerdict:
 
     On truncated universal carriers the reflection range is finite (word
     length <= cutoff + 1) and heights of out-of-carrier images are still
-    computed exactly from payload lengths, so every reported witness is
-    genuine.
+    computed exactly from their words, so every reported witness is genuine.
     """
     if X._qp is not None:
         return X._qp
@@ -286,6 +311,7 @@ def check_quasiparabolic(X: ScaledWSet) -> QpVerdict:
     h2 = X.height2
     verdict = None
     bound = max(len(ra.word) for ra in refl) if refl and X.truncated_at is not None else None
+    step_length = KeyTwist(X.theta).step_length if X.truncated_at is not None else None
 
     for ra in refl:
         for x in range(len(X)):
@@ -309,7 +335,7 @@ def check_quasiparabolic(X: ScaledWSet) -> QpVerdict:
                     if srx is not None:
                         h_srx = h2[srx]
                     elif ra.img_payload is not None:  # s r x left the truncated carrier
-                        h_srx = twisted_conjugate(X.system.generator(s), ra.img_payload[x]).length
+                        h_srx = step_length(s, ra.img_payload[x])
                     else:
                         continue
                     if h_srx < h2[sx] and rx != sx:

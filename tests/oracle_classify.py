@@ -1,0 +1,121 @@
+"""Class searches, perfectness and minimal-element structure on Element objects.
+
+This is how qpcox.classify worked before its hot paths ran on ids and words:
+the class partition walks every Element and searches each class with the
+Element oracle of qpsets, perfectness multiplies ExtElements, the structure
+check collects the centralizer {z : z . w = w} and the twisted normalizer
+{z : z W_J = W_J theta(z)} by Element arithmetic over all of W, and the
+universal criterion follows length-reducing twisted conjugations of
+ExtElements.  It is kept as an independent oracle for those paths.
+"""
+
+from __future__ import annotations
+
+import oracle_qpsets
+from oracle_qpsets import twisted
+from qpcox.classify import StructureFlags, UniversalQpVerdict
+from qpcox.coxeter import ExtElement
+from qpcox.errors import NoUniqueMinimal, NotInvolutionClass
+
+
+def twisted_classes(system, theta, involutions_only=False):
+    seen = set()
+    out = []
+    for x in system.elements():
+        if x.key in seen:
+            continue
+        p = ExtElement(x, theta)
+        if involutions_only and not p.is_twisted_involution():
+            continue
+        K = oracle_qpsets.conjugacy_set(system, p)
+        seen.update(q.x.key for q in K.payloads)
+        out.append(K)
+    return out
+
+
+def is_perfect(K):
+    if not all(p.is_twisted_involution() for p in K.payloads):
+        raise NotInvolutionClass("perfectness is defined for twisted involution classes")
+    system = K.system
+    ident = system.identity_aut()
+    w = K.payloads[0]
+    for r in system.reflections():
+        q = ExtElement(r, ident) * w
+        q2 = q * q
+        if not (q2 * q2).is_identity():
+            return False
+    return True
+
+
+def _parabolic_ids(system, J):
+    ids = {system.identity.key}
+    frontier = [system.identity]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for j in J:
+                z = w * system.generator(j)
+                if z.key not in ids:
+                    ids.add(z.key)
+                    nxt.append(z)
+        frontier = nxt
+    return ids
+
+
+def structure_check(K):
+    system = K.system
+    theta = K.theta
+    minima = [p for p in K.payloads if p.length == K.height2[0]]
+    if len(minima) != 1:
+        raise NoUniqueMinimal(f"{len(minima)} elements of minimal length")
+    w = minima[0]
+    x = w.x
+    J = tuple(sorted(x.left_descents()))
+    fixed = all(twisted(system.generator(s), w) == w for s in J)
+    stable = tuple(sorted(theta.gen(j) for j in J)) == J
+    x_is_longest = x == system.longest_element(J)
+
+    wj_ids = _parabolic_ids(system, J)
+    centralizer = {z.key for z in system.elements() if twisted(z, w) == w}
+    normalizer = set()
+    for z in system.elements():
+        # z W_J = W_J theta(z) iff z theta(z)^-1 in W_J and z normalizes W_J
+        if (z * theta(z).inverse()).key not in wj_ids:
+            continue
+        if all((z * system.generator(j) * z.inverse()).key in wj_ids for j in J):
+            normalizer.add(z.key)
+    centralizer_ok = centralizer == normalizer
+
+    one = ExtElement(system.identity, theta * theta)
+    target = set(oracle_qpsets.conjugacy_set(system, one).payloads)
+    squares = {p * p for p in K.payloads}
+    return StructureFlags(fixed, stable, x_is_longest, centralizer_ok, squares == target)
+
+
+def strong_exchange(K):
+    system = K.system
+    for p in K.payloads:
+        for r in system.reflections():
+            q = twisted(r, p)
+            if q.length < p.length and not system.bruhat_leq(q.x, p.x):
+                return False
+    return True
+
+
+def universal_qp_check(system, seed):
+    w = seed
+    while True:
+        for s in range(system.rank):
+            c = twisted(system.generator(s), w)
+            if c.length < w.length:
+                w = c
+                break
+        else:
+            break
+    qp = w.x.length <= 1 and w.theta(w.x) == w.x
+    return UniversalQpVerdict(
+        is_qp=qp,
+        in_iplus=seed.is_twisted_involution(),
+        stuck_word=w.x.word(),
+        stuck_length=w.x.length,
+    )

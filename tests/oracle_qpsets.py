@@ -5,14 +5,22 @@ reflection actions were composed from generator rows: each constructor runs
 its own search, then computes every generator step a second time to fill the
 action rows, and r . x is computed from the payload of x for every
 reflection r (twisted conjugation, coset reduction or a left product; the
-double cover flips the bit over the base's reflection action).  It is kept
-as an independent oracle for those paths.
+double cover flips the bit over the base's reflection action).  Twisted
+conjugation is Element arithmetic here (twisted, below), not the key-level
+kernel of qpcox.coxeter, and qp_verdict is the (QP1)/(QP2) scan with the
+heights of out-of-carrier images from that arithmetic.  It is kept as an
+independent oracle for those paths.
 """
 
 from __future__ import annotations
 
-from qpcox.coxeter import twisted_conjugate
-from qpcox.qpsets import ScaledWSet, _ReflAction
+from qpcox.coxeter import Element, ExtElement
+from qpcox.qpsets import QpVerdict, ScaledWSet, _ReflAction
+
+
+def twisted(w, a):
+    """The twisted conjugate (w x theta(w)^-1, theta) of a = (x, theta)."""
+    return ExtElement(w * a.x * a.theta(w).inverse(), a.theta)
 
 
 class OracleWSet(ScaledWSet):
@@ -52,7 +60,7 @@ class OracleWSet(ScaledWSet):
                 img.append(q)
                 h2.append(self.height2[q] if q is not None else q_payload.length)
                 if payloads is not None:
-                    payloads.append(q_payload)
+                    payloads.append(q_payload.x.key)
             out.append(_ReflAction(r.word(), img, h2, payloads))
         self._refl = out
         return out
@@ -62,7 +70,7 @@ def act_element(X, w, pid):
     """The payload of w . x for a whole group element w (non-cover kinds)."""
     p = X.payloads[pid]
     if X.kind == "conjugacy":
-        return twisted_conjugate(w, p)
+        return twisted(w, p)
     if X.kind == "coset":
         return coset_canonical(X.system, w * p, X.J)
     return w * p  # regular
@@ -123,7 +131,7 @@ def conjugacy_set(system, seed, cutoff=None):
         nxt = []
         for p in frontier:
             for s in range(system.rank):
-                q = twisted_conjugate(system.generator(s), p)
+                q = twisted(system.generator(s), p)
                 if q not in seen and (limit is None or q.length <= limit):
                     seen.add(q)
                     nxt.append(q)
@@ -133,7 +141,7 @@ def conjugacy_set(system, seed, cutoff=None):
     action = []
     for s in range(system.rank):
         gen = system.generator(s)
-        action.append([index.get(twisted_conjugate(gen, p)) for p in payloads])
+        action.append([index.get(twisted(gen, p)) for p in payloads])
     return OracleWSet(
         system, "conjugacy", payloads, height2, action,
         theta=seed.theta, seed=seed, truncated_at=limit,
@@ -154,3 +162,35 @@ def even_double_cover(X):
         action.append([index[(X.action[s][b], 1 - k)] for (b, k) in payloads])
     action.append([index[(b, 1 - k)] for (b, k) in payloads])  # s0
     return OracleWSet(X.system, "double-cover", payloads, height2, action, base=X)
+
+
+def qp_verdict(X):
+    """(QP1) over R x X, then (QP2) over R x X x S; on a truncated class the
+    height of an s r x outside the carrier is the length of a twisted
+    conjugate of the image word, computed on Element objects."""
+    refl = X.reflection_actions()
+    h2 = X.height2
+    bound = max(len(ra.word) for ra in refl) if refl and X.truncated_at is not None else None
+    for ra in refl:
+        for x in range(len(X)):
+            if ra.img_h2[x] == h2[x] and ra.img[x] != x:
+                return QpVerdict(False, "QP1", ra.word, x, None, bound)
+    for ra in refl:
+        for x in range(len(X)):
+            if ra.img_h2[x] <= h2[x]:
+                continue
+            rx = ra.img[x]
+            for s in range(X.n_gens):
+                sx = X.action[s][x]
+                if sx is None:
+                    continue
+                if rx is not None and X.action[s][rx] is not None:
+                    h_srx = h2[X.action[s][rx]]
+                elif ra.img_payload is not None:
+                    q = ExtElement(Element(X.system, ra.img_payload[x]), X.theta)
+                    h_srx = twisted(X.system.generator(s), q).length
+                else:
+                    continue
+                if h_srx < h2[sx] and rx != sx:
+                    return QpVerdict(False, "QP2", ra.word, x, s, bound)
+    return QpVerdict(True, checked_r_length=bound)

@@ -299,6 +299,17 @@ def test_usage_errors(tmp_path):
     assert run(tmp_path, "survey", "--type", "A2", "--jobs", "2") == 1  # no such flag
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_universal_cutoff_below_a_seed_exits_1(tmp_path, capsys, cutoff):
+    # --cutoff 0 is a cutoff, not the default 6; a class whose seed lies above
+    # it is refused with one error line, not reported as a consistency failure
+    assert run(tmp_path, "verify", "--type", "U3", "--suite", "universal", "--cutoff", cutoff) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and f"cutoff {cutoff} is below" in out.err
+    assert run(tmp_path, "verify", "--type", "U3", "--suite", "universal", "--cutoff", "2") == 0
+
+
 def test_cache_follows_matrix_file_content(tmp_path):
     # I2(6) and A2 x A1 both have order 12; the cache is keyed on the matrix
     # the file holds, not on its path

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import oracle_qpsets as oracle
-from qpcox.coxeter import ExtElement, build_system, twisted_conjugate
+from qpcox.coxeter import Element, ExtElement, KeyTwist, build_system, twisted_conjugate
 from qpcox.errors import InfiniteParabolic, NotQuasiparabolic, TruncationRequired
 from qpcox.classify import twisted_classes
 from qpcox.qpsets import (
@@ -308,17 +308,97 @@ def test_carriers_and_reflections_match_element_oracle(type_string):
     assert {X.kind for X, _ in pairs} == {"regular", "coset", "conjugacy", "double-cover"}
 
 
+def assert_truncated_classes_match_element_oracle(system, words, cutoff):
+    """Words stepped and twisted-conjugated on keys against Element
+    arithmetic, and the O(1) out-of-carrier heights against the oracle's QP
+    scan, on the classes of (w, theta) for every theta; returns the verdicts."""
+    verdicts = set()
+    for theta in system.diagram_automorphisms():
+        for word in words:
+            seed = ext(system, word, theta)
+            X = conjugacy_set(system, seed, cutoff=cutoff)
+            Y = oracle.conjugacy_set(system, seed, cutoff=cutoff)
+            assert_same_carrier(X, Y, payloads=True)
+            verdict = check_quasiparabolic(X)
+            assert verdict == oracle.qp_verdict(Y)
+            assert verdict.is_qp or revalidate_witness(X, verdict.witness())
+            verdicts.add((verdict.is_qp, verdict.axiom))
+    return verdicts
+
+
 def test_truncated_u3_classes_match_element_oracle():
     u3 = build_system("U3")
+    for cutoff in (5, 6, 7):  # reflections have odd length: 6 checks the cutoff + 1 bound
+        verdicts = assert_truncated_classes_match_element_oracle(u3, [(), (0,), (0, 1)], cutoff)
+        assert verdicts == {(True, None), (False, "QP1")}  # no class here fails QP2 alone
+
+
+@pytest.mark.parametrize("cutoff", [5, 6, 7])
+def test_truncated_u4_twisted_identities_match_element_oracle(cutoff):
+    # one seed word: the Element oracle takes seconds per cutoff
+    verdicts = assert_truncated_classes_match_element_oracle(build_system("U4"), [()], cutoff)
+    assert verdicts == {(True, None)}
+
+
+def test_kernel_that_drops_the_twist_is_caught(monkeypatch):
+    # the oracle comparisons above must fail on a KeyTwist that conjugates by
+    # (1, id) whatever theta is: in a class search and in truncated reflection rows
+    a3, u3 = build_system("A3"), build_system("U3")
+    swap = next(a for a in a3.diagram_automorphisms() if not a.is_identity())
     rot = next(a for a in u3.diagram_automorphisms() if a.order() == 3)
-    verdicts = set()
-    for cutoff in (6, 7):  # reflections have odd length: 6 checks the cutoff + 1 bound
-        for word, theta in [((), None), ((0,), None), ((0, 1), None), ((0, 1), rot)]:
-            seed = ext(u3, word, theta)
-            X = conjugacy_set(u3, seed, cutoff=cutoff)
-            assert_same_carrier(X, oracle.conjugacy_set(u3, seed, cutoff=cutoff), payloads=True)
-            verdicts.add(check_quasiparabolic(X).is_qp)
-    assert verdicts == {True, False}
+    truncated = conjugacy_set(u3, ext(u3, (), rot), cutoff=5)  # built with the twist
+    init = KeyTwist.__init__
+    monkeypatch.setattr(KeyTwist, "__init__", lambda self, theta: init(self, theta.system.identity_aut()))
+    with pytest.raises(AssertionError):
+        assert_same_carrier(conjugacy_set(a3, ext(a3, (), swap)), oracle.conjugacy_set(a3, ext(a3, (), swap)))
+    with pytest.raises(AssertionError):
+        assert_same_carrier(truncated, oracle.conjugacy_set(u3, ext(u3, (), rot), cutoff=5), payloads=True)
+
+
+def test_cutoff_below_the_seed_is_refused():
+    # a class whose seed lies above its own cutoff would have a point the
+    # truncation cannot see
+    u3 = build_system("U3")
+    seed = ext(u3, (0, 1))
+    with pytest.raises(TruncationRequired):
+        conjugacy_set(u3, seed, cutoff=1)
+    assert [p.x.word() for p in conjugacy_set(u3, seed, cutoff=2).payloads] == [(0, 1), (1, 0)]
+    assert conjugacy_set(u3, ext(u3, ()), cutoff=0).payloads == [ext(u3, ())]
+
+
+def count_elements(monkeypatch):
+    """Count Element objects built from now on."""
+    count = [0]
+    init = Element.__init__
+
+    def counted(self, system, key):
+        count[0] += 1
+        init(self, system, key)
+
+    monkeypatch.setattr(Element, "__init__", counted)
+    return count
+
+
+def test_truncated_reflections_and_qp_check_build_no_elements(monkeypatch):
+    u3 = build_system("U3")
+    rot = next(a for a in u3.diagram_automorphisms() if a.order() == 3)
+    carriers = [conjugacy_set(u3, ext(u3, word, theta), cutoff=7)
+                for word, theta in [((), rot), ((0, 1), None)]]
+    count = count_elements(monkeypatch)
+    verdicts = []
+    for X in carriers:
+        X.reflection_actions()
+        verdicts.append(check_quasiparabolic(X).is_qp)
+    assert count[0] == 0 and verdicts == [True, False]
+
+
+def test_class_search_builds_only_the_payloads(monkeypatch):
+    # one Element per point: the seed of each class, then its other payloads
+    b3 = build_system("B3")
+    b3.order()
+    count = count_elements(monkeypatch)
+    classes = twisted_classes(b3, b3.identity_aut())
+    assert count[0] == sum(len(K) for K in classes) == 48
 
 
 def test_revalidate_witness_rejects_malformed_witnesses():

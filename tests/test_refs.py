@@ -34,6 +34,8 @@ FAST = [
     "basis --type H3 --regular",
     "verify --type A4 --suite hecke",
     "basis --type E6 --coset s1,s2,s3,s4,s5",
+    "survey --type B5 --theta id",
+    "verify --type U3 --suite universal --cutoff 10",
 ]
 
 
