@@ -4,14 +4,10 @@ For a carrier X the free Z[v, v^-1]-modules M(X) and N(X) on the standard
 basis {M_x} / {N_x} carry Hecke algebra actions differing only in the
 equal-height case (v M_x versus -v^-1 N_x).  A bar operator is the
 antilinear involution fixing the minimal standard vectors and compatible
-with the bar involution upstairs; on twisted-involution conjugacy classes it
-has the closed form
-
-    bar M_(x,t) = v^lmin   . bar(H_x) M_(x^-1,t)
-    bar N_(x,t) = (-v)^-lmin . bar(H_x) N_(x^-1,t)
-
-with lmin the minimal length in the class, and on any other carrier by the
+with the bar involution upstairs, so on every carrier it is built by the
 recurrence bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x.
+(On a twisted-involution class the paper gives it in closed form,
+bar M_(x,t) = v^lmin . bar(H_x) M_(x^-1,t); the tests keep that as an oracle.)
 Canonical bases (built by laurent.canonical_columns from the multiplication
 theorem), their mu-coefficients, the primed bases, the Phi twists between M
 and N, and the inversion pairing of a class with its w0+-translate are all
@@ -19,13 +15,15 @@ built and verified here; every verification returns a verdict object rather
 than asserting, so failures surface with witnesses.
 
 The carrier is the cache of its own stages: bar_columns, verify_bar_operator,
-canonical_basis and phi_maps each compute once per carrier (and kind) and
-keep the result on X, so every caller holding the same carrier shares them.
-Where no generator keeps the height of a point (on a quasiparabolic carrier,
-fixes one) and the generic bar branch applies, as on the regular carrier,
-the N stages are the M stages relabeled N.  That is exact: act_gen, and with
-it the bar recurrence, differs between the kinds only where s keeps the
-height, and so does the descent (weak for M, strict for N) of the solve.
+canonical_basis, table_checks and phi_maps each compute once per carrier (and
+kind) and keep the result on X, so every caller holding the same carrier
+shares them.  Where no generator keeps the height of a point (on a
+quasiparabolic carrier, fixes one), as on the regular carrier, the N stages
+are the M stages relabeled N.  That is exact: act_gen, and with it the bar
+recurrence, differs between the kinds only where s keeps the height, and so
+does the descent (weak for M, strict for N) of the solve and of the table
+checks.  Only the parity check's constant-term clause reads the kind
+everywhere, so it runs per kind.
 
 The Hecke algebra itself is M on the regular carrier (see hecke), so this
 module never imports hecke: act_hecke reads only the words of an element's
@@ -117,13 +115,6 @@ def act_word(vec: ModuleVector, word) -> ModuleVector:
     return vec
 
 
-def act_bar_word(vec: ModuleVector, word) -> ModuleVector:
-    """Left action of H_{s_1}^-1 ... H_{s_k}^-1 (= bar(H_w) for w reduced)."""
-    for s in reversed(word):
-        vec = act_bar_gen(vec, s)
-    return vec
-
-
 def act_hecke(vec: ModuleVector, A) -> ModuleVector:
     """Left action of a Hecke element A (a hecke.HeckeElt of X's system)."""
     return _combine(vec.kind, vec.X, ((act_word(vec, w.word()).coords, c) for w, c in A.coords.items()))
@@ -141,10 +132,6 @@ def _combine(kind: str, X: ScaledWSet, terms) -> ModuleVector:
 # bar operators
 
 
-def _is_twisted_involution_class(X: ScaledWSet) -> bool:
-    return X.kind == "conjugacy" and all(p.is_twisted_involution() for p in X.payloads)
-
-
 def _memo(owner, attr: str, key, build):
     """build(), computed once and kept as owner.<attr>[key]; key is the module
     kind, or None for a stage of the whole carrier or system."""
@@ -156,7 +143,7 @@ def _memo(owner, attr: str, key, build):
 
 def _kinds_agree(X: ScaledWSet) -> bool:
     """Whether M and N share their stages on X (see the module docstring)."""
-    return _memo(X, "_kinds_agree", None, lambda: not _is_twisted_involution_class(X) and all(
+    return _memo(X, "_kinds_agree", None, lambda: all(
         y is None or X.height2[y] != X.height2[x] for row in X.action for x, y in enumerate(row)
     ))
 
@@ -182,28 +169,13 @@ def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
 
 
 def _bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
-    h2 = X.height2
+    # bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x; ids
+    # refine height, so the column of sx is already built.  A minimal point
+    # keeps M_x.
     cols = []
-    if _is_twisted_involution_class(X):
-        hmin2 = X.h_min2()
-        # closed form through the Hecke bar of H_x
-        for pid, p in enumerate(X.payloads):
-            q = X.index[ExtElement(p.x.inverse(), p.theta)]
-            base = ModuleVector.standard(kind, X, q)
-            vec = act_bar_word(base, p.x.word())
-            lmin = hmin2[pid]
-            if kind == "M":
-                vec = vec.scale(v_power(lmin))
-            else:
-                vec = vec.scale(v_power(-lmin) * (-1 if lmin % 2 else 1))
-            cols.append(vec)
-    else:
-        # bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x;
-        # ids refine height, so the column of sx is already built.  A minimal
-        # point keeps M_x.
-        for x in range(len(X)):
-            step = lowest_descent(X.action, h2, x)
-            cols.append(ModuleVector.standard(kind, X, x) if step is None else act_bar_gen(cols[step[1]], step[0]))
+    for x in range(len(X)):
+        step = lowest_descent(X.action, X.height2, x)
+        cols.append(ModuleVector.standard(kind, X, x) if step is None else act_bar_gen(cols[step[1]], step[0]))
     return cols
 
 
@@ -360,9 +332,16 @@ class CheckVerdict:
     failure: Optional[dict] = None
 
 
-def table_checks(table: CanonicalTable) -> list[CheckVerdict]:
+def table_checks(kind: str, X: ScaledWSet) -> list[CheckVerdict]:
     """Parity, and on an untruncated carrier also the multiplication theorem,
-    the recurrences and the mu-delta lemma."""
+    the recurrences and the mu-delta lemma, on the canonical table of kind.
+    Where the kinds agree, the last three are M's verdicts: they read the
+    kind only where a generator keeps a height.  Parity runs per kind."""
+    return _kind_memo(X, "_checks", kind, lambda k: _table_checks(canonical_basis(k, X)),
+                      lambda checks: [verify_parity(canonical_basis("N", X)), *checks[1:]])
+
+
+def _table_checks(table: CanonicalTable) -> list[CheckVerdict]:
     checks = [verify_parity(table)]
     if table.X.truncated_at is None:
         checks += [verify_multiplication(table), verify_recurrences(table), verify_mu_lemma(table)]

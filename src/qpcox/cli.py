@@ -68,8 +68,9 @@ def load_system(type_spec: str) -> CoxeterSystem:
             raise _UsageError(f"cannot read matrix file {type_spec!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise _UsageError(f"matrix file {type_spec!r} is not valid JSON: {exc}")
-        matrix = data["matrix"] if isinstance(data, dict) else data
-        return build_system(matrix)
+        if isinstance(data, dict) and "matrix" not in data:
+            raise _UsageError(f"matrix file {type_spec!r} has no \"matrix\" key")
+        return CoxeterSystem(data["matrix"] if isinstance(data, dict) else data)
     return build_system(type_spec)
 
 
@@ -333,7 +334,7 @@ def cmd_basis(args) -> int:
             return EXIT_BAR
         payload = {"schema_version": SCHEMA_VERSION, "config": key, "tables": {}}
         for kind, table in tables.items():
-            checks = barcanon.table_checks(table)
+            checks = barcanon.table_checks(kind, X)
             verdict = barcanon.verify_bar_operator(kind, X)  # the certified verdict, kept on X
             entry = table.to_json()
             entry["verification"] = {c.name: c.ok for c in checks}
@@ -459,7 +460,7 @@ def _suite_bar_canonical(system) -> list[tuple[str, bool]]:
     results = []
     for X in _qp_carriers(system):
         tables, failure = _certified_tables(X, ("M", "N"))
-        ok = failure is None and all(c.ok for table in tables.values() for c in barcanon.table_checks(table))
+        ok = failure is None and all(c.ok for kind in tables for c in barcanon.table_checks(kind, X))
         if ok:
             tm, tn = tables["M"], tables["N"]
             ok = barcanon.phi_maps(X).verify().ok and all(

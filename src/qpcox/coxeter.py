@@ -95,6 +95,8 @@ def _parse_type_string(s: str):
 
 
 def _normalize_matrix(matrix):
+    if not isinstance(matrix, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in matrix):
+        raise BadMatrix("Coxeter matrix must be a list of rows")
     n = len(matrix)
     out = []
     for i, row in enumerate(matrix):

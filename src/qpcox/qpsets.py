@@ -26,10 +26,12 @@ truncation can see and every verdict carries the cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .coxeter import CoxeterSystem, Element, ExtElement, KeyTwist, twisted_conjugate
 from .errors import (
+    BadMatrix,
     ConsistencyError,
     InfiniteParabolic,
     NotQuasiparabolic,
@@ -79,7 +81,6 @@ class ScaledWSet:
         self.seed = seed
         self.base = base
         self.truncated_at = truncated_at
-        self.index = {p: i for i, p in enumerate(payloads)}
         self.n_gens = len(action)
         self._qp = None
         self._order = None
@@ -90,6 +91,11 @@ class ScaledWSet:
 
     def __len__(self):
         return len(self.payloads)
+
+    @cached_property
+    def index(self) -> dict:
+        """Point id per payload, built on first read (class surveys never read it)."""
+        return {p: i for i, p in enumerate(self.payloads)}
 
     def __repr__(self):
         extra = f", truncated_at={self.truncated_at}" if self.truncated_at is not None else ""
@@ -221,6 +227,9 @@ def _orbit_carrier(system, start, n_gens, step, height2, keyfn, payload=None, **
 def coset_set(system: CoxeterSystem, J) -> ScaledWSet:
     """The set W^J of minimal coset representatives, heights ht = length."""
     J = tuple(sorted(set(J)))
+    for j in J:
+        if not 0 <= j < system.rank:
+            raise BadMatrix(f"no generator with index {j}")
     if system.family == "universal":
         raise InfiniteParabolic("universal coset sets are infinite; use a conjugacy carrier")
     gens = system.generators()

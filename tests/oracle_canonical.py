@@ -14,6 +14,10 @@ where the bar data admits no canonical basis.
 full_bar_verdict and full_phi_verdict are the direct checks the package
 replaced by checks at the orbit minima: every identity is checked at every
 point.
+
+closed_form_bar_columns is the paper's closed form for the bar operator on a
+twisted-involution class, which the package used there before it built every
+bar operator by the recurrence bar M_x = bar(H_s) bar M_sx.
 """
 
 from fractions import Fraction
@@ -27,8 +31,9 @@ from qpcox.barcanon import (
     bar_columns,
     bar_vector,
 )
+from qpcox.coxeter import ExtElement
 from qpcox.errors import ConsistencyError, TruncationRequired
-from qpcox.laurent import ONE, ZERO, LaurentPoly, add_scaled
+from qpcox.laurent import ONE, ZERO, LaurentPoly, add_scaled, v_power
 from qpcox.qpsets import bruhat_order, check_quasiparabolic
 
 
@@ -263,3 +268,28 @@ def full_phi_verdict(phi):
             if phi.nm(act_gen(n_std, s)) != act_bar_gen(phi.nm(n_std), s).scale(-1):
                 return CheckVerdict(False, "phi-twisted-law-n", {"s": s, "x": x})
     return CheckVerdict(True, "phi")
+
+
+def act_bar_word(vec, word):
+    """Left action of H_{s_1}^-1 ... H_{s_k}^-1 (= bar(H_w) for w reduced)."""
+    for s in reversed(word):
+        vec = act_bar_gen(vec, s)
+    return vec
+
+
+def closed_form_bar_columns(kind, X):
+    """The bar columns of a twisted-involution class X by the closed form
+
+        bar M_(x,t) = v^lmin     . bar(H_x) M_(x^-1,t)
+        bar N_(x,t) = (-v)^-lmin . bar(H_x) N_(x^-1,t)
+
+    with lmin the minimal length in the orbit."""
+    hmin2 = X.h_min2()
+    cols = []
+    for pid, p in enumerate(X.payloads):
+        q = X.index[ExtElement(p.x.inverse(), p.theta)]
+        vec = act_bar_word(ModuleVector.standard(kind, X, q), p.x.word())
+        lmin = hmin2[pid]
+        scale = v_power(lmin) if kind == "M" else v_power(-lmin) * (-1 if lmin % 2 else 1)
+        cols.append(vec.scale(scale))
+    return cols

@@ -11,12 +11,12 @@ point.  Both are kept as independent oracles.
 
 from __future__ import annotations
 
-from qpcox.barcanon import ModuleVector, act_bar_word
+from qpcox.barcanon import ModuleVector
 from qpcox.coxeter import Element
 from qpcox.laurent import ONE, V, VINV, add_scaled
 from qpcox.qpsets import rht_witness_word
 
-from oracle_canonical import generic_canonical_columns
+from oracle_canonical import act_bar_word, generic_canonical_columns
 
 
 def gen_mult(system, coords: dict, s: int) -> dict:

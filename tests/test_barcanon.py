@@ -8,7 +8,7 @@ from qpcox.barcanon import (
     ModuleVector,
     PhiMaps,
     _bar_columns,
-    act_bar_word,
+    _kinds_agree,
     act_gen,
     act_hecke,
     bar_columns,
@@ -37,7 +37,9 @@ from qpcox.qpsets import (
 )
 
 from oracle_canonical import (
+    act_bar_word,
     brute_force_canonical,
+    closed_form_bar_columns,
     full_bar_verdict,
     full_phi_verdict,
     generic_canonical_columns,
@@ -124,6 +126,7 @@ def test_bar_on_coset_kind_matches_hecke_bar_action():
                 ModuleVector.standard(kind, X, e), HeckeElt.basis(w).bar()
             )
             assert cols[pid] == expect
+            assert cols[pid] == act_bar_word(ModuleVector.standard(kind, X, e), w.word())
 
 
 def test_bar_on_regular_kind_is_hecke_bar():
@@ -140,13 +143,6 @@ def test_bar_on_regular_kind_is_hecke_bar():
         assert dict(cols[pid].coords) == {X.index[u]: c for u, c in oracle.items()}
 
 
-def _replay_comparable(X) -> bool:
-    """Whether witness replay gives this carrier's bar operator: the generic
-    branch of bar_columns, or a quasiparabolic twisted-involution class."""
-    closed_form = X.kind == "conjugacy" and all(p.is_twisted_involution() for p in X.payloads)
-    return not closed_form or check_quasiparabolic(X).is_qp
-
-
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "I2(5)", "D4"])
 def test_bar_columns_match_witness_replay(name):
     # every coset set, every twisted class under every automorphism, and the
@@ -159,38 +155,44 @@ def test_bar_columns_match_witness_replay(name):
     for theta in system.diagram_automorphisms():
         carriers.extend(twisted_classes(system, theta))
     for X in carriers:
-        if _replay_comparable(X):
-            for kind in ("M", "N"):
-                assert bar_columns(kind, X) == replay_bar_columns(kind, X), (X, kind)
+        for kind in ("M", "N"):
+            assert bar_columns(kind, X) == replay_bar_columns(kind, X), (X, kind)
 
 
-def _truncated_u3_classes():
-    """(seed, cutoff, class) for a few U3 classes truncated at heights 5 and 7."""
+def _truncated_u3_classes(cutoffs=(5, 7)):
+    """(seed, cutoff, class) for a few U3 classes truncated at the cutoffs."""
     u3 = build_system("U3")
     auts = u3.diagram_automorphisms()
     s1, s2, _ = u3.generators()
     seeds = [ExtElement(u3.identity, a) for a in auts] + [ExtElement(s1, auts[0]), ExtElement(s1 * s2, auts[0])]
-    return [(seed, cutoff, conjugacy_set(u3, seed, cutoff)) for cutoff in (5, 7) for seed in seeds]
+    return [(seed, cutoff, conjugacy_set(u3, seed, cutoff)) for cutoff in cutoffs for seed in seeds]
 
 
 def test_truncated_bar_columns_match_witness_replay():
     for seed, cutoff, X in _truncated_u3_classes():
-        if _replay_comparable(X):
+        for kind in ("M", "N"):
+            assert bar_columns(kind, X) == replay_bar_columns(kind, X), (seed, cutoff, kind)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "F4"])
+def test_bar_columns_match_closed_form(name):
+    # the recurrence against the paper's closed form, on every quasiparabolic
+    # twisted-involution class under every involutive automorphism
+    classes = iplus_qp_classes(build_system(name))
+    assert classes
+    for X in classes:
+        for kind in ("M", "N"):
+            assert bar_columns(kind, X) == closed_form_bar_columns(kind, X), (X, kind)
+
+
+def test_truncated_bar_columns_match_closed_form():
+    compared = 0
+    for seed, cutoff, X in _truncated_u3_classes((5, 6, 7)):
+        if all(p.is_twisted_involution() for p in X.payloads) and check_quasiparabolic(X).is_qp:
+            compared += 1
             for kind in ("M", "N"):
-                assert bar_columns(kind, X) == replay_bar_columns(kind, X), (seed, cutoff, kind)
-
-
-def test_closed_form_bar_equals_generic_on_fpf():
-    a3 = build_system("A3")
-    X = fpf_class(a3)
-    assert all(p.is_twisted_involution() for p in X.payloads)
-    for kind in ("M", "N"):
-        cols = bar_columns(kind, X)  # closed form route
-        x0 = X.minimal_elements()[0]
-        for pid in range(len(X)):
-            w = rht_witness(X, pid)
-            generic = act_bar_word(ModuleVector.standard(kind, X, x0), w.word())
-            assert cols[pid] == generic
+                assert bar_columns(kind, X) == closed_form_bar_columns(kind, X), (seed, cutoff, kind)
+    assert compared == 15  # five twisted-involution seeds at each cutoff
 
 
 def test_bar_unitriangular_on_fpf_top():
@@ -270,6 +272,17 @@ def test_minima_checks_match_full_oracle(name):
             assert _matches_oracles(kind, X), (X, kind)
         if len(X) <= 60:  # the full Phi oracle is the slow part
             assert PhiMaps(X).verify() == full_phi_verdict(PhiMaps(X)), X
+
+
+def test_f4_class_without_fixed_points_shares_the_m_stages():
+    # 72 points, no generator fixes one: N's stages are M's relabeled, and
+    # they match the ones built for N alone
+    f4 = build_system("F4")
+    flip = next(a for a in f4.diagram_automorphisms() if a.sigma == (3, 2, 1, 0))
+    X = conjugacy_set(f4, ExtElement(f4.identity, flip))
+    assert len(X) == 72 and _kinds_agree(X)
+    for kind in ("M", "N"):
+        assert _matches_oracles(kind, X), kind
 
 
 def test_truncated_checks_match_full_oracle():

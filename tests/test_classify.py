@@ -120,6 +120,14 @@ def test_survey_a3():
     assert not s1_class.qp.is_qp and s1_class.qp.axiom == "QP1"
 
 
+def test_survey_builds_no_payload_index():
+    # the payload -> id dict is built on first read, and a survey reads none
+    reports = survey(build_system("B3"))
+    qp = [rep.X for rep in reports if rep.qp.is_qp]
+    assert qp and not any("index" in X.__dict__ for X in qp)
+    assert qp[0].index[qp[0].payloads[-1]] == len(qp[0]) - 1 and "index" in qp[0].__dict__
+
+
 def test_survey_a2_class_of_s1_witness():
     a2 = build_system("A2")
     reports = survey(a2, thetas=[a2.identity_aut()])

@@ -297,6 +297,21 @@ def test_usage_errors(tmp_path):
     assert run(tmp_path, "verify", "--type", "A2", "--suite", "nonsense") == 1
     assert run(tmp_path, "basis", "--type", "A2", "--class", "fpf") == 1  # even rank
     assert run(tmp_path, "survey", "--type", "A2", "--jobs", "2") == 1  # no such flag
+    assert run(tmp_path, "basis", "--type", "A2", "--coset", "s9") == 1  # outside the rank
+
+
+@pytest.mark.parametrize("body", ['{"foo": 1}', "5", "[1, 2]"])
+def test_malformed_matrix_file_is_one_error_line(tmp_path, body):
+    mat = tmp_path / "m.json"
+    mat.write_text(body)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpcox.cli", "basis", "--type", str(mat), "--regular", "--no-cache"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("qpcox: error: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("cutoff", ["0", "-3"])
@@ -353,11 +368,37 @@ def _count_stages(monkeypatch):
     (["verify", "--type", "B3", "--suite", "all"], 23, 23),
     (["verify", "--type", "A4", "--suite", "hecke"], 1, 1),  # the KL basis: M on the regular carrier
     (["basis", "--type", "H3", "--regular"], 1, 1),
+    (["basis", "--type", "F4", "--seed", "", "--theta", "4,3,2,1"], 1, 1),  # no generator fixes a point
 ])
 def test_one_solve_per_carrier_and_kind(tmp_path, monkeypatch, capsys, argv, solves, bar_matrices):
     counts = _count_stages(monkeypatch)
     assert run(tmp_path, *argv) == 0
     assert counts == {"solves": solves, "bar_matrices": bar_matrices}
+
+
+def test_shared_table_checks_run_once(tmp_path, monkeypatch, capsys):
+    # on the regular carrier N's table is M's, so only parity runs per kind
+    counts = {}
+    for name in ("verify_parity", "verify_multiplication", "verify_recurrences", "verify_mu_lemma"):
+        def counted(table, check=getattr(barcanon, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return check(table)
+        monkeypatch.setattr(barcanon, name, counted)
+    assert run(tmp_path, "basis", "--type", "H3", "--regular") == 0
+    assert counts == {"verify_parity": 2, "verify_multiplication": 1, "verify_recurrences": 1, "verify_mu_lemma": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "F4", "--seed", "", "--theta", "4,3,2,1"],
+    ["--type", "B3", "--regular"],
+])
+def test_shared_stages_leave_basis_unchanged(tmp_path, monkeypatch, argv):
+    # the same JSON whether or not N shares the stages of M
+    shared, alone = tmp_path / "shared.json", tmp_path / "alone.json"
+    assert run(tmp_path, "basis", *argv, "--out", str(shared)) == 0
+    monkeypatch.setattr(barcanon, "_kinds_agree", lambda X: False)
+    assert run(tmp_path, "basis", *argv, "--out", str(alone)) == 0
+    assert shared.read_text() == alone.read_text()
 
 
 def test_main_calls_share_no_stages(tmp_path, monkeypatch):

@@ -1,11 +1,14 @@
-"""No unused imports in src/ or tests/.
+"""No unused imports in src/ or tests/, and no dead helpers in src/.
 
-A stdlib-only scan: every name an import statement binds must be read
-somewhere else in the same file, or be re-exported through ``__all__``.
-``from __future__`` imports are exempt.
+Stdlib-only scans.  Every name an import statement binds must be read
+somewhere else in the same file, or be re-exported through ``__all__``;
+``from __future__`` imports are exempt.  Every ``_``-prefixed function or
+class defined in src/ (dunders aside) must be referenced, by name or as an
+attribute, somewhere in src/ outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,11 +35,45 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - used)
 
 
+def _references(node) -> Counter:
+    """How often each name is read, as a bare name or an attribute, under node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def dead_helpers(sources: list[str]) -> list[str]:
+    """The _-prefixed functions and classes defined in sources that nothing
+    in sources references outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    refs = sum(map(_references, trees), Counter())
+    return sorted(
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and refs[node.name] == _references(node)[node.name]
+    )
+
+
 def test_scan_finds_unused_names():
     assert unused_imports("import os, sys\nfrom a.b import c as d\nprint(sys)") == ["d", "os"]
     assert unused_imports("import os.path\nos.getcwd()") == []
     assert unused_imports("from x import y\n__all__ = ['y']") == []
     assert unused_imports("from __future__ import annotations") == []
+
+
+def test_scan_finds_dead_helpers():
+    a = "def _f(): pass\ndef _g(n): return _g(n - 1)\nclass _C:\n    def _m(self): pass\n    def __init__(self): self._m()\n"
+    assert dead_helpers([a]) == ["_C", "_f", "_g"]
+    assert dead_helpers([a, "from a import _C, _f\n_C(_f)"]) == ["_g"]
+
+
+def test_no_dead_helpers_in_src():
+    assert dead_helpers([path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))]) == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
