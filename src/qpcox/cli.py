@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import __version__, barcanon, classify, hecke, qpsets, wgraph
 from .coxeter import CoxeterSystem, DiagramAut, ExtElement, build_system
-from .errors import ConsistencyError, QpcoxError
+from .errors import BadMatrix, ConsistencyError, QpcoxError
 from .laurent import V, VINV
 
 EXIT_OK = 0
@@ -59,19 +59,23 @@ class _UsageError(Exception):
 
 
 def load_system(type_spec: str) -> CoxeterSystem:
-    """A type string, or a path to a JSON file holding a Coxeter matrix."""
+    """A type string, or a path to a JSON file holding a Coxeter matrix.  A
+    spec that parses as a type string is a type, whatever files are around."""
     path = Path(type_spec)
-    if path.suffix == ".json" or path.is_file():
-        try:
-            data = json.loads(path.read_text())
-        except OSError as exc:
-            raise _UsageError(f"cannot read matrix file {type_spec!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"matrix file {type_spec!r} is not valid JSON: {exc}")
-        if isinstance(data, dict) and "matrix" not in data:
-            raise _UsageError(f"matrix file {type_spec!r} has no \"matrix\" key")
-        return CoxeterSystem(data["matrix"] if isinstance(data, dict) else data)
-    return build_system(type_spec)
+    try:
+        return build_system(type_spec)
+    except BadMatrix:
+        if not (path.suffix == ".json" or path.is_file()):
+            raise
+    try:
+        data = json.loads(path.read_text())
+    except OSError as exc:
+        raise _UsageError(f"cannot read matrix file {type_spec!r}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"matrix file {type_spec!r} is not valid JSON: {exc}")
+    if isinstance(data, dict) and "matrix" not in data:
+        raise _UsageError(f"matrix file {type_spec!r} has no \"matrix\" key")
+    return CoxeterSystem(data["matrix"] if isinstance(data, dict) else data)
 
 
 def parse_generators(text: str) -> tuple:

@@ -16,7 +16,7 @@ literature (T_w = v^len(w) H_w) is supported as a conversion only.
 
 from __future__ import annotations
 
-from .barcanon import ModuleVector, act_hecke, bar_columns, bar_vector, canonical_basis
+from .barcanon import ModuleVector, act_hecke, bar_vector, canonical_basis
 from .coxeter import CoxeterSystem, Element
 from .errors import ConsistencyError, SystemMismatch
 from .laurent import ONE, LaurentPoly, ZERO, add_scaled, v_power
@@ -84,12 +84,11 @@ class HeckeElt:
         return _from_ids(self.system, bar_vector(self._vector()).coords)
 
     def theta(self) -> "HeckeElt":
-        """The algebra automorphism with H_w -> (-1)^len(w) bar(H_w), A-linearly."""
-        cols = bar_columns("M", regular_module(self.system))
-        out: dict[int, LaurentPoly] = {}
-        for w, c in self.coords.items():
-            add_scaled(out, cols[w.key].coords, -c if w.length % 2 else c)
-        return _from_ids(self.system, out)
+        """The algebra automorphism with H_w -> (-1)^len(w) bar(H_w), A-linearly:
+        the bar of the element with coefficients (-1)^len(w) bar(c)."""
+        X = regular_module(self.system)
+        twisted = {w.key: -c.bar() if w.length % 2 else c.bar() for w, c in self.coords.items()}
+        return _from_ids(self.system, bar_vector(ModuleVector("M", X, twisted)).coords)
 
     def to_t_pairs(self) -> list:
         """Coordinates over the T-basis (T_w = v^len(w) H_w), for import/export."""
@@ -134,14 +133,15 @@ class KLTable:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         table = canonical_basis("M", regular_module(system))
-        # cols[y] = {x: h[x, y]}, the canonical table's own store: read-only
-        self.mu, self.cols = table.mu, table.cols
+        # cols[y] = {x: h[x, y]} and mus[y] = {x: mu(x, y)}, the canonical
+        # table's own stores: read-only
+        self.mus, self.cols = table.mus, table.cols
 
     def poly(self, x: Element, y: Element) -> LaurentPoly:
         return self.cols[y.key].get(x.key, ZERO)
 
     def mu_of(self, x: Element, y: Element) -> int:
-        return self.mu.get((x.key, y.key), 0)
+        return self.mus[y.key].get(x.key, 0)
 
     def underline(self, y: Element) -> HeckeElt:
         return _from_ids(self.system, self.cols[y.key])

@@ -232,13 +232,17 @@ def add_scaled(acc: dict, vec: dict, c=ONE) -> dict:
     return acc
 
 
-def act_generator(coords: dict, action, s: int, height2, kind: str) -> dict:
+def act_generator(coords: dict, action, s: int, height2, kind: str, bar: bool = False) -> dict:
     """H_s applied to a sparse vector over the standard basis of M(X) or N(X),
     X given by its action rows and doubled heights.  The three-case rule:
     H_s M_x is M_sx where s raises x, M_sx + (v - v^-1) M_x where s lowers x,
-    and v M_x (kind M) or -v^-1 N_x (kind N) where s keeps the height of x."""
+    and v M_x (kind M) or -v^-1 N_x (kind N) where s keeps the height of x.
+
+    With bar, bar(H_s) = H_s + (v^-1 - v) instead, in one pass: M_sx +
+    (v^-1 - v) M_x where s raises x, M_sx where s lowers x, and v^-1 M_x (M)
+    or -v N_x (N) where s keeps the height of x."""
     row = action[s]
-    out, down, level = {}, {}, {}  # M_sx for each moved x; the M_x that s lowers; those it keeps
+    out, moved, level = {}, {}, {}  # M_sx for each moved x; the M_x that s lowers (raises, with bar); those it keeps
     for x, c in coords.items():
         y = row[x]
         if y is None:
@@ -247,10 +251,12 @@ def act_generator(coords: dict, action, s: int, height2, kind: str) -> dict:
             level[x] = c
         else:
             out[y] = c
-            if height2[y] < height2[x]:
-                down[x] = c
-    add_scaled(out, down, V - VINV)
-    return add_scaled(out, level, V if kind == "M" else -VINV)
+            if (height2[y] < height2[x]) != bar:
+                moved[x] = c
+    add_scaled(out, moved, VINV - V if bar else V - VINV)
+    if kind == "M":
+        return add_scaled(out, level, VINV if bar else V)
+    return add_scaled(out, level, -V if bar else -VINV)
 
 
 def canonical_columns(kind: str, action, height2) -> tuple[dict, dict]:

@@ -15,6 +15,14 @@ full_bar_verdict and full_phi_verdict are the direct checks the package
 replaced by checks at the orbit minima: every identity is checked at every
 point.
 
+vector_bar_verdict, vector_phi_verdict and vector_primed_basis are the bar,
+Phi and primed-basis checks as the package ran them before it compared
+columns: bar(H_s M_x) by applying the bar operator to the vector H_s M_x,
+Phi(H_s M_x) by applying Phi to it, and bar(u) = u by applying the bar
+operator to every primed vector.  pair_table_checks are the four table
+checks as they were before they ran over down-sets and per-column mu: they
+scan every x (or every pair) and read mu from an (x, y)-keyed map.
+
 closed_form_bar_columns is the paper's closed form for the bar operator on a
 twisted-involution class, which the package used there before it built every
 bar operator by the recurrence bar M_x = bar(H_s) bar M_sx.
@@ -30,10 +38,12 @@ from qpcox.barcanon import (
     act_gen,
     bar_columns,
     bar_vector,
+    phi_maps,
+    verify_bar_operator,
 )
 from qpcox.coxeter import ExtElement
 from qpcox.errors import ConsistencyError, TruncationRequired
-from qpcox.laurent import ONE, ZERO, LaurentPoly, add_scaled, v_power
+from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, add_scaled, v_power
 from qpcox.qpsets import bruhat_order, check_quasiparabolic
 
 
@@ -185,7 +195,8 @@ def _solve_unique(rows, rhs, n_unknowns):
 
 
 def table_entries(cols):
-    """The (x, y)-keyed map of a table stored as columns cols[y] = {x: p[x, y]}."""
+    """The (x, y)-keyed map of a table stored as columns cols[y] = {x: p[x, y]}
+    (or of its mu-coefficients, mus[y] = {x: mu(x, y)})."""
     return {(x, y): poly for y, col in enumerate(cols) for x, poly in col.items()}
 
 
@@ -212,41 +223,7 @@ def to_canonical_coords(table, vec):
 
 def full_bar_verdict(kind, X):
     """verify_bar_operator with the involution checked at every point."""
-    verdict = check_quasiparabolic(X)
-    if not verdict.is_qp:
-        return BarVerdict(False, kind, {"reason": "not quasiparabolic", **(verdict.witness() or {})})
-    cols = bar_columns(kind, X)
-    checked = skipped = 0
-    label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
-    if X.truncated_at is None:
-        order = bruhat_order(X)
-        for x in range(len(X)):
-            col = cols[x]
-            if col.coeff(x) != ONE or any(not order.lt(w, x) for w in col.coords if w != x):
-                return BarVerdict(False, kind, {"reason": "not unitriangular", "x": x}, checked, skipped, label)
-    for x in range(len(X)):
-        try:
-            bb = bar_vector(cols[x])
-        except TruncationRequired:
-            skipped += 1
-            continue
-        checked += 1
-        if bb != ModuleVector.standard(kind, X, x):
-            return BarVerdict(False, kind, {"reason": "not an involution", "x": x}, checked, skipped, label)
-    for s in range(X.n_gens):
-        for x in range(len(X)):
-            try:
-                lhs = bar_vector(act_gen(ModuleVector.standard(kind, X, x), s))
-                rhs = act_bar_gen(cols[x], s)
-            except TruncationRequired:
-                skipped += 1
-                continue
-            checked += 1
-            if lhs != rhs:
-                return BarVerdict(
-                    False, kind, {"reason": "incompatible with H_s", "s": s, "x": x}, checked, skipped, label
-                )
-    return BarVerdict(True, kind, None, checked, skipped, label)
+    return vector_bar_verdict(kind, X, minima_only=False)
 
 
 def full_phi_verdict(phi):
@@ -293,3 +270,232 @@ def closed_form_bar_columns(kind, X):
         scale = v_power(lmin) if kind == "M" else v_power(-lmin) * (-1 if lmin % 2 else 1)
         cols.append(vec.scale(scale))
     return cols
+
+
+def composed_bar_gen(vec, s):
+    """bar(H_s) = H_s + (v^-1 - v) by its definition, from the H_s rule alone."""
+    out = act_gen(vec, s)
+    add_scaled(out.coords, vec.coords, VINV - V)
+    return out
+
+
+def vector_bar_verdict(kind, X, minima_only=True):
+    """verify_bar_operator with bar(H_s M_x) computed by bar_vector; with
+    minima_only=False the involution is checked at every point too."""
+    verdict = check_quasiparabolic(X)
+    if not verdict.is_qp:
+        return BarVerdict(False, kind, {"reason": "not quasiparabolic", **(verdict.witness() or {})})
+    cols = bar_columns(kind, X)
+    checked = skipped = 0
+    full = X.truncated_at is None
+    label = None if full else f"verified up to height {X.truncated_at}"
+    if full:
+        order = bruhat_order(X)
+        for x in range(len(X)):
+            col = cols[x]
+            if col.coeff(x) != ONE or any(not order.lt(w, x) for w in col.coords if w != x):
+                return BarVerdict(False, kind, {"reason": "not unitriangular", "x": x}, checked, skipped, label)
+    points = X.minimal_elements() if full and minima_only else range(len(X))
+    for x in points:
+        try:
+            bb = bar_vector(cols[x])
+        except TruncationRequired:
+            skipped += 1
+            continue
+        checked += 1
+        if bb != ModuleVector.standard(kind, X, x):
+            return BarVerdict(False, kind, {"reason": "not an involution", "x": x}, checked, skipped, label)
+    for s in range(X.n_gens):
+        for x in range(len(X)):
+            try:
+                lhs = bar_vector(act_gen(ModuleVector.standard(kind, X, x), s))
+                rhs = act_bar_gen(cols[x], s)
+            except TruncationRequired:
+                skipped += 1
+                continue
+            checked += 1
+            if lhs != rhs:
+                return BarVerdict(
+                    False, kind, {"reason": "incompatible with H_s", "s": s, "x": x}, checked, skipped, label
+                )
+    if full:
+        checked += len(X) - len(points)
+    return BarVerdict(True, kind, None, checked, skipped, label)
+
+
+def vector_phi_verdict(phi):
+    """PhiMaps.verify with Phi(H_s M_x) computed by applying Phi to H_s M_x."""
+    X = phi.X
+    for x in range(len(X)):
+        m_std = ModuleVector.standard("M", X, x)
+        n_std = ModuleVector.standard("N", X, x)
+        for s in range(X.n_gens):
+            if phi.mn(act_gen(m_std, s)) != act_bar_gen(phi.mn_cols[x], s).scale(-1):
+                return CheckVerdict(False, "phi-twisted-law", {"s": s, "x": x})
+            if phi.nm(act_gen(n_std, s)) != act_bar_gen(phi.nm_cols[x], s).scale(-1):
+                return CheckVerdict(False, "phi-twisted-law-n", {"s": s, "x": x})
+    lemma = X.truncated_at is None and all(verify_bar_operator(k, X).ok for k in ("M", "N"))
+    for x in X.minimal_elements() if lemma else range(len(X)):
+        m_std = ModuleVector.standard("M", X, x)
+        n_std = ModuleVector.standard("N", X, x)
+        if phi.nm(phi.mn_cols[x]) != m_std or phi.mn(phi.nm_cols[x]) != n_std:
+            return CheckVerdict(False, "phi-inverse", {"x": x})
+        if phi.mn(bar_vector(m_std)) != bar_vector(phi.mn_cols[x]):
+            return CheckVerdict(False, "phi-bar-square", {"x": x})
+        if phi.nm(bar_vector(n_std)) != bar_vector(phi.nm_cols[x]):
+            return CheckVerdict(False, "phi-bar-square-n", {"x": x})
+    return CheckVerdict(True, "phi")
+
+
+def vector_primed_basis(table_m, table_n, kind):
+    """primed_basis with bar(u) = u checked by bar_vector on every vector."""
+    X = table_m.X
+    src = table_n if kind == "M" else table_m
+    vectors = []
+    for y in range(len(X)):
+        coords = {}
+        for x, c in src.cols[y].items():
+            sign = -1 if ((X.height2[y] - X.height2[x]) // 2) % 2 else 1
+            coords[x] = c.bar() * sign
+        vectors.append(ModuleVector(kind, X, coords))
+    phi = phi_maps(X)
+    for y, u in enumerate(vectors):
+        if bar_vector(u) != u:
+            return vectors, CheckVerdict(False, "primed-bar-invariance", {"y": y})
+        if u.coeff(y) != ONE:
+            return vectors, CheckVerdict(False, "primed-unitriangular", {"y": y})
+        for x, c in u.coords.items():
+            if x != y and c.min_exp() < 1:
+                return vectors, CheckVerdict(False, "primed-congruence", {"x": x, "y": y})
+        other = table_n.underline(y) if kind == "M" else table_m.underline(y)
+        image = phi.nm(other) if kind == "M" else phi.mn(other)
+        if u != image.scale(phi.eps[y]):
+            return vectors, CheckVerdict(False, "primed-phi", {"y": y})
+    return vectors, CheckVerdict(True, f"primed-{kind}")
+
+
+def pair_table_checks(table):
+    """Parity, multiplication, recurrence and mu-delta verdicts of table, each
+    by scanning every x or every pair; parity alone on a truncated carrier."""
+    mu = table_entries(table.mus)
+    checks = [_pair_parity(table, mu)]
+    if table.X.truncated_at is None:
+        checks += [_pair_multiplication(table, mu), _pair_recurrences(table, mu), _pair_mu_lemma(table, mu)]
+    return checks
+
+
+def _pair_parity(table, mu):
+    X = table.X
+    for y, col in enumerate(table.cols):
+        for x, c in col.items():
+            wt = c.shift((X.height2[y] - X.height2[x]) // 2)
+            if any(e < 0 or e % 2 for e in wt.terms):
+                return CheckVerdict(False, "parity", {"x": x, "y": y})
+            if table.kind == "M" and wt.constant_term != 1:
+                return CheckVerdict(False, "parity", {"x": x, "y": y})
+    for (x, y), m in mu.items():
+        if (X.height2[y] - X.height2[x]) % 4 == 0 and m:
+            return CheckVerdict(False, "parity", {"x": x, "y": y, "mu": m})
+    return CheckVerdict(True, "parity")
+
+
+def _pair_multiplication(table, mu):
+    X = table.X
+    h2 = X.height2
+    order = bruhat_order(X)
+    weak = table.kind == "M"
+
+    def descends(s, x):
+        d = h2[X.action[s][x]] - h2[x]
+        return d < 0 or (weak and d == 0)
+
+    for s in range(X.n_gens):
+        for x in range(len(X)):
+            u = table.underline(x)
+            lhs = act_gen(u, s)
+            add_scaled(lhs.coords, u.coords, VINV)
+            sx = X.action[s][x]
+            if descends(s, x):
+                rhs = add_scaled({}, u.coords, V + VINV)
+            else:
+                rhs = dict(table.cols[sx]) if h2[sx] > h2[x] else {}
+                for w in order.downset_ids(x):
+                    m = mu.get((w, x), 0)
+                    if m and descends(s, w):
+                        add_scaled(rhs, table.cols[w], m)
+            if lhs.coords != rhs:
+                return CheckVerdict(False, "multiplication", {"s": s, "x": x})
+    return CheckVerdict(True, "multiplication")
+
+
+def _pair_recurrences(table, mu):
+    X = table.X
+    kind = table.kind
+    order = bruhat_order(X)
+    h2 = X.height2
+    wts = {
+        (x, y): c.shift((h2[y] - h2[x]) // 2)
+        for y, col in enumerate(table.cols)
+        for x, c in col.items()
+        if order.leq(x, y)
+    }
+
+    def wt(x, y):
+        return wts.get((x, y), ZERO)
+
+    vv = v_power(2)
+    n = len(X)
+    for s in range(X.n_gens):
+        for y in range(n):
+            sy = X.action[s][y]
+            if kind == "M" and h2[sy] == h2[y]:
+                for x in range(n):
+                    if wt(x, y) != wt(X.action[s][x], y):
+                        return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": x})
+                continue
+            if h2[sy] >= h2[y]:
+                continue
+            corrections = []
+            for t in order.downset_ids(sy):
+                m = mu.get((t, sy), 0)
+                drop = h2[X.action[s][t]] - h2[t]
+                if m and t != sy and (drop < 0 or (kind == "M" and drop == 0)):
+                    corrections.append((t, m * v_power((h2[y] - h2[t]) // 2)))
+            for x in range(n):
+                sx = X.action[s][x]
+                dh = h2[sx] - h2[x]
+                if kind == "M":
+                    bracket = wt(x, sy) + vv * wt(sx, sy) if dh > 0 else vv * wt(x, sy) + wt(sx, sy)
+                elif dh > 0:
+                    bracket = wt(x, sy) + vv * wt(sx, sy)
+                elif dh < 0:
+                    bracket = vv * wt(x, sy) + wt(sx, sy)
+                else:
+                    bracket = ZERO
+                total = bracket
+                for t, c in corrections:
+                    if order.leq(x, t):
+                        total = total - wt(x, t) * c
+                if wt(x, y) != total or wt(x, y) != wt(sx, y):
+                    return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": x})
+    return CheckVerdict(True, "recurrence")
+
+
+def _pair_mu_lemma(table, mu):
+    X = table.X
+    order = bruhat_order(X)
+    h2 = X.height2
+    n = len(X)
+    for x in range(n):
+        for y in range(n):
+            if not order.lt(x, y):
+                continue
+            for s in range(X.n_gens):
+                sx, sy = X.action[s][x], X.action[s][y]
+                if table.kind == "M":
+                    applies = h2[sy] <= h2[y] and h2[sx] > h2[x]
+                else:
+                    applies = h2[sy] < h2[y] and h2[sx] >= h2[x]
+                if applies and mu.get((x, y), 0) != (1 if sx == y else 0):
+                    return CheckVerdict(False, "mu-delta", {"s": s, "x": x, "y": y})
+    return CheckVerdict(True, "mu-delta")

@@ -177,7 +177,7 @@ def test_criterion_6_bar_canonical_suite():
                 }
                 ok = ok and got == table_entries(kl.cols)
             # kl_basis is the M table itself; the oracle solves independently
-            ok = ok and (table_entries(kl.cols), kl.mu) == OracleHecke(X.system).kl()
+            ok = ok and (table_entries(kl.cols), table_entries(kl.mus)) == OracleHecke(X.system).kl()
         assert ok, label
     report(6, "bar/canonical suite on fpf, cosets, regular carriers", ok)
 

@@ -1,21 +1,27 @@
+import copy
 import inspect
 import itertools
 
 import pytest
 
-from qpcox import laurent
+from qpcox import barcanon, laurent
 from qpcox.barcanon import (
+    CheckVerdict,
     ModuleVector,
     PhiMaps,
     _bar_columns,
     _kinds_agree,
+    _table_checks,
+    act_bar_gen,
     act_gen,
     act_hecke,
     bar_columns,
     canonical_basis,
     inversion_check,
     iplus_qp_classes,
+    phi_maps,
     primed_basis,
+    table_checks,
     verify_bar_operator,
     verify_mu_lemma,
     verify_multiplication,
@@ -26,12 +32,13 @@ from qpcox.classify import twisted_classes
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.errors import ConsistencyError
 from qpcox.hecke import HeckeElt, kl_basis
-from qpcox.laurent import ONE, V, VINV
+from qpcox.laurent import ONE, V, VINV, v_power
 from qpcox.qpsets import (
     check_quasiparabolic,
     conjugacy_set,
     coset_set,
     even_double_cover,
+    lowest_descent,
     regular_set,
     rht_witness,
 )
@@ -40,12 +47,17 @@ from oracle_canonical import (
     act_bar_word,
     brute_force_canonical,
     closed_form_bar_columns,
+    composed_bar_gen,
     full_bar_verdict,
     full_phi_verdict,
     generic_canonical_columns,
+    pair_table_checks,
     table_as_int_dicts,
     table_entries,
     to_canonical_coords,
+    vector_bar_verdict,
+    vector_phi_verdict,
+    vector_primed_basis,
 )
 from oracle_hecke import OracleHecke, replay_bar_columns
 
@@ -257,7 +269,7 @@ def _matches_oracles(kind, X):
         return True
     own = _bar_columns(kind, X)
     table = canonical_basis(kind, X)
-    return bar_columns(kind, X) == own and (table_entries(table.cols), table.mu) == generic_canonical_columns(
+    return bar_columns(kind, X) == own and (table_entries(table.cols), table_entries(table.mus)) == generic_canonical_columns(
         [col.coords for col in own]
     )
 
@@ -340,6 +352,178 @@ def test_phi_broken_off_the_minima_is_refused():
     assert not verdict.ok and verdict.name == "phi-twisted-law"
 
 
+def _bar_matches_vector_oracle(kind, X):
+    verdict, oracle = verify_bar_operator(kind, X), vector_bar_verdict(kind, X)
+    return _verdict(verdict) == _verdict(oracle) and verdict.label == oracle.label
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)"])
+def test_column_checks_match_vector_oracles(name):
+    # the column comparisons give the verdicts, counts and witnesses of the
+    # checks they replaced, on every carrier: the bar operator, the four
+    # table checks, the Phi maps and the primed bases
+    for X in _untruncated_carriers(build_system(name)):
+        for kind in ("M", "N"):
+            assert _bar_matches_vector_oracle(kind, X), (X, kind)
+        if not all(verify_bar_operator(kind, X).ok for kind in ("M", "N")):
+            continue
+        tables = {kind: canonical_basis(kind, X) for kind in ("M", "N")}
+        for kind, table in tables.items():
+            assert table_checks(kind, X) == pair_table_checks(table), (X, kind)
+        phi = phi_maps(X)
+        assert phi.verify() == vector_phi_verdict(phi), X
+        for kind in ("M", "N"):
+            assert primed_basis(tables["M"], tables["N"], kind) == vector_primed_basis(tables["M"], tables["N"], kind)
+
+
+def test_truncated_verdicts_match_vector_oracles():
+    for seed, cutoff, X in _truncated_u3_classes():
+        for kind in ("M", "N"):
+            assert _bar_matches_vector_oracle(kind, X), (seed, cutoff, kind)
+            if verify_bar_operator(kind, X).ok:
+                table = canonical_basis(kind, X)
+                assert table_checks(kind, X) == pair_table_checks(table), (seed, cutoff, kind)
+
+
+def test_bar_kernel_is_its_definition():
+    # act_bar_gen applies bar(H_s) in one pass; it must equal H_s + (v^-1 - v)
+    # built from the H_s rule, on vectors with polynomial coefficients too
+    a3 = build_system("A3")
+    carriers = [regular_set(a3), coset_set(a3, [1]), fpf_class(a3), coset_set(build_system("B3"), [0, 2])]
+    carriers += [X for _, _, X in _truncated_u3_classes((5,))]
+    for X in carriers:
+        for kind in ("M", "N"):
+            vectors = [ModuleVector.standard(kind, X, x) for x in range(len(X))] + bar_columns(kind, X)
+            if X.truncated_at is None:
+                vectors += [canonical_basis(kind, X).underline(y) for y in range(len(X))]
+            for vec in vectors:
+                for s in range(X.n_gens):
+                    try:
+                        expect = composed_bar_gen(vec, s)
+                    except laurent.TruncationRequired:
+                        continue
+                    assert act_bar_gen(vec, s) == expect, (X, kind, s, vec)
+
+
+def _mutated_kernel(old, new):
+    """laurent.act_generator with one line of its source replaced."""
+    source = inspect.getsource(laurent.act_generator)
+    assert old in source
+    namespace = dict(vars(laurent))
+    exec(source.replace(old, new), namespace)
+    return namespace["act_generator"]
+
+
+def test_bar_broken_off_the_recurrence_is_refused(monkeypatch):
+    # a bar(H_s) kernel that drops the coefficient of each coordinate it moves
+    # is right on every standard vector, and the columns are built with it, so
+    # every recurrence step holds: the broken columns show only at a raising
+    # edge (s, x) that is not the recurrence step of sx.  The parent's loop
+    # refuses them with the same reason.
+    broken = _mutated_kernel("moved[x] = c", "moved[x] = c if not bar else ONE")
+    monkeypatch.setattr(barcanon, "act_generator", broken)
+    X = regular_set(build_system("A3"))
+    for kind in ("M", "N"):
+        verdict = verify_bar_operator(kind, X)
+        assert not verdict.ok and verdict.failure["reason"] == "incompatible with H_s"
+        s, x = verdict.failure["s"], verdict.failure["x"]
+        sx = X.action[s][x]
+        assert X.height2[sx] > X.height2[x] and lowest_descent(X.action, X.height2, sx)[0] != s
+        assert vector_bar_verdict(kind, X).failure["reason"] == "incompatible with H_s"
+
+
+@pytest.mark.parametrize("old, new, carrier", [
+    # a wrong raising coefficient: the raising checks alone pass it on the
+    # regular carrier, where no generator keeps a height
+    ("VINV - V if bar else V - VINV", "VINV if bar else V - VINV", regular_set),
+    ("VINV - V if bar else V - VINV", "VINV if bar else V - VINV", lambda W: coset_set(W, [1])),
+    # the H_s eigenvalue where bar(H_s)'s belongs
+    ("VINV if bar else V)", "V)", lambda W: coset_set(W, [1])),
+])
+def test_bar_kernel_broken_on_standard_vectors_is_refused(monkeypatch, old, new, carrier):
+    # the comparisons rest on the three-case rule, so the kernels are checked
+    # against it on every standard vector; the parent's loop refuses these too
+    monkeypatch.setattr(barcanon, "act_generator", _mutated_kernel(old, new))
+    X = carrier(build_system("A3"))
+    verdict = verify_bar_operator("M", X)
+    assert not verdict.ok and verdict.failure["reason"] == "incompatible with H_s"
+    assert vector_bar_verdict("M", X).failure["reason"] == "incompatible with H_s"
+
+
+def _table_copy(table):
+    """A copy of table whose columns and mu views can be changed."""
+    out = copy.copy(table)
+    out.cols = [dict(col) for col in table.cols]
+    out.mus = [dict(col) for col in table.mus]
+    return out
+
+
+def _refusal(table):
+    """The names of the table checks that refuse table, if the pair-scanning
+    checks give the same verdicts in order, with the same witnesses except
+    for mu-delta, whose scan order changed (y-major, not x-major)."""
+    new, old = _table_checks(table), pair_table_checks(table)
+    assert [(c.ok, c.name) for c in new] == [(c.ok, c.name) for c in old]
+    assert all(a == b for a, b in zip(new, old) if a.name != "mu-delta")
+    return {c.name for c in new if not c.ok}
+
+
+def _mutation_carriers():
+    a3 = build_system("A3")
+    return [coset_set(a3, [1]), fpf_class(a3), coset_set(build_system("B3"), [0]), regular_set(a3)]
+
+
+def test_perturbed_p_is_refused_as_at_the_parent():
+    # v^2 added to v^(ht y - ht x) p[x, y]: parity still holds, so the later
+    # checks must see it
+    for X in _mutation_carriers():
+        for kind in ("M", "N"):
+            table = canonical_basis(kind, X)
+            entries = [(x, y) for y, col in enumerate(table.cols) for x in col if x != y]
+            for x, y in entries[::max(1, len(entries) // 40)]:
+                broken = _table_copy(table)
+                d = (X.height2[y] - X.height2[x]) // 2
+                broken.cols[y][x] = broken.cols[y][x] + v_power(2 - d)
+                assert _refusal(broken), (X, kind, x, y)
+
+
+def test_flipped_mu_is_refused_as_at_the_parent():
+    # a mu that no check reads passes both ways (as mu(3, 6) of the M table
+    # on A3 / <s2>); the rest must be refused, by the same checks
+    refused = 0
+    for X in _mutation_carriers():
+        for kind in ("M", "N"):
+            table = canonical_basis(kind, X)
+            flips = [(x, y) for y, col in enumerate(table.mus) for x in col]
+            for x, y in flips[::max(1, len(flips) // 40)]:
+                broken = _table_copy(table)
+                broken.mus[y][x] = -broken.mus[y][x]
+                refused += bool(_refusal(broken))
+    assert refused >= 40
+
+
+def test_primed_break_fails_as_primed_phi():
+    # bar(u) = u is no longer computed: it follows from u = eps Phi(C), which
+    # is checked along the multiplication theorem.  A primed vector that is
+    # not bar-invariant fails as primed-phi at the same point where the
+    # vector loop failed it as primed-bar-invariance
+    X = coset_set(build_system("A3"), [1])
+    table_m, table_n = canonical_basis("M", X), canonical_basis("N", X)
+    for y in range(1, len(X)):
+        broken = _table_copy(table_n)
+        broken.cols[y][0] = broken.cols[y].get(0, laurent.ZERO) + v_power(-1 - X.height2[y] // 2)
+        assert primed_basis(table_m, broken, "M")[1] == CheckVerdict(False, "primed-phi", {"y": y})
+        assert vector_primed_basis(table_m, broken, "M")[1] == CheckVerdict(False, "primed-bar-invariance", {"y": y})
+
+
+def test_phi_verdict_is_computed_once(monkeypatch):
+    X = coset_set(build_system("A3"), [1])
+    phi = PhiMaps(X)
+    first = phi.verify()
+    monkeypatch.setattr(PhiMaps, "_verify", lambda self: pytest.fail("verified twice"))
+    assert phi.verify() is first and first.ok
+
+
 # -- canonical bases -----------------------------------------------------------
 
 
@@ -364,7 +548,7 @@ def test_regular_table_equals_kl_table():
                 assert kl.poly(wx, wy) == c
             assert len(table_entries(table.cols)) == len(table_entries(kl.cols))
         # kl_basis is this table, so also compare with the Element-keyed solve
-        assert (table_entries(kl.cols), kl.mu) == OracleHecke(sys).kl()
+        assert (table_entries(kl.cols), table_entries(kl.mus)) == OracleHecke(sys).kl()
 
 
 def test_fpf_a3_table_and_brute_force_oracle():

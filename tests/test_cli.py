@@ -314,6 +314,18 @@ def test_malformed_matrix_file_is_one_error_line(tmp_path, body):
     assert "Traceback" not in proc.stderr
 
 
+def test_type_string_wins_over_a_file_of_that_name(tmp_path):
+    # a stray file named like a type string does not shadow the type
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "qpcox.cli", "survey", "--type", "A2", "--no-cache"]
+    (tmp_path / "empty").mkdir()
+    clean = subprocess.run(argv, cwd=tmp_path / "empty", env=env, capture_output=True, text=True, timeout=60)
+    (tmp_path / "A2").write_text("not a matrix\n")
+    stray = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert clean.returncode == stray.returncode == 0, stray.stderr
+    assert stray.stdout == clean.stdout and stray.stderr == ""
+
+
 @pytest.mark.parametrize("cutoff", ["0", "-3"])
 def test_universal_cutoff_below_a_seed_exits_1(tmp_path, capsys, cutoff):
     # --cutoff 0 is a cutoff, not the default 6; a class whose seed lies above

@@ -151,6 +151,22 @@ def test_t_basis_roundtrip():
     assert H(s).scale(V).to_t_pairs() == [[[0], [[0, 1]]]]
 
 
+def test_lone_bar_fills_only_the_columns_below():
+    # bar and theta of one element build the bar columns along its descent
+    # chain, not the whole bar matrix; barring every element completes it
+    a4 = build_system("A4")
+    X = hecke.regular_module(a4)
+    s1 = a4.generator(0)
+    assert H(s1).bar() == H(s1) + HeckeElt.unit(a4).scale(VINV - V)
+    assert "_barcols" not in vars(X) and sorted(X._barpart["M"]) == [0, s1.key]
+    w = a4.element_from_word((0, 1, 2))
+    assert H(w).theta() == H(w).bar().scale(-1)
+    # its chain of lowest descents: s1 s2 s3, s2 s3, s3, then 1, already filled
+    assert len(X._barpart["M"]) == 5 and "_barcols" not in vars(X)
+    assert all(H(w).bar().bar() == H(w) for w in a4.elements())
+    assert X._barcols["M"] == [X._barpart["M"][x] for x in range(len(X))]
+
+
 def test_theta_is_algebra_automorphism():
     a2 = build_system("A2")
     rng = random.Random(13)
@@ -170,7 +186,7 @@ def test_hecke_matches_element_oracle(name):
     oracle = OracleHecke(sys)
     table = kl_basis(sys)
     h, mu = oracle.kl()
-    assert table_entries(table.cols) == h and table.mu == mu
+    assert table_entries(table.cols) == h and table_entries(table.mus) == mu
     elements = sys.elements()
     for w in elements:
         assert H(w).bar().coords == oracle.bar({w: ONE})
