@@ -45,8 +45,8 @@ import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .classify import twisted_classes
-from .coxeter import CoxeterSystem, ExtElement
+from .classify import twisted_classes, w0_translate
+from .coxeter import CoxeterSystem
 from .errors import ConsistencyError, TruncationRequired
 from .laurent import ONE, V, VINV, ZERO, LaurentPoly, act_generator, add_scaled, canonical_columns, v_power
 from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic, lowest_descent
@@ -79,9 +79,6 @@ class ModuleVector:
 
     def coeff(self, pid: int) -> LaurentPoly:
         return self.coords.get(pid, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.coords
 
     def __eq__(self, other):
         return (
@@ -424,7 +421,9 @@ def _table_checks(table: CanonicalTable) -> list[CheckVerdict]:
 
 
 def verify_parity(table: CanonicalTable) -> CheckVerdict:
-    """v^(ht y - ht x) p[x, y] lies in 1 + v^2 Z[v^2] (kind M) or Z[v^2] (kind N)."""
+    """v^(ht y - ht x) p[x, y] lies in 1 + v^2 Z[v^2] (kind M) or Z[v^2] (kind N),
+    and mus[y] is exactly {x: [v^-1] p[x, y]} over the nonzero coefficients.
+    Together these give mu(x, y) = 0 wherever ht y - ht x is even."""
     X = table.X
     for y, col in enumerate(table.cols):
         for x, c in col.items():
@@ -433,10 +432,11 @@ def verify_parity(table: CanonicalTable) -> CheckVerdict:
                 return CheckVerdict(False, "parity", {"x": x, "y": y})
             if table.kind == "M" and wt.constant_term != 1:
                 return CheckVerdict(False, "parity", {"x": x, "y": y})
-    for y, col in enumerate(table.mus):
-        for x, m in col.items():
-            if (X.height2[y] - X.height2[x]) % 4 == 0 and m:
-                return CheckVerdict(False, "parity", {"x": x, "y": y, "mu": m})
+        mus = table.mus[y]
+        expect = {x: c.terms[-1] for x, c in col.items() if -1 in c.terms}
+        if mus != expect:
+            x = min(x for x in mus.keys() | expect.keys() if mus.get(x) != expect.get(x))
+            return CheckVerdict(False, "parity", {"x": x, "y": y, "mu": mus.get(x, 0)})
     return CheckVerdict(True, "parity")
 
 
@@ -754,24 +754,16 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
     collapses to the identity matrix; the dual expansion of the standard
     basis over the canonical one is checked alongside.
     """
-    w0 = system.longest_element()
-    theta0 = system.w0_aut()
-    w0p = ExtElement(w0, theta0)
     classes = iplus_qp_classes(system)
     verdict = InversionVerdict(True)
     for K in classes:
-        partner_payloads = {p: p * w0p for p in K.payloads}
-        some = next(iter(partner_payloads.values()))
-        K2 = None
-        for cand in classes:
-            if some in cand.index:
-                K2 = cand
-                break
+        theta2, keys = w0_translate(K)
+        K2 = next((c for c in classes if c.theta == theta2 and keys[0] in c.index), None)
         if K2 is None:
             return InversionVerdict(False, failure={"reason": "partner class is not QP", "class": K.describe_point(0)})
         table_m = canonical_basis("M", K)
         table_n = canonical_basis("N", K2)
-        part = {pid: K2.index[partner_payloads[p]] for pid, p in enumerate(K.payloads)}
+        part = [K2.index[k] for k in keys]
         n = len(K)
         for x in range(n):
             for y in range(n):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist
+from .coxeter import CoxeterSystem, DiagramAut, ExtElement, KeyTwist
 from .errors import NotInvolutionClass, NoUniqueMinimal, TruncationRequired
 from .qpsets import (
     QpVerdict,
@@ -26,13 +26,13 @@ from .qpsets import (
     bruhat_order,
     check_qp1_only,
     check_quasiparabolic,
-    conjugacy_set,
+    key_class,
 )
 
 
 def iota(system: CoxeterSystem, theta: DiagramAut) -> ScaledWSet:
     """The twisted conjugacy class of (1, theta)."""
-    return conjugacy_set(system, ExtElement(system.identity, theta))
+    return key_class(system, theta, 0)  # 0 is the id of 1; a universal system raises first
 
 
 def twisted_classes(
@@ -41,20 +41,15 @@ def twisted_classes(
     """Partition W x {theta} (or its twisted involutions) into conjugacy classes."""
     if system.family == "universal":
         raise TruncationRequired("class surveys need a finite system")
-    table = system._ensure_table()
-    if involutions_only:  # (x, theta) is a twisted involution iff theta^2 = 1 and theta(x) = x^-1
-        images = theta._images()
-        involutive = (theta * theta).is_identity()
-    seen = [False] * len(table.perms)
+    involutive = KeyTwist(theta).involutive
+    seen = [False] * system.order()
     out = []
     for x in range(len(seen)):
-        if seen[x]:
+        if seen[x] or (involutions_only and not involutive(x)):
             continue
-        if involutions_only and not (involutive and images[x] == table.inverse[x]):
-            continue
-        K = conjugacy_set(system, ExtElement(Element(system, x), theta))
-        for p in K.payloads:
-            seen[p.x.key] = True
+        K = key_class(system, theta, x)
+        for y in K.keys:
+            seen[y] = True
         out.append(K)
     return out
 
@@ -69,12 +64,11 @@ def is_perfect(K: ScaledWSet) -> bool:
     With w = (x, theta) and theta^2 = 1, (rw)^2 = (y, 1) for y = r x theta(r x),
     so (rw)^4 = 1 iff y is an involution.
     """
+    x = K.keys[0]
+    if not KeyTwist(K.theta).involutive(x):
+        raise NotInvolutionClass("perfectness is defined for twisted involution classes")
     table = K.system._ensure_table()
     images, inverse, mult = K.theta._images(), table.inverse, table.mult_ids
-    if not (K.theta * K.theta).is_identity() or any(
-            images[p.x.key] != inverse[p.x.key] for p in K.payloads):
-        raise NotInvolutionClass("perfectness is defined for twisted involution classes")
-    x = K.payloads[0].x.key
     for r in K.system.reflections():
         rx = mult(r.key, x)
         y = mult(rx, images[rx])
@@ -85,7 +79,8 @@ def is_perfect(K: ScaledWSet) -> bool:
 
 @dataclass
 class StructureFlags:
-    fixed_by_J: bool  # sws = w for all s in the descent set J
+    J: tuple  # the left descent set of x
+    fixed_by_J: bool  # sws = w for all s in J
     J_theta_stable: bool  # W_J finite and theta(J) = J
     x_is_longest: bool  # x = w_J
     centralizer_is_twisted_normalizer: bool
@@ -109,20 +104,19 @@ def structure_check(K: ScaledWSet) -> StructureFlags:
     """
     system = K.system
     theta = K.theta
-    minima = [p for p in K.payloads if p.length == K.height2[0]]
-    if len(minima) != 1:
-        raise NoUniqueMinimal(f"{len(minima)} elements of minimal length")
-    w = minima[0]
-    x = w.x.key
-    J = tuple(sorted(w.x.left_descents()))
-    step = KeyTwist(theta).step
-    fixed = all(step(s, x) == x for s in J)
-    stable = tuple(sorted(theta.gen(j) for j in J)) == J
-    x_is_longest = w.x == system.longest_element(J)
-
+    n_min = K.height2.count(K.height2[0])
+    if n_min != 1:
+        raise NoUniqueMinimal(f"{n_min} elements of minimal length")
+    x = K.keys[0]
     table = system._ensure_table()
     images, inverse, rmult, lmult, length = (
         theta._images(), table.inverse, table.rmult, table.lmult, table.length)
+    J = tuple(s for s in range(system.rank) if length[lmult[x][s]] < length[x])
+    step = KeyTwist(theta).step
+    fixed = all(step(s, x) == x for s in J)
+    stable = tuple(sorted(theta.gen(j) for j in J)) == J
+    x_is_longest = x == system.longest_element(J).key
+
     left_x, left_xinv = [x], [inverse[x]]  # x z and x^-1 z, along the search tree
     coset = [0]  # the minimal element of W_J z; ids are in length order
     for z in range(1, len(rmult)):
@@ -139,11 +133,9 @@ def structure_check(K: ScaledWSet) -> StructureFlags:
         for z, c in enumerate(coset)
     )
 
-    target = {p.x.key for p in iota(system, theta * theta).payloads}
-    squares = {table.mult_ids(p.x.key, images[p.x.key]) for p in K.payloads}
-    squares_onto = squares == target
-
-    return StructureFlags(fixed, stable, x_is_longest, centralizer_ok, squares_onto)
+    target = set(iota(system, theta * theta).keys)
+    squares = {table.mult_ids(y, images[y]) for y in K.keys}
+    return StructureFlags(J, fixed, stable, x_is_longest, centralizer_ok, squares == target)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +155,6 @@ class ClassReport:
     qp: QpVerdict
     qp1_only: bool
     perfect: Optional[bool]
-    J: Optional[tuple] = None
     structure: Optional[StructureFlags] = None
     order_agrees: Optional[bool] = None
     strong_exchange_ok: Optional[bool] = None
@@ -183,7 +174,7 @@ class ClassReport:
             "qp1_only": self.qp1_only,
             "witness": self.qp.witness(),
             "perfect": self.perfect,
-            "J": list(self.J) if self.J is not None else None,
+            "J": list(self.structure.J) if self.structure is not None else None,
         }
         if self.structure is not None:
             out["structure"] = {
@@ -223,17 +214,12 @@ def class_report(K: ScaledWSet, diagnostics: bool = False) -> ClassReport:
     system = K.system
     verdict = check_quasiparabolic(K)
     min_length = K.height2[0]
-    n_min = sum(1 for h in K.height2 if h == min_length)
-    is_inv = K.payloads[0].is_twisted_involution()
-    perfect = is_perfect(K) if is_inv else None
-    J = structure = None
-    if verdict.is_qp and n_min == 1:
-        J = tuple(sorted(K.payloads[0].x.left_descents()))
-        structure = structure_check(K)
+    n_min = K.height2.count(min_length)
+    is_inv = KeyTwist(K.theta).involutive(K.keys[0])
     report = ClassReport(
         system=system.name,
         theta=K.theta.sigma,
-        seed_word=K.payloads[0].x.word(),
+        seed_word=tuple(K.describe_point(0)["x"]),
         size=len(K),
         min_length=min_length,
         n_min_length=n_min,
@@ -241,9 +227,8 @@ def class_report(K: ScaledWSet, diagnostics: bool = False) -> ClassReport:
         is_twisted_involution_class=is_inv,
         qp=verdict,
         qp1_only=verdict.is_qp or check_qp1_only(K),
-        perfect=perfect,
-        J=J,
-        structure=structure,
+        perfect=is_perfect(K) if is_inv else None,
+        structure=structure_check(K) if verdict.is_qp and n_min == 1 else None,
         X=K,
     )
     if diagnostics:
@@ -257,14 +242,11 @@ def class_report(K: ScaledWSet, diagnostics: bool = False) -> ClassReport:
 def _order_agrees(K: ScaledWSet) -> bool:
     # Bruhat order of the quasiparabolic carrier versus the restriction of
     # the Bruhat order of W; agreement is conjectural, so it is reported only
-    order = bruhat_order(K)
-    n = len(K)
-    for x in range(n):
-        for y in range(n):
-            group_leq = K.system.bruhat_leq(K.payloads[x].x, K.payloads[y].x)
-            if order.leq(x, y) != group_leq:
-                return False
-    return True
+    order, down = bruhat_order(K), K.system._bruhat_table()
+    return all(
+        order.leq(x, y) == bool(down[b] >> a & 1)
+        for x, a in enumerate(K.keys) for y, b in enumerate(K.keys)
+    )
 
 
 def _strong_exchange(K: ScaledWSet) -> bool:
@@ -273,8 +255,7 @@ def _strong_exchange(K: ScaledWSet) -> bool:
     system = K.system
     conj, down = KeyTwist(K.theta).conj, system._bruhat_table()
     length = system._table.length
-    for p in K.payloads:
-        x = p.x.key
+    for x in K.keys:
         for r in system.reflections():
             q = conj(r.key, x)
             if length[q] < length[x] and not down[x] >> q & 1:
@@ -309,22 +290,31 @@ def _witness_ok(rep: ClassReport) -> bool:
     return revalidate_witness(rep.X, rep.qp.witness())
 
 
+def w0_translate(K: ScaledWSet) -> tuple[DiagramAut, list]:
+    """The right translate of a finite class K by w0+ = (w0, conjugation by
+    w0), on keys: (x, theta) w0+ = (x w0, theta theta0), as theta(w0) = w0.
+    Returns theta theta0 and the key of each point's translate."""
+    system = K.system
+    w0, mult = system.longest_element().key, system._table.mult_ids
+    return K.theta * system.w0_aut(), [mult(x, w0) for x in K.keys]
+
+
 def check_w0_translation(system: CoxeterSystem) -> bool:
     """Multiplication by w0+ = (w0, conj-by-w0) permutes the quasiparabolic
     classes and reverses their Bruhat orders."""
-    w0p = ExtElement(system.longest_element(), system.w0_aut())
     for theta in system.diagram_automorphisms():
         for K in twisted_classes(system, theta):
             if not check_quasiparabolic(K).is_qp:
                 continue
-            K2 = conjugacy_set(system, K.payloads[0] * w0p)
+            theta2, keys = w0_translate(K)
+            K2 = key_class(system, theta2, keys[0])
             if not check_quasiparabolic(K2).is_qp:
                 return False
-            if {p * w0p for p in K.payloads} != set(K2.payloads):
+            if set(keys) != set(K2.keys):
                 return False
             order = bruhat_order(K)
             order2 = bruhat_order(K2)
-            part = {pid: K2.index[p * w0p] for pid, p in enumerate(K.payloads)}
+            part = [K2.index[k] for k in keys]
             for x in range(len(K)):
                 for y in range(len(K)):
                     if order.leq(x, y) != order2.leq(part[y], part[x]):
@@ -360,10 +350,11 @@ def universal_qp_check(system: CoxeterSystem, seed: ExtElement) -> UniversalQpVe
                 break
         else:
             break
-    stuck = Element(system, x)
+    sigma = seed.theta.sigma
+    word = x if system.family == "universal" else system._table.word(x, system.rank)
     return UniversalQpVerdict(
-        is_qp=stuck.length <= 1 and seed.theta(stuck) == stuck,
-        in_iplus=seed.is_twisted_involution(),
-        stuck_word=stuck.word(),
-        stuck_length=stuck.length,
+        is_qp=len(word) <= 1 and tuple(sigma[s] for s in word) == word,
+        in_iplus=twist.involutive(seed.x.key),
+        stuck_word=word,
+        stuck_length=len(word),
     )

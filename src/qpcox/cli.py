@@ -32,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__, barcanon, classify, hecke, qpsets, wgraph
-from .coxeter import CoxeterSystem, DiagramAut, ExtElement, build_system
+from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, build_system
 from .errors import BadMatrix, ConsistencyError, QpcoxError
 from .laurent import V, VINV
 
@@ -146,7 +146,7 @@ def carrier_descriptor(X: qpsets.ScaledWSet) -> dict:
         out["J"] = [j + 1 for j in X.J]
     if X.kind == "conjugacy":
         out["theta"] = list(X.theta.sigma)
-        out["seed"] = list(X.payloads[0].x.word())
+        out["seed"] = X.describe_point(0)["x"]
     return out
 
 
@@ -346,17 +346,9 @@ def cmd_basis(args) -> int:
             payload["tables"][kind] = entry
             if not all(c.ok for c in checks):
                 payload["failures"] = [c.name for c in checks if not c.ok]
-        if (
-            X.kind == "conjugacy"
-            and X.truncated_at is None
-            and all(p.is_twisted_involution() for p in X.payloads)
-        ):
-            w0p = ExtElement(system.longest_element(), system.w0_aut())
-            partner = X.payloads[0] * w0p
-            payload["inversion_partner"] = {
-                "theta": list(partner.theta.sigma),
-                "seed": list(partner.x.word()),
-            }
+        if X.kind == "conjugacy" and X.truncated_at is None and KeyTwist(X.theta).involutive(X.keys[0]):
+            theta, keys = classify.w0_translate(X)
+            payload["inversion_partner"] = {"theta": list(theta.sigma), "seed": list(Element(system, keys[0]).word())}
         _cache_store(path, payload)
     if args.format == "csv":
         buf = io.StringIO()

@@ -708,10 +708,8 @@ class ExtElement:
         return self.x.is_identity() and self.theta.is_identity()
 
     def is_twisted_involution(self) -> bool:
-        """True iff theta^2 = 1 and theta(x) = x^-1, i.e. (x, theta)^2 = 1."""
-        return (self.theta * self.theta).is_identity() and self.theta(
-            self.x
-        ) == self.x.inverse()
+        """True iff (x, theta)^2 = 1, i.e. theta^2 = 1 and theta(x) = x^-1."""
+        return (self * self).is_identity()
 
     def __eq__(self, other):
         return (
@@ -751,16 +749,21 @@ class KeyTwist:
     - ``step_length(s, x)`` is the length of s x sigma(s) (on a word it is read
       from the first and last letters of x, in O(1));
     - ``conj(w, x)`` is w x theta(w)^-1 (folded along the search parents of w,
-      or by cancelling words at the two junctions);
-    - ``length(x)`` is the length of x.
+      or by cancelling words at the two junctions, with the word of
+      theta(w)^-1 built once per w);
+    - ``length(x)`` is the length of x;
+    - ``involutive(x)`` is whether (x, theta) is a twisted involution:
+      theta^2 = 1 and theta(x) = x^-1.  Twisted conjugation preserves that,
+      so one point decides it for a whole class.
 
     twisted_conjugate is the same operation on Element objects.
     """
 
-    __slots__ = ("step", "step_length", "conj", "length")
+    __slots__ = ("step", "step_length", "conj", "length", "involutive")
 
     def __init__(self, theta: DiagramAut):
         sigma = theta.sigma
+        twist = (theta * theta).is_identity()
         if theta.system.family == "universal":
             def step(s, x):
                 x = x[1:] if x and x[0] == s else (s,) + x
@@ -777,8 +780,16 @@ class KeyTwist:
                     last = x[-1] if x else s
                 return n - 1 if last == sigma[s] else n + 1
 
+            tails = {}  # w -> the word of theta(w)^-1
+
             def conj(w, x):
-                return _u_mult(_u_mult(w, x), tuple([sigma[s] for s in reversed(w)]))
+                tail = tails.get(w)
+                if tail is None:
+                    tail = tails[w] = tuple([sigma[s] for s in reversed(w)])
+                return _u_mult(_u_mult(w, x), tail)
+
+            def involutive(x):
+                return twist and tuple([sigma[s] for s in reversed(x)]) == x
 
             length = len
         else:
@@ -799,8 +810,12 @@ class KeyTwist:
                     w = parent[w]
                 return x
 
+            def involutive(x):
+                return twist and theta._images()[x] == table.inverse[x]
+
             length = lengths.__getitem__
         self.step = step
         self.step_length = step_length
         self.conj = conj
         self.length = length
+        self.involutive = involutive

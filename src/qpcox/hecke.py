@@ -10,8 +10,7 @@ so H_s^-1 = H_s + (v^-1 - v).  H is the module M of barcanon on the regular
 carrier (W, length), whose point ids are the element ids: products are
 act_hecke, the bar involution (v -> v^-1, H_w -> (H_{w^-1})^-1) is
 bar_vector, and the Kazhdan-Lusztig basis is the canonical table of M.  These
-need a finite system (InfiniteParabolic otherwise).  The T-basis of the older
-literature (T_w = v^len(w) H_w) is supported as a conversion only.
+need a finite system (InfiniteParabolic otherwise).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from .barcanon import ModuleVector, act_hecke, bar_vector, canonical_basis
 from .coxeter import CoxeterSystem, Element
 from .errors import ConsistencyError, SystemMismatch
-from .laurent import ONE, LaurentPoly, ZERO, add_scaled, v_power
+from .laurent import ONE, LaurentPoly, ZERO, add_scaled
 from .qpsets import ScaledWSet, regular_set
 
 
@@ -29,7 +28,7 @@ def regular_module(system: CoxeterSystem) -> ScaledWSet:
     X = getattr(system, "_regular_module", None)
     if X is None:
         X = regular_set(system)  # InfiniteParabolic on a universal system
-        if any(w.key != pid for pid, w in enumerate(X.payloads)):
+        if X.keys != list(range(len(X))):
             raise ConsistencyError("regular carrier point ids differ from element ids")
         system._regular_module = X
     return X
@@ -89,21 +88,6 @@ class HeckeElt:
         X = regular_module(self.system)
         twisted = {w.key: -c.bar() if w.length % 2 else c.bar() for w, c in self.coords.items()}
         return _from_ids(self.system, bar_vector(ModuleVector("M", X, twisted)).coords)
-
-    def to_t_pairs(self) -> list:
-        """Coordinates over the T-basis (T_w = v^len(w) H_w), for import/export."""
-        return [
-            [list(w.word()), (c * v_power(-w.length)).to_pairs()]
-            for w, c in sorted(self.coords.items(), key=lambda it: (it[0].length, it[0].key))
-        ]
-
-    @classmethod
-    def from_t_pairs(cls, system: CoxeterSystem, pairs) -> "HeckeElt":
-        out: dict[Element, LaurentPoly] = {}
-        for word, poly_pairs in pairs:
-            w = system.element_from_word(word)
-            add_scaled(out, {w: LaurentPoly.from_pairs(poly_pairs)}, v_power(w.length))
-        return cls(system, out)
 
     def __eq__(self, other):
         return (

@@ -9,16 +9,21 @@ the generator list S + [s0]).
 Every carrier comes from one breadth-first orbit search that records each
 generator step once; the points are then sorted and the recorded steps become
 integer action rows.  Reflection actions compose those rows, the row of
-r = a r' a from the row of the shorter reflection r'.  A conjugacy class is
-searched on element keys (ids or reduced words) with coxeter.KeyTwist, and
-its ExtElement payloads are built once, after the sort.  A truncated
-universal class, whose images can leave the carrier, twisted-conjugates the
-words of its points by the reflection words, also on keys.  Group elements
-are used in arithmetic only in witness re-checks.
+r = a r' a from the row of the shorter reflection r'.
+
+A carrier holds one plain key per point, never a group element: the element
+id of a coset representative or of a regular point, the key x of (x, theta)
+in a conjugacy class (an element id, or a reduced word on a universal
+system), and the pair (base point id, bit) on a double cover.  Coset
+carriers step ids through the group tables, and a conjugacy class is
+searched on keys with coxeter.KeyTwist.  A truncated universal class, whose
+images can leave the carrier, twisted-conjugates the words of its points by
+the reflection words, also on keys.  Element objects are built only at the
+boundary: describe_point, and witness re-checks.
 
 Heights are stored doubled (height2 = 2 ht), so the half-integer heights of
 conjugacy classes stay exact integers.  Point ids are dense and sorted by
-(height2, payload), which makes exports deterministic.  Truncated universal
+(height2, key), which makes exports deterministic.  Truncated universal
 carriers record their cutoff; checks on them quantify only over data the
 truncation can see and every verdict carries the cutoff.
 """
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .coxeter import CoxeterSystem, Element, ExtElement, KeyTwist, twisted_conjugate
+from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, twisted_conjugate
 from .errors import (
     BadMatrix,
     ConsistencyError,
@@ -63,22 +68,21 @@ class _ReflAction:
     word: tuple
     img: list  # point id or None (out of a truncated carrier)
     img_h2: list  # exact height2 of the image, even when out of carrier
-    img_payload: list | None = None  # truncated carriers only: the word of each image
+    img_keys: list | None = None  # truncated carriers only: the word of each image
 
 
 class ScaledWSet:
     """A finite (or height-truncated) carrier with generator action tables."""
 
-    def __init__(self, system, kind, payloads, height2, action, *, theta=None,
-                 J=None, seed=None, base=None, truncated_at=None):
+    def __init__(self, system, kind, keys, height2, action, *, theta=None,
+                 J=None, base=None, truncated_at=None):
         self.system = system
         self.kind = kind
-        self.payloads = payloads
+        self.keys = keys  # one key per point (see the module docstring)
         self.height2 = height2
         self.action = action  # action[s][pid] -> pid or None
         self.theta = theta
         self.J = J
-        self.seed = seed
         self.base = base
         self.truncated_at = truncated_at
         self.n_gens = len(action)
@@ -90,12 +94,12 @@ class ScaledWSet:
     # -- basics -------------------------------------------------------------
 
     def __len__(self):
-        return len(self.payloads)
+        return len(self.keys)
 
     @cached_property
     def index(self) -> dict:
-        """Point id per payload, built on first read (class surveys never read it)."""
-        return {p: i for i, p in enumerate(self.payloads)}
+        """Point id per key, built on first read (class surveys never read it)."""
+        return {k: i for i, k in enumerate(self.keys)}
 
     def __repr__(self):
         extra = f", truncated_at={self.truncated_at}" if self.truncated_at is not None else ""
@@ -115,12 +119,13 @@ class ScaledWSet:
                     raise ValueError(f"generator {s} is not an involution at point {x}")
 
     def describe_point(self, pid: int):
-        p = self.payloads[pid]
-        if self.kind == "conjugacy":
-            return {"x": list(p.x.word()), "theta": list(p.theta.sigma)}
+        key = self.keys[pid]
         if self.kind == "double-cover":
-            return {"base": self.base.describe_point(p[0]), "bit": p[1]}
-        return {"x": list(p.word())}
+            return {"base": self.base.describe_point(key[0]), "bit": key[1]}
+        out = {"x": list(Element(self.system, key).word())}
+        if self.kind == "conjugacy":
+            out["theta"] = list(self.theta.sigma)
+        return out
 
     def orbits(self) -> list[int]:
         """Orbit index per point (connected components of the generator moves)."""
@@ -174,11 +179,9 @@ class ScaledWSet:
             return self._refl
         out = []
         if self.truncated_at is not None:  # a universal conjugacy class
-            conj = KeyTwist(self.theta).conj
-            words = [p.x.key for p in self.payloads]
-            index = {x: i for i, x in enumerate(words)}
+            conj, index = KeyTwist(self.theta).conj, self.index
             for r in self.system.reflection_words(self.truncated_at + 1):
-                images = [conj(r, x) for x in words]
+                images = [conj(r, x) for x in self.keys]
                 out.append(_ReflAction(r, [index.get(q) for q in images], [len(q) for q in images], images))
         else:
             table = self.system._table
@@ -200,13 +203,12 @@ class ScaledWSet:
         return out
 
 
-def _orbit_carrier(system, start, n_gens, step, height2, keyfn, payload=None, **kw) -> ScaledWSet:
-    """The orbit of start, where step(s, p) is the image of p under generator
-    s (None when it leaves a truncated carrier).
+def _orbit_carrier(system, start, n_gens, step, height2, **kw) -> ScaledWSet:
+    """The orbit of the key start, where step(s, p) is the key of the image
+    of p under generator s (None when it leaves a truncated carrier).
 
     One breadth-first search records every step once; the points are then
     sorted by (height2, key) and the recorded steps renumbered into rows.
-    payload(p), when given, is what the carrier stores for the point p.
     """
     steps = {start: None}
     queue = [start]
@@ -216,12 +218,10 @@ def _orbit_carrier(system, start, n_gens, step, height2, keyfn, payload=None, **
             if q is not None and q not in steps:
                 steps[q] = None
                 queue.append(q)
-    points = sorted(queue, key=lambda p: (height2(p), keyfn(p)))
+    points = sorted(queue, key=lambda p: (height2(p), p))
     index = {p: i for i, p in enumerate(points)}
     action = [[index.get(steps[p][s]) for p in points] for s in range(n_gens)]
-    payloads = points if payload is None else [payload(p) for p in points]
-    return ScaledWSet(system, payloads=payloads, height2=[height2(p) for p in points],
-                      action=action, **kw)
+    return ScaledWSet(system, keys=points, height2=[height2(p) for p in points], action=action, **kw)
 
 
 def coset_set(system: CoxeterSystem, J) -> ScaledWSet:
@@ -232,14 +232,14 @@ def coset_set(system: CoxeterSystem, J) -> ScaledWSet:
             raise BadMatrix(f"no generator with index {j}")
     if system.family == "universal":
         raise InfiniteParabolic("universal coset sets are infinite; use a conjugacy carrier")
-    gens = system.generators()
+    table = system._ensure_table()
+    lmult, rmult, length = table.lmult, table.rmult, table.length
 
-    def step(s, w):  # the bullet action: s w, or w when s w is not in W^J
-        z = gens[s] * w
-        return w if z.right_descents().intersection(J) else z
+    def step(s, w):  # the bullet action on ids: s w, or w when s w is not in W^J
+        z = lmult[w][s]
+        return w if any(length[rmult[z][j]] < length[z] for j in J) else z
 
-    return _orbit_carrier(system, system.identity, system.rank, step,
-                          lambda w: 2 * w.length, lambda w: w.key,
+    return _orbit_carrier(system, 0, system.rank, step, lambda w: 2 * length[w],
                           kind="coset" if J else "regular", J=J)
 
 
@@ -249,32 +249,32 @@ def regular_set(system: CoxeterSystem) -> ScaledWSet:
 
 
 def conjugacy_set(system: CoxeterSystem, seed: ExtElement, cutoff: Optional[int] = None) -> ScaledWSet:
-    """The twisted conjugacy class of seed, with doubled height = length.
-
-    The search steps the keys x -> s x sigma(s); the seed is the payload of
-    its own point, and the other payloads are built after the sort.
-    """
-    if system.family == "universal" and cutoff is None:
-        raise TruncationRequired("universal conjugacy classes need a height cutoff")
+    """The twisted conjugacy class of seed, with doubled height = length."""
     if seed.system is not system:
         raise SystemMismatch("seed belongs to a different system")
+    return key_class(system, seed.theta, seed.x.key, cutoff)
+
+
+def key_class(system: CoxeterSystem, theta: DiagramAut, x, cutoff: Optional[int] = None) -> ScaledWSet:
+    """The twisted conjugacy class of (x, theta) for the key x of an element
+    (an id, or a reduced word on a universal system), searched on keys by
+    the steps x -> s x sigma(s)."""
+    if system.family == "universal" and cutoff is None:
+        raise TruncationRequired("universal conjugacy classes need a height cutoff")
     limit = None if system.family == "finite" else cutoff
-    if limit is not None and limit < seed.length:
-        raise TruncationRequired(f"cutoff {limit} is below the length {seed.length} of the seed")
-    twist = KeyTwist(seed.theta)
+    twist = KeyTwist(theta)
     step, length = twist.step, twist.length
     if limit is not None:
+        if limit < length(x):
+            raise TruncationRequired(f"cutoff {limit} is below the length {length(x)} of the seed")
+
         def step(s, x, move=step):
             y = move(s, x)
             return y if length(y) <= limit else None
-    theta, start = seed.theta, seed.x.key
-
-    def payload(x):
-        return seed if x == start else ExtElement(Element(system, x), theta)
 
     # ht = length / 2, so height2 is the length itself
-    return _orbit_carrier(system, start, system.rank, step, length, lambda x: x, payload,
-                          kind="conjugacy", theta=theta, seed=seed, truncated_at=limit)
+    return _orbit_carrier(system, x, system.rank, step, length,
+                          kind="conjugacy", theta=theta, truncated_at=limit)
 
 
 def even_double_cover(X: ScaledWSet) -> ScaledWSet:
@@ -293,8 +293,7 @@ def even_double_cover(X: ScaledWSet) -> ScaledWSet:
         h = X.height2[p[0]]
         return h + (0 if (h // 2) % 2 == p[1] else 2)
 
-    cover = _orbit_carrier(X.system, (0, 0), s0 + 1, step, lift, lambda p: p,
-                           kind="double-cover", base=X)
+    cover = _orbit_carrier(X.system, (0, 0), s0 + 1, step, lift, kind="double-cover", base=X)
     if len(cover) != 2 * len(X):
         raise ValueError("even double cover needs a carrier with a single orbit")
     for s in range(cover.n_gens):  # evenness: no generator fixes a point
@@ -343,8 +342,8 @@ def check_quasiparabolic(X: ScaledWSet) -> QpVerdict:
                     srx = X.action[s][rx] if rx is not None else None
                     if srx is not None:
                         h_srx = h2[srx]
-                    elif ra.img_payload is not None:  # s r x left the truncated carrier
-                        h_srx = step_length(s, ra.img_payload[x])
+                    elif ra.img_keys is not None:  # s r x left the truncated carrier
+                        h_srx = step_length(s, ra.img_keys[x])
                     else:
                         continue
                     if h_srx < h2[sx] and rx != sx:
@@ -395,8 +394,8 @@ def revalidate_witness(X: ScaledWSet, witness: dict) -> bool:
         r = X.system.element_from_word(word)
         if r.length != len(word):
             return False
-        rx = twisted_conjugate(r, X.payloads[x])
-        rx_id, h_rx = X.index.get(rx), rx.length
+        rx = twisted_conjugate(r, ExtElement(Element(X.system, X.keys[x]), X.theta))
+        rx_id, h_rx = X.index.get(rx.x.key), rx.length
     else:
         ra = next((ra for ra in X.reflection_actions() if ra.word == word), None)
         if ra is None:

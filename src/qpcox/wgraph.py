@@ -158,9 +158,6 @@ class CellPartition:
     cells: list[list[int]]  # each sorted; listed in topological order
     leq: list[int]  # bitmask over cell indices: reachability in the quotient
 
-    def as_sets(self):
-        return {frozenset(c) for c in self.cells}
-
 
 def cells(G: WGraph) -> CellPartition:
     """Strongly connected components of the nonzero-weight digraph, Tarjan-style."""

@@ -21,7 +21,9 @@ columns: bar(H_s M_x) by applying the bar operator to the vector H_s M_x,
 Phi(H_s M_x) by applying Phi to it, and bar(u) = u by applying the bar
 operator to every primed vector.  pair_table_checks are the four table
 checks as they were before they ran over down-sets and per-column mu: they
-scan every x (or every pair) and read mu from an (x, y)-keyed map.
+scan every x (or every pair) and read mu from an (x, y)-keyed map.  Their
+parity check also ties that map to the v^-1 coefficients of the table, as
+verify_parity does, so that the two refuse the same tables.
 
 closed_form_bar_columns is the paper's closed form for the bar operator on a
 twisted-involution class, which the package used there before it built every
@@ -41,10 +43,11 @@ from qpcox.barcanon import (
     phi_maps,
     verify_bar_operator,
 )
-from qpcox.coxeter import ExtElement
 from qpcox.errors import ConsistencyError, TruncationRequired
 from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, add_scaled, v_power
 from qpcox.qpsets import bruhat_order, check_quasiparabolic
+
+from oracle_qpsets import payloads
 
 
 class SkewViolation(Exception):
@@ -263,8 +266,8 @@ def closed_form_bar_columns(kind, X):
     with lmin the minimal length in the orbit."""
     hmin2 = X.h_min2()
     cols = []
-    for pid, p in enumerate(X.payloads):
-        q = X.index[ExtElement(p.x.inverse(), p.theta)]
+    for pid, p in enumerate(payloads(X)):
+        q = X.index[p.x.inverse().key]
         vec = act_bar_word(ModuleVector.standard(kind, X, q), p.x.word())
         lmin = hmin2[pid]
         scale = v_power(lmin) if kind == "M" else v_power(-lmin) * (-1 if lmin % 2 else 1)
@@ -386,6 +389,7 @@ def pair_table_checks(table):
 
 def _pair_parity(table, mu):
     X = table.X
+    coeffs = {(x, y): c.terms[-1] for (x, y), c in table_entries(table.cols).items() if -1 in c.terms}
     for y, col in enumerate(table.cols):
         for x, c in col.items():
             wt = c.shift((X.height2[y] - X.height2[x]) // 2)
@@ -393,9 +397,9 @@ def _pair_parity(table, mu):
                 return CheckVerdict(False, "parity", {"x": x, "y": y})
             if table.kind == "M" and wt.constant_term != 1:
                 return CheckVerdict(False, "parity", {"x": x, "y": y})
-    for (x, y), m in mu.items():
-        if (X.height2[y] - X.height2[x]) % 4 == 0 and m:
-            return CheckVerdict(False, "parity", {"x": x, "y": y, "mu": m})
+        for x in range(len(X)):  # the nonzero mu(x, y) = [v^-1] p[x, y], stored exactly
+            if mu.get((x, y)) != coeffs.get((x, y)):
+                return CheckVerdict(False, "parity", {"x": x, "y": y, "mu": mu.get((x, y), 0)})
     return CheckVerdict(True, "parity")
 
 

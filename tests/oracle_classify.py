@@ -12,7 +12,7 @@ ExtElements.  It is kept as an independent oracle for those paths.
 from __future__ import annotations
 
 import oracle_qpsets
-from oracle_qpsets import twisted
+from oracle_qpsets import payloads, twisted
 from qpcox.classify import StructureFlags, UniversalQpVerdict
 from qpcox.coxeter import ExtElement
 from qpcox.errors import NoUniqueMinimal, NotInvolutionClass
@@ -28,17 +28,17 @@ def twisted_classes(system, theta, involutions_only=False):
         if involutions_only and not p.is_twisted_involution():
             continue
         K = oracle_qpsets.conjugacy_set(system, p)
-        seen.update(q.x.key for q in K.payloads)
+        seen.update(K.keys)
         out.append(K)
     return out
 
 
 def is_perfect(K):
-    if not all(p.is_twisted_involution() for p in K.payloads):
+    if not all(p.is_twisted_involution() for p in payloads(K)):
         raise NotInvolutionClass("perfectness is defined for twisted involution classes")
     system = K.system
     ident = system.identity_aut()
-    w = K.payloads[0]
+    w = payloads(K)[0]
     for r in system.reflections():
         q = ExtElement(r, ident) * w
         q2 = q * q
@@ -65,7 +65,7 @@ def _parabolic_ids(system, J):
 def structure_check(K):
     system = K.system
     theta = K.theta
-    minima = [p for p in K.payloads if p.length == K.height2[0]]
+    minima = [p for p in payloads(K) if p.length == K.height2[0]]
     if len(minima) != 1:
         raise NoUniqueMinimal(f"{len(minima)} elements of minimal length")
     w = minima[0]
@@ -87,14 +87,14 @@ def structure_check(K):
     centralizer_ok = centralizer == normalizer
 
     one = ExtElement(system.identity, theta * theta)
-    target = set(oracle_qpsets.conjugacy_set(system, one).payloads)
-    squares = {p * p for p in K.payloads}
-    return StructureFlags(fixed, stable, x_is_longest, centralizer_ok, squares == target)
+    target = set(payloads(oracle_qpsets.conjugacy_set(system, one)))
+    squares = {p * p for p in payloads(K)}
+    return StructureFlags(J, fixed, stable, x_is_longest, centralizer_ok, squares == target)
 
 
 def strong_exchange(K):
     system = K.system
-    for p in K.payloads:
+    for p in payloads(K):
         for r in system.reflections():
             q = twisted(r, p)
             if q.length < p.length and not system.bruhat_leq(q.x, p.x):

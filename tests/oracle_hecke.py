@@ -6,14 +6,17 @@ carrier: H_s H_w multiplies group elements, bar(H_w) is built as
 H_s^-1 bar(H_{sw}) for the lowest left descent s, and the Kazhdan-Lusztig
 table solves over those columns.  Before bar_columns used its recurrence,
 every generic column replayed the whole greedy height-witness word of its
-point.  Both are kept as independent oracles.
+point.  Both are kept as independent oracles.  The T-basis of the older
+literature (T_w = v^len(w) H_w) is here as a conversion: to_t_pairs and
+from_t_pairs.
 """
 
 from __future__ import annotations
 
 from qpcox.barcanon import ModuleVector
 from qpcox.coxeter import Element
-from qpcox.laurent import ONE, V, VINV, add_scaled
+from qpcox.hecke import HeckeElt
+from qpcox.laurent import ONE, V, VINV, LaurentPoly, add_scaled, v_power
 from qpcox.qpsets import rht_witness_word
 
 from oracle_canonical import act_bar_word, generic_canonical_columns
@@ -104,3 +107,19 @@ def replay_bar_columns(kind: str, X) -> list[ModuleVector]:
             x0 = X.action[s][x0]
         cols.append(act_bar_word(ModuleVector.standard(kind, X, x0), word))
     return cols
+
+
+def to_t_pairs(A: HeckeElt) -> list:
+    """Coordinates of A over the T-basis (T_w = v^len(w) H_w), for import/export."""
+    return [
+        [list(w.word()), (c * v_power(-w.length)).to_pairs()]
+        for w, c in sorted(A.coords.items(), key=lambda it: (it[0].length, it[0].key))
+    ]
+
+
+def from_t_pairs(system, pairs) -> HeckeElt:
+    out = {}
+    for word, poly_pairs in pairs:
+        w = system.element_from_word(word)
+        add_scaled(out, {w: LaurentPoly.from_pairs(poly_pairs)}, v_power(w.length))
+    return HeckeElt(system, out)

@@ -1,15 +1,19 @@
-"""Carrier constructors and reflection actions by group arithmetic on payloads.
+"""Carrier constructors and reflection actions by group arithmetic on elements.
 
-This is how qpsets built carriers before one orbit search did it and before
-reflection actions were composed from generator rows: each constructor runs
-its own search, then computes every generator step a second time to fill the
-action rows, and r . x is computed from the payload of x for every
-reflection r (twisted conjugation, coset reduction or a left product; the
-double cover flips the bit over the base's reflection action).  Twisted
-conjugation is Element arithmetic here (twisted, below), not the key-level
-kernel of qpcox.coxeter, and qp_verdict is the (QP1)/(QP2) scan with the
-heights of out-of-carrier images from that arithmetic.  It is kept as an
-independent oracle for those paths.
+This is how qpsets built carriers before one orbit search on keys did it and
+before reflection actions were composed from generator rows: each
+constructor searches on Element or ExtElement objects, then computes every
+generator step a second time to fill the action rows, and r . x is computed
+from the element of x for every reflection r (twisted conjugation, coset
+reduction or a left product; the double cover flips the bit over the base's
+reflection action).  Twisted conjugation is Element arithmetic here
+(twisted, below), not the key-level kernel of qpcox.coxeter, and qp_verdict
+is the (QP1)/(QP2) scan with the heights of out-of-carrier images from that
+arithmetic.  It is kept as an independent oracle for those paths.
+
+A carrier holds keys, not elements.  payloads(X) builds the elements of any
+carrier's points from its keys; tests that need group elements of points go
+through it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,30 @@ def twisted(w, a):
     return ExtElement(w * a.x * a.theta(w).inverse(), a.theta)
 
 
+def payloads(X):
+    """The elements of X's points, built from its keys: an Element per point
+    of a coset or regular carrier, (x, theta) per point of a conjugacy class,
+    and on a double cover the (base id, bit) key itself."""
+    if X.kind == "double-cover":
+        return list(X.keys)
+    if X.kind == "conjugacy":
+        return [ExtElement(Element(X.system, k), X.theta) for k in X.keys]
+    return [Element(X.system, k) for k in X.keys]
+
+
+def key_of(p):
+    """The key a carrier stores for the element p of a point."""
+    if isinstance(p, ExtElement):
+        return p.x.key
+    return p.key if isinstance(p, Element) else p
+
+
+def _carrier(system, kind, points, height2, action, **kw):
+    return OracleWSet(system, kind, [key_of(p) for p in points], height2, action, **kw)
+
+
 class OracleWSet(ScaledWSet):
-    """A carrier whose reflection actions are computed from its payloads."""
+    """A carrier whose reflection actions are computed from its elements."""
 
     def reflection_actions(self):
         if self._refl is not None:
@@ -34,7 +60,7 @@ class OracleWSet(ScaledWSet):
             out = []
             for ra in self.base.reflection_actions():
                 img, h2 = [], []
-                for b, k in self.payloads:
+                for b, k in self.keys:
                     q = self.index[(ra.img[b], 1 - k)]
                     img.append(q)
                     h2.append(self.height2[q])
@@ -51,24 +77,25 @@ class OracleWSet(ScaledWSet):
         else:
             refl = sys.reflections()
         out = []
+        points = payloads(self)
         for r in refl:
             img, h2 = [], []
-            payloads = [] if self.kind == "conjugacy" else None
-            for pid in range(len(self)):
-                q_payload = act_element(self, r, pid)
-                q = self.index.get(q_payload)
+            keys = [] if self.kind == "conjugacy" else None
+            for p in points:
+                q_elt = act_element(self, r, p)
+                q = self.index.get(key_of(q_elt))
                 img.append(q)
-                h2.append(self.height2[q] if q is not None else q_payload.length)
-                if payloads is not None:
-                    payloads.append(q_payload.x.key)
-            out.append(_ReflAction(r.word(), img, h2, payloads))
+                h2.append(self.height2[q] if q is not None else q_elt.length)
+                if keys is not None:
+                    keys.append(key_of(q_elt))
+            out.append(_ReflAction(r.word(), img, h2, keys))
         self._refl = out
         return out
 
 
-def act_element(X, w, pid):
-    """The payload of w . x for a whole group element w (non-cover kinds)."""
-    p = X.payloads[pid]
+def act_element(X, w, p):
+    """The element of w . x, for the element p of x and a whole group
+    element w (non-cover kinds)."""
     if X.kind == "conjugacy":
         return twisted(w, p)
     if X.kind == "coset":
@@ -88,8 +115,8 @@ def coset_canonical(system, w, J):
             return w
 
 
-def _sort_points(payload_h2_pairs, keyfn):
-    pairs = sorted(payload_h2_pairs, key=lambda it: (it[1], keyfn(it[0])))
+def _sort_points(point_h2_pairs, keyfn):
+    pairs = sorted(point_h2_pairs, key=lambda it: (it[1], keyfn(it[0])))
     return [p for p, _ in pairs], [h for _, h in pairs]
 
 
@@ -109,18 +136,18 @@ def coset_set(system, J):
                     seen.add(z)
                     nxt.append(z)
         frontier = nxt
-    payloads, height2 = _sort_points([(w, 2 * w.length) for w in seen], lambda w: w.key)
-    index = {p: i for i, p in enumerate(payloads)}
+    points, height2 = _sort_points([(w, 2 * w.length) for w in seen], lambda w: w.key)
+    index = {p: i for i, p in enumerate(points)}
     action = []
     for s in range(system.rank):
         gen = system.generator(s)
         row = []
-        for w in payloads:
+        for w in points:
             z = gen * w
             row.append(index[z] if z in index else index[w])  # bullet action
         action.append(row)
     kind = "coset" if J else "regular"
-    return OracleWSet(system, kind, payloads, height2, action, J=J)
+    return _carrier(system, kind, points, height2, action, J=J)
 
 
 def conjugacy_set(system, seed, cutoff=None):
@@ -136,16 +163,13 @@ def conjugacy_set(system, seed, cutoff=None):
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    payloads, height2 = _sort_points([(p, p.length) for p in seen], lambda p: p.x.key)
-    index = {p: i for i, p in enumerate(payloads)}
+    points, height2 = _sort_points([(p, p.length) for p in seen], lambda p: p.x.key)
+    index = {p: i for i, p in enumerate(points)}
     action = []
     for s in range(system.rank):
         gen = system.generator(s)
-        action.append([index.get(twisted(gen, p)) for p in payloads])
-    return OracleWSet(
-        system, "conjugacy", payloads, height2, action,
-        theta=seed.theta, seed=seed, truncated_at=limit,
-    )
+        action.append([index.get(twisted(gen, p)) for p in points])
+    return _carrier(system, "conjugacy", points, height2, action, theta=seed.theta, truncated_at=limit)
 
 
 def even_double_cover(X):
@@ -155,13 +179,13 @@ def even_double_cover(X):
         for k in (0, 1):
             lift = h + (0 if (h // 2) % 2 == k else 2)
             pts.append(((b, k), lift))
-    payloads, height2 = _sort_points(pts, lambda p: p)
-    index = {p: i for i, p in enumerate(payloads)}
+    points, height2 = _sort_points(pts, lambda p: p)
+    index = {p: i for i, p in enumerate(points)}
     action = []
     for s in range(X.n_gens):
-        action.append([index[(X.action[s][b], 1 - k)] for (b, k) in payloads])
-    action.append([index[(b, 1 - k)] for (b, k) in payloads])  # s0
-    return OracleWSet(X.system, "double-cover", payloads, height2, action, base=X)
+        action.append([index[(X.action[s][b], 1 - k)] for (b, k) in points])
+    action.append([index[(b, 1 - k)] for (b, k) in points])  # s0
+    return _carrier(X.system, "double-cover", points, height2, action, base=X)
 
 
 def qp_verdict(X):
@@ -186,8 +210,8 @@ def qp_verdict(X):
                     continue
                 if rx is not None and X.action[s][rx] is not None:
                     h_srx = h2[X.action[s][rx]]
-                elif ra.img_payload is not None:
-                    q = ExtElement(Element(X.system, ra.img_payload[x]), X.theta)
+                elif ra.img_keys is not None:
+                    q = ExtElement(Element(X.system, ra.img_keys[x]), X.theta)
                     h_srx = twisted(X.system.generator(s), q).length
                 else:
                     continue

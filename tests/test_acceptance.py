@@ -38,6 +38,7 @@ from qpcox.wgraph import build_wgraph, cells, check_quasi_admissible, verify_wgr
 
 from oracle_canonical import brute_force_canonical, table_as_int_dicts, table_entries
 from oracle_hecke import OracleHecke
+from oracle_qpsets import payloads
 
 
 def report(number, name, ok):
@@ -79,7 +80,7 @@ def test_criterion_2_i2_2m_family():
         s1_class = conjugacy_set(sys, ext(sys, (0,)))
         s2_class = conjugacy_set(sys, ext(sys, (1,)))
         ok = ok and len(s1_class) == m and len(s2_class) == m
-        ok = ok and not (set(s1_class.payloads) & set(s2_class.payloads))
+        ok = ok and not (set(s1_class.keys) & set(s2_class.keys))
         swap = nontrivial_involution(sys)
         aut_class = conjugacy_set(sys, ExtElement(sys.identity, swap))
         ok = ok and len(aut_class) == 2 * m
@@ -172,7 +173,7 @@ def test_criterion_6_bar_canonical_suite():
             kl = kl_basis(X.system)
             for kind in ("M", "N"):
                 got = {
-                    (X.payloads[x].key, X.payloads[y].key): c
+                    (X.keys[x], X.keys[y]): c
                     for (x, y), c in table_entries(tables[kind].cols).items()
                 }
                 ok = ok and got == table_entries(kl.cols)
@@ -202,9 +203,11 @@ def test_criterion_8_wgraphs():
         frozenset({(0, 1, 0)}),
     }
 
+    points = payloads(X)
+
     def cell_words(G):
         return {
-            frozenset(tuple(X.payloads[p].word()) for p in cell)
+            frozenset(tuple(points[p].word()) for p in cell)
             for cell in cells(G).cells
         }
 

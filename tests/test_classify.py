@@ -4,6 +4,7 @@ import io
 import pytest
 
 import oracle_classify
+from oracle_qpsets import payloads
 from qpcox.classify import (
     SURVEY_COLUMNS,
     check_w0_translation,
@@ -46,7 +47,7 @@ def test_twisted_classes_a3_involutions():
 def test_twisted_classes_i24():
     i4 = build_system("I2(4)")
     id_classes = twisted_classes(i4, i4.identity_aut())
-    by_seed = {K.payloads[0].x.word(): len(K) for K in id_classes}
+    by_seed = {payloads(K)[0].x.word(): len(K) for K in id_classes}
     assert by_seed[(0,)] == 2 and by_seed[(1,)] == 2  # disjoint of size m = 2
     swap = nontrivial_involution(i4)
     K = iota(i4, swap)
@@ -65,7 +66,7 @@ def test_iota_is_class_of_one():
     a2 = build_system("A2")
     swap = nontrivial_involution(a2)
     K = iota(a2, swap)
-    assert any(p.x.is_identity() for p in K.payloads)
+    assert any(p.x.is_identity() for p in payloads(K))
 
 
 def test_is_perfect():
@@ -120,12 +121,12 @@ def test_survey_a3():
     assert not s1_class.qp.is_qp and s1_class.qp.axiom == "QP1"
 
 
-def test_survey_builds_no_payload_index():
-    # the payload -> id dict is built on first read, and a survey reads none
+def test_survey_builds_no_key_index():
+    # the key -> id dict is built on first read, and a survey reads none
     reports = survey(build_system("B3"))
     qp = [rep.X for rep in reports if rep.qp.is_qp]
     assert qp and not any("index" in X.__dict__ for X in qp)
-    assert qp[0].index[qp[0].payloads[-1]] == len(qp[0]) - 1 and "index" in qp[0].__dict__
+    assert qp[0].index[qp[0].keys[-1]] == len(qp[0]) - 1 and "index" in qp[0].__dict__
 
 
 def test_survey_a2_class_of_s1_witness():
@@ -257,7 +258,7 @@ def _or_none(check, K):
 
 
 def class_data(K):
-    return (K.payloads, K.height2, K.action)
+    return (K.keys, K.height2, K.action)
 
 
 @pytest.mark.parametrize("type_string", ["A3", "B3", "D4", "F4", "H3", "I2(5)"])
@@ -289,8 +290,7 @@ def test_structure_flags_match_element_oracle_off_the_classes(type_string):
     seen = set()
     for theta in system.diagram_automorphisms():
         for x in system.elements():
-            K = ScaledWSet(system, "conjugacy", [ExtElement(x, theta)], [x.length],
-                           [[0]] * system.rank, theta=theta)
+            K = ScaledWSet(system, "conjugacy", [x.key], [x.length], [[0]] * system.rank, theta=theta)
             flags = structure_check(K)
             assert flags == oracle_classify.structure_check(K)
             seen.add(flags.centralizer_is_twisted_normalizer)
@@ -298,7 +298,7 @@ def test_structure_flags_match_element_oracle_off_the_classes(type_string):
 
 
 def test_universal_criterion_matches_element_oracle():
-    for type_string in ("U2", "U3"):
+    for type_string in ("U2", "U3", "B3"):  # the criterion reads words on a finite system too
         system = build_system(type_string)
         for theta in system.diagram_automorphisms():
             for word in [(), (0,), (0, 1), (1, 0, 1), (0, 1, 0, 1)]:

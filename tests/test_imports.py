@@ -1,10 +1,13 @@
-"""No unused imports in src/ or tests/, and no dead helpers in src/.
+"""No unused imports in src/ or tests/, no dead helpers in src/, and no
+group elements stored on carriers.
 
 Stdlib-only scans.  Every name an import statement binds must be read
 somewhere else in the same file, or be re-exported through ``__all__``;
 ``from __future__`` imports are exempt.  Every ``_``-prefixed function or
 class defined in src/ (dunders aside) must be referenced, by name or as an
-attribute, somewhere in src/ outside its own definition.
+attribute, somewhere in src/ outside its own definition.  No module in src/
+names ``payloads``: carriers hold keys, and elements are built from them
+only at the boundary.
 """
 
 import ast
@@ -14,7 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src").rglob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -72,8 +76,18 @@ def test_scan_finds_dead_helpers():
     assert dead_helpers([a, "from a import _C, _f\n_C(_f)"]) == ["_g"]
 
 
+def test_scan_finds_payload_reads():
+    assert _references(ast.parse("X.payloads[0].x"))["payloads"] == 1
+    assert _references(ast.parse("X.keys[0]"))["payloads"] == 0
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_src_reads_no_payloads(path):
+    assert _references(ast.parse(path.read_text()))["payloads"] == 0
+
+
 def test_no_dead_helpers_in_src():
-    assert dead_helpers([path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))]) == []
+    assert dead_helpers([path.read_text() for path in SRC]) == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])

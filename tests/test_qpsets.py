@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import oracle_qpsets as oracle
+from oracle_qpsets import payloads
 from qpcox.coxeter import Element, ExtElement, KeyTwist, build_system, twisted_conjugate
 from qpcox.errors import InfiniteParabolic, NotQuasiparabolic, TruncationRequired
 from qpcox.classify import twisted_classes
@@ -65,7 +66,7 @@ def test_coset_set_a2():
     X = coset_set(a2, [1])
     assert len(X) == 3
     assert X.height2 == [0, 2, 4]
-    words = [tuple(w.word()) for w in X.payloads]
+    words = [tuple(w.word()) for w in payloads(X)]
     assert words == [(), (0,), (1, 0)]
     assert X.minimal_elements() == [0]
 
@@ -85,7 +86,7 @@ def test_conjugacy_set_a3_fpf():
     X = fpf_class(a3)
     assert len(X) == 3
     assert X.height2 == [2, 4, 6]
-    assert X.payloads[-1].x == a3.longest_element()
+    assert X.keys[-1] == a3.longest_element().key
     assert X.minimal_elements() == [0]
     assert maximal_elements(X) == [2]
 
@@ -128,7 +129,7 @@ def test_check_quasiparabolic_verdicts():
     assert not verdict.is_qp and verdict.axiom == "QP1"
     # expected witness: r = s1 s2 s1 against the point s1 (equal lengths, rx != x)
     assert verdict.r_word == (0, 1, 0)
-    assert X.payloads[verdict.x].x == a2.generator(0)
+    assert X.keys[verdict.x] == a2.generator(0).key
     assert revalidate_witness(X, verdict.witness())
 
 
@@ -158,9 +159,10 @@ def test_bruhat_order_coset_agrees_with_group_order():
     for J in ([1], [0, 2]):
         X = coset_set(a3, J)
         order = bruhat_order(X)
+        points = payloads(X)
         for x in range(len(X)):
             for y in range(len(X)):
-                assert order.leq(x, y) == X.payloads[x].bruhat_leq(X.payloads[y])
+                assert order.leq(x, y) == points[x].bruhat_leq(points[y])
 
 
 def test_bruhat_order_requires_qp():
@@ -199,10 +201,11 @@ def test_rht_witness():
     assert w.length == 2
     assert w.word() == (0, 1)  # lowest-index tie-breaking from the top point
     # witness moves the minimal point to the given point
-    assert twisted_conjugate(w, X.payloads[0]) == X.payloads[2]
+    points = payloads(X)
+    assert twisted_conjugate(w, points[0]) == points[2]
 
     Xj = coset_set(a3, [2])
-    for pid, w in enumerate(Xj.payloads):
+    for pid, w in enumerate(payloads(Xj)):
         assert rht_witness(Xj, pid) == w  # R_ht(x) = {x} on coset sets
 
 
@@ -211,10 +214,10 @@ def test_even_double_cover_heights_and_size():
     X = coset_set(a2, [1])  # heights 0, 1, 2
     cover = even_double_cover(X)
     assert len(cover) == 6
-    by_payload = {cover.payloads[i]: cover.height2[i] for i in range(6)}
+    by_key = {cover.keys[i]: cover.height2[i] for i in range(6)}
     pid1 = X.height2.index(2)  # the ht = 1 point
-    assert by_payload[(pid1, 1)] == 2  # doubled ht 1
-    assert by_payload[(pid1, 0)] == 4  # doubled ht 2
+    assert by_key[(pid1, 1)] == 2  # doubled ht 1
+    assert by_key[(pid1, 0)] == 4  # doubled ht 2
     # W-minimal base point lifts to the W x A1-minimal cover point
     x0 = X.minimal_elements()[0]
     lift = cover.index[(x0, (X.height2[x0] // 2) % 2)]
@@ -270,26 +273,27 @@ def test_check_qp1_only_matches_direct_scan_on_b3():
     assert seen[True] and seen[False]  # both verdicts occur
 
 
-def refl_rows(X, payloads=False):
+def refl_rows(X, keys=False):
     return [
-        (ra.word, ra.img, ra.img_h2) + ((ra.img_payload,) if payloads else ())
+        (ra.word, ra.img, ra.img_h2) + ((ra.img_keys,) if keys else ())
         for ra in X.reflection_actions()
     ]
 
 
-def assert_same_carrier(X, Y, payloads=False):
+def assert_same_carrier(X, Y, keys=False):
     assert (X.kind, X.truncated_at) == (Y.kind, Y.truncated_at)
-    assert X.payloads == Y.payloads
+    assert X.keys == Y.keys
     assert X.height2 == Y.height2
     assert X.action == Y.action
-    assert refl_rows(X, payloads) == refl_rows(Y, payloads)
+    assert refl_rows(X, keys) == refl_rows(Y, keys)
     assert check_quasiparabolic(X) == check_quasiparabolic(Y)
 
 
-@pytest.mark.parametrize("type_string", ["A3", "B3", "D4", "H3", "I2(5)"])
+@pytest.mark.parametrize("type_string", ["A3", "B3", "D4", "H3", "F4", "I2(5)"])
 def test_carriers_and_reflections_match_element_oracle(type_string):
-    # one orbit search and rows composed along reflection words against two
-    # searches and reflection images from group arithmetic on payloads
+    # one orbit search on keys and rows composed along reflection words
+    # against two searches and reflection images from group arithmetic on
+    # elements, on every coset set and every class under every theta
     system = build_system(type_string)
     pairs = [(regular_set(system), oracle.coset_set(system, ()))]
     for r in range(1, system.rank + 1):
@@ -297,7 +301,7 @@ def test_carriers_and_reflections_match_element_oracle(type_string):
             pairs.append((coset_set(system, J), oracle.coset_set(system, J)))
     for theta in system.diagram_automorphisms():  # D4: both swaps and triality
         for K in twisted_classes(system, theta):
-            pairs.append((K, oracle.conjugacy_set(system, K.seed)))
+            pairs.append((K, oracle.conjugacy_set(system, payloads(K)[0])))
     pairs += [
         (even_double_cover(X), oracle.even_double_cover(Y))
         for X, Y in pairs
@@ -318,7 +322,7 @@ def assert_truncated_classes_match_element_oracle(system, words, cutoff):
             seed = ext(system, word, theta)
             X = conjugacy_set(system, seed, cutoff=cutoff)
             Y = oracle.conjugacy_set(system, seed, cutoff=cutoff)
-            assert_same_carrier(X, Y, payloads=True)
+            assert_same_carrier(X, Y, keys=True)
             verdict = check_quasiparabolic(X)
             assert verdict == oracle.qp_verdict(Y)
             assert verdict.is_qp or revalidate_witness(X, verdict.witness())
@@ -352,7 +356,7 @@ def test_kernel_that_drops_the_twist_is_caught(monkeypatch):
     with pytest.raises(AssertionError):
         assert_same_carrier(conjugacy_set(a3, ext(a3, (), swap)), oracle.conjugacy_set(a3, ext(a3, (), swap)))
     with pytest.raises(AssertionError):
-        assert_same_carrier(truncated, oracle.conjugacy_set(u3, ext(u3, (), rot), cutoff=5), payloads=True)
+        assert_same_carrier(truncated, oracle.conjugacy_set(u3, ext(u3, (), rot), cutoff=5), keys=True)
 
 
 def test_cutoff_below_the_seed_is_refused():
@@ -362,8 +366,8 @@ def test_cutoff_below_the_seed_is_refused():
     seed = ext(u3, (0, 1))
     with pytest.raises(TruncationRequired):
         conjugacy_set(u3, seed, cutoff=1)
-    assert [p.x.word() for p in conjugacy_set(u3, seed, cutoff=2).payloads] == [(0, 1), (1, 0)]
-    assert conjugacy_set(u3, ext(u3, ()), cutoff=0).payloads == [ext(u3, ())]
+    assert conjugacy_set(u3, seed, cutoff=2).keys == [(0, 1), (1, 0)]
+    assert conjugacy_set(u3, ext(u3, ()), cutoff=0).keys == [()]
 
 
 def count_elements(monkeypatch):
@@ -392,13 +396,16 @@ def test_truncated_reflections_and_qp_check_build_no_elements(monkeypatch):
     assert count[0] == 0 and verdicts == [True, False]
 
 
-def test_class_search_builds_only_the_payloads(monkeypatch):
-    # one Element per point: the seed of each class, then its other payloads
+def test_class_search_builds_no_elements(monkeypatch):
+    # classes are searched and stored on keys; elements are built only when
+    # a point is described
     b3 = build_system("B3")
     b3.order()
     count = count_elements(monkeypatch)
     classes = twisted_classes(b3, b3.identity_aut())
-    assert count[0] == sum(len(K) for K in classes) == 48
+    assert count[0] == 0 and sum(len(K) for K in classes) == 48
+    classes[-1].describe_point(0)
+    assert count[0] == 1
 
 
 def test_revalidate_witness_rejects_malformed_witnesses():
@@ -423,7 +430,6 @@ def test_revalidate_witness_rejects_malformed_witnesses():
 
 def test_double_cover_needs_one_orbit():
     a1 = build_system("A1")
-    e = a1.identity
-    two_fixed_points = ScaledWSet(a1, "regular", [e, a1.generator(0)], [0, 0], [[0, 1]])
+    two_fixed_points = ScaledWSet(a1, "regular", [0, 1], [0, 0], [[0, 1]])
     with pytest.raises(ValueError):
         even_double_cover(two_fixed_points)

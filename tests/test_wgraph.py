@@ -3,6 +3,7 @@ from qpcox.coxeter import ExtElement, build_system
 from qpcox.laurent import LaurentPoly, V, VINV, ZERO
 from qpcox.qpsets import conjugacy_set, coset_set, regular_set
 from oracle_canonical import to_canonical_coords
+from oracle_qpsets import payloads
 from qpcox.wgraph import (
     build_wgraph,
     cells,
@@ -28,8 +29,9 @@ def graphs_for(X):
     }
 
 
-def payload_words(X, pids):
-    return {tuple(X.payloads[p].word()) for p in pids}
+def point_words(X, pids):
+    points = payloads(X)
+    return {tuple(points[p].word()) for p in pids}
 
 
 def test_regular_a2_cells_are_the_left_cells_of_s3():
@@ -44,7 +46,7 @@ def test_regular_a2_cells_are_the_left_cells_of_s3():
     }
     for G in gs.values():
         part = cells(G)
-        got = {frozenset(payload_words(X, cell)) for cell in part.cells}
+        got = {frozenset(point_words(X, cell)) for cell in part.cells}
         assert got == expect
 
 
@@ -59,7 +61,7 @@ def test_regular_graphs_are_dual_presentations():
     for x in range(len(X)):
         assert gn.tau[x] == full - gm.tau[x]
     assert gn.omega == {(y, x): w for (x, y), w in gm.omega.items()}
-    assert cells(gm).as_sets() == cells(gn).as_sets()
+    assert {frozenset(c) for c in cells(gm).cells} == {frozenset(c) for c in cells(gn).cells}
 
 
 def test_fpf_a3_graph():
