@@ -11,7 +11,8 @@ once per system, so one run solves each (carrier, kind) once.  A system is
 built afresh by every call of main, so nothing is shared between calls.
 
 Survey and basis results are cached on disk keyed by a content hash of the
-resolved configuration, the resolved Coxeter matrix and the package version;
+resolved configuration, the resolved Coxeter matrix, the package version and
+a sha256 of the package's sources (so older code's entries are not served);
 --no-cache bypasses the cache entirely.  A cached entry made for another
 configuration or with malformed fields is recomputed and overwritten, and
 cached survey witnesses are re-validated against a freshly built carrier
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -154,12 +156,19 @@ def carrier_descriptor(X: qpsets.ScaledWSet) -> dict:
 # caching
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the package's *.py sources, read once per process."""
+    return hashlib.sha256(b"".join(p.read_bytes() for p in sorted(Path(__file__).parent.glob("*.py")))).hexdigest()
+
+
 def _cache_path(args, key_obj, system: CoxeterSystem) -> Path | None:
     """The cache file for a configuration.  The name also hashes the resolved
-    matrix (a --type path can change content) and the package version."""
+    matrix (a --type path can change content), the package version and the
+    package's source digest, so an entry written by other code is not served."""
     if args.no_cache:
         return None
-    full_key = {"config": key_obj, "matrix": system.matrix, "version": __version__}
+    full_key = {"config": key_obj, "matrix": system.matrix, "version": __version__, "source": _source_digest()}
     blob = json.dumps(full_key, sort_keys=True).encode()
     digest = hashlib.sha256(blob).hexdigest()[:24]
     return Path(args.cache_dir) / f"{digest}.json"

@@ -21,7 +21,10 @@ validates the root tables) and refuses groups larger than MAX_ORDER.
 
 KeyTwist is twisted conjugation on keys (ids or words).  Class searches,
 truncated reflection actions and structure checks run on it; Element,
-ExtElement and twisted_conjugate serve input, output and witness re-checks.
+ExtElement and twisted_conjugate serve input, output and witness re-checks,
+so they keep only the group operations (product, inverse, identity, length,
+word, equality).  Descents and the Bruhat order are read on keys and
+carriers (KeyTwist, qpsets.lowest_descent, qpsets.bruhat_order).
 
 Type strings: "A n", "B n", "D n" (n >= 4), "E6"/"E7"/"E8", "F4", "H3",
 "H4", "I2(m)", "U n" (universal of rank n).  Labeling follows Bourbaki; in
@@ -331,6 +334,7 @@ class CoxeterSystem:
     # -- Bruhat order ---------------------------------------------------------
 
     def _bruhat_table(self):
+        """The Bruhat down-sets of W as bitmasks by id (the survey diagnostics)."""
         if self._bruhat_down is None:
             table = self._ensure_table()
             refl = [r.key for r in self.reflections()]
@@ -345,14 +349,6 @@ class CoxeterSystem:
                 down[y] = bits
             self._bruhat_down = down
         return self._bruhat_down
-
-    def bruhat_leq(self, a: "Element", b: "Element") -> bool:
-        """The Bruhat order on W, via closure over covers y = rx with a length-1 jump."""
-        self._check(a)
-        self._check(b)
-        if self.family == "universal":
-            return _is_subword(a.key, b.key)
-        return bool(self._bruhat_table()[b.key] >> a.key & 1)
 
     # -- longest elements -------------------------------------------------------
 
@@ -412,12 +408,6 @@ class CoxeterSystem:
 def _compose(p, q):
     """Permutation composition: (p o q)[i] = p[q[i]]."""
     return tuple(p[i] for i in q)
-
-
-def _is_subword(x, y):
-    """Subword property test for words with unique reduced expressions."""
-    it = iter(y)
-    return all(s in it for s in x)
 
 
 def _u_mult(a, b):
@@ -542,29 +532,6 @@ class Element:
         if self.system.family == "universal":
             return Element(self.system, tuple(reversed(self.key)))
         return Element(self.system, self.system._table.inverse[self.key])
-
-    def left_descents(self) -> set[int]:
-        if self.system.family == "universal":
-            return {self.key[0]} if self.key else set()
-        t = self.system._table
-        return {
-            s
-            for s in range(self.system.rank)
-            if t.length[t.lmult[self.key][s]] < t.length[self.key]
-        }
-
-    def right_descents(self) -> set[int]:
-        if self.system.family == "universal":
-            return {self.key[-1]} if self.key else set()
-        t = self.system._table
-        return {
-            s
-            for s in range(self.system.rank)
-            if t.length[t.rmult[self.key][s]] < t.length[self.key]
-        }
-
-    def bruhat_leq(self, other: "Element") -> bool:
-        return self.system.bruhat_leq(self, other)
 
     def is_identity(self) -> bool:
         return self.length == 0
@@ -706,10 +673,6 @@ class ExtElement:
 
     def is_identity(self) -> bool:
         return self.x.is_identity() and self.theta.is_identity()
-
-    def is_twisted_involution(self) -> bool:
-        """True iff (x, theta)^2 = 1, i.e. theta^2 = 1 and theta(x) = x^-1."""
-        return (self * self).is_identity()
 
     def __eq__(self, other):
         return (

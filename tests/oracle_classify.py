@@ -12,6 +12,7 @@ ExtElements.  It is kept as an independent oracle for those paths.
 from __future__ import annotations
 
 import oracle_qpsets
+from oracle_group import bruhat_leq, is_twisted_involution, left_descents
 from oracle_qpsets import payloads, twisted
 from qpcox.classify import StructureFlags, UniversalQpVerdict
 from qpcox.coxeter import ExtElement
@@ -25,7 +26,7 @@ def twisted_classes(system, theta, involutions_only=False):
         if x.key in seen:
             continue
         p = ExtElement(x, theta)
-        if involutions_only and not p.is_twisted_involution():
+        if involutions_only and not is_twisted_involution(p):
             continue
         K = oracle_qpsets.conjugacy_set(system, p)
         seen.update(K.keys)
@@ -34,7 +35,7 @@ def twisted_classes(system, theta, involutions_only=False):
 
 
 def is_perfect(K):
-    if not all(p.is_twisted_involution() for p in payloads(K)):
+    if not all(map(is_twisted_involution, payloads(K))):
         raise NotInvolutionClass("perfectness is defined for twisted involution classes")
     system = K.system
     ident = system.identity_aut()
@@ -70,7 +71,7 @@ def structure_check(K):
         raise NoUniqueMinimal(f"{len(minima)} elements of minimal length")
     w = minima[0]
     x = w.x
-    J = tuple(sorted(x.left_descents()))
+    J = tuple(sorted(left_descents(x)))
     fixed = all(twisted(system.generator(s), w) == w for s in J)
     stable = tuple(sorted(theta.gen(j) for j in J)) == J
     x_is_longest = x == system.longest_element(J)
@@ -97,7 +98,7 @@ def strong_exchange(K):
     for p in payloads(K):
         for r in system.reflections():
             q = twisted(r, p)
-            if q.length < p.length and not system.bruhat_leq(q.x, p.x):
+            if q.length < p.length and not bruhat_leq(q.x, p.x):
                 return False
     return True
 
@@ -115,7 +116,7 @@ def universal_qp_check(system, seed):
     qp = w.x.length <= 1 and w.theta(w.x) == w.x
     return UniversalQpVerdict(
         is_qp=qp,
-        in_iplus=seed.is_twisted_involution(),
+        in_iplus=is_twisted_involution(seed),
         stuck_word=w.x.word(),
         stuck_length=w.x.length,
     )

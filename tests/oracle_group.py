@@ -6,6 +6,12 @@ linear map alpha_i -> alpha_sigma(i), matched against the root vectors.
 Shares only the root vectors and generator permutations with the
 implementation, whose tables come from simple-root keys and recurrences
 along the search tree.
+
+It also holds the element-level queries that src/ answers on keys and
+carriers instead: descents from products and lengths, the Bruhat order
+(the down-set table of a finite system, which test_coxeter checks against
+the subword property, and the subword property on the unique reduced words
+of a universal one) and the twisted-involution test (x, theta)^2 = 1.
 """
 
 SNAP = 1e-9
@@ -21,6 +27,25 @@ def invert(p):
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+def left_descents(x):
+    return {s for s, g in enumerate(x.system.generators()) if (g * x).length < x.length}
+
+
+def right_descents(x):
+    return {s for s, g in enumerate(x.system.generators()) if (x * g).length < x.length}
+
+
+def bruhat_leq(x, y):
+    if x.system.family == "universal":
+        it = iter(y.key)
+        return all(s in it for s in x.key)
+    return bool(x.system._bruhat_table()[y.key] >> x.key & 1)
+
+
+def is_twisted_involution(p):
+    return (p * p).is_identity()
 
 
 class OracleGroup:

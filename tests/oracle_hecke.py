@@ -20,6 +20,7 @@ from qpcox.laurent import ONE, V, VINV, LaurentPoly, add_scaled, v_power
 from qpcox.qpsets import rht_witness_word
 
 from oracle_canonical import act_bar_word, generic_canonical_columns
+from oracle_group import left_descents
 
 
 def gen_mult(system, coords: dict, s: int) -> dict:
@@ -64,7 +65,7 @@ class OracleHecke:
             elif x.is_identity():
                 cache[x.key] = {x: ONE}
             else:
-                s = min(x.left_descents())
+                s = min(left_descents(x))
                 rest = system.generator(s) * x
                 prev = cache.get(rest.key)
                 if prev is None:

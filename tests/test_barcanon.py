@@ -30,7 +30,7 @@ from qpcox.barcanon import (
 )
 from qpcox.classify import twisted_classes, w0_translate
 from qpcox.coxeter import Element, ExtElement, build_system
-from qpcox.errors import ConsistencyError
+from qpcox.errors import ConsistencyError, TruncationRequired
 from qpcox.hecke import HeckeElt, kl_basis
 from qpcox.laurent import ONE, V, VINV, v_power
 from qpcox.qpsets import (
@@ -59,6 +59,7 @@ from oracle_canonical import (
     vector_phi_verdict,
     vector_primed_basis,
 )
+from oracle_group import is_twisted_involution
 from oracle_hecke import OracleHecke, replay_bar_columns
 from oracle_qpsets import payloads
 
@@ -201,7 +202,7 @@ def test_bar_columns_match_closed_form(name):
 def test_truncated_bar_columns_match_closed_form():
     compared = 0
     for seed, cutoff, X in _truncated_u3_classes((5, 6, 7)):
-        if all(p.is_twisted_involution() for p in payloads(X)) and check_quasiparabolic(X).is_qp:
+        if all(map(is_twisted_involution, payloads(X))) and check_quasiparabolic(X).is_qp:
             compared += 1
             for kind in ("M", "N"):
                 assert bar_columns(kind, X) == closed_form_bar_columns(kind, X), (seed, cutoff, kind)
@@ -279,11 +280,13 @@ def _matches_oracles(kind, X):
 def test_minima_checks_match_full_oracle(name):
     # the involution, the Phi inverse and the Phi-bar squares are checked at
     # the orbit minima only; the verdicts and counts match checking every
-    # point.  The canonical tables match the generic solve.
+    # point.  The canonical tables match the generic solve.  Phi is compared
+    # only where both bar verdicts pass: elsewhere it is refused
     for X in _untruncated_carriers(build_system(name)):
         for kind in ("M", "N"):
             assert _matches_oracles(kind, X), (X, kind)
-        if len(X) <= 60:  # the full Phi oracle is the slow part
+        certified = all(verify_bar_operator(kind, X).ok for kind in ("M", "N"))
+        if certified and len(X) <= 60:  # the full Phi oracle is the slow part
             assert PhiMaps(X).verify() == full_phi_verdict(PhiMaps(X)), X
 
 
@@ -519,6 +522,43 @@ def test_primed_break_fails_as_primed_phi():
         assert vector_primed_basis(table_m, broken, "M")[1] == CheckVerdict(False, "primed-bar-invariance", {"y": y})
 
 
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_phi_refuses_uncertified_bar_operators(name):
+    # Phi is built on a bar operator: where a bar verdict fails, the Phi
+    # verdict names that failure.  The every-point loop it replaces passed
+    # the maps on 4 of the 6 non-quasiparabolic twisted classes
+    system = build_system(name)
+    refused = passed_by_vector_loop = 0
+    for theta in system.diagram_automorphisms():
+        for X in twisted_classes(system, theta):
+            failed = [v for v in (verify_bar_operator(kind, X) for kind in ("M", "N")) if not v.ok]
+            assert bool(failed) == (not check_quasiparabolic(X).is_qp), X
+            if failed:
+                expect = CheckVerdict(False, "phi-bar-operator", {"bar": failed[0].kind, **failed[0].failure})
+                assert phi_maps(X).verify() == expect, X
+                refused += 1
+                passed_by_vector_loop += vector_phi_verdict(phi_maps(X)).ok
+    assert (refused, passed_by_vector_loop) == (6, 4)
+
+
+def test_phi_and_primed_refuse_truncated_carriers(monkeypatch):
+    # a boundary point's generator images leave a truncated carrier, so the
+    # Phi maps, and the primed bases that need them, refuse it before any
+    # column operation (they raised from inside the loop on every class
+    # with more than one point)
+    for seed, cutoff, X in _truncated_u3_classes():
+        phi = phi_maps(X)
+        table_m, table_n = canonical_basis("M", X), canonical_basis("N", X)
+        message = f"^the Phi maps need an untruncated carrier, and this one is cut off at height {cutoff}$"
+        with monkeypatch.context() as patch:
+            patch.setattr(barcanon, "act_generator", lambda *args, **kw: pytest.fail("a column operation ran"))
+            with pytest.raises(TruncationRequired, match=message):
+                phi.verify()
+            for kind in ("M", "N"):
+                with pytest.raises(TruncationRequired, match=message):
+                    primed_basis(table_m, table_n, kind)
+
+
 def test_phi_verdict_is_computed_once(monkeypatch):
     X = coset_set(build_system("A3"), [1])
     phi = PhiMaps(X)
@@ -685,6 +725,31 @@ def test_w0_partners_on_keys_match_element_products(name):
         partner = next(c for c in classes if c.theta == theta and keys[0] in c.index)
         assert sorted(keys) == sorted(partner.keys)
     assert inversion_check(system).ok
+
+
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_inversion_refuses_a_perturbed_n_table(name):
+    # one changed entry of the N table of a class with at least 3 points
+    # breaks the identity; the reported (x, y) is a pair whose alternating
+    # sum is not delta(x, y)
+    system = build_system(name)
+    classes = iplus_qp_classes(system)
+    K = next(K for K in classes if len(K) >= 3)
+    theta, keys = w0_translate(K)
+    K2 = next(c for c in classes if c.theta == theta and keys[0] in c.index)
+    table_n = canonical_basis("N", K2)
+    table_n.cols = [dict(col) for col in table_n.cols]  # the M table may share them
+    top = len(K2) - 1
+    table_n.cols[top][0] = table_n.poly(0, top) + VINV
+    verdict = inversion_check(system)
+    assert not verdict.ok and verdict.failure["class"] == K.describe_point(0)
+    x, y = verdict.failure["x"], verdict.failure["y"]
+    table_m, part = canonical_basis("M", K), [K2.index[k] for k in keys]
+    total = laurent.ZERO
+    for w in range(len(K)):
+        sign = -1 if ((K.height2[y] - K.height2[w]) // 2) % 2 else 1
+        total = total + table_m.poly(x, w) * table_n.poly(part[y], part[w]) * sign
+    assert total != (ONE if x == y else laurent.ZERO)
 
 
 def test_iplus_qp_classes_a3():

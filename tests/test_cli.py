@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qpcox import barcanon, coxeter
+from qpcox import barcanon, cli, coxeter
 from qpcox.cli import main
 from qpcox.errors import ConsistencyError
 
@@ -354,6 +355,36 @@ def test_cache_follows_matrix_file_content(tmp_path):
     assert cached.read_text() == fresh.read_text()
     # two entries, no temp files left behind by the atomic write
     assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".json", ".json"]
+
+
+def test_cache_is_keyed_on_the_source_digest(tmp_path, monkeypatch, capsys):
+    # an entry written for the same configuration by other code (another
+    # source digest) is not served: it is recomputed and stored under the
+    # current digest.  Under its own digest an entry is served
+    argv = ["survey", "--type", "A2"]
+    assert run(tmp_path, *argv) == 0
+    fresh = capsys.readouterr().out
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        assert run(tmp_path, *argv, cache=True) == 0
+        capsys.readouterr()
+        (stale,) = (tmp_path / "cache").glob("*.json")
+        payload = json.loads(stale.read_text())
+        payload["reports"][0]["size"] = 999  # what the other code wrote
+        stale.write_text(json.dumps(payload))
+        assert run(tmp_path, *argv, cache=True) == 0
+        assert "999" in capsys.readouterr().out  # same digest: served
+    assert run(tmp_path, *argv, cache=True) == 0
+    assert capsys.readouterr().out == fresh  # another digest: recomputed
+    assert json.loads(stale.read_text()) == payload
+    (entry,) = set((tmp_path / "cache").glob("*.json")) - {stale}
+    payload["reports"][0]["size"] = json.loads(entry.read_text())["reports"][0]["size"]
+    assert json.loads(entry.read_text()) == payload
+    assert run(tmp_path, *argv, cache=True) == 0
+    assert capsys.readouterr().out == fresh
+    assert cli._source_digest() == hashlib.sha256(
+        b"".join(p.read_bytes() for p in sorted((SRC / "qpcox").glob("*.py")))
+    ).hexdigest()
 
 
 def _count_stages(monkeypatch):

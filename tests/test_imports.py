@@ -6,8 +6,10 @@ somewhere else in the same file, or be re-exported through ``__all__``;
 ``from __future__`` imports are exempt.  Every ``_``-prefixed function or
 class defined in src/ (dunders aside) must be referenced, by name or as an
 attribute, somewhere in src/ outside its own definition.  No module in src/
-names ``payloads``: carriers hold keys, and elements are built from them
-only at the boundary.
+names ``payloads`` or an element-level query (``bruhat_leq``,
+``left_descents``, ``right_descents``, ``is_twisted_involution``): carriers
+hold keys, src/ answers those questions on keys and carriers, and elements
+are built from keys only at the boundary.
 """
 
 import ast
@@ -19,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src").rglob("*.py"))
 FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
+BOUNDARY_ONLY = ("payloads", "bruhat_leq", "left_descents", "right_descents", "is_twisted_involution")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -79,11 +82,14 @@ def test_scan_finds_dead_helpers():
 def test_scan_finds_payload_reads():
     assert _references(ast.parse("X.payloads[0].x"))["payloads"] == 1
     assert _references(ast.parse("X.keys[0]"))["payloads"] == 0
+    assert _references(ast.parse("if p.is_twisted_involution(): bruhat_leq(x, y)"))["bruhat_leq"] == 1
+    assert _references(ast.parse("K.is_twisted_involution_class"))["is_twisted_involution"] == 0
 
 
 @pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
 def test_src_reads_no_payloads(path):
-    assert _references(ast.parse(path.read_text()))["payloads"] == 0
+    refs = _references(ast.parse(path.read_text()))
+    assert [name for name in BOUNDARY_ONLY if refs[name]] == []
 
 
 def test_no_dead_helpers_in_src():
