@@ -11,9 +11,10 @@ once per system, so one run solves each (carrier, kind) once.  A system is
 built afresh by every call of main, so nothing is shared between calls.
 
 Survey and basis results are cached on disk keyed by a content hash of the
-resolved configuration, the resolved Coxeter matrix, the package version and
-a sha256 of the package's sources (so older code's entries are not served);
---no-cache bypasses the cache entirely.  A cached entry made for another
+resolved configuration, the resolved Coxeter matrix and the package version,
+in a directory named by a sha256 of the package's sources (so older code's
+entries are not served, and storing an entry removes the directories of
+other sources); --no-cache bypasses the cache entirely.  A cached entry made for another
 configuration or with malformed fields is recomputed and overwritten, and
 cached survey witnesses are re-validated against a freshly built carrier
 before being served.  All outputs are deterministic for a fixed configuration.
@@ -29,6 +30,8 @@ import io
 import itertools
 import json
 import os
+import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -163,15 +166,16 @@ def _source_digest() -> str:
 
 
 def _cache_path(args, key_obj, system: CoxeterSystem) -> Path | None:
-    """The cache file for a configuration.  The name also hashes the resolved
-    matrix (a --type path can change content), the package version and the
-    package's source digest, so an entry written by other code is not served."""
+    """The cache file for a configuration, in a directory named by the
+    package's source digest, so an entry written by other code is not served.
+    The name also hashes the resolved matrix (a --type path can change
+    content) and the package version."""
     if args.no_cache:
         return None
-    full_key = {"config": key_obj, "matrix": system.matrix, "version": __version__, "source": _source_digest()}
+    full_key = {"config": key_obj, "matrix": system.matrix, "version": __version__}
     blob = json.dumps(full_key, sort_keys=True).encode()
     digest = hashlib.sha256(blob).hexdigest()[:24]
-    return Path(args.cache_dir) / f"{digest}.json"
+    return Path(args.cache_dir) / _source_digest() / f"{digest}.json"
 
 
 def _cache_load(path: Path | None):
@@ -196,6 +200,9 @@ def _cache_store(path: Path | None, obj) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    for other in path.parent.parent.iterdir():  # other code's entries are never read again
+        if other != path.parent and other.is_dir() and re.fullmatch(r"[0-9a-f]{64}", other.name):
+            shutil.rmtree(other, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,18 @@
 Two families are supported.  A *finite* system is built from the root set of
 its geometric representation: roots are generated numerically (entries are
 snapped to previously seen vectors with tolerance 1e-9), and each generator
-becomes an integer permutation of the root indices.  The construction is
-self-validating: generator permutations must be involutions satisfying the
-braid relations, and the root count must be twice the number of positive
-roots, so a misidentified root fails loudly.  Root vectors are used nowhere
-else.  A *universal* system (every off-diagonal order infinite) represents
-each element by its unique reduced word.
+becomes an integer permutation of the root indices, with a sign per root.
+The construction is self-validating: generator permutations must be
+involutions satisfying the braid relations, and the root count must be twice
+the number of positive roots, so a misidentified root fails loudly.  Root
+vectors are used nowhere else.  A *universal* system (every off-diagonal
+order infinite) represents each element by its unique reduced word.
+
+Reflections are read on the roots (reflection_roots): s_beta for each
+positive root beta, with its greedy lowest-left-descent word, and no group
+enumeration.  Coset and regular carriers are searched on the roots as well
+(qpsets.coset_set), so W is enumerated only for conjugacy classes, surveys
+and element arithmetic.
 
 Elements of an enumerated finite group are dense integer ids, assigned by
 breadth-first search from the identity, with integer action tables indexed
@@ -43,7 +49,7 @@ from .errors import (
 
 INF = 0  # internal marker for an infinite bond order
 
-MAX_ORDER = 500_000  # the largest |W| enumerated: above |A8| = 362880, below |E7|
+MAX_ORDER = 500_000  # the largest |W| enumerated, and |X| searched: above |A8| = 362880, below |E7|
 
 _SNAP = 1e-9
 
@@ -163,6 +169,7 @@ class CoxeterSystem:
             )
         self._table = None
         self._reflections = None
+        self._reflection_roots = None
         self._bruhat_down = None
         self._aut_list = None
         self._aut_images: dict[tuple, list] = {}
@@ -246,6 +253,7 @@ class CoxeterSystem:
 
         self.roots = tuple(roots)
         self.gen_root_perm = tuple(perms)
+        self.positive = tuple(sign(vec) for vec in roots)
         self.n_positive_roots = len(roots) // 2
 
     # -- group enumeration (finite family) ----------------------------------
@@ -291,20 +299,46 @@ class CoxeterSystem:
 
     # -- reflections ---------------------------------------------------------
 
+    def reflection_roots(self) -> list[tuple[tuple, int]]:
+        """(word, beta) for every reflection s_beta of a finite system, beta
+        the index of its positive root, sorted by (length, word).  The word is
+        the greedy lowest-left-descent reduced word, so this is the (length,
+        id) order of the group table.
+
+        Read on the roots, without enumerating W: s_beta permutes the roots
+        (s s_beta s = s_{s beta}, closed from the simple reflections), and w
+        has the left descent s exactly when w^-1(alpha_s) is negative, with
+        w^-1 s the inverse of s w.
+        """
+        if self._reflection_roots is None:
+            gens, positive = self.gen_root_perm, self.positive
+            perms = dict(enumerate(gens))  # beta -> s_beta on the roots
+            queue = list(perms)
+            for beta in queue:  # iterating the growing list closes the set
+                for g in gens:
+                    gamma = g[beta]
+                    if positive[gamma] and gamma not in perms:
+                        perms[gamma] = _compose(g, _compose(perms[beta], g))
+                        queue.append(gamma)
+            out = []
+            for beta, q in perms.items():  # q is w^-1 on the roots; s_beta is its own inverse
+                word = []
+                while True:
+                    s = next((s for s in range(self.rank) if not positive[q[s]]), None)
+                    if s is None:
+                        break
+                    word.append(s)
+                    q = _compose(q, gens[s])  # (s w)^-1 = w^-1 s
+                out.append((tuple(word), beta))
+            out.sort(key=lambda wb: (len(wb[0]), wb[0]))
+            self._reflection_roots = out
+        return self._reflection_roots
+
     def reflections(self) -> list["Element"]:
-        """All reflections w s w^-1, sorted by (length, id).  Finite family."""
+        """All reflections as elements of the enumerated group, sorted by
+        (length, id) (the survey code).  Finite family."""
         if self._reflections is None:
-            table = self._ensure_table()
-            seen = set(table.gen_ids)
-            queue = list(table.gen_ids)
-            while queue:
-                r = queue.pop()
-                for s in range(self.rank):
-                    c = table.lmult[table.rmult[r][s]][s]  # s r s
-                    if c not in seen:
-                        seen.add(c)
-                        queue.append(c)
-            self._reflections = [Element(self, i) for i in sorted(seen)]  # (length, id) order
+            self._reflections = [self.element_from_word(word) for word, _ in self.reflection_roots()]
         return self._reflections
 
     def reflections_up_to(self, max_length: int) -> list["Element"]:
@@ -712,8 +746,8 @@ class KeyTwist:
     - ``step_length(s, x)`` is the length of s x sigma(s) (on a word it is read
       from the first and last letters of x, in O(1));
     - ``conj(w, x)`` is w x theta(w)^-1 (folded along the search parents of w,
-      or by cancelling words at the two junctions, with the word of
-      theta(w)^-1 built once per w);
+      or by cancelling words at both junctions in one pass, with the word
+      of theta(w)^-1 built once per w);
     - ``length(x)`` is the length of x;
     - ``involutive(x)`` is whether (x, theta) is a twisted involution:
       theta^2 = 1 and theta(x) = x^-1.  Twisted conjugation preserves that,
@@ -745,11 +779,24 @@ class KeyTwist:
 
             tails = {}  # w -> the word of theta(w)^-1
 
-            def conj(w, x):
+            def conj(w, x):  # w x tail, cancelled in one pass over both junctions
                 tail = tails.get(w)
                 if tail is None:
                     tail = tails[w] = tuple([sigma[s] for s in reversed(w)])
-                return _u_mult(_u_mult(w, x), tail)
+                n, m, k = len(w), len(x), len(tail)
+                i = 0  # letters cancelled between w and x
+                while i < n and i < m and w[n - 1 - i] == x[i]:
+                    i += 1
+                j = 0  # letters cancelled between the reduced w x and tail
+                while j < m - i and j < k and x[m - 1 - j] == tail[j]:
+                    j += 1
+                if j < m - i:
+                    return w[:n - i] + x[i:m - j] + tail[j:]
+                n -= i  # x is used up: w[:n] meets tail[j:]
+                while n and j < k and w[n - 1] == tail[j]:
+                    n -= 1
+                    j += 1
+                return w[:n] + tail[j:]
 
             def involutive(x):
                 return twist and tuple([sigma[s] for s in reversed(x)]) == x

@@ -26,7 +26,8 @@ class TruncationRequired(QpcoxError):
 
 
 class GroupTooLarge(QpcoxError):
-    """A finite group has more elements than the enumeration limit (coxeter.MAX_ORDER)."""
+    """A finite group, or a carrier's orbit, has more elements than the limit
+    coxeter.MAX_ORDER."""
 
 
 class ConsistencyError(QpcoxError):

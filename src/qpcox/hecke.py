@@ -24,11 +24,13 @@ from .qpsets import ScaledWSet, regular_set
 
 def regular_module(system: CoxeterSystem) -> ScaledWSet:
     """The regular carrier of a finite system, built once and kept on the system
-    (an entry of a weak-key map would be kept alive by the carrier's system)."""
+    (an entry of a weak-key map would be kept alive by the carrier's system).
+    Its point ids must be the element ids: point w carries the word of w."""
     X = getattr(system, "_regular_module", None)
     if X is None:
         X = regular_set(system)  # InfiniteParabolic on a universal system
-        if X.keys != list(range(len(X))):
+        table = system._ensure_table()
+        if len(X) != len(table.perms) or any(key != table.word(w, system.rank) for w, key in enumerate(X.keys)):
             raise ConsistencyError("regular carrier point ids differ from element ids")
         system._regular_module = X
     return X

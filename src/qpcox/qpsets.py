@@ -8,24 +8,29 @@ the generator list S + [s0]).
 
 Every carrier comes from one breadth-first orbit search that records each
 generator step once; the points are then sorted and the recorded steps become
-integer action rows.  Reflection actions compose those rows, the row of
-r = a r' a from the row of the shorter reflection r'.
+integer action rows.  The search refuses a carrier of more than MAX_ORDER
+points, so |X|, not |W|, bounds it.  Reflection actions compose those rows,
+the row of r = a r' a from the row of the shorter reflection r', over the
+reflections read on the roots (CoxeterSystem.reflection_roots).
 
-A carrier holds one plain key per point, never a group element: the element
-id of a coset representative or of a regular point, the key x of (x, theta)
-in a conjugacy class (an element id, or a reduced word on a universal
-system), and the pair (base point id, bit) on a double cover.  Coset
-carriers step ids through the group tables, and a conjugacy class is
-searched on keys with coxeter.KeyTwist.  A truncated universal class, whose
-images can leave the carrier, twisted-conjugates the words of its points by
-the reflection words, also on keys.  Element objects are built only at the
-boundary: describe_point, and witness re-checks.
+A carrier holds one plain key per point, never a group element: the reduced
+word of a coset representative or of a regular point (its greedy
+lowest-left-descent word), the key x of (x, theta) in a conjugacy class (an
+element id, or a reduced word on a universal system), and the pair (base
+point id, bit) on a double cover.  Coset and regular carriers are searched
+on the roots, without enumerating W: a point is the tuple of root indices
+w(alpha_1), ..., w(alpha_n).  A conjugacy class is searched on keys with
+coxeter.KeyTwist, which enumerates W on a finite system.  A truncated
+universal class, whose images can leave the carrier, twisted-conjugates the
+words of its points by the reflection words, also on keys.  Element objects
+are built only at the boundary: describe_point, and witness re-checks.
 
 Heights are stored doubled (height2 = 2 ht), so the half-integer heights of
 conjugacy classes stay exact integers.  Point ids are dense and sorted by
-(height2, key), which makes exports deterministic.  Truncated universal
-carriers record their cutoff; checks on them quantify only over data the
-truncation can see and every verdict carries the cutoff.
+(height2, key), which makes exports deterministic; on coset and regular
+carriers that is the (length, id) order of the group table.  Truncated
+universal carriers record their cutoff; checks on them quantify only over
+data the truncation can see and every verdict carries the cutoff.
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from . import coxeter
 from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, twisted_conjugate
 from .errors import (
     BadMatrix,
     ConsistencyError,
+    GroupTooLarge,
     InfiniteParabolic,
     NotQuasiparabolic,
     SystemMismatch,
@@ -122,7 +129,7 @@ class ScaledWSet:
         key = self.keys[pid]
         if self.kind == "double-cover":
             return {"base": self.base.describe_point(key[0]), "bit": key[1]}
-        out = {"x": list(Element(self.system, key).word())}
+        out = {"x": list(key if isinstance(key, tuple) else Element(self.system, key).word())}
         if self.kind == "conjugacy":
             out["theta"] = list(self.theta.sigma)
         return out
@@ -165,12 +172,13 @@ class ScaledWSet:
     # -- reflection actions -----------------------------------------------------
 
     def reflection_actions(self) -> list[_ReflAction]:
-        """r . x for every reflection r of W, in (length, id) order; a double
+        """r . x for every reflection r of W, in (length, word) order; a double
         cover adds s0, the reflection of its A1 factor.
 
         An untruncated carrier composes generator rows: r = a r' a for the
-        first letter a of r.word(), a left descent, so the row of r is the row
-        of a around that of the shorter reflection r' = a r a.  A truncated
+        first letter a of the word of r, a left descent, so the row of r is
+        the row of a around that of the shorter reflection r' = a r a, whose
+        root is a(beta) for the root beta of r.  A truncated
         carrier twisted-conjugates the words of its points instead, over the
         reflections of length <= cutoff + 1: an image may leave the carrier,
         and its exact height and word are still needed.
@@ -184,17 +192,17 @@ class ScaledWSet:
                 images = [conj(r, x) for x in self.keys]
                 out.append(_ReflAction(r, [index.get(q) for q in images], [len(q) for q in images], images))
         else:
-            table = self.system._table
-            rows = {}  # reflection id -> its row
-            for r in self.system.reflections():  # (length, id) order: r' comes before r
-                word = r.word()
+            gens, refl = self.system.gen_root_perm, self.system.reflection_roots()
+            position = {beta: i for i, (_, beta) in enumerate(refl)}
+            rows = []
+            for word, beta in refl:  # (length, word) order: r' comes before r
                 a = self.action[word[0]]
                 if len(word) == 1:
                     img = list(a)
                 else:
-                    inner = rows[table.lmult[table.rmult[r.key][word[0]]][word[0]]]
+                    inner = rows[position[gens[word[0]][beta]]]  # r' = s_{a beta}
                     img = [a[inner[y]] for y in a]
-                rows[r.key] = img
+                rows.append(img)
                 out.append(_ReflAction(word, img, [self.height2[y] for y in img]))
             if self.kind == "double-cover":
                 img = list(self.action[self.n_gens - 1])
@@ -203,12 +211,16 @@ class ScaledWSet:
         return out
 
 
-def _orbit_carrier(system, start, n_gens, step, height2, **kw) -> ScaledWSet:
-    """The orbit of the key start, where step(s, p) is the key of the image
-    of p under generator s (None when it leaves a truncated carrier).
+def _orbit_carrier(system, start, n_gens, step, height2, relabel=None, **kw) -> ScaledWSet:
+    """The orbit of the search key start, where step(s, p) is the search key
+    of the image of p under generator s (None when it leaves a truncated
+    carrier).
 
-    One breadth-first search records every step once; the points are then
-    sorted by (height2, key) and the recorded steps renumbered into rows.
+    One breadth-first search records every step once, and refuses an orbit
+    of more than MAX_ORDER points (GroupTooLarge) before any row is built.
+    relabel(queue, steps), when given, maps each search key to the key the
+    carrier keeps; the points are then sorted by (height2, key) and the
+    recorded steps renumbered into rows.
     """
     steps = {start: None}
     queue = [start]
@@ -216,30 +228,58 @@ def _orbit_carrier(system, start, n_gens, step, height2, **kw) -> ScaledWSet:
         images = steps[p] = [step(s, p) for s in range(n_gens)]
         for q in images:
             if q is not None and q not in steps:
+                if len(queue) >= coxeter.MAX_ORDER:
+                    raise GroupTooLarge(f"a carrier of {system.name} has more than "
+                                        f"MAX_ORDER = {coxeter.MAX_ORDER} points; refused")
                 steps[q] = None
                 queue.append(q)
-    points = sorted(queue, key=lambda p: (height2(p), p))
+    name = relabel(queue, steps) if relabel else {p: p for p in queue}
+    points = sorted(queue, key=lambda p: (height2(p), name[p]))
     index = {p: i for i, p in enumerate(points)}
     action = [[index.get(steps[p][s]) for p in points] for s in range(n_gens)]
-    return ScaledWSet(system, keys=points, height2=[height2(p) for p in points], action=action, **kw)
+    return ScaledWSet(system, keys=[name[p] for p in points], height2=[height2(p) for p in points],
+                      action=action, **kw)
 
 
 def coset_set(system: CoxeterSystem, J) -> ScaledWSet:
-    """The set W^J of minimal coset representatives, heights ht = length."""
+    """The set W^J of minimal coset representatives, heights ht = length.
+
+    Searched on the roots, without enumerating W.  A point w is searched as
+    the root indices of w(alpha_1), ..., w(alpha_n), which determine w; the
+    step to s w maps them through the permutation of s, and s w lies in W^J
+    exactly when it sends every alpha_j with j in J to a positive root.
+    Otherwise s . w = w (the bullet action).  The breadth-first search meets
+    the points in length order, so a point first met from w has length
+    l(w) + 1.  A point's key is its greedy lowest-left-descent reduced word,
+    so (height2, key) is the (length, id) order of the group table.
+    """
     J = tuple(sorted(set(J)))
     for j in J:
         if not 0 <= j < system.rank:
             raise BadMatrix(f"no generator with index {j}")
     if system.family == "universal":
         raise InfiniteParabolic("universal coset sets are infinite; use a conjugacy carrier")
-    table = system._ensure_table()
-    lmult, rmult, length = table.lmult, table.rmult, table.length
+    gens, positive = system.gen_root_perm, system.positive
+    start = tuple(range(system.rank))  # simple root i is root i
+    h2 = {start: 0}
 
-    def step(s, w):  # the bullet action on ids: s w, or w when s w is not in W^J
-        z = lmult[w][s]
-        return w if any(length[rmult[z][j]] < length[z] for j in J) else z
+    def step(s, w):
+        g = gens[s]
+        sw = tuple([g[r] for r in w])
+        if not all(positive[sw[j]] for j in J):
+            return w
+        if sw not in h2:
+            h2[sw] = h2[w] + 2
+        return sw
 
-    return _orbit_carrier(system, 0, system.rank, step, lambda w: 2 * length[w],
+    def words(queue, steps):  # the lowest generator lowering w, then its word
+        word = {}
+        for w in queue:
+            s = next((s for s, sw in enumerate(steps[w]) if h2[sw] < h2[w]), None)
+            word[w] = () if s is None else (s,) + word[steps[w][s]]
+        return word
+
+    return _orbit_carrier(system, start, system.rank, step, h2.__getitem__, words,
                           kind="coset" if J else "regular", J=J)
 
 

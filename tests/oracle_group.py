@@ -7,6 +7,10 @@ Shares only the root vectors and generator permutations with the
 implementation, whose tables come from simple-root keys and recurrences
 along the search tree.
 
+table_reflections is the breadth-first search of the reflections on the
+group table that CoxeterSystem.reflections ran before it read them on the
+roots.
+
 It also holds the element-level queries that src/ answers on keys and
 carriers instead: descents from products and lengths, the Bruhat order
 (the down-set table of a finite system, which test_coxeter checks against
@@ -46,6 +50,22 @@ def bruhat_leq(x, y):
 
 def is_twisted_involution(p):
     return (p * p).is_identity()
+
+
+def table_reflections(system):
+    """The ids of all reflections, closed under s r s from the generators on
+    the group table, sorted (so in (length, id) order)."""
+    table = system._ensure_table()
+    seen = set(table.gen_ids)
+    queue = list(table.gen_ids)
+    while queue:
+        r = queue.pop()
+        for s in range(system.rank):
+            c = table.lmult[table.rmult[r][s]][s]  # s r s
+            if c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return sorted(seen)
 
 
 class OracleGroup:

@@ -11,6 +11,11 @@ reflection action).  Twisted conjugation is Element arithmetic here
 is the (QP1)/(QP2) scan with the heights of out-of-carrier images from that
 arithmetic.  It is kept as an independent oracle for those paths.
 
+table_coset_set and table_reflection_rows are how qpsets built coset and
+regular carriers before it read them on the roots: an orbit search stepping
+element ids through the group table, and reflection rows composed along the
+table's reflection ids.  Their carriers keep element ids as keys.
+
 A carrier holds keys, not elements.  payloads(X) builds the elements of any
 carrier's points from its keys; tests that need group elements of points go
 through it.
@@ -18,8 +23,9 @@ through it.
 
 from __future__ import annotations
 
+from oracle_group import table_reflections
 from qpcox.coxeter import Element, ExtElement
-from qpcox.qpsets import QpVerdict, ScaledWSet, _ReflAction
+from qpcox.qpsets import QpVerdict, ScaledWSet, _orbit_carrier, _ReflAction
 
 
 def twisted(w, a):
@@ -29,20 +35,21 @@ def twisted(w, a):
 
 def payloads(X):
     """The elements of X's points, built from its keys: an Element per point
-    of a coset or regular carrier, (x, theta) per point of a conjugacy class,
-    and on a double cover the (base id, bit) key itself."""
+    of a coset or regular carrier (from its word), (x, theta) per point of a
+    conjugacy class, and on a double cover the (base id, bit) key itself."""
     if X.kind == "double-cover":
         return list(X.keys)
     if X.kind == "conjugacy":
         return [ExtElement(Element(X.system, k), X.theta) for k in X.keys]
-    return [Element(X.system, k) for k in X.keys]
+    return [X.system.element_from_word(k) for k in X.keys]
 
 
 def key_of(p):
-    """The key a carrier stores for the element p of a point."""
+    """The key a carrier stores for the element p of a point: the id of x
+    for (x, theta), the word of a coset or regular point."""
     if isinstance(p, ExtElement):
         return p.x.key
-    return p.key if isinstance(p, Element) else p
+    return p.word() if isinstance(p, Element) else p
 
 
 def _carrier(system, kind, points, height2, action, **kw):
@@ -186,6 +193,40 @@ def even_double_cover(X):
         action.append([index[(X.action[s][b], 1 - k)] for (b, k) in points])
     action.append([index[(b, 1 - k)] for (b, k) in points])  # s0
     return _carrier(X.system, "double-cover", points, height2, action, base=X)
+
+
+def table_coset_set(system, J):
+    """W^J searched on element ids: the bullet action steps s w, or stays at
+    w when s w is not of minimal length in its coset."""
+    J = tuple(sorted(set(J)))
+    table = system._ensure_table()
+    lmult, rmult, length = table.lmult, table.rmult, table.length
+
+    def step(s, w):
+        z = lmult[w][s]
+        return w if any(length[rmult[z][j]] < length[z] for j in J) else z
+
+    return _orbit_carrier(system, 0, system.rank, step, lambda w: 2 * length[w],
+                          kind="coset" if J else "regular", J=J)
+
+
+def table_reflection_rows(X):
+    """(word, row) per reflection r of W, in (length, id) order, on the
+    id-keyed carrier X: the row of r is the row of its first letter a around
+    that of r' = a r a, found by table lookups."""
+    table = X.system._table
+    rows, out = {}, []
+    for r in table_reflections(X.system):
+        word = table.word(r, X.system.rank)
+        a = X.action[word[0]]
+        if len(word) == 1:
+            img = list(a)
+        else:
+            inner = rows[table.lmult[table.rmult[r][word[0]]][word[0]]]
+            img = [a[inner[y]] for y in a]
+        rows[r] = img
+        out.append((word, img))
+    return out
 
 
 def qp_verdict(X):

@@ -171,9 +171,10 @@ def test_criterion_6_bar_canonical_suite():
         ok = ok and primed_basis(tables["M"], tables["N"], "N")[1].ok
         if X.kind == "regular":
             kl = kl_basis(X.system)
+            ids = [X.system.element_from_word(w).key for w in X.keys]
             for kind in ("M", "N"):
                 got = {
-                    (X.keys[x], X.keys[y]): c
+                    (ids[x], ids[y]): c
                     for (x, y), c in table_entries(tables[kind].cols).items()
                 }
                 ok = ok and got == table_entries(kl.cols)

@@ -87,7 +87,7 @@ def N(X, pid):
 def test_act_gen_equal_height_cases():
     a2 = build_system("A2")
     X = coset_set(a2, [1])
-    e = X.index[a2.identity.key]
+    e = X.index[a2.identity.word()]
     assert act_gen(M(X, e), 1) == M(X, e).scale(V)
     assert act_gen(N(X, e), 1) == N(X, e).scale(-VINV)
 
@@ -132,7 +132,7 @@ def test_bar_fixes_minimal_points():
 def test_bar_on_coset_kind_matches_hecke_bar_action():
     a3 = build_system("A3")
     X = coset_set(a3, [1])
-    e = X.index[a3.identity.key]
+    e = X.index[a3.identity.word()]
     for kind in ("M", "N"):
         cols = bar_columns(kind, X)
         for pid, w in enumerate(payloads(X)):
@@ -149,12 +149,12 @@ def test_bar_on_regular_kind_is_hecke_bar():
     cols = bar_columns("M", X)
     for pid, w in enumerate(payloads(X)):
         hbar = HeckeElt.basis(w).bar()
-        expect = {X.index[u.key]: c for u, c in hbar.coords.items()}
+        expect = {X.index[u.word()]: c for u, c in hbar.coords.items()}
         assert dict(cols[pid].coords) == expect
         # hecke's bar is bar_vector on this carrier, so also compare with the
         # Element-keyed oracle
         oracle = OracleHecke(a2).bar_of_basis(w)
-        assert dict(cols[pid].coords) == {X.index[u.key]: c for u, c in oracle.items()}
+        assert dict(cols[pid].coords) == {X.index[u.word()]: c for u, c in oracle.items()}
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "I2(5)", "D4"])

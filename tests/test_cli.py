@@ -50,7 +50,7 @@ def test_survey_cache_roundtrip(tmp_path):
     out2 = tmp_path / "two.json"
     assert run(tmp_path, "survey", "--type", "A2", "--format", "json",
                "--out", str(out1), cache=True) == 0
-    cache_files = list((tmp_path / "cache").glob("*.json"))
+    cache_files = list((tmp_path / "cache").glob("*/*.json"))
     assert cache_files
     assert run(tmp_path, "survey", "--type", "A2", "--format", "json",
                "--out", str(out2), cache=True) == 0
@@ -71,7 +71,7 @@ def test_malformed_cached_witness_is_recomputed(tmp_path, capsys, tamper):
     fresh = capsys.readouterr().out
     assert run(tmp_path, *argv, cache=True) == 0
     capsys.readouterr()
-    (entry,) = (tmp_path / "cache").glob("*.json")
+    (entry,) = (tmp_path / "cache").glob("*/*.json")
     payload = json.loads(entry.read_text())
     witnessed = [rep for rep in payload["reports"] if rep["witness"]]
     assert witnessed
@@ -89,7 +89,7 @@ def _check_tampered_entry_is_recomputed(tmp_path, capsys, argv, tamper):
     fresh = capsys.readouterr().out
     assert run(tmp_path, *argv, cache=True) == 0
     capsys.readouterr()
-    (entry,) = (tmp_path / "cache").glob("*.json")
+    (entry,) = (tmp_path / "cache").glob("*/*.json")
     original = json.loads(entry.read_text())
     payload = json.loads(entry.read_text())
     replaced = tamper(payload)  # a new entry, or None after editing payload
@@ -167,6 +167,18 @@ def test_basis_coset(tmp_path):
     payload = json.loads(out.read_text())
     for x, y, pairs in payload["tables"]["M"]["entries"]:
         assert all(c >= 0 for _, c in pairs)  # nonnegativity on coset carriers
+
+
+def test_basis_e7_quotient_without_its_group(tmp_path):
+    # W(E7) has more than MAX_ORDER elements; the 56 cosets of W(E6) are
+    # searched on the roots and the carrier computes in full
+    out = tmp_path / "e7.json"
+    assert run(tmp_path, "basis", "--type", "E7", "--coset", "s1,s2,s3,s4,s5,s6", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["carrier"]["size"] == 56
+    entry = payload["tables"]["M"]
+    assert entry["verification"] and all(entry["verification"].values())
+    assert entry["bar"]["checked"] == 56 * (1 + 7)
 
 
 def test_basis_bar_failure_exit_code(tmp_path):
@@ -354,13 +366,15 @@ def test_cache_follows_matrix_file_content(tmp_path):
     assert len(fresh.read_text().splitlines()) == 45
     assert cached.read_text() == fresh.read_text()
     # two entries, no temp files left behind by the atomic write
-    assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".json", ".json"]
+    (entries,) = (tmp_path / "cache").iterdir()
+    assert sorted(p.suffix for p in entries.iterdir()) == [".json", ".json"]
 
 
 def test_cache_is_keyed_on_the_source_digest(tmp_path, monkeypatch, capsys):
     # an entry written for the same configuration by other code (another
     # source digest) is not served: it is recomputed and stored under the
-    # current digest.  Under its own digest an entry is served
+    # current digest, and the other digest's directory is removed.  Under its
+    # own digest an entry is served.  Other files in the cache dir stay
     argv = ["survey", "--type", "A2"]
     assert run(tmp_path, *argv) == 0
     fresh = capsys.readouterr().out
@@ -368,16 +382,20 @@ def test_cache_is_keyed_on_the_source_digest(tmp_path, monkeypatch, capsys):
         patch.setattr(cli, "_source_digest", lambda: "0" * 64)
         assert run(tmp_path, *argv, cache=True) == 0
         capsys.readouterr()
-        (stale,) = (tmp_path / "cache").glob("*.json")
+        (stale,) = (tmp_path / "cache").glob("*/*.json")
+        assert stale.parent.name == "0" * 64
         payload = json.loads(stale.read_text())
         payload["reports"][0]["size"] = 999  # what the other code wrote
         stale.write_text(json.dumps(payload))
         assert run(tmp_path, *argv, cache=True) == 0
         assert "999" in capsys.readouterr().out  # same digest: served
+    (tmp_path / "cache" / "notes").mkdir()
     assert run(tmp_path, *argv, cache=True) == 0
     assert capsys.readouterr().out == fresh  # another digest: recomputed
-    assert json.loads(stale.read_text()) == payload
-    (entry,) = set((tmp_path / "cache").glob("*.json")) - {stale}
+    assert not stale.parent.exists()  # and the other digest's entries removed
+    assert (tmp_path / "cache" / "notes").is_dir()
+    (entry,) = (tmp_path / "cache").glob("*/*.json")
+    assert entry.parent.name == cli._source_digest()
     payload["reports"][0]["size"] = json.loads(entry.read_text())["reports"][0]["size"]
     assert json.loads(entry.read_text()) == payload
     assert run(tmp_path, *argv, cache=True) == 0

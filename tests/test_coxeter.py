@@ -359,6 +359,22 @@ def test_universal_elements():
     assert all(r.word() == tuple(reversed(r.word())) for r in refl)
 
 
+def test_fused_word_conjugation_matches_two_products():
+    # w x theta(w)^-1 cancelled in one pass against two junction products, on
+    # every pair of U3 words of length <= 6 under every theta
+    u3 = build_system("U3")
+    words = [()]
+    for n in range(6):
+        words += [w + (s,) for w in words if len(w) == n for s in range(3) if not w or w[-1] != s]
+    assert len(words) == 1 + 3 + 6 + 12 + 24 + 48 + 96
+    for theta in u3.diagram_automorphisms():
+        conj = KeyTwist(theta).conj
+        for w in words:
+            tail = tuple(theta.sigma[s] for s in reversed(w))
+            for x in words:
+                assert conj(w, x) == coxeter._u_mult(coxeter._u_mult(w, x), tail)
+
+
 def test_word_is_reduced_and_reproduces_element():
     for t in ("A3", "B2", "I2(6)"):
         sys = build_system(t)

@@ -9,7 +9,9 @@ attribute, somewhere in src/ outside its own definition.  No module in src/
 names ``payloads`` or an element-level query (``bruhat_leq``,
 ``left_descents``, ``right_descents``, ``is_twisted_involution``): carriers
 hold keys, src/ answers those questions on keys and carriers, and elements
-are built from keys only at the boundary.
+are built from keys only at the boundary.  qpsets names no group table
+(``_ensure_table``, ``_table``, ``_GroupTable``): carriers are searched on
+the roots, and W is enumerated only for surveys and conjugacy classes.
 """
 
 import ast
@@ -90,6 +92,11 @@ def test_scan_finds_payload_reads():
 def test_src_reads_no_payloads(path):
     refs = _references(ast.parse(path.read_text()))
     assert [name for name in BOUNDARY_ONLY if refs[name]] == []
+
+
+def test_qpsets_names_no_group_table():
+    refs = _references(ast.parse((ROOT / "src" / "qpcox" / "qpsets.py").read_text()))
+    assert [name for name in ("_ensure_table", "_table", "_GroupTable") if refs[name]] == []
 
 
 def test_no_dead_helpers_in_src():

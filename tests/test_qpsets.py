@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 import oracle_qpsets as oracle
-from oracle_group import bruhat_leq
+from oracle_group import bruhat_leq, table_reflections
 from oracle_qpsets import payloads
 from qpcox.coxeter import Element, ExtElement, KeyTwist, build_system, twisted_conjugate
-from qpcox.errors import InfiniteParabolic, NotQuasiparabolic, TruncationRequired
+from qpcox import coxeter, qpsets
+from qpcox.errors import GroupTooLarge, InfiniteParabolic, NotQuasiparabolic, TruncationRequired
 from qpcox.classify import twisted_classes
 from qpcox.qpsets import (
     ScaledWSet,
@@ -311,6 +312,61 @@ def test_carriers_and_reflections_match_element_oracle(type_string):
     for X, Y in pairs:
         assert_same_carrier(X, Y)
     assert {X.kind for X, _ in pairs} == {"regular", "coset", "conjugacy", "double-cover"}
+
+
+ROOT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "H3", "H4", "I2(5)", "I2(7)"]
+SAMPLE_J = {
+    "A5": [(), (0,), (1, 3), (0, 1, 2, 3, 4)],
+    "B5": [(), (4,), (0, 1, 2, 3), (1, 2, 3, 4)],
+    "D5": [(), (0, 2, 4), (1, 2, 3, 4), (0, 1, 2, 3)],
+    "E6": [(0, 1, 2, 3, 4), (1, 2, 3, 4, 5), (0, 2, 3, 4, 5), (0, 1, 2, 3)],
+}
+
+
+def assert_root_carriers_match_table(system, Js):
+    # coset and regular carriers searched on the roots against the search on
+    # element ids: the word keys are the table's words of the old id keys
+    table = system._ensure_table()
+    for J in Js:
+        X, Y = coset_set(system, J), oracle.table_coset_set(system, J)
+        assert X.keys == [table.word(w, system.rank) for w in Y.keys]
+        assert (X.kind, X.J, X.height2, X.action) == (Y.kind, Y.J, Y.height2, Y.action)
+        assert [(ra.word, ra.img) for ra in X.reflection_actions()] == oracle.table_reflection_rows(Y)
+        assert all(ra.img_h2 == [X.height2[y] for y in ra.img] for ra in X.reflection_actions())
+
+
+@pytest.mark.parametrize("type_string", ROOT_TYPES + list(SAMPLE_J))
+def test_root_carriers_and_reflections_match_the_table_search(type_string):
+    system = build_system(type_string)
+    Js = SAMPLE_J.get(type_string) or [
+        J for k in range(system.rank + 1) for J in itertools.combinations(range(system.rank), k)
+    ]
+    assert_root_carriers_match_table(system, Js)
+    refl = table_reflections(system)
+    assert [r.key for r in system.reflections()] == refl
+    assert [w for w, _ in system.reflection_roots()] == [system._table.word(r, system.rank) for r in refl]
+
+
+def test_coset_search_builds_no_group_table():
+    e6 = build_system("E6")
+    X = coset_set(e6, (0, 1, 2, 3, 4))
+    assert check_quasiparabolic(X).is_qp
+    bruhat_order(X)
+    assert len(X) == 27 and X.height2[-1] == 2 * len(X.keys[-1]) == 32
+    assert e6._table is None
+
+
+def test_orbit_search_is_bounded_by_the_carrier(monkeypatch):
+    # MAX_ORDER bounds the points of a carrier, not |W|: the search refuses
+    # the 28th point of an orbit before any row is built
+    e6 = build_system("E6")
+    monkeypatch.setattr(coxeter, "MAX_ORDER", 27)
+    assert len(coset_set(e6, (0, 1, 2, 3, 4))) == 27
+    monkeypatch.setattr(coxeter, "MAX_ORDER", 26)
+    monkeypatch.setattr(qpsets, "ScaledWSet", None)  # building a carrier would fail
+    with pytest.raises(GroupTooLarge, match="MAX_ORDER = 26"):
+        coset_set(e6, (0, 1, 2, 3, 4))
+    assert e6._table is None
 
 
 def assert_truncated_classes_match_element_oracle(system, words, cutoff):
