@@ -47,7 +47,7 @@ from typing import Optional
 
 from .classify import twisted_classes, w0_translate
 from .coxeter import CoxeterSystem
-from .errors import ConsistencyError, TruncationRequired
+from .errors import ConsistencyError, TruncationRequired, UncertifiedBar
 from .laurent import ONE, V, VINV, ZERO, LaurentPoly, act_generator, add_scaled, canonical_columns, v_power
 from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic, lowest_descent
 
@@ -168,6 +168,15 @@ def _kind_memo(X: ScaledWSet, attr: str, kind: str, build, relabel=_as_n):
     return _memo(X, attr, kind, lambda: build(kind))
 
 
+def _polys(X: ScaledWSet) -> dict:
+    """The carrier's pool: one object per distinct polynomial, shared by its
+    bar columns and canonical tables of both kinds.  Few distinct values
+    occur (81 among the 98,407 entries of each bar matrix of A5 regular, 123
+    among the 5,491 table entries of H3 regular).  ONE is the entry of every
+    minimal column."""
+    return _memo(X, "_polys", None, lambda: {ONE: ONE})
+
+
 def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     """bar of every standard basis vector, as columns indexed by point id."""
     return _kind_memo(X, "_barcols", kind, lambda k: _bar_columns(k, X), lambda cols: list(map(_as_n, cols)))
@@ -185,7 +194,9 @@ def _bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
 def _bar_fill(kind: str, X: ScaledWSet, part: dict, x: int) -> None:
     """Fill part[x] and the columns its recurrence reads: bar M_x =
     bar(H_s) bar M_sx for the lowest generator s lowering x, down the chain
-    of such steps to a filled column or a minimal point, which keeps M_x."""
+    of such steps to a filled column or a minimal point, which keeps M_x.
+    Each entry is the carrier's pooled object (_polys)."""
+    pool = _polys(X)
     chain = []
     while x not in part:
         step = lowest_descent(X.action, X.height2, x)
@@ -195,7 +206,9 @@ def _bar_fill(kind: str, X: ScaledWSet, part: dict, x: int) -> None:
         chain.append((x, step))
         x = step[1]
     for y, (s, sy) in reversed(chain):
-        part[y] = act_bar_gen(part[sy], s)
+        col = part[y] = act_bar_gen(part[sy], s)
+        for p, c in col.coords.items():
+            col.coords[p] = pool.setdefault(c, c)
 
 
 def bar_vector(vec: ModuleVector) -> ModuleVector:
@@ -351,11 +364,10 @@ class CanonicalTable:
         self.kind = kind
         self.X = X
         p, mu = canonical_columns(kind, X.action, X.height2)
-        # the one store, shared with every caller: read-only.  Few distinct
-        # polynomials occur (123 among the 5,491 entries of H3 regular), so each
-        # is kept once: a carrier holds the tables of both kinds.
+        # the one store, shared with every caller: read-only; each entry is
+        # the carrier's pooled object (_polys)
         self.cols: list[dict[int, LaurentPoly]] = [{} for _ in range(len(X))]
-        pool: dict[LaurentPoly, LaurentPoly] = {}
+        pool = _polys(X)
         for (x, y), c in p.items():
             self.cols[y][x] = pool.setdefault(c, c)
         self.mus: list[dict[int, int]] = [{} for _ in range(len(X))]
@@ -376,6 +388,9 @@ class CanonicalTable:
         return ModuleVector(self.kind, self.X, self.cols[y])
 
     def to_json(self) -> dict:
+        # one [exponent, coefficient] list per pooled polynomial, shared by
+        # every entry holding it, so jsonout renders each once
+        pairs = {c: c.to_pairs() for c in {c for col in self.cols for c in col.values()}}
         return {
             "schema_version": 1,
             "kind": self.kind,
@@ -387,13 +402,20 @@ class CanonicalTable:
             },
             "label": self.label,
             "entries": [
-                [x, y, col[x].to_pairs()] for y, col in enumerate(self.cols) for x in sorted(col)
+                [x, y, pairs[col[x]]] for y, col in enumerate(self.cols) for x in sorted(col)
             ],
             "mu": [[x, y, col[x]] for y, col in enumerate(self.mus) for x in sorted(col)],
         }
 
 
 def canonical_basis(kind: str, X: ScaledWSet) -> CanonicalTable:
+    """The canonical table of kind on X, built once per carrier and kind.  Its
+    columns are the canonical ones only for a certified bar operator, so a
+    failing bar verdict (memoized, so certified callers pay nothing more)
+    raises UncertifiedBar instead."""
+    verdict = verify_bar_operator(kind, X)
+    if not verdict.ok:
+        raise UncertifiedBar(f"no canonical {kind}-table: the bar operator fails its certificate ({verdict.failure})")
     return _kind_memo(X, "_tables", kind, lambda k: CanonicalTable(k, X))
 
 

@@ -18,11 +18,19 @@ other sources); --no-cache bypasses the cache entirely.  A cached entry made for
 configuration or with malformed fields is recomputed and overwritten, and
 cached survey witnesses are re-validated against a freshly built carrier
 before being served.  All outputs are deterministic for a fixed configuration.
+
+Every JSON document (basis, wgraph, survey, the verify --out log) is written
+by jsonout.dump: the text of json.dumps(doc, indent=2, sort_keys=True) and a
+newline, streamed, on stdout and through --out alike.  A freshly computed
+survey or basis payload is rendered once for both the output and its cache
+entry, so the entry holds the output's own text; a cache hit re-renders the
+validated entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -36,7 +44,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import __version__, barcanon, classify, hecke, qpsets, wgraph
+from . import __version__, barcanon, classify, hecke, jsonout, qpsets, wgraph
 from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, build_system
 from .errors import BadMatrix, ConsistencyError, QpcoxError
 from .laurent import V, VINV
@@ -187,7 +195,9 @@ def _cache_load(path: Path | None):
         return None
 
 
-def _cache_store(path: Path | None, obj) -> None:
+def _cache_store(path: Path | None, obj, *sinks) -> None:
+    """Store obj's JSON text as the cache entry at path, from the same render
+    that writes it to each of sinks."""
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -195,7 +205,7 @@ def _cache_store(path: Path | None, obj) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(obj, sort_keys=True))
+            jsonout.dump(obj, fh, *sinks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -209,11 +219,27 @@ def _cache_store(path: Path | None, obj) -> None:
 # output plumbing
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
+def _emit(args, doc, store: Path | None = None) -> None:
+    """Write doc to --out or stdout: a str as it is (on stdout ending in a
+    newline), anything else as its JSON text, rendered once for the output
+    and for the cache entry at store, if given."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        if isinstance(doc, str):
+            out.write(doc if args.out or doc.endswith("\n") else doc + "\n")
+        elif store is None:
+            jsonout.dump(doc, out)
+        else:
+            _cache_store(store, doc, out)
+
+
+def _emit_cached(args, payload, store: Path | None, to_csv) -> None:
+    """Emit payload, or to_csv(payload) under --format csv, and store it as
+    the cache entry at store (None for a payload served from the cache)."""
+    if args.format == "csv":
+        _cache_store(store, payload)
+        _emit(args, to_csv(payload))
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        _emit(args, payload, store)
 
 
 def _survey_csv(reports_json: list[dict]) -> str:
@@ -261,7 +287,7 @@ def cmd_survey(args) -> int:
         "diagnostics": args.diagnostics,
     }
     path = _cache_path(args, key, system)
-    payload = _cache_load(path)
+    payload, store = _cache_load(path), None
     if not (_survey_entry_ok(payload, key) and _revalidate_survey(system, payload)):
         reports = classify.survey(system, thetas=thetas, diagnostics=args.diagnostics)
         failures = classify.survey_cross_checks(reports)
@@ -271,11 +297,8 @@ def cmd_survey(args) -> int:
             "reports": [r.to_json() for r in reports],
             "failures": failures,
         }
-        _cache_store(path, payload)
-    if args.format == "csv":
-        _emit(args, _survey_csv(payload["reports"]))
-    else:
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+        store = path
+    _emit_cached(args, payload, store, lambda payload: _survey_csv(payload["reports"]))
     if payload["failures"]:
         print("\n".join(f"FAIL {f}" for f in payload["failures"]), file=sys.stderr)
         return EXIT_CONSISTENCY
@@ -345,12 +368,11 @@ def cmd_basis(args) -> int:
         "kinds": kinds,
     }
     path = _cache_path(args, key, system)
-    payload = _cache_load(path)
+    payload, store = _cache_load(path), None
     if not _basis_entry_ok(payload, key):
         tables, failure = _certified_tables(X, kinds)
         if failure is not None:
-            report = {"schema_version": SCHEMA_VERSION, "config": key, "bar_failure": failure}
-            _emit(args, json.dumps(report, indent=2, sort_keys=True))
+            _emit(args, {"schema_version": SCHEMA_VERSION, "config": key, "bar_failure": failure})
             return EXIT_BAR
         payload = {"schema_version": SCHEMA_VERSION, "config": key, "tables": {}}
         for kind, table in tables.items():
@@ -365,18 +387,19 @@ def cmd_basis(args) -> int:
         if X.kind == "conjugacy" and X.truncated_at is None and KeyTwist(X.theta).involutive(X.keys[0]):
             theta, keys = classify.w0_translate(X)
             payload["inversion_partner"] = {"theta": list(theta.sigma), "seed": list(Element(system, keys[0]).word())}
-        _cache_store(path, payload)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["kind", "x", "y", "mu"])
-        for kind, entry in sorted(payload["tables"].items()):
-            for x, y, m in entry["mu"]:
-                writer.writerow([kind, x, y, m])
-        _emit(args, buf.getvalue())
-    else:
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+        store = path
+    _emit_cached(args, payload, store, _mu_csv)
     return EXIT_CONSISTENCY if payload.get("failures") else EXIT_OK
+
+
+def _mu_csv(payload: dict) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["kind", "x", "y", "mu"])
+    for kind, entry in sorted(payload["tables"].items()):
+        for x, y, m in entry["mu"]:
+            writer.writerow([kind, x, y, m])
+    return buf.getvalue()
 
 
 def _ints(row, n=None) -> bool:
@@ -408,7 +431,7 @@ def cmd_wgraph(args) -> int:
     X = resolve_carrier(system, args)
     tables, failure = _certified_tables(X, _kinds(args))
     if failure is not None:
-        _emit(args, json.dumps({"bar_failure": failure}, indent=2))
+        _emit(args, {"bar_failure": failure})
         return EXIT_BAR
     graphs = {kind.lower(): wgraph.build_wgraph(table) for kind, table in tables.items()}
     if args.format == "dot":
@@ -425,7 +448,7 @@ def cmd_wgraph(args) -> int:
         entry["module_axioms"] = module_ok.ok
         payload["graphs"][kind] = entry
         bad = bad or not qa.quasi_admissible or not module_ok.ok
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+    _emit(args, payload)
     return EXIT_CONSISTENCY if bad else EXIT_OK
 
 
@@ -485,10 +508,12 @@ def _suite_bar_canonical(system) -> list[tuple[str, bool]]:
 def _suite_wgraph(system) -> list[tuple[str, bool]]:
     results = []
     for X in _qp_carriers(system):
+        tables, _ = _certified_tables(X, ("M", "N"))
         for kind in ("M", "N"):
-            G = wgraph.build_wgraph(barcanon.canonical_basis(kind, X))
-            qa = wgraph.check_quasi_admissible(G)
-            ok = qa.quasi_admissible and wgraph.verify_wgraph_module(G).ok
+            ok = kind in tables
+            if ok:
+                G = wgraph.build_wgraph(tables[kind])
+                ok = wgraph.check_quasi_admissible(G).quasi_admissible and wgraph.verify_wgraph_module(G).ok
             results.append((f"wgraph-{kind.lower()}[{X.kind}:{len(X)}]", ok))
     return results
 
@@ -564,7 +589,7 @@ def cmd_verify(args) -> int:
         "results": [{"check": n, "ok": ok} for n, ok in results],
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(log, indent=2, sort_keys=True))
+        _emit(args, log)
     return EXIT_OK if all(ok for _, ok in results) else EXIT_CONSISTENCY
 
 

@@ -35,6 +35,11 @@ class ConsistencyError(QpcoxError):
     invariant the theory guarantees (the CLI exits with code 2)."""
 
 
+class UncertifiedBar(QpcoxError):
+    """A canonical table was asked of a carrier whose bar operator fails its
+    certificate (barcanon.verify_bar_operator)."""
+
+
 class NotQuasiparabolic(QpcoxError):
     """An operation requiring the quasiparabolic axioms was called on a set failing them."""
 

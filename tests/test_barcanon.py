@@ -30,7 +30,7 @@ from qpcox.barcanon import (
 )
 from qpcox.classify import twisted_classes, w0_translate
 from qpcox.coxeter import Element, ExtElement, build_system
-from qpcox.errors import ConsistencyError, TruncationRequired
+from qpcox.errors import ConsistencyError, TruncationRequired, UncertifiedBar
 from qpcox.hecke import HeckeElt, kl_basis
 from qpcox.laurent import ONE, V, VINV, v_power
 from qpcox.qpsets import (
@@ -182,10 +182,27 @@ def _truncated_u3_classes(cutoffs=(5, 7)):
     return [(seed, cutoff, conjugacy_set(u3, seed, cutoff)) for cutoff in cutoffs for seed in seeds]
 
 
+def _pooled(X) -> bool:
+    """Whether the bar columns of both kinds on X hold one object per
+    distinct polynomial (the carrier's pool, which its tables share)."""
+    pool = {}
+    return all(pool.setdefault(c, c) is c for kind in ("M", "N") for col in bar_columns(kind, X)
+               for c in col.coords.values())
+
+
 def test_truncated_bar_columns_match_witness_replay():
     for seed, cutoff, X in _truncated_u3_classes():
         for kind in ("M", "N"):
             assert bar_columns(kind, X) == replay_bar_columns(kind, X), (seed, cutoff, kind)
+        assert _pooled(X), (seed, cutoff)
+
+
+def test_bar_columns_are_pooled_and_shared_between_kinds():
+    X = regular_set(build_system("A4"))
+    assert _kinds_agree(X) and _pooled(X)
+    m, n = bar_columns("M", X), bar_columns("N", X)
+    assert all(n[x].kind == "N" and n[x].coords[w] is c for x in range(len(X)) for w, c in m[x].coords.items())
+    assert len({id(c) for col in m for c in col.coords.values()}) < sum(len(col.coords) for col in m) // 100
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "F4"])
@@ -197,6 +214,7 @@ def test_bar_columns_match_closed_form(name):
     for X in classes:
         for kind in ("M", "N"):
             assert bar_columns(kind, X) == closed_form_bar_columns(kind, X), (X, kind)
+        assert _pooled(X), X
 
 
 def test_truncated_bar_columns_match_closed_form():
@@ -545,18 +563,35 @@ def test_phi_and_primed_refuse_truncated_carriers(monkeypatch):
     # a boundary point's generator images leave a truncated carrier, so the
     # Phi maps, and the primed bases that need them, refuse it before any
     # column operation (they raised from inside the loop on every class
-    # with more than one point)
+    # with more than one point).  A class whose bar verdict fails has no
+    # tables to give primed_basis (test_canonical_basis_refuses_uncertified_bar)
     for seed, cutoff, X in _truncated_u3_classes():
         phi = phi_maps(X)
-        table_m, table_n = canonical_basis("M", X), canonical_basis("N", X)
+        certified = all(verify_bar_operator(kind, X).ok for kind in ("M", "N"))
+        tables = [canonical_basis("M", X), canonical_basis("N", X)] if certified else None
         message = f"^the Phi maps need an untruncated carrier, and this one is cut off at height {cutoff}$"
         with monkeypatch.context() as patch:
             patch.setattr(barcanon, "act_generator", lambda *args, **kw: pytest.fail("a column operation ran"))
             with pytest.raises(TruncationRequired, match=message):
                 phi.verify()
-            for kind in ("M", "N"):
+            for kind in ("M", "N") if tables else ():
                 with pytest.raises(TruncationRequired, match=message):
-                    primed_basis(table_m, table_n, kind)
+                    primed_basis(*tables, kind)
+
+
+def test_canonical_basis_refuses_uncertified_bar():
+    # a table is canonical only for a certified bar operator: where the bar
+    # verdict fails, canonical_basis raises instead of solving
+    refused = []
+    for seed, cutoff, X in _truncated_u3_classes((5, 6, 7)):
+        for kind in ("M", "N"):
+            if not verify_bar_operator(kind, X).ok:
+                with pytest.raises(UncertifiedBar, match=f"^no canonical {kind}-table"):
+                    canonical_basis(kind, X)
+                assert "_tables" not in vars(X)
+                refused.append((seed.x.word(), cutoff, len(X), kind))
+    assert ((0, 1), 5, 4, "M") in refused  # the 4-point class of s1 s2 at cutoff 5
+    assert len(refused) == 6
 
 
 def test_phi_verdict_is_computed_once(monkeypatch):

@@ -239,6 +239,13 @@ def test_explicit_theta_images(tmp_path):
     assert payload["bar_failure"]["reason"] == "not quasiparabolic"
 
 
+def test_wgraph_bar_failure_is_key_sorted(tmp_path, capsys):
+    # the not-QP witness prints in key order, like every other JSON document
+    assert run(tmp_path, "wgraph", "--type", "A2", "--seed", "s1") == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["bar_failure"]) == ["axiom", "kind", "r_word", "reason", "s", "x"]
+
+
 def test_wgraph_regular_a2(tmp_path):
     out = tmp_path / "a2.json"
     code = run(

@@ -12,6 +12,8 @@ hold keys, src/ answers those questions on keys and carriers, and elements
 are built from keys only at the boundary.  qpsets names no group table
 (``_ensure_table``, ``_table``, ``_GroupTable``): carriers are searched on
 the roots, and W is enumerated only for surveys and conjugacy classes.
+No module in src/ calls ``json.dumps`` with ``indent``: every indented
+document goes through jsonout.dump, which streams it.
 """
 
 import ast
@@ -97,6 +99,27 @@ def test_src_reads_no_payloads(path):
 def test_qpsets_names_no_group_table():
     refs = _references(ast.parse((ROOT / "src" / "qpcox" / "qpsets.py").read_text()))
     assert [name for name in ("_ensure_table", "_table", "_GroupTable") if refs[name]] == []
+
+
+def indented_dumps(source: str) -> list[int]:
+    """The lines of source that call a function named dumps with an indent."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)) == "dumps"
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+
+
+def test_scan_finds_indented_dumps():
+    assert indented_dumps("import json\njson.dumps(x, sort_keys=True)\njson.dumps(x, indent=2)") == [3]
+    assert indented_dumps("from json import dumps\ndumps(x, indent=None)") == [2]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_src_dumps_nothing_indented(path):
+    assert indented_dumps(path.read_text()) == []
 
 
 def test_no_dead_helpers_in_src():
