@@ -10,21 +10,24 @@ tables, Phi maps; see barcanon), and the carriers the suites test are built
 once per system, so one run solves each (carrier, kind) once.  A system is
 built afresh by every call of main, so nothing is shared between calls.
 
-Survey and basis results are cached on disk keyed by a content hash of the
-resolved configuration, the resolved Coxeter matrix and the package version,
-in a directory named by a sha256 of the package's sources (so older code's
-entries are not served, and storing an entry removes the directories of
-other sources); --no-cache bypasses the cache entirely.  A cached entry made for another
-configuration or with malformed fields is recomputed and overwritten, and
-cached survey witnesses are re-validated against a freshly built carrier
-before being served.  All outputs are deterministic for a fixed configuration.
+Survey and basis results are cached on disk, in a directory named by a
+sha256 of the package's sources (so older code's entries are not served, and
+storing an entry removes the directories of other sources); --no-cache
+bypasses the cache.  An entry is one header line,
+{"key": <configuration and resolved Coxeter matrix>, "sha256": <of the body>},
+then the body: the output's JSON text.  The key holds no package version; the
+source digest covers it.  A hit is an entry whose header holds the full key
+and the body's digest; any other entry is recomputed and overwritten.  A hit
+serves the stored bytes: basis JSON is copied as it is, CSV output parses
+the body, and cached survey witnesses are re-validated against a freshly
+built carrier first.  Only a result that passes its checks is stored.
+All outputs are deterministic for a fixed configuration.
 
 Every JSON document (basis, wgraph, survey, the verify --out log) is written
 by jsonout.dump: the text of json.dumps(doc, indent=2, sort_keys=True) and a
 newline, streamed, on stdout and through --out alike.  A freshly computed
 survey or basis payload is rendered once for both the output and its cache
-entry, so the entry holds the output's own text; a cache hit re-renders the
-validated entry.
+entry.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ import re
 import shutil
 import sys
 import tempfile
+import types
 from pathlib import Path
 
-from . import __version__, barcanon, classify, hecke, jsonout, qpsets, wgraph
+from . import barcanon, classify, hecke, jsonout, qpsets, wgraph
 from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, build_system
 from .errors import BadMatrix, ConsistencyError, QpcoxError
 from .laurent import V, VINV
@@ -173,39 +177,61 @@ def _source_digest() -> str:
     return hashlib.sha256(b"".join(p.read_bytes() for p in sorted(Path(__file__).parent.glob("*.py")))).hexdigest()
 
 
-def _cache_path(args, key_obj, system: CoxeterSystem) -> Path | None:
-    """The cache file for a configuration, in a directory named by the
-    package's source digest, so an entry written by other code is not served.
-    The name also hashes the resolved matrix (a --type path can change
-    content) and the package version."""
+def _cache_path(args, key, system: CoxeterSystem) -> tuple[Path | None, str]:
+    """The cache file for a configuration (None under --no-cache) and the key
+    its entry's header holds: the JSON text of the configuration and the
+    resolved matrix (a --type path can change content).  The file is in a
+    directory named by the package's source digest, so an entry written by
+    other code is not served."""
+    head = json.dumps({"config": key, "matrix": system.matrix}, sort_keys=True)
     if args.no_cache:
-        return None
-    full_key = {"config": key_obj, "matrix": system.matrix, "version": __version__}
-    blob = json.dumps(full_key, sort_keys=True).encode()
-    digest = hashlib.sha256(blob).hexdigest()[:24]
-    return Path(args.cache_dir) / _source_digest() / f"{digest}.json"
+        return None, head
+    name = hashlib.sha256(head.encode()).hexdigest()[:24]
+    return Path(args.cache_dir) / _source_digest() / f"{name}.json", head
 
 
-def _cache_load(path: Path | None):
-    if path is None or not path.exists():
+def _header(head: str, digest: str) -> str:
+    """An entry's first line, json.dumps({"key": ..., "sha256": digest}, sort_keys=True)."""
+    return f'{{"key": {head}, "sha256": "{digest}"}}\n'
+
+
+def _cache_load(path: Path | None, head: str):
+    """The body of the entry at path as an open text file, if its header holds
+    head and the sha256 of the body; None on a miss."""
+    if path is None:
         return None
     try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+        fh = open(path, "rb")
+    except OSError:
         return None
+    try:
+        line, sha = fh.readline(), hashlib.sha256()
+        for chunk in iter(functools.partial(fh.read, jsonout.CHUNK), b""):
+            sha.update(chunk)
+        if line == _header(head, sha.hexdigest()).encode():
+            fh.seek(len(line))
+            return io.TextIOWrapper(fh)
+    except OSError:
+        pass
+    fh.close()
+    return None
 
 
-def _cache_store(path: Path | None, obj, *sinks) -> None:
-    """Store obj's JSON text as the cache entry at path, from the same render
-    that writes it to each of sinks."""
+def _cache_store(path: Path | None, head: str, obj, *sinks) -> None:
+    """Store obj's JSON text as the body of the cache entry at path, after
+    its header line, from the same render that writes it to each of sinks."""
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     # a temp file renamed into place: a reader never sees a partial entry
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    sha = hashlib.sha256()
     try:
         with os.fdopen(fd, "w") as fh:
-            jsonout.dump(obj, fh, *sinks)
+            fh.write(_header(head, "0" * 64))  # the digest is filled in below
+            jsonout.dump(obj, fh, types.SimpleNamespace(write=lambda text: sha.update(text.encode())), *sinks)
+            fh.seek(0)
+            fh.write(_header(head, sha.hexdigest()))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -219,27 +245,29 @@ def _cache_store(path: Path | None, obj, *sinks) -> None:
 # output plumbing
 
 
-def _emit(args, doc, store: Path | None = None) -> None:
+def _emit(args, doc, path: Path | None = None, head: str = "") -> None:
     """Write doc to --out or stdout: a str as it is (on stdout ending in a
-    newline), anything else as its JSON text, rendered once for the output
-    and for the cache entry at store, if given."""
+    newline), an open text file's contents, anything else as its JSON text,
+    rendered once for the output and for the cache entry at path, if given."""
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
         if isinstance(doc, str):
             out.write(doc if args.out or doc.endswith("\n") else doc + "\n")
-        elif store is None:
+        elif isinstance(doc, io.TextIOBase):
+            shutil.copyfileobj(doc, out, jsonout.CHUNK)
+        elif path is None:
             jsonout.dump(doc, out)
         else:
-            _cache_store(store, doc, out)
+            _cache_store(path, head, doc, out)
 
 
-def _emit_cached(args, payload, store: Path | None, to_csv) -> None:
+def _emit_cached(args, payload, path: Path | None, head: str, to_csv) -> None:
     """Emit payload, or to_csv(payload) under --format csv, and store it as
-    the cache entry at store (None for a payload served from the cache)."""
+    the cache entry at path."""
     if args.format == "csv":
-        _cache_store(store, payload)
+        _cache_store(path, head, payload)
         _emit(args, to_csv(payload))
     else:
-        _emit(args, payload, store)
+        _emit(args, payload, path, head)
 
 
 def _survey_csv(reports_json: list[dict]) -> str:
@@ -268,9 +296,6 @@ def _survey_csv(reports_json: list[dict]) -> str:
 # commands
 
 
-_REPORT_FIELDS = {"system", "theta", "seed_word", "size", "min_length", "is_iplus", "qp", "perfect", "J", "witness"}
-
-
 def cmd_survey(args) -> int:
     system = load_system(args.type)
     if args.theta in (None, "all"):
@@ -286,41 +311,29 @@ def cmd_survey(args) -> int:
         "theta": theta_key,
         "diagnostics": args.diagnostics,
     }
-    path = _cache_path(args, key, system)
-    payload, store = _cache_load(path), None
-    if not (_survey_entry_ok(payload, key) and _revalidate_survey(system, payload)):
-        reports = classify.survey(system, thetas=thetas, diagnostics=args.diagnostics)
-        failures = classify.survey_cross_checks(reports)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": key,
-            "reports": [r.to_json() for r in reports],
-            "failures": failures,
-        }
-        store = path
-    _emit_cached(args, payload, store, lambda payload: _survey_csv(payload["reports"]))
-    if payload["failures"]:
-        print("\n".join(f"FAIL {f}" for f in payload["failures"]), file=sys.stderr)
+    path, head = _cache_path(args, key, system)
+    body = _cache_load(path, head)
+    if body is not None:
+        with body:
+            text = body.read()
+        payload = json.loads(text)
+        if _revalidate_survey(system, payload):
+            _emit(args, text if args.format == "json" else _survey_csv(payload["reports"]))
+            return EXIT_OK
+    reports = classify.survey(system, thetas=thetas, diagnostics=args.diagnostics)
+    failures = classify.survey_cross_checks(reports)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "config": key,
+        "reports": [r.to_json() for r in reports],
+        "failures": failures,
+    }
+    # only a result that passes its checks is stored, so a hit exits 0
+    _emit_cached(args, payload, None if failures else path, head, lambda payload: _survey_csv(payload["reports"]))
+    if failures:
+        print("\n".join(f"FAIL {f}" for f in failures), file=sys.stderr)
         return EXIT_CONSISTENCY
     return EXIT_OK
-
-
-def _survey_entry_ok(payload, key) -> bool:
-    """Whether a cached survey entry was made for this key and its report rows
-    and failures have the fields the survey output and re-validation read."""
-    try:
-        reports, failures = payload["reports"], payload["failures"]
-        return (
-            _made_for(payload, key)
-            and isinstance(failures, list) and all(type(f) is str for f in failures)
-            and isinstance(reports, list) and all(
-                _REPORT_FIELDS <= rep.keys() and _ints(rep["theta"]) and _ints(rep["seed_word"])
-                and _ints(rep["J"] or []) and isinstance(rep.get("structure") or {}, dict)
-                for rep in reports
-            )
-        )
-    except (AttributeError, KeyError, TypeError):  # not dicts and lists as above
-        return False
 
 
 def _revalidate_survey(system: CoxeterSystem, payload) -> bool:
@@ -367,29 +380,32 @@ def cmd_basis(args) -> int:
         "carrier": carrier_descriptor(X),
         "kinds": kinds,
     }
-    path = _cache_path(args, key, system)
-    payload, store = _cache_load(path), None
-    if not _basis_entry_ok(payload, key):
-        tables, failure = _certified_tables(X, kinds)
-        if failure is not None:
-            _emit(args, {"schema_version": SCHEMA_VERSION, "config": key, "bar_failure": failure})
-            return EXIT_BAR
-        payload = {"schema_version": SCHEMA_VERSION, "config": key, "tables": {}}
-        for kind, table in tables.items():
-            checks = barcanon.table_checks(kind, X)
-            verdict = barcanon.verify_bar_operator(kind, X)  # the certified verdict, kept on X
-            entry = table.to_json()
-            entry["verification"] = {c.name: c.ok for c in checks}
-            entry["bar"] = {"checked": verdict.checked, "skipped": verdict.skipped, "label": verdict.label}
-            payload["tables"][kind] = entry
-            if not all(c.ok for c in checks):
-                payload["failures"] = [c.name for c in checks if not c.ok]
-        if X.kind == "conjugacy" and X.truncated_at is None and KeyTwist(X.theta).involutive(X.keys[0]):
-            theta, keys = classify.w0_translate(X)
-            payload["inversion_partner"] = {"theta": list(theta.sigma), "seed": list(Element(system, keys[0]).word())}
-        store = path
-    _emit_cached(args, payload, store, _mu_csv)
-    return EXIT_CONSISTENCY if payload.get("failures") else EXIT_OK
+    path, head = _cache_path(args, key, system)
+    body = _cache_load(path, head)
+    if body is not None:  # served as stored; only CSV output reads it
+        with body:
+            _emit(args, _mu_csv(json.load(body)) if args.format == "csv" else body)
+        return EXIT_OK
+    tables, failure = _certified_tables(X, kinds)
+    if failure is not None:
+        _emit(args, {"schema_version": SCHEMA_VERSION, "config": key, "bar_failure": failure})
+        return EXIT_BAR
+    payload = {"schema_version": SCHEMA_VERSION, "config": key, "tables": {}}
+    for kind, table in tables.items():
+        checks = barcanon.table_checks(kind, X)
+        verdict = barcanon.verify_bar_operator(kind, X)  # the certified verdict, kept on X
+        entry = table.to_json()
+        entry["verification"] = {c.name: c.ok for c in checks}
+        entry["bar"] = {"checked": verdict.checked, "skipped": verdict.skipped, "label": verdict.label}
+        payload["tables"][kind] = entry
+        if not all(c.ok for c in checks):
+            payload["failures"] = [c.name for c in checks if not c.ok]
+    if X.kind == "conjugacy" and X.truncated_at is None and KeyTwist(X.theta).involutive(X.keys[0]):
+        theta, keys = classify.w0_translate(X)
+        payload["inversion_partner"] = {"theta": list(theta.sigma), "seed": list(Element(system, keys[0]).word())}
+    failed = "failures" in payload
+    _emit_cached(args, payload, None if failed else path, head, _mu_csv)
+    return EXIT_CONSISTENCY if failed else EXIT_OK
 
 
 def _mu_csv(payload: dict) -> str:
@@ -400,30 +416,6 @@ def _mu_csv(payload: dict) -> str:
         for x, y, m in entry["mu"]:
             writer.writerow([kind, x, y, m])
     return buf.getvalue()
-
-
-def _ints(row, n=None) -> bool:
-    return isinstance(row, list) and n in (None, len(row)) and all(type(v) is int for v in row)
-
-
-def _made_for(payload, key) -> bool:
-    """Whether a cached entry was made for this configuration key."""
-    return isinstance(payload, dict) and payload.get("config") == key
-
-
-def _basis_entry_ok(payload, key) -> bool:
-    """Whether a cached basis entry was made for this key and is well formed
-    (mu rows [x, y, m], entries [x, y, [[e, c], ...]]); any other entry is
-    recomputed and overwritten."""
-    try:
-        tables = payload["tables"]
-        return _made_for(payload, key) and sorted(tables) == sorted(key["kinds"]) and all(
-            all(_ints(r, 3) for r in t["mu"])
-            and all(_ints(r[:2], 2) and len(r) == 3 and all(_ints(p, 2) for p in r[2]) for r in t["entries"])
-            for t in tables.values()
-        )
-    except (AttributeError, IndexError, KeyError, TypeError):  # not dicts and lists as above
-        return False
 
 
 def cmd_wgraph(args) -> int:

@@ -121,9 +121,9 @@ class ScaledWSet:
                 if y is None:
                     continue
                 if abs(self.height2[y] - self.height2[x]) not in (0, 2):
-                    raise ValueError(f"scaled axiom fails: gen {s} at point {x}")
+                    raise ConsistencyError(f"scaled axiom fails: gen {s} at point {x}")
                 if row[y] != x:
-                    raise ValueError(f"generator {s} is not an involution at point {x}")
+                    raise ConsistencyError(f"generator {s} is not an involution at point {x}")
 
     def describe_point(self, pid: int):
         key = self.keys[pid]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -66,37 +67,60 @@ def test_survey_cache_roundtrip(tmp_path):
     lambda rep: rep.update(seed_word=[9]),
 ], ids=["x", "r_word", "s", "missing-key", "theta", "seed_word"])
 def test_malformed_cached_witness_is_recomputed(tmp_path, capsys, tamper):
+    # the tampered entry is re-signed, so it passes the integrity check and
+    # the witness re-validation is what refuses it
     argv = ["survey", "--type", "A3"]
     assert run(tmp_path, *argv) == 0
     fresh = capsys.readouterr().out
     assert run(tmp_path, *argv, cache=True) == 0
     capsys.readouterr()
-    (entry,) = (tmp_path / "cache").glob("*/*.json")
-    payload = json.loads(entry.read_text())
+    entry, _, body = _read_entry(tmp_path)
+    payload = json.loads(body)
     witnessed = [rep for rep in payload["reports"] if rep["witness"]]
     assert witnessed
     for rep in witnessed:
         tamper(rep)
-    entry.write_text(json.dumps(payload))
+    _rewrite_body(entry, json.dumps(payload), sign=True)
     assert run(tmp_path, *argv, cache=True) == 0
     assert capsys.readouterr().out == fresh
 
 
+def _read_entry(tmp_path):
+    """The cache's one entry, its parsed header line and its body."""
+    (entry,) = (tmp_path / "cache").glob("*/*.json")
+    header, body = entry.read_text().split("\n", 1)
+    return entry, json.loads(header), body
+
+
+def _header_line(header) -> str:
+    return json.dumps(header, sort_keys=True) + "\n"
+
+
+def _rewrite_body(entry, body, sign=False):
+    """Put body after entry's header line, re-signed with body's sha256 if
+    sign, and left as it was otherwise."""
+    header = json.loads(entry.read_text().split("\n", 1)[0])
+    if sign:
+        header["sha256"] = hashlib.sha256(body.encode()).hexdigest()
+    entry.write_text(_header_line(header) + body)
+
+
 def _check_tampered_entry_is_recomputed(tmp_path, capsys, argv, tamper):
-    """Cache argv's entry, tamper with it, and check that the next cached run
-    prints the fresh output and overwrites the entry with the recomputed one."""
+    """Cache argv's entry, tamper with its body, and check that the next
+    cached run prints the fresh output and overwrites the entry with the
+    recomputed one."""
     assert run(tmp_path, *argv) == 0
     fresh = capsys.readouterr().out
     assert run(tmp_path, *argv, cache=True) == 0
     capsys.readouterr()
-    (entry,) = (tmp_path / "cache").glob("*/*.json")
-    original = json.loads(entry.read_text())
-    payload = json.loads(entry.read_text())
+    entry, _, body = _read_entry(tmp_path)
+    original = entry.read_bytes()
+    payload = json.loads(body)
     replaced = tamper(payload)  # a new entry, or None after editing payload
-    entry.write_text(json.dumps(payload if replaced is None else replaced))
+    _rewrite_body(entry, json.dumps(payload if replaced is None else replaced))
     assert run(tmp_path, *argv, cache=True) == 0
     assert capsys.readouterr().out == fresh
-    assert json.loads(entry.read_text()) == original  # overwritten by the recomputed entry
+    assert entry.read_bytes() == original  # overwritten by the recomputed entry
 
 
 def _edit_report(payload, field, value=None):
@@ -144,6 +168,56 @@ def _set_mu_row(payload, row):
 def test_malformed_cached_basis_is_recomputed(tmp_path, capsys, tamper):
     argv = ["basis", "--type", "A2", "--regular", "--format", "csv"]
     _check_tampered_entry_is_recomputed(tmp_path, capsys, argv, tamper)
+
+
+def _bump_coefficient(header, body):
+    payload = json.loads(body)
+    payload["tables"]["M"]["entries"][0][2][0][1] += 1
+    edited = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(edited) == len(body) and sum(a != b for a, b in zip(edited, body)) == 1
+    return _header_line(header) + edited
+
+
+def _other_matrix(header, body):
+    header["key"]["matrix"] = [[1, 4], [4, 1]]  # the body's digest still holds
+    return _header_line(header) + body
+
+
+@pytest.mark.parametrize("forge", [
+    lambda header, body: _header_line(header) + body[: len(body) // 2],
+    _bump_coefficient,
+    _other_matrix,
+    lambda header, body: body,
+], ids=["cut-in-half", "coefficient-digit", "other-matrix", "headerless"])
+def test_entry_failing_its_integrity_check_is_recomputed(tmp_path, capsys, forge):
+    # a hit serves the stored bytes, so an entry whose header does not hold
+    # the full key and the body's sha256 is recomputed and overwritten
+    argv = ["basis", "--type", "A2", "--regular"]
+    assert run(tmp_path, *argv) == 0
+    fresh = capsys.readouterr().out
+    assert run(tmp_path, *argv, cache=True) == 0
+    capsys.readouterr()
+    entry, header, body = _read_entry(tmp_path)
+    original = entry.read_bytes()
+    assert body == fresh
+    entry.write_text(forge(header, body))
+    assert run(tmp_path, *argv, cache=True) == 0
+    assert capsys.readouterr().out == fresh
+    assert entry.read_bytes() == original
+
+
+def test_failing_results_are_not_stored(tmp_path, monkeypatch, capsys):
+    # a hit serves the stored bytes and exits 0, so a result that fails a
+    # check is printed and exits 2 on every run, and no entry is stored
+    checks = barcanon.table_checks
+    monkeypatch.setattr(barcanon, "table_checks", lambda kind, X: [
+        *checks(kind, X), types.SimpleNamespace(name="planted", ok=False)])
+    monkeypatch.setattr(cli.classify, "survey_cross_checks", lambda reports: ["planted"])
+    for argv in (["basis", "--type", "A2", "--regular"], ["survey", "--type", "A2"]):
+        for _ in range(2):
+            assert run(tmp_path, *argv, cache=True) == 2
+            assert "planted" in "".join(capsys.readouterr())
+    assert not list((tmp_path / "cache").glob("*/*.json"))
 
 
 def test_basis_fpf_both_kinds(tmp_path):
@@ -389,11 +463,11 @@ def test_cache_is_keyed_on_the_source_digest(tmp_path, monkeypatch, capsys):
         patch.setattr(cli, "_source_digest", lambda: "0" * 64)
         assert run(tmp_path, *argv, cache=True) == 0
         capsys.readouterr()
-        (stale,) = (tmp_path / "cache").glob("*/*.json")
+        stale, _, body = _read_entry(tmp_path)
         assert stale.parent.name == "0" * 64
-        payload = json.loads(stale.read_text())
-        payload["reports"][0]["size"] = 999  # what the other code wrote
-        stale.write_text(json.dumps(payload))
+        payload = json.loads(body)
+        payload["reports"][0]["size"] = 999  # what the other code wrote, signed
+        _rewrite_body(stale, json.dumps(payload), sign=True)
         assert run(tmp_path, *argv, cache=True) == 0
         assert "999" in capsys.readouterr().out  # same digest: served
     (tmp_path / "cache" / "notes").mkdir()
@@ -401,10 +475,10 @@ def test_cache_is_keyed_on_the_source_digest(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == fresh  # another digest: recomputed
     assert not stale.parent.exists()  # and the other digest's entries removed
     assert (tmp_path / "cache" / "notes").is_dir()
-    (entry,) = (tmp_path / "cache").glob("*/*.json")
+    entry, _, body = _read_entry(tmp_path)
     assert entry.parent.name == cli._source_digest()
-    payload["reports"][0]["size"] = json.loads(entry.read_text())["reports"][0]["size"]
-    assert json.loads(entry.read_text()) == payload
+    payload["reports"][0]["size"] = json.loads(body)["reports"][0]["size"]
+    assert json.loads(body) == payload
     assert run(tmp_path, *argv, cache=True) == 0
     assert capsys.readouterr().out == fresh
     assert cli._source_digest() == hashlib.sha256(

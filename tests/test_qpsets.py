@@ -7,7 +7,7 @@ from oracle_group import bruhat_leq, table_reflections
 from oracle_qpsets import payloads
 from qpcox.coxeter import Element, ExtElement, KeyTwist, build_system, twisted_conjugate
 from qpcox import coxeter, qpsets
-from qpcox.errors import GroupTooLarge, InfiniteParabolic, NotQuasiparabolic, TruncationRequired
+from qpcox.errors import ConsistencyError, GroupTooLarge, InfiniteParabolic, NotQuasiparabolic, TruncationRequired
 from qpcox.classify import twisted_classes
 from qpcox.qpsets import (
     ScaledWSet,
@@ -483,6 +483,16 @@ def test_revalidate_witness_rejects_malformed_witnesses():
         ]
         for witness in bad:
             assert not revalidate_witness(X, witness), witness
+
+
+@pytest.mark.parametrize("height2, row", [
+    ([0, 4], [1, 0]),  # a move that jumps two heights
+    ([0, 2, 2], [1, 2, 0]),  # s sends 0 to 1 but 1 to 2
+], ids=["two-heights", "not-involutive"])
+def test_scaled_set_refuses_bad_action_rows(height2, row):
+    # a typed gate, so the CLI exits 2 with "consistency check failed"
+    with pytest.raises(ConsistencyError):
+        ScaledWSet(build_system("A1"), "regular", list(range(len(row))), height2, [row])
 
 
 def test_double_cover_needs_one_orbit():
