@@ -23,16 +23,17 @@ bar(H_s)^2 = 1 + (v^-1 - v) bar(H_s) (see verify_bar_operator).  The Phi
 twisted law is the same comparison with Theta(H_s) = -bar(H_s).  The table
 checks visit only the points below the columns they read.
 
-The carrier is the cache of its own stages: bar_columns, verify_bar_operator,
-canonical_basis, table_checks and phi_maps each compute once per carrier (and
-kind) and keep the result on X, so every caller holding the same carrier
-shares them.  Where no generator keeps the height of a point (on a
-quasiparabolic carrier, fixes one), as on the regular carrier, the N stages
-are the M stages relabeled N.  That is exact: act_gen, and with it the bar
-recurrence, differs between the kinds only where s keeps the height, and so
-does the descent (weak for M, strict for N) of the solve and of the table
-checks.  Only the parity check's constant-term clause reads the kind
-everywhere, so it runs per kind.
+The carrier is the cache of its own stages: the bar columns, bar verdict,
+canonical table and table checks of each kind (X._barcols[kind], ...) and
+the Phi maps are coxeter.stage functions, computed once per carrier and
+shared by every caller holding it.  The per-kind ones go through
+_kind_stage, whose one rule is this: where no generator keeps the height of
+a point (on a quasiparabolic carrier, fixes one), as on the regular
+carrier, the N stages are the M stages relabeled N.  That is exact: act_gen,
+and with it the bar recurrence, differs between the kinds only where s keeps
+the height, and so does the descent (weak for M, strict for N) of the solve
+and of the table checks.  Only the parity check's constant-term clause reads
+the kind everywhere, so it runs per kind.
 
 The Hecke algebra itself is M on the regular carrier (see hecke), so this
 module never imports hecke: act_hecke reads only the words of an element's
@@ -42,12 +43,13 @@ support.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import twisted_classes, w0_translate
-from .coxeter import CoxeterSystem
-from .errors import ConsistencyError, TruncationRequired, UncertifiedBar
+from .coxeter import CoxeterSystem, stage
+from .errors import ConsistencyError, SystemMismatch, TruncationRequired, UncertifiedBar
 from .laurent import ONE, V, VINV, ZERO, LaurentPoly, act_generator, add_scaled, canonical_columns, v_power
 from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic, lowest_descent
 
@@ -68,10 +70,16 @@ class ModuleVector:
     def standard(cls, kind: str, X: ScaledWSet, pid: int) -> "ModuleVector":
         return cls(kind, X, {pid: ONE})
 
+    def _check(self, other):
+        if other.kind != self.kind or other.X is not self.X:
+            raise SystemMismatch("vectors of different modules or carriers")
+
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
+        self._check(other)
         return ModuleVector(self.kind, self.X, add_scaled(dict(self.coords), other.coords))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
+        self._check(other)
         return ModuleVector(self.kind, self.X, add_scaled(dict(self.coords), other.coords, -1))
 
     def scale(self, c) -> "ModuleVector":
@@ -137,55 +145,60 @@ def _combine(kind: str, X: ScaledWSet, terms) -> ModuleVector:
 # bar operators
 
 
-def _memo(owner, attr: str, key, build):
-    """build(), computed once and kept as owner.<attr>[key]; key is the module
-    kind, or None for a stage of the whole carrier or system."""
-    cache = owner.__dict__.setdefault(attr, {})
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
+@stage("_kinds_agree")
 def _kinds_agree(X: ScaledWSet) -> bool:
     """Whether M and N share their stages on X (see the module docstring)."""
-    return _memo(X, "_kinds_agree", None, lambda: all(
-        y is None or X.height2[y] != X.height2[x] for row in X.action for x, y in enumerate(row)
-    ))
+    return all(y is None or X.height2[y] != X.height2[x] for row in X.action for x, y in enumerate(row))
 
 
-def _as_n(obj):
-    """A shallow copy of a stage result of kind M, labeled N."""
+def _as_n(obj, X=None):
+    """A shallow copy of a stage result of kind M, labeled N (X is unused)."""
     out = copy.copy(obj)
     out.kind = "N"
     return out
 
 
-def _kind_memo(X: ScaledWSet, attr: str, kind: str, build, relabel=_as_n):
-    """build(kind), computed once per carrier and kind and kept as
-    X.<attr>[kind]; where the kinds agree on X, N's is relabel(M's)."""
-    if kind == "N" and _kinds_agree(X):
-        return _memo(X, attr, kind, lambda: relabel(_kind_memo(X, attr, "M", build, relabel)))
-    return _memo(X, attr, kind, lambda: build(kind))
+def _kind_stage(attr: str, relabel=_as_n):
+    """A decorator for a stage build(kind, X) of a carrier: it runs once per
+    carrier and kind, kept as X.<attr>[kind] (a coxeter.stage); where the
+    kinds agree on X, N's result is relabel(M's result, X)."""
+    def decorate(build):
+        @stage(attr)
+        @functools.wraps(build)
+        def per_kind(X, kind):
+            if kind == "N" and _kinds_agree(X):
+                return relabel(per_kind(X, "M"), X)
+            return build(kind, X)
+        return functools.wraps(per_kind)(lambda kind, X: per_kind(X, kind))
+    return decorate
 
 
+@stage("_polys")
 def _polys(X: ScaledWSet) -> dict:
     """The carrier's pool: one object per distinct polynomial, shared by its
     bar columns and canonical tables of both kinds.  Few distinct values
     occur (81 among the 98,407 entries of each bar matrix of A5 regular, 123
     among the 5,491 table entries of H3 regular).  ONE is the entry of every
     minimal column."""
-    return _memo(X, "_polys", None, lambda: {ONE: ONE})
+    return {ONE: ONE}
 
 
+@stage("_barpart")
+def _bar_part(X: ScaledWSet, kind: str) -> dict:
+    """The bar columns of kind filled so far, by point id (see _bar_fill)."""
+    return {}
+
+
+@_kind_stage("_barcols", relabel=lambda cols, X: [_as_n(col) for col in cols])
 def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     """bar of every standard basis vector, as columns indexed by point id."""
-    return _kind_memo(X, "_barcols", kind, lambda k: _bar_columns(k, X), lambda cols: list(map(_as_n, cols)))
+    return _bar_columns(kind, X)
 
 
 def _bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     # ids refine height, so in id order each fill is one recurrence step
     # from a column already filled
-    part = _memo(X, "_barpart", kind, dict)
+    part = _bar_part(X, kind)
     for x in range(len(X)):
         _bar_fill(kind, X, part, x)
     return [part[x] for x in range(len(X))]
@@ -220,7 +233,7 @@ def bar_vector(vec: ModuleVector) -> ModuleVector:
     kind, X = vec.kind, vec.X
     cols = X.__dict__.get("_barcols", {}).get(kind)
     if cols is None:
-        cols = _memo(X, "_barpart", kind, dict)
+        cols = _bar_part(X, kind)
         for p in vec.coords:
             _bar_fill(kind, X, cols, p)
         if len(cols) == len(X):
@@ -238,6 +251,7 @@ class BarVerdict:
     label: Optional[str] = None
 
 
+@_kind_stage("_barverdicts")
 def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     """Certify the bar operator on this carrier.
 
@@ -280,10 +294,6 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     "not an involution".  On a truncated carrier a witness word can leave
     the carrier, so every identity is checked directly at every point.
     """
-    return _kind_memo(X, "_barverdicts", kind, lambda k: _verify_bar_operator(k, X))
-
-
-def _verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     verdict = check_quasiparabolic(X)
     if not verdict.is_qp:
         return BarVerdict(False, kind, {"reason": "not quasiparabolic", **(verdict.witness() or {})})
@@ -416,7 +426,12 @@ def canonical_basis(kind: str, X: ScaledWSet) -> CanonicalTable:
     verdict = verify_bar_operator(kind, X)
     if not verdict.ok:
         raise UncertifiedBar(f"no canonical {kind}-table: the bar operator fails its certificate ({verdict.failure})")
-    return _kind_memo(X, "_tables", kind, lambda k: CanonicalTable(k, X))
+    return _canonical_table(kind, X)
+
+
+@_kind_stage("_tables")
+def _canonical_table(kind: str, X: ScaledWSet) -> CanonicalTable:
+    return CanonicalTable(kind, X)
 
 
 @dataclass
@@ -426,13 +441,13 @@ class CheckVerdict:
     failure: Optional[dict] = None
 
 
+@_kind_stage("_checks", relabel=lambda checks, X: [verify_parity(canonical_basis("N", X)), *checks[1:]])
 def table_checks(kind: str, X: ScaledWSet) -> list[CheckVerdict]:
     """Parity, and on an untruncated carrier also the multiplication theorem,
     the recurrences and the mu-delta lemma, on the canonical table of kind.
     Where the kinds agree, the last three are M's verdicts: they read the
     kind only where a generator keeps a height.  Parity runs per kind."""
-    return _kind_memo(X, "_checks", kind, lambda k: _table_checks(canonical_basis(k, X)),
-                      lambda checks: [verify_parity(canonical_basis("N", X)), *checks[1:]])
+    return _table_checks(canonical_basis(kind, X))
 
 
 def _table_checks(table: CanonicalTable) -> list[CheckVerdict]:
@@ -587,9 +602,10 @@ def verify_mu_lemma(table: CanonicalTable) -> CheckVerdict:
 # Phi maps and primed bases
 
 
+@stage("_phi")
 def phi_maps(X: ScaledWSet) -> "PhiMaps":
     """The Phi maps of the carrier, built once and kept on X."""
-    return _memo(X, "_phi", None, lambda: PhiMaps(X))
+    return PhiMaps(X)
 
 
 class PhiMaps:
@@ -605,7 +621,6 @@ class PhiMaps:
         bar_m = bar_columns("M", X)
         self.mn_cols = [bar_n[x].scale(self.eps[x]) for x in range(len(X))]
         self.nm_cols = [bar_m[x].scale(self.eps[x]) for x in range(len(X))]
-        self._verdict: Optional[CheckVerdict] = None
 
     def mn(self, vec: ModuleVector) -> ModuleVector:
         return self._apply(vec, "M", "N", self.mn_cols)
@@ -618,6 +633,7 @@ class PhiMaps:
             raise ConsistencyError(f"this Phi map takes a vector of kind {source}, got {vec.kind}")
         return _combine(target, self.X, ((cols[p].coords, c) for p, c in vec.coords.items()))
 
+    @stage("_verdict")
     def verify(self) -> CheckVerdict:
         """Check the twisted law, that the two maps are mutually inverse, and
         that each commutes with the bar operators; computed once per object.
@@ -645,11 +661,6 @@ class PhiMaps:
         bar verdicts have certified act_bar_gen against bar(H_s) = H_s +
         (v^-1 - v).
         """
-        if self._verdict is None:
-            self._verdict = self._verify()
-        return self._verdict
-
-    def _verify(self) -> CheckVerdict:
         X = self.X
         if X.truncated_at is not None:
             raise TruncationRequired(
@@ -758,17 +769,18 @@ class InversionVerdict:
     failure: Optional[dict] = None
 
 
+@stage("_iplus_qp")
 def iplus_qp_classes(system: CoxeterSystem):
     """All quasiparabolic conjugacy classes of twisted involutions, over every
     involutive diagram automorphism (including the identity); built once and
     kept on the system, so their stages are shared by every caller."""
-    return _memo(system, "_iplus_qp", None, lambda: [
+    return [
         K
         for theta in system.diagram_automorphisms()
         if (theta * theta).is_identity()
         for K in twisted_classes(system, theta, involutions_only=True)
         if check_quasiparabolic(K).is_qp
-    ])
+    ]
 
 
 def inversion_check(system: CoxeterSystem) -> InversionVerdict:

@@ -351,7 +351,7 @@ def universal_qp_check(system: CoxeterSystem, seed: ExtElement) -> UniversalQpVe
         else:
             break
     sigma = seed.theta.sigma
-    word = x if system.family == "universal" else system._table.word(x, system.rank)
+    word = x if system.family == "universal" else system._table.word(x)
     return UniversalQpVerdict(
         is_qp=len(word) <= 1 and tuple(sigma[s] for s in word) == word,
         in_iplus=twist.involutive(seed.x.key),

@@ -15,12 +15,14 @@ sha256 of the package's sources (so older code's entries are not served, and
 storing an entry removes the directories of other sources); --no-cache
 bypasses the cache.  An entry is one header line,
 {"key": <configuration and resolved Coxeter matrix>, "sha256": <of the body>},
-then the body: the output's JSON text.  The key holds no package version; the
+then the body: the output's text.  The key holds no package version; the
 source digest covers it.  A hit is an entry whose header holds the full key
 and the body's digest; any other entry is recomputed and overwritten.  A hit
-serves the stored bytes: basis JSON is copied as it is, CSV output parses
-the body, and cached survey witnesses are re-validated against a freshly
-built carrier first.  Only a result that passes its checks is stored.
+serves the stored bytes.  A basis key holds the output format, and its body
+is the text that was printed (JSON or CSV), copied as it is.  A survey body
+is JSON in either format: its cached witnesses are re-validated against a
+freshly built carrier first, and CSV output is rendered from it.  Only a
+result that passes its checks is stored.
 All outputs are deterministic for a fixed configuration.
 
 Every JSON document (basis, wgraph, survey, the verify --out log) is written
@@ -49,7 +51,7 @@ import types
 from pathlib import Path
 
 from . import barcanon, classify, hecke, jsonout, qpsets, wgraph
-from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, build_system
+from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, build_system, stage
 from .errors import BadMatrix, ConsistencyError, QpcoxError
 from .laurent import V, VINV
 
@@ -210,7 +212,7 @@ def _cache_load(path: Path | None, head: str):
             sha.update(chunk)
         if line == _header(head, sha.hexdigest()).encode():
             fh.seek(len(line))
-            return io.TextIOWrapper(fh)
+            return io.TextIOWrapper(fh, newline="")  # CSV's \r\n stays as stored
     except OSError:
         pass
     fh.close()
@@ -218,8 +220,9 @@ def _cache_load(path: Path | None, head: str):
 
 
 def _cache_store(path: Path | None, head: str, obj, *sinks) -> None:
-    """Store obj's JSON text as the body of the cache entry at path, after
-    its header line, from the same render that writes it to each of sinks."""
+    """Store obj's text (a str as it is, anything else its JSON text) as the
+    body of the cache entry at path, after its header line, from the same
+    render that writes it to each of sinks."""
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -227,9 +230,14 @@ def _cache_store(path: Path | None, head: str, obj, *sinks) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     sha = hashlib.sha256()
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(_header(head, "0" * 64))  # the digest is filled in below
-            jsonout.dump(obj, fh, types.SimpleNamespace(write=lambda text: sha.update(text.encode())), *sinks)
+            writers = (fh, types.SimpleNamespace(write=lambda text: sha.update(text.encode())), *sinks)
+            if isinstance(obj, str):
+                for writer in writers:
+                    writer.write(obj)
+            else:
+                jsonout.dump(obj, *writers)
             fh.seek(0)
             fh.write(_header(head, sha.hexdigest()))
         os.replace(tmp, path)
@@ -246,28 +254,19 @@ def _cache_store(path: Path | None, head: str, obj, *sinks) -> None:
 
 
 def _emit(args, doc, path: Path | None = None, head: str = "") -> None:
-    """Write doc to --out or stdout: a str as it is (on stdout ending in a
-    newline), an open text file's contents, anything else as its JSON text,
-    rendered once for the output and for the cache entry at path, if given."""
+    """Write doc to --out or stdout: an open text file's contents, or doc's
+    text (a str as it is, anything else its JSON text), rendered once for the
+    output and for the cache entry at path, if given.  A str written to
+    stdout alone ends in a newline."""
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        if isinstance(doc, str):
-            out.write(doc if args.out or doc.endswith("\n") else doc + "\n")
-        elif isinstance(doc, io.TextIOBase):
+        if isinstance(doc, io.TextIOBase):
             shutil.copyfileobj(doc, out, jsonout.CHUNK)
-        elif path is None:
-            jsonout.dump(doc, out)
-        else:
+        elif path is not None:
             _cache_store(path, head, doc, out)
-
-
-def _emit_cached(args, payload, path: Path | None, head: str, to_csv) -> None:
-    """Emit payload, or to_csv(payload) under --format csv, and store it as
-    the cache entry at path."""
-    if args.format == "csv":
-        _cache_store(path, head, payload)
-        _emit(args, to_csv(payload))
-    else:
-        _emit(args, payload, path, head)
+        elif isinstance(doc, str):
+            out.write(doc if args.out or doc.endswith("\n") else doc + "\n")
+        else:
+            jsonout.dump(doc, out)
 
 
 def _survey_csv(reports_json: list[dict]) -> str:
@@ -328,8 +327,12 @@ def cmd_survey(args) -> int:
         "reports": [r.to_json() for r in reports],
         "failures": failures,
     }
-    # only a result that passes its checks is stored, so a hit exits 0
-    _emit_cached(args, payload, None if failures else path, head, lambda payload: _survey_csv(payload["reports"]))
+    store = None if failures else path  # only a result that passes its checks is stored, so a hit exits 0
+    if args.format == "csv":
+        _cache_store(store, head, payload)
+        _emit(args, _survey_csv(payload["reports"]))
+    else:
+        _emit(args, payload, store, head)
     if failures:
         print("\n".join(f"FAIL {f}" for f in failures), file=sys.stderr)
         return EXIT_CONSISTENCY
@@ -380,11 +383,11 @@ def cmd_basis(args) -> int:
         "carrier": carrier_descriptor(X),
         "kinds": kinds,
     }
-    path, head = _cache_path(args, key, system)
+    path, head = _cache_path(args, {**key, "format": args.format}, system)
     body = _cache_load(path, head)
-    if body is not None:  # served as stored; only CSV output reads it
+    if body is not None:  # the text printed when it was stored
         with body:
-            _emit(args, _mu_csv(json.load(body)) if args.format == "csv" else body)
+            _emit(args, body)
         return EXIT_OK
     tables, failure = _certified_tables(X, kinds)
     if failure is not None:
@@ -404,7 +407,7 @@ def cmd_basis(args) -> int:
         theta, keys = classify.w0_translate(X)
         payload["inversion_partner"] = {"theta": list(theta.sigma), "seed": list(Element(system, keys[0]).word())}
     failed = "failures" in payload
-    _emit_cached(args, payload, None if failed else path, head, _mu_csv)
+    _emit(args, _mu_csv(payload) if args.format == "csv" else payload, None if failed else path, head)
     return EXIT_CONSISTENCY if failed else EXIT_OK
 
 
@@ -467,20 +470,17 @@ def _suite_hecke(system) -> list[tuple[str, bool]]:
     ]
 
 
+@stage("_qp_carriers")
 def _qp_carriers(system) -> list[qpsets.ScaledWSet]:
     """The regular carrier, every coset carrier and every quasiparabolic
     twisted-involution class, built once and kept on the system, so that the
     suites share their stages."""
-    carriers = getattr(system, "_qp_carriers", None)
-    if carriers is None:
-        cosets = [
-            qpsets.coset_set(system, J)
-            for r in range(1, system.rank + 1)
-            for J in itertools.combinations(range(system.rank), r)
-        ]
-        carriers = [hecke.regular_module(system), *cosets, *barcanon.iplus_qp_classes(system)]
-        system._qp_carriers = carriers
-    return carriers
+    cosets = [
+        qpsets.coset_set(system, J)
+        for r in range(1, system.rank + 1)
+        for J in itertools.combinations(range(system.rank), r)
+    ]
+    return [hecke.regular_module(system), *cosets, *barcanon.iplus_qp_classes(system)]
 
 
 def _suite_bar_canonical(system) -> list[tuple[str, bool]]:

@@ -1,8 +1,8 @@
 """Coxeter systems with exact element arithmetic.
 
 Two families are supported.  A *finite* system is built from the root set of
-its geometric representation: roots are generated numerically (entries are
-snapped to previously seen vectors with tolerance 1e-9), and each generator
+its geometric representation: roots are generated numerically (each is
+looked up by its coordinates rounded to a grid of 1e-9), and each generator
 becomes an integer permutation of the root indices, with a sign per root.
 The construction is self-validating: generator permutations must be
 involutions satisfying the braid relations, and the root count must be twice
@@ -35,10 +35,14 @@ carriers (KeyTwist, qpsets.lowest_descent, qpsets.bruhat_order).
 Type strings: "A n", "B n", "D n" (n >= 4), "E6"/"E7"/"E8", "F4", "H3",
 "H4", "I2(m)", "U n" (universal of rank n).  Labeling follows Bourbaki; in
 particular D4 has the branch node at s2.
+
+stage, the one memo for what is computed once per system or carrier and
+shared by its callers, is defined here, at the bottom of the import graph.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -52,6 +56,29 @@ INF = 0  # internal marker for an infinite bond order
 MAX_ORDER = 500_000  # the largest |W| enumerated, and |X| searched: above |A8| = 362880, below |E7|
 
 _SNAP = 1e-9
+
+
+def stage(attr: str):
+    """A decorator for a stage fn(owner, *arg), with at most one argument
+    after its owner (a system, its group table, a carrier, or a carrier's
+    Phi maps): fn runs once per owner and argument, and its result is kept
+    as owner.<attr>[arg] (owner.<attr>[None] without one) for every later
+    call.  A call that raises keeps nothing.  The body is read as the
+    wrapper's __wrapped__ on each miss, so it can be instrumented from
+    outside."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(owner, *arg):
+            key = arg[0] if arg else None
+            store = owner.__dict__.get(attr)
+            if store is None:
+                store = owner.__dict__[attr] = {}
+            elif key in store:
+                return store[key]
+            value = store[key] = cached.__wrapped__(owner, *arg)
+            return value
+        return cached
+    return decorate
 
 
 def _parse_type_string(s: str):
@@ -168,11 +195,6 @@ class CoxeterSystem:
                 "use an all-infinite (universal) or positive definite matrix"
             )
         self._table = None
-        self._reflections = None
-        self._reflection_roots = None
-        self._bruhat_down = None
-        self._aut_list = None
-        self._aut_images: dict[tuple, list] = {}
         if self.family == "finite":
             self._build_roots()
 
@@ -194,33 +216,26 @@ class CoxeterSystem:
         if not _is_positive_definite(form):
             raise NotFinite(f"bilinear form of {self.name} is not positive definite")
         roots: list[tuple[float, ...]] = []
+        index: dict[tuple[int, ...], int] = {}  # coordinates on the _SNAP grid -> root
+
+        def snap(vec):
+            return tuple([round(c / _SNAP) for c in vec])
 
         def find(vec):
-            for k, r in enumerate(roots):
-                if all(abs(a - b) < _SNAP for a, b in zip(r, vec)):
-                    return k
-            return None
-
-        def add(vec):
-            roots.append(vec)
-            return len(roots) - 1
+            k = index.setdefault(snap(vec), len(roots))
+            if k == len(roots):
+                roots.append(vec)
+            return k
 
         for i in range(n):
-            add(tuple(1.0 if j == i else 0.0 for j in range(n)))
-
-        def reflect(i, vec):
-            pairing = 2.0 * sum(form[i][j] * vec[j] for j in range(n))
-            out = list(vec)
-            out[i] -= pairing
-            return tuple(out)
+            find(tuple(1.0 if j == i else 0.0 for j in range(n)))
 
         # iterating the growing list closes the root set in discovery order
         perms = [[] for _ in range(n)]
         for vec in roots:
-            for i in range(n):
-                img = reflect(i, vec)
-                k = find(img)
-                perms[i].append(add(img) if k is None else k)
+            for i in range(n):  # the reflection of vec in alpha_i
+                pairing = 2.0 * sum(form[i][j] * vec[j] for j in range(n))
+                perms[i].append(find(tuple(c - pairing if j == i else c for j, c in enumerate(vec))))
             if len(roots) > 100000:
                 raise NotFinite(f"root closure of {self.name} did not terminate")
         perms = [tuple(p) for p in perms]
@@ -231,9 +246,8 @@ class CoxeterSystem:
                     return c > 0
             raise NotFinite("root with vanishing coordinates")
 
-        for vec in roots:
-            if find(tuple(-c for c in vec)) is None:
-                raise NotFinite("root set is not symmetric under negation")
+        if any(snap([-c for c in vec]) not in index for vec in roots):
+            raise NotFinite("root set is not symmetric under negation")
 
         # structural self-checks gating the floating-point snapping
         ident = tuple(range(len(roots)))
@@ -248,12 +262,13 @@ class CoxeterSystem:
                     power = _compose(power, prod)
                 if power != ident:
                     raise NotFinite(f"braid relation ({i},{j}) fails on roots")
-        if sum(sign(vec) for vec in roots) * 2 != len(roots):
+        positive = tuple(sign(vec) for vec in roots)
+        if sum(positive) * 2 != len(roots):
             raise NotFinite("root set is not split evenly into positive and negative")
 
         self.roots = tuple(roots)
         self.gen_root_perm = tuple(perms)
-        self.positive = tuple(sign(vec) for vec in roots)
+        self.positive = positive
         self.n_positive_roots = len(roots) // 2
 
     # -- group enumeration (finite family) ----------------------------------
@@ -299,6 +314,7 @@ class CoxeterSystem:
 
     # -- reflections ---------------------------------------------------------
 
+    @stage("_reflection_roots")
     def reflection_roots(self) -> list[tuple[tuple, int]]:
         """(word, beta) for every reflection s_beta of a finite system, beta
         the index of its positive root, sorted by (length, word).  The word is
@@ -310,36 +326,30 @@ class CoxeterSystem:
         has the left descent s exactly when w^-1(alpha_s) is negative, with
         w^-1 s the inverse of s w.
         """
-        if self._reflection_roots is None:
-            gens, positive = self.gen_root_perm, self.positive
-            perms = dict(enumerate(gens))  # beta -> s_beta on the roots
-            queue = list(perms)
-            for beta in queue:  # iterating the growing list closes the set
-                for g in gens:
-                    gamma = g[beta]
-                    if positive[gamma] and gamma not in perms:
-                        perms[gamma] = _compose(g, _compose(perms[beta], g))
-                        queue.append(gamma)
-            out = []
-            for beta, q in perms.items():  # q is w^-1 on the roots; s_beta is its own inverse
-                word = []
-                while True:
-                    s = next((s for s in range(self.rank) if not positive[q[s]]), None)
-                    if s is None:
-                        break
-                    word.append(s)
-                    q = _compose(q, gens[s])  # (s w)^-1 = w^-1 s
-                out.append((tuple(word), beta))
-            out.sort(key=lambda wb: (len(wb[0]), wb[0]))
-            self._reflection_roots = out
-        return self._reflection_roots
+        gens, positive = self.gen_root_perm, self.positive
+        perms = dict(enumerate(gens))  # beta -> s_beta on the roots
+        queue = list(perms)
+        for beta in queue:  # iterating the growing list closes the set
+            for g in gens:
+                gamma = g[beta]
+                if positive[gamma] and gamma not in perms:
+                    perms[gamma] = _compose(g, _compose(perms[beta], g))
+                    queue.append(gamma)
+        out = []
+        for beta, q in perms.items():  # q is w^-1 on the roots; s_beta is its own inverse
+            word = []
+            while (s := next((s for s in range(self.rank) if not positive[q[s]]), None)) is not None:
+                word.append(s)
+                q = _compose(q, gens[s])  # (s w)^-1 = w^-1 s
+            out.append((tuple(word), beta))
+        out.sort(key=lambda wb: (len(wb[0]), wb[0]))
+        return out
 
+    @stage("_reflections")
     def reflections(self) -> list["Element"]:
         """All reflections as elements of the enumerated group, sorted by
         (length, id) (the survey code).  Finite family."""
-        if self._reflections is None:
-            self._reflections = [self.element_from_word(word) for word, _ in self.reflection_roots()]
-        return self._reflections
+        return [self.element_from_word(word) for word, _ in self.reflection_roots()]
 
     def reflections_up_to(self, max_length: int) -> list["Element"]:
         """Reflections of length <= max_length (universal family)."""
@@ -367,22 +377,21 @@ class CoxeterSystem:
 
     # -- Bruhat order ---------------------------------------------------------
 
+    @stage("_bruhat_down")
     def _bruhat_table(self):
         """The Bruhat down-sets of W as bitmasks by id (the survey diagnostics)."""
-        if self._bruhat_down is None:
-            table = self._ensure_table()
-            refl = [r.key for r in self.reflections()]
-            down = [0] * len(table.perms)
-            for y in range(len(down)):  # ids are in length order
-                bits = 1 << y
-                ly = table.length[y]
-                for r in refl:
-                    x = table.mult_ids(r, y)
-                    if table.length[x] == ly - 1:
-                        bits |= down[x]
-                down[y] = bits
-            self._bruhat_down = down
-        return self._bruhat_down
+        table = self._ensure_table()
+        refl = [r.key for r in self.reflections()]
+        down = [0] * len(table.perms)
+        for y in range(len(down)):  # ids are in length order
+            bits = 1 << y
+            ly = table.length[y]
+            for r in refl:
+                x = table.mult_ids(r, y)
+                if table.length[x] == ly - 1:
+                    bits |= down[x]
+            down[y] = bits
+        return down
 
     # -- longest elements -------------------------------------------------------
 
@@ -408,20 +417,19 @@ class CoxeterSystem:
 
     # -- diagram automorphisms ---------------------------------------------------
 
+    @stage("_aut_list")
     def diagram_automorphisms(self) -> list["DiagramAut"]:
         """All permutations of S preserving the Coxeter matrix, identity first."""
-        if self._aut_list is None:
-            auts = []
-            for sigma in itertools.permutations(range(self.rank)):
-                if all(
-                    self.matrix[sigma[i]][sigma[j]] == self.matrix[i][j]
-                    for i in range(self.rank)
-                    for j in range(self.rank)
-                ):
-                    auts.append(DiagramAut(self, sigma))
-            auts.sort(key=lambda a: a.sigma)
-            self._aut_list = auts
-        return self._aut_list
+        auts = []
+        for sigma in itertools.permutations(range(self.rank)):
+            if all(
+                self.matrix[sigma[i]][sigma[j]] == self.matrix[i][j]
+                for i in range(self.rank)
+                for j in range(self.rank)
+            ):
+                auts.append(DiagramAut(self, sigma))
+        auts.sort(key=lambda a: a.sigma)
+        return auts
 
     def identity_aut(self) -> "DiagramAut":
         return DiagramAut(self, tuple(range(self.rank)))
@@ -503,7 +511,6 @@ class _GroupTable:
         self.lmult = lmult
         self.inverse = inverse
         self.gen_ids = rmult[0]
-        self._words: dict[int, tuple] = {}
 
     def mult_ids(self, a: int, b: int) -> int:
         """The id of a*b, folding lmult up the parents of the shorter factor
@@ -517,22 +524,18 @@ class _GroupTable:
             a = parent[a]
         return inv[b] if via_inverse else b
 
-    def word(self, w: int, n_gens: int) -> tuple:
-        cached = self._words.get(w)
-        if cached is not None:
-            return cached
+    @stage("_words")
+    def word(self, w: int) -> tuple:
+        """The greedy lowest-left-descent reduced word of w, kept per id."""
         out = []
         x = w
         while self.length[x]:
-            for s in range(n_gens):
-                y = self.lmult[x][s]
+            for s, y in enumerate(self.lmult[x]):
                 if self.length[y] < self.length[x]:
                     out.append(s)
                     x = y
                     break
-        word = tuple(out)
-        self._words[w] = word
-        return word
+        return tuple(out)
 
 
 class Element:
@@ -554,7 +557,7 @@ class Element:
         """The reduced word found by greedy lowest-index left descents."""
         if self.system.family == "universal":
             return self.key
-        return self.system._table.word(self.key, self.system.rank)
+        return self.system._table.word(self.key)
 
     def __mul__(self, other: "Element") -> "Element":
         self.system._check(other)
@@ -616,26 +619,8 @@ class DiagramAut:
         return self.sigma[i]
 
     def _images(self):
-        """theta(w) for every id w: theta(u t) = theta(u) sigma(t) along the
-        search tree, then checked on every edge (w, s), once per system."""
-        system = self.system
-        images = system._aut_images.get(self.sigma)
-        if images is None:
-            table = system._ensure_table()
-            rmult, sigma = table.rmult, self.sigma
-            images = [0]
-            for u, t in zip(table.parent[1:], table.last[1:]):
-                images.append(rmult[images[u]][sigma[t]])
-            for w, row in enumerate(rmult):
-                image_row = rmult[images[w]]
-                for s, ws in enumerate(row):
-                    if images[ws] != image_row[sigma[s]]:
-                        raise ConsistencyError(
-                            f"{self!r} breaks theta(w s) = theta(w) theta(s) "
-                            f"at w = {Element(system, w)!r}, s = s{s + 1}"
-                        )
-            system._aut_images[self.sigma] = images
-        return images
+        """theta(w) for every id w (see _aut_images)."""
+        return _aut_images(self.system, self.sigma)
 
     def __call__(self, x: Element) -> Element:
         self.system._check(x)
@@ -675,6 +660,27 @@ class DiagramAut:
         if self.is_identity():
             return "id"
         return "(" + " ".join(f"s{i + 1}->s{j + 1}" for i, j in enumerate(self.sigma) if i != j) + ")"
+
+
+@stage("_aut_images")
+def _aut_images(system: CoxeterSystem, sigma: tuple) -> list[int]:
+    """theta(w) for every id w, theta the diagram automorphism sigma:
+    theta(u t) = theta(u) sigma(t) along the search tree, then checked on
+    every edge (w, s), once per system and sigma."""
+    table = system._ensure_table()
+    rmult = table.rmult
+    images = [0]
+    for u, t in zip(table.parent[1:], table.last[1:]):
+        images.append(rmult[images[u]][sigma[t]])
+    for w, row in enumerate(rmult):
+        image_row = rmult[images[w]]
+        for s, ws in enumerate(row):
+            if images[ws] != image_row[sigma[s]]:
+                raise ConsistencyError(
+                    f"{DiagramAut(system, sigma)!r} breaks theta(w s) = theta(w) theta(s) "
+                    f"at w = {Element(system, w)!r}, s = s{s + 1}"
+                )
+    return images
 
 
 class ExtElement:

@@ -16,23 +16,21 @@ need a finite system (InfiniteParabolic otherwise).
 from __future__ import annotations
 
 from .barcanon import ModuleVector, act_hecke, bar_vector, canonical_basis
-from .coxeter import CoxeterSystem, Element
+from .coxeter import CoxeterSystem, Element, stage
 from .errors import ConsistencyError, SystemMismatch
 from .laurent import ONE, LaurentPoly, ZERO, add_scaled
 from .qpsets import ScaledWSet, regular_set
 
 
+@stage("_regular_module")
 def regular_module(system: CoxeterSystem) -> ScaledWSet:
     """The regular carrier of a finite system, built once and kept on the system
     (an entry of a weak-key map would be kept alive by the carrier's system).
     Its point ids must be the element ids: point w carries the word of w."""
-    X = getattr(system, "_regular_module", None)
-    if X is None:
-        X = regular_set(system)  # InfiniteParabolic on a universal system
-        table = system._ensure_table()
-        if len(X) != len(table.perms) or any(key != table.word(w, system.rank) for w, key in enumerate(X.keys)):
-            raise ConsistencyError("regular carrier point ids differ from element ids")
-        system._regular_module = X
+    X = regular_set(system)  # InfiniteParabolic on a universal system
+    table = system._ensure_table()
+    if len(X) != len(table.perms) or any(key != table.word(w) for w, key in enumerate(X.keys)):
+        raise ConsistencyError("regular carrier point ids differ from element ids")
     return X
 
 

@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import coxeter
-from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, twisted_conjugate
+from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, stage, twisted_conjugate
 from .errors import (
     BadMatrix,
     ConsistencyError,
@@ -93,9 +93,6 @@ class ScaledWSet:
         self.base = base
         self.truncated_at = truncated_at
         self.n_gens = len(action)
-        self._qp = None
-        self._order = None
-        self._refl = None
         self._validate_scaled()
 
     # -- basics -------------------------------------------------------------
@@ -171,6 +168,7 @@ class ScaledWSet:
 
     # -- reflection actions -----------------------------------------------------
 
+    @stage("_refl")
     def reflection_actions(self) -> list[_ReflAction]:
         """r . x for every reflection r of W, in (length, word) order; a double
         cover adds s0, the reflection of its A1 factor.
@@ -183,8 +181,6 @@ class ScaledWSet:
         reflections of length <= cutoff + 1: an image may leave the carrier,
         and its exact height and word are still needed.
         """
-        if self._refl is not None:
-            return self._refl
         out = []
         if self.truncated_at is not None:  # a universal conjugacy class
             conj, index = KeyTwist(self.theta).conj, self.index
@@ -207,7 +203,6 @@ class ScaledWSet:
             if self.kind == "double-cover":
                 img = list(self.action[self.n_gens - 1])
                 out.append(_ReflAction((self.n_gens - 1,), img, [self.height2[y] for y in img]))
-        self._refl = out
         return out
 
 
@@ -346,6 +341,7 @@ def even_double_cover(X: ScaledWSet) -> ScaledWSet:
 # quasiparabolicity
 
 
+@stage("_qp")
 def check_quasiparabolic(X: ScaledWSet) -> QpVerdict:
     """Exhaustively check (QP1) over R x X and (QP2) over R x X x S.
 
@@ -353,49 +349,35 @@ def check_quasiparabolic(X: ScaledWSet) -> QpVerdict:
     length <= cutoff + 1) and heights of out-of-carrier images are still
     computed exactly from their words, so every reported witness is genuine.
     """
-    if X._qp is not None:
-        return X._qp
     refl = X.reflection_actions()
     h2 = X.height2
-    verdict = None
     bound = max(len(ra.word) for ra in refl) if refl and X.truncated_at is not None else None
     step_length = KeyTwist(X.theta).step_length if X.truncated_at is not None else None
 
     for ra in refl:
         for x in range(len(X)):
             if ra.img_h2[x] == h2[x] and ra.img[x] != x:
-                verdict = QpVerdict(False, "QP1", ra.word, x, None, bound)
-                break
-        if verdict:
-            break
+                return QpVerdict(False, "QP1", ra.word, x, None, bound)
 
-    if verdict is None:
-        for ra in refl:
-            for x in range(len(X)):
-                if ra.img_h2[x] <= h2[x]:
+    for ra in refl:
+        for x in range(len(X)):
+            if ra.img_h2[x] <= h2[x]:
+                continue
+            rx = ra.img[x]
+            for s in range(X.n_gens):
+                sx = X.action[s][x]
+                if sx is None:
                     continue
-                rx = ra.img[x]
-                for s in range(X.n_gens):
-                    sx = X.action[s][x]
-                    if sx is None:
-                        continue
-                    srx = X.action[s][rx] if rx is not None else None
-                    if srx is not None:
-                        h_srx = h2[srx]
-                    elif ra.img_keys is not None:  # s r x left the truncated carrier
-                        h_srx = step_length(s, ra.img_keys[x])
-                    else:
-                        continue
-                    if h_srx < h2[sx] and rx != sx:
-                        verdict = QpVerdict(False, "QP2", ra.word, x, s, bound)
-                        break
-                if verdict:
-                    break
-            if verdict:
-                break
-
-    X._qp = verdict or QpVerdict(True, checked_r_length=bound)
-    return X._qp
+                srx = X.action[s][rx] if rx is not None else None
+                if srx is not None:
+                    h_srx = h2[srx]
+                elif ra.img_keys is not None:  # s r x left the truncated carrier
+                    h_srx = step_length(s, ra.img_keys[x])
+                else:
+                    continue
+                if h_srx < h2[sx] and rx != sx:
+                    return QpVerdict(False, "QP2", ra.word, x, s, bound)
+    return QpVerdict(True, checked_r_length=bound)
 
 
 def check_qp1_only(X: ScaledWSet) -> bool:
@@ -478,6 +460,7 @@ class XOrder:
         return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
+@stage("_order")
 def bruhat_order(X: ScaledWSet) -> XOrder:
     """Transitive closure of x < rx over reflections that raise the height.
 
@@ -485,8 +468,6 @@ def bruhat_order(X: ScaledWSet) -> XOrder:
     The result is graded: closing only over height-unit edges gives the same
     order, which is checked on untruncated carriers (ConsistencyError).
     """
-    if X._order is not None:
-        return X._order
     verdict = check_quasiparabolic(X)
     if not verdict.is_qp:
         raise NotQuasiparabolic(f"carrier fails {verdict.axiom} at point {verdict.x}")
@@ -515,8 +496,7 @@ def bruhat_order(X: ScaledWSet) -> XOrder:
     if X.truncated_at is None and down != close(cover_in):
         raise ConsistencyError("Bruhat order on the carrier is not graded")
     label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
-    X._order = XOrder(down, label)
-    return X._order
+    return XOrder(down, label)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ Shares only the root vectors and generator permutations with the
 implementation, whose tables come from simple-root keys and recurrences
 along the search tree.
 
+scan_roots is the root-table construction CoxeterSystem ran before it
+looked roots up by hashing: every new vector is compared with every root
+found so far, coordinate by coordinate within SNAP.
+
 table_reflections is the breadth-first search of the reflections on the
 group table that CoxeterSystem.reflections ran before it read them on the
 roots.
@@ -17,6 +21,8 @@ carriers instead: descents from products and lengths, the Bruhat order
 the subword property, and the subword property on the unique reduced words
 of a universal one) and the twisted-involution test (x, theta)^2 = 1.
 """
+
+import math
 
 SNAP = 1e-9
 
@@ -50,6 +56,29 @@ def bruhat_leq(x, y):
 
 def is_twisted_involution(p):
     return (p * p).is_identity()
+
+
+def scan_roots(matrix):
+    """(gen_root_perm, positive) of the finite Coxeter matrix, the roots
+    closed in discovery order and each image found by a linear scan."""
+    n = len(matrix)
+    form = [[-math.cos(math.pi / matrix[i][j]) for j in range(n)] for i in range(n)]
+    roots = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
+
+    def find(vec):
+        for k, r in enumerate(roots):
+            if all(abs(a - b) < SNAP for a, b in zip(r, vec)):
+                return k
+        roots.append(vec)
+        return len(roots) - 1
+
+    perms = [[] for _ in range(n)]
+    for vec in roots:  # iterating the growing list closes the root set
+        for i in range(n):
+            pairing = 2.0 * sum(form[i][j] * vec[j] for j in range(n))
+            perms[i].append(find(tuple(c - pairing if j == i else c for j, c in enumerate(vec))))
+    positive = tuple(next(c > 0 for c in vec if abs(c) > 1e-6) for vec in roots)
+    return tuple(tuple(p) for p in perms), positive
 
 
 def table_reflections(system):

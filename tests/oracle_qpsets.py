@@ -24,7 +24,7 @@ through it.
 from __future__ import annotations
 
 from oracle_group import table_reflections
-from qpcox.coxeter import Element, ExtElement
+from qpcox.coxeter import Element, ExtElement, stage
 from qpcox.qpsets import QpVerdict, ScaledWSet, _orbit_carrier, _ReflAction
 
 
@@ -59,9 +59,8 @@ def _carrier(system, kind, points, height2, action, **kw):
 class OracleWSet(ScaledWSet):
     """A carrier whose reflection actions are computed from its elements."""
 
+    @stage("_refl")
     def reflection_actions(self):
-        if self._refl is not None:
-            return self._refl
         if self.kind == "double-cover":
             # reflections of W x A1 are the reflections of W plus s0 itself
             out = []
@@ -75,7 +74,6 @@ class OracleWSet(ScaledWSet):
             s0 = self.n_gens - 1
             img = [self.action[s0][pid] for pid in range(len(self))]
             out.append(_ReflAction((s0,), img, [self.height2[q] for q in img]))
-            self._refl = out
             return out
 
         sys = self.system
@@ -96,7 +94,6 @@ class OracleWSet(ScaledWSet):
                 if keys is not None:
                     keys.append(key_of(q_elt))
             out.append(_ReflAction(r.word(), img, h2, keys))
-        self._refl = out
         return out
 
 
@@ -217,7 +214,7 @@ def table_reflection_rows(X):
     table = X.system._table
     rows, out = {}, []
     for r in table_reflections(X.system):
-        word = table.word(r, X.system.rank)
+        word = table.word(r)
         a = X.action[word[0]]
         if len(word) == 1:
             img = list(a)

@@ -30,7 +30,7 @@ from qpcox.barcanon import (
 )
 from qpcox.classify import twisted_classes, w0_translate
 from qpcox.coxeter import Element, ExtElement, build_system
-from qpcox.errors import ConsistencyError, TruncationRequired, UncertifiedBar
+from qpcox.errors import ConsistencyError, SystemMismatch, TruncationRequired, UncertifiedBar
 from qpcox.hecke import HeckeElt, kl_basis
 from qpcox.laurent import ONE, V, VINV, v_power
 from qpcox.qpsets import (
@@ -96,6 +96,21 @@ def test_act_gen_ascent():
     a3 = build_system("A3")
     X = fpf_class(a3)
     assert act_gen(M(X, 0), 1) == M(X, 1)  # height rises from s1 s3
+
+
+def test_vectors_of_different_modules_do_not_mix():
+    # sums and differences need one kind on one carrier, as Hecke elements
+    # need one system
+    a2 = build_system("A2")
+    X = regular_set(a2)
+    n1 = ModuleVector.standard("N", X, 1)
+    other = M(regular_set(a2), 1)
+    for a, b in ((M(X, 0), n1), (n1, M(X, 0)), (M(X, 0), other)):
+        with pytest.raises(SystemMismatch):
+            a + b
+        with pytest.raises(SystemMismatch):
+            a - b
+    assert M(X, 0) + M(X, 1) - M(X, 1) == M(X, 0)
 
 
 def test_act_hecke_module_laws():
@@ -598,7 +613,7 @@ def test_phi_verdict_is_computed_once(monkeypatch):
     X = coset_set(build_system("A3"), [1])
     phi = PhiMaps(X)
     first = phi.verify()
-    monkeypatch.setattr(PhiMaps, "_verify", lambda self: pytest.fail("verified twice"))
+    monkeypatch.setattr(PhiMaps.verify, "__wrapped__", lambda self: pytest.fail("verified twice"))
     assert phi.verify() is first and first.ok
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qpcox import barcanon, cli, coxeter
+from qpcox import barcanon, cli, coxeter, hecke, qpsets
 from qpcox.cli import main
 from qpcox.errors import ConsistencyError
 
@@ -166,8 +166,39 @@ def _set_mu_row(payload, row):
 ], ids=["no-tables", "short-mu-row", "mu-not-int", "bad-pairs", "missing-kind", "config", "not-a-dict",
         "tables-list", "mu-row-int"])
 def test_malformed_cached_basis_is_recomputed(tmp_path, capsys, tamper):
-    argv = ["basis", "--type", "A2", "--regular", "--format", "csv"]
+    # a JSON body: a CSV entry holds the printed CSV text (see below)
+    argv = ["basis", "--type", "A2", "--regular"]
     _check_tampered_entry_is_recomputed(tmp_path, capsys, argv, tamper)
+
+
+def test_csv_basis_hit_copies_the_printed_text(tmp_path, monkeypatch, capsys):
+    # a basis key holds the output format and the body is the text printed,
+    # so a CSV hit is the cold output byte for byte (\r\n line ends kept),
+    # with no JSON parsed and no CSV rendered
+    argv = ["basis", "--type", "A3", "--coset", "s1", "--format", "csv"]
+    assert run(tmp_path, *argv) == 0
+    cold = capsys.readouterr().out
+    assert cold.startswith("kind,x,y,mu\r\n")
+    assert run(tmp_path, *argv, cache=True) == 0
+    assert capsys.readouterr().out == cold
+    (entry,) = (tmp_path / "cache").glob("*/*.json")
+    header, body = entry.read_bytes().split(b"\n", 1)
+    assert body == cold.encode() and json.loads(header)["key"]["config"]["format"] == "csv"
+    with monkeypatch.context() as m:
+        for owner, name in ((json, "load"), (json, "loads"), (cli, "_mu_csv")):
+            m.setattr(owner, name, lambda *a, **k: pytest.fail("the hit parsed or rendered"))
+        assert run(tmp_path, *argv, cache=True) == 0
+        assert capsys.readouterr().out == cold
+    # the JSON output has its own entry, and a CSV body edited in one digit
+    # fails its digest: recomputed and overwritten
+    assert run(tmp_path, *argv[:-2], cache=True) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["carrier"]["kind"] == "coset"
+    assert len(list((tmp_path / "cache").glob("*/*.json"))) == 2
+    original = entry.read_bytes()
+    entry.write_bytes(original.replace(b",1\r\n", b",2\r\n", 1))
+    assert entry.read_bytes() != original
+    assert run(tmp_path, *argv, cache=True) == 0
+    assert capsys.readouterr().out == cold and entry.read_bytes() == original
 
 
 def _bump_coefficient(header, body):
@@ -486,8 +517,30 @@ def test_cache_is_keyed_on_the_source_digest(tmp_path, monkeypatch, capsys):
     ).hexdigest()
 
 
+STAGE_CODE = coxeter.stage("_probe")(lambda owner: owner).__code__
+
+
+def _stage_wrappers() -> dict:
+    """Every coxeter.stage of the package by qualified name: the functions
+    of its modules and classes, or down their __wrapped__ chains (the
+    per-kind stages of barcanon), whose code is the stage wrapper's."""
+    found = {}
+    for mod in (coxeter, qpsets, hecke, barcanon, cli):
+        objs = list(vars(mod).values())
+        objs += [v for c in list(objs) if isinstance(c, type) and c.__module__ == mod.__name__ for v in vars(c).values()]
+        for f in objs:
+            while callable(f) and not isinstance(f, type):
+                if getattr(f, "__code__", None) is STAGE_CODE:
+                    found[f.__qualname__] = f
+                    break
+                f = getattr(f, "__wrapped__", None)
+    return found
+
+
 def _count_stages(monkeypatch):
-    """Count canonical solves and fresh fills of X._barcols (bar matrices built)."""
+    """Count canonical solves, fresh fills of X._barcols (bar matrices
+    built), and the runs of every stage body: runs[(stage, id(owner), *arg)]
+    is [runs, stage, owner, arg, the body's last result]."""
     counts = {"solves": 0, "bar_matrices": 0}
     solve, fill = barcanon.canonical_columns, barcanon._bar_columns
 
@@ -501,7 +554,32 @@ def _count_stages(monkeypatch):
 
     monkeypatch.setattr(barcanon, "canonical_columns", counted_solve)
     monkeypatch.setattr(barcanon, "_bar_columns", counted_fill)
-    return counts
+    runs = {}
+    for name, stage in _stage_wrappers().items():
+        def counted_body(owner, *arg, body=stage.__wrapped__, name=name, stage=stage):
+            result = body(owner, *arg)
+            entry = runs.setdefault((name, id(owner), *arg), [0, stage, owner, arg, None])
+            entry[0] += 1
+            entry[4] = result
+            return result
+        monkeypatch.setattr(stage, "__wrapped__", counted_body)
+    return counts, runs
+
+
+def test_every_stage_body_runs_once_per_owner(tmp_path, monkeypatch, capsys):
+    # one helper keeps every stage on its owner (a system, its group table,
+    # a carrier, or a carrier's Phi maps): over a whole suite run each body
+    # runs once per owner and argument, and a later call returns the same
+    # object
+    stages = _stage_wrappers()
+    assert len(stages) == 21 and "CoxeterSystem._bruhat_table" in stages  # read by survey diagnostics only
+    counts, runs = _count_stages(monkeypatch)
+    assert run(tmp_path, "verify", "--type", "B3", "--suite", "all") == 0
+    assert counts == {"solves": 23, "bar_matrices": 23}
+    assert {name for name, *_ in runs} == set(stages) - {"CoxeterSystem._bruhat_table"}
+    assert all(n == 1 for n, *_ in runs.values())
+    assert all(stage(owner, *arg) is result for _, stage, owner, arg, result in runs.values())
+    assert sum(name == "bar_columns" for name, *_ in runs) == 24  # 12 carriers, M and N
 
 
 @pytest.mark.parametrize("argv, solves, bar_matrices", [
@@ -513,7 +591,7 @@ def _count_stages(monkeypatch):
     (["basis", "--type", "F4", "--seed", "", "--theta", "4,3,2,1"], 1, 1),  # no generator fixes a point
 ])
 def test_one_solve_per_carrier_and_kind(tmp_path, monkeypatch, capsys, argv, solves, bar_matrices):
-    counts = _count_stages(monkeypatch)
+    counts, _ = _count_stages(monkeypatch)
     assert run(tmp_path, *argv) == 0
     assert counts == {"solves": solves, "bar_matrices": bar_matrices}
 
@@ -545,7 +623,7 @@ def test_shared_stages_leave_basis_unchanged(tmp_path, monkeypatch, argv):
 
 def test_main_calls_share_no_stages(tmp_path, monkeypatch):
     # every call builds its own system, so the second solves again
-    counts = _count_stages(monkeypatch)
+    counts, _ = _count_stages(monkeypatch)
     for calls in (1, 2):
         assert run(tmp_path, "verify", "--type", "A2", "--suite", "hecke") == 0
         assert counts == {"solves": calls, "bar_matrices": calls}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracle_group import OracleGroup, bruhat_leq, is_twisted_involution, left_descents, right_descents
+from oracle_group import OracleGroup, bruhat_leq, is_twisted_involution, left_descents, right_descents, scan_roots
 from qpcox import coxeter
 from qpcox.coxeter import ExtElement, KeyTwist, build_system, twisted_conjugate
 from qpcox.errors import (
@@ -68,6 +68,24 @@ def test_root_tables_without_enumeration():
     assert f4.n_positive_roots == 24
     h4 = build_system("H4")
     assert h4.n_positive_roots == 60
+
+
+@pytest.mark.parametrize("type_string", [
+    *(f"A{n}" for n in range(1, 9)), *(f"B{n}" for n in range(2, 7)), "D4", "D5", "D6",
+    "E6", "E7", "E8", "F4", "H3", "H4", *(f"I2({m})" for m in (5, 8, 12, 50, 997)),
+])
+def test_hashed_roots_match_scan_oracle(type_string):
+    # roots looked up by hashing are found in the order the linear scan found them
+    system = build_system(type_string)
+    assert (system.gen_root_perm, system.positive) == scan_roots(system.matrix)
+
+
+@pytest.mark.parametrize("type_string, reason", [("I2(7)", "not an involution"), ("H4", "braid relation")])
+def test_mis_snapped_roots_fail_loudly(monkeypatch, type_string, reason):
+    # a grid this coarse merges distinct roots: a structural self-check refuses them
+    monkeypatch.setattr(coxeter, "_SNAP", 0.9)
+    with pytest.raises(NotFinite, match=reason):
+        build_system(type_string)
 
 
 def test_bad_matrices():

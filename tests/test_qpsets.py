@@ -329,7 +329,7 @@ def assert_root_carriers_match_table(system, Js):
     table = system._ensure_table()
     for J in Js:
         X, Y = coset_set(system, J), oracle.table_coset_set(system, J)
-        assert X.keys == [table.word(w, system.rank) for w in Y.keys]
+        assert X.keys == [table.word(w) for w in Y.keys]
         assert (X.kind, X.J, X.height2, X.action) == (Y.kind, Y.J, Y.height2, Y.action)
         assert [(ra.word, ra.img) for ra in X.reflection_actions()] == oracle.table_reflection_rows(Y)
         assert all(ra.img_h2 == [X.height2[y] for y in ra.img] for ra in X.reflection_actions())
@@ -344,7 +344,7 @@ def test_root_carriers_and_reflections_match_the_table_search(type_string):
     assert_root_carriers_match_table(system, Js)
     refl = table_reflections(system)
     assert [r.key for r in system.reflections()] == refl
-    assert [w for w, _ in system.reflection_roots()] == [system._table.word(r, system.rank) for r in refl]
+    assert [w for w, _ in system.reflection_roots()] == [system._table.word(r) for r in refl]
 
 
 def test_coset_search_builds_no_group_table():
