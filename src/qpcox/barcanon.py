@@ -300,7 +300,6 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     cols = bar_columns(kind, X)
     checked = skipped = 0
     full = X.truncated_at is None
-    label = None if full else f"verified up to height {X.truncated_at}"
 
     if full:
         order = bruhat_order(X)
@@ -309,7 +308,7 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
             if col.coeff(x) != ONE or any(
                 not order.lt(w, x) for w in col.coords if w != x
             ):
-                return BarVerdict(False, kind, {"reason": "not unitriangular", "x": x}, checked, skipped, label)
+                return BarVerdict(False, kind, {"reason": "not unitriangular", "x": x}, checked, skipped, X.label)
 
     points = X.minimal_elements() if full else range(len(X))
     for x in points:
@@ -320,7 +319,7 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
             continue
         checked += 1
         if bb != ModuleVector.standard(kind, X, x):
-            return BarVerdict(False, kind, {"reason": "not an involution", "x": x}, checked, skipped, label)
+            return BarVerdict(False, kind, {"reason": "not an involution", "x": x}, checked, skipped, X.label)
 
     for s in range(X.n_gens):
         for x in range(len(X)):
@@ -336,11 +335,11 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
             if not ok:
                 return BarVerdict(
                     False, kind, {"reason": "incompatible with H_s", "s": s, "x": x},
-                    checked, skipped, label,
+                    checked, skipped, X.label,
                 )
     if full:
         checked += len(X) - len(points)  # the involutions the lemma certifies
-    return BarVerdict(True, kind, None, checked, skipped, label)
+    return BarVerdict(True, kind, None, checked, skipped, X.label)
 
 
 def _commutes_on_columns(kind: str, X: ScaledWSet, cols: list[ModuleVector], s: int, x: int) -> bool:
@@ -383,7 +382,7 @@ class CanonicalTable:
         self.mus: list[dict[int, int]] = [{} for _ in range(len(X))]
         for (x, y), m in mu.items():
             self.mus[y][x] = m
-        self.label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
+        self.label = X.label
         for y in range(len(X)) if X.truncated_at is not None else ():  # small: check bar invariance too
             if bar_vector(self.underline(y)) != self.underline(y):
                 raise ConsistencyError(f"canonical {kind}-column {y} is not bar-invariant")
@@ -613,10 +612,7 @@ class PhiMaps:
 
     def __init__(self, X: ScaledWSet):
         self.X = X
-        hmin2 = X.h_min2()
-        self.eps = [
-            -1 if ((X.height2[x] - hmin2[x]) // 2) % 2 else 1 for x in range(len(X))
-        ]
+        self.eps = [-1 if p else 1 for p in X.parity]
         bar_n = bar_columns("N", X)
         bar_m = bar_columns("M", X)
         self.mn_cols = [bar_n[x].scale(self.eps[x]) for x in range(len(X))]
@@ -719,14 +715,11 @@ def primed_basis(
     """
     X = table_m.X
     src = table_n if kind == "M" else table_m
-    h2 = X.height2
-    vectors = []
-    for y in range(len(X)):
-        coords = {}
-        for x, c in src.cols[y].items():
-            sign = -1 if ((h2[y] - h2[x]) // 2) % 2 else 1
-            coords[x] = c.bar() * sign
-        vectors.append(ModuleVector(kind, X, coords))
+    h2, parity = X.height2, X.parity
+    vectors = [
+        ModuleVector(kind, X, {x: c.bar() * (-1 if parity[x] != parity[y] else 1) for x, c in col.items()})
+        for y, col in enumerate(src.cols)
+    ]
 
     phi = phi_maps(X)
     certified = phi.verify()
@@ -810,8 +803,7 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
             for w in range(n):
                 c = table_n.poly(part[y], part[w])
                 if c:
-                    sign = -1 if ((K.height2[y] - K.height2[w]) // 2) % 2 else 1
-                    add_scaled(col, table_m.cols[w], c * sign)
+                    add_scaled(col, table_m.cols[w], c * (-1 if K.parity[y] != K.parity[w] else 1))
             if col != {y: ONE}:
                 x = min(x for x in col.keys() | {y} if col.get(x) != (ONE if x == y else None))
                 return InversionVerdict(False, failure={"class": K.describe_point(0), "x": x, "y": y})

@@ -97,6 +97,15 @@ def load_system(type_spec: str) -> CoxeterSystem:
     return CoxeterSystem(data["matrix"] if isinstance(data, dict) else data)
 
 
+def _system(args) -> CoxeterSystem:
+    """The system of --type.  --cutoff truncates universal carriers only, so
+    a finite system refuses it rather than ignore it."""
+    system = load_system(args.type)
+    if args.cutoff is not None and system.family == "finite":
+        raise _UsageError(f"--cutoff applies to universal systems, and {system.name} is finite")
+    return system
+
+
 def parse_generators(text: str) -> tuple:
     """Words like "s1 s3", "1,3" or "" (the identity) into 0-based indices."""
     out = []
@@ -140,6 +149,8 @@ def resolve_carrier(system: CoxeterSystem, args) -> qpsets.ScaledWSet:
     ]
     if sum(chosen) != 1:
         raise _UsageError("select exactly one of --regular, --coset, --class, --seed")
+    if args.theta is not None and args.seed is None:
+        raise _UsageError("--theta applies to a --seed class only")
     if args.regular:
         return qpsets.regular_set(system)
     if args.coset is not None:
@@ -296,7 +307,7 @@ def _survey_csv(reports_json: list[dict]) -> str:
 
 
 def cmd_survey(args) -> int:
-    system = load_system(args.type)
+    system = _system(args)
     if args.theta in (None, "all"):
         thetas = None
         theta_key = "all"
@@ -373,7 +384,7 @@ def _certified_tables(X: qpsets.ScaledWSet, kinds) -> tuple[dict, dict | None]:
 
 
 def cmd_basis(args) -> int:
-    system = load_system(args.type)
+    system = _system(args)
     X = resolve_carrier(system, args)
     kinds = _kinds(args)
     key = {
@@ -422,7 +433,7 @@ def _mu_csv(payload: dict) -> str:
 
 
 def cmd_wgraph(args) -> int:
-    system = load_system(args.type)
+    system = _system(args)
     X = resolve_carrier(system, args)
     tables, failure = _certified_tables(X, _kinds(args))
     if failure is not None:
@@ -551,7 +562,7 @@ def _suite_universal(system, cutoff) -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args) -> int:
-    system = load_system(args.type)
+    system = _system(args)
     suites = {
         "hecke": lambda: _suite_hecke(system),
         "bar-canonical": lambda: _suite_bar_canonical(system),

@@ -3,8 +3,9 @@
 Carriers come in four kinds: minimal-length coset representatives of a
 standard parabolic subgroup (with the bullet action), twisted conjugacy
 classes in the extended group, the regular set (W acting on itself on the
-left), and the even double cover of an integer-height set (a W x A1-set over
-the generator list S + [s0]).
+left), and the even double cover of an integer-height set, a set for the
+system W x A1 (even_double_cover).  A carrier has one action row per
+generator of its system.
 
 Every carrier comes from one breadth-first orbit search that records each
 generator step once; the points are then sorted and the recorded steps become
@@ -30,7 +31,9 @@ conjugacy classes stay exact integers.  Point ids are dense and sorted by
 (height2, key), which makes exports deterministic; on coset and regular
 carriers that is the (length, id) order of the group table.  Truncated
 universal carriers record their cutoff; checks on them quantify only over
-data the truncation can see and every verdict carries the cutoff.
+data the truncation can see and every verdict carries the carrier's label.
+Each point's height parity above its orbit minimum (parity) is kept on the
+carrier too; every sign and bipartition that depends on it reads it there.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ class ScaledWSet:
         self.J = J
         self.base = base
         self.truncated_at = truncated_at
+        self.label = None if truncated_at is None else f"verified up to height {truncated_at}"
         self.n_gens = len(action)
         self._validate_scaled()
 
@@ -105,11 +109,18 @@ class ScaledWSet:
         """Point id per key, built on first read (class surveys never read it)."""
         return {k: i for i, k in enumerate(self.keys)}
 
+    @cached_property
+    def parity(self) -> list[int]:
+        """Per point, the parity (0 or 1) of its height above its orbit minimum."""
+        return [(h - m) // 2 % 2 for h, m in zip(self.height2, self.h_min2())]
+
     def __repr__(self):
         extra = f", truncated_at={self.truncated_at}" if self.truncated_at is not None else ""
         return f"ScaledWSet({self.kind}, {len(self)} points on {self.system.name}{extra})"
 
     def _validate_scaled(self):
+        if self.n_gens != self.system.rank:
+            raise ConsistencyError(f"{self.n_gens} action rows on a system of rank {self.system.rank}")
         if any(a > b for a, b in zip(self.height2, self.height2[1:])):
             raise ConsistencyError("point ids do not refine the height order")
         for s in range(self.n_gens):
@@ -170,8 +181,8 @@ class ScaledWSet:
 
     @stage("_refl")
     def reflection_actions(self) -> list[_ReflAction]:
-        """r . x for every reflection r of W, in (length, word) order; a double
-        cover adds s0, the reflection of its A1 factor.
+        """r . x for every reflection r of the carrier's system, in (length,
+        word) order.
 
         An untruncated carrier composes generator rows: r = a r' a for the
         first letter a of the word of r, a left descent, so the row of r is
@@ -200,16 +211,13 @@ class ScaledWSet:
                     img = [a[inner[y]] for y in a]
                 rows.append(img)
                 out.append(_ReflAction(word, img, [self.height2[y] for y in img]))
-            if self.kind == "double-cover":
-                img = list(self.action[self.n_gens - 1])
-                out.append(_ReflAction((self.n_gens - 1,), img, [self.height2[y] for y in img]))
         return out
 
 
-def _orbit_carrier(system, start, n_gens, step, height2, relabel=None, **kw) -> ScaledWSet:
+def _orbit_carrier(system, start, step, height2, relabel=None, **kw) -> ScaledWSet:
     """The orbit of the search key start, where step(s, p) is the search key
-    of the image of p under generator s (None when it leaves a truncated
-    carrier).
+    of the image of p under generator s of system (None when it leaves a
+    truncated carrier).
 
     One breadth-first search records every step once, and refuses an orbit
     of more than MAX_ORDER points (GroupTooLarge) before any row is built.
@@ -220,7 +228,7 @@ def _orbit_carrier(system, start, n_gens, step, height2, relabel=None, **kw) -> 
     steps = {start: None}
     queue = [start]
     for p in queue:  # iterating the growing list is the breadth-first search
-        images = steps[p] = [step(s, p) for s in range(n_gens)]
+        images = steps[p] = [step(s, p) for s in range(system.rank)]
         for q in images:
             if q is not None and q not in steps:
                 if len(queue) >= coxeter.MAX_ORDER:
@@ -231,7 +239,7 @@ def _orbit_carrier(system, start, n_gens, step, height2, relabel=None, **kw) -> 
     name = relabel(queue, steps) if relabel else {p: p for p in queue}
     points = sorted(queue, key=lambda p: (height2(p), name[p]))
     index = {p: i for i, p in enumerate(points)}
-    action = [[index.get(steps[p][s]) for p in points] for s in range(n_gens)]
+    action = [[index.get(steps[p][s]) for p in points] for s in range(system.rank)]
     return ScaledWSet(system, keys=[name[p] for p in points], height2=[height2(p) for p in points],
                       action=action, **kw)
 
@@ -274,7 +282,7 @@ def coset_set(system: CoxeterSystem, J) -> ScaledWSet:
             word[w] = () if s is None else (s,) + word[steps[w][s]]
         return word
 
-    return _orbit_carrier(system, start, system.rank, step, h2.__getitem__, words,
+    return _orbit_carrier(system, start, step, h2.__getitem__, words,
                           kind="coset" if J else "regular", J=J)
 
 
@@ -308,17 +316,21 @@ def key_class(system: CoxeterSystem, theta: DiagramAut, x, cutoff: Optional[int]
             return y if length(y) <= limit else None
 
     # ht = length / 2, so height2 is the length itself
-    return _orbit_carrier(system, x, system.rank, step, length,
+    return _orbit_carrier(system, x, step, length,
                           kind="conjugacy", theta=theta, truncated_at=limit)
 
 
 def even_double_cover(X: ScaledWSet) -> ScaledWSet:
-    """The even W x A1-set on X x {0, 1}; the extra generator s0 flips the bit."""
+    """The even double cover of X: X x {0, 1} as a set for W x A1, whose
+    generator s0 (m(s, s0) = 2) flips the bit and each s of W moves the base
+    point and flips it; (b, k) has height ht(b) or ht(b) + 1, of parity k."""
     if X.truncated_at is not None:
         raise TruncationRequired("double cover of a truncated carrier is not supported")
     if any(h % 2 for h in X.height2):
         raise ValueError("even double cover needs integer heights (height2 even)")
-    s0 = X.n_gens
+    s0 = X.system.rank
+    matrix = [row + (2,) for row in X.system.matrix] + [(2,) * s0 + (1,)]
+    system = CoxeterSystem(matrix, name=f"{X.system.name}xA1")
 
     def step(s, p):
         b, k = p
@@ -328,7 +340,7 @@ def even_double_cover(X: ScaledWSet) -> ScaledWSet:
         h = X.height2[p[0]]
         return h + (0 if (h // 2) % 2 == p[1] else 2)
 
-    cover = _orbit_carrier(X.system, (0, 0), s0 + 1, step, lift, kind="double-cover", base=X)
+    cover = _orbit_carrier(system, (0, 0), step, lift, kind="double-cover", base=X)
     if len(cover) != 2 * len(X):
         raise ValueError("even double cover needs a carrier with a single orbit")
     for s in range(cover.n_gens):  # evenness: no generator fixes a point
@@ -495,8 +507,7 @@ def bruhat_order(X: ScaledWSet) -> XOrder:
     down = close(in_edges)
     if X.truncated_at is None and down != close(cover_in):
         raise ConsistencyError("Bruhat order on the carrier is not graded")
-    label = None if X.truncated_at is None else f"verified up to height {X.truncated_at}"
-    return XOrder(down, label)
+    return XOrder(down, X.label)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +539,7 @@ def lowest_descent(action, height2, x: int) -> tuple[int, int] | None:
 
 
 def rht_witness(X: ScaledWSet, pid: int) -> Element:
-    if X.kind == "double-cover":
-        raise ValueError("double-cover witnesses are words over S + [s0]; use rht_witness_word")
+    """rht_witness_word(X, pid) as an element of the carrier's system."""
     word = rht_witness_word(X, pid)
     w = X.system.element_from_word(word)
     if w.length != len(word):

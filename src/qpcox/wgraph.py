@@ -12,7 +12,6 @@ connected components of the nonzero-weight digraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .barcanon import CanonicalTable, CheckVerdict
@@ -32,13 +31,9 @@ class WGraph:
     def vertices(self):
         return range(len(self.tau))
 
-    @cached_property
-    def colors(self) -> list[int]:
-        """Per vertex, the parity of its height above its orbit minimum."""
-        return [((h - m) // 2) % 2 for h, m in zip(self.X.height2, self.X.h_min2())]
-
     def bipartition_color(self, x: int) -> int:
-        return self.colors[x]
+        """The parity of the height of x above its orbit minimum."""
+        return self.X.parity[x]
 
 
 def build_wgraph(table: CanonicalTable) -> WGraph:
@@ -129,10 +124,7 @@ def verify_wgraph_module(G: WGraph) -> CheckVerdict:
             return CheckVerdict(False, "wgraph-quadratic", {"s": s})
     for s in range(G.n_gens):
         for t in range(s + 1, G.n_gens):
-            if G.X.kind == "double-cover" and t == G.n_gens - 1:
-                m_st = 2  # s0 commutes with all of S
-            else:
-                m_st = system.matrix[s][t]
+            m_st = system.matrix[s][t]
             left = _alternating(rho[s], rho[t], m_st)
             right = _alternating(rho[t], rho[s], m_st)
             if left != right:

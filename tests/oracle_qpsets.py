@@ -24,7 +24,7 @@ through it.
 from __future__ import annotations
 
 from oracle_group import table_reflections
-from qpcox.coxeter import Element, ExtElement, stage
+from qpcox.coxeter import CoxeterSystem, Element, ExtElement, stage
 from qpcox.qpsets import QpVerdict, ScaledWSet, _orbit_carrier, _ReflAction
 
 
@@ -74,7 +74,7 @@ class OracleWSet(ScaledWSet):
             s0 = self.n_gens - 1
             img = [self.action[s0][pid] for pid in range(len(self))]
             out.append(_ReflAction((s0,), img, [self.height2[q] for q in img]))
-            return out
+            return sorted(out, key=lambda ra: (len(ra.word), ra.word))
 
         sys = self.system
         if sys.family == "universal":
@@ -189,7 +189,9 @@ def even_double_cover(X):
     for s in range(X.n_gens):
         action.append([index[(X.action[s][b], 1 - k)] for (b, k) in points])
     action.append([index[(b, 1 - k)] for (b, k) in points])  # s0
-    return _carrier(X.system, "double-cover", points, height2, action, base=X)
+    n = X.system.rank  # W x A1: s0 commutes with every generator of W
+    system = CoxeterSystem([list(row) + [2] for row in X.system.matrix] + [[2] * n + [1]])
+    return _carrier(system, "double-cover", points, height2, action, base=X)
 
 
 def table_coset_set(system, J):
@@ -203,7 +205,7 @@ def table_coset_set(system, J):
         z = lmult[w][s]
         return w if any(length[rmult[z][j]] < length[z] for j in J) else z
 
-    return _orbit_carrier(system, 0, system.rank, step, lambda w: 2 * length[w],
+    return _orbit_carrier(system, 0, step, lambda w: 2 * length[w],
                           kind="coset" if J else "regular", J=J)
 
 

@@ -462,6 +462,42 @@ def test_universal_cutoff_below_a_seed_exits_1(tmp_path, capsys, cutoff):
     assert run(tmp_path, "verify", "--type", "U3", "--suite", "universal", "--cutoff", "2") == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "--type", "A3", "--class", "fpf", "--cutoff", "1"],
+    ["wgraph", "--type", "A2", "--regular", "--cutoff", "3"],
+    ["survey", "--type", "A2", "--cutoff", "3"],
+    ["verify", "--type", "A2", "--suite", "hecke", "--cutoff", "3"],
+], ids=["basis", "wgraph", "survey", "verify"])
+def test_cutoff_on_a_finite_system_exits_1(tmp_path, capsys, argv):
+    # a finite carrier is never truncated, so --cutoff there is refused, not
+    # ignored
+    assert run(tmp_path, *argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "--cutoff applies to universal systems" in out.err
+
+
+@pytest.mark.parametrize("carrier", [
+    ["--class", "fpf", "--theta", "swap"],
+    ["--regular", "--theta", "id"],
+    ["--coset", "s1", "--theta", "3,2,1"],
+], ids=["class", "regular", "coset"])
+@pytest.mark.parametrize("command", ["basis", "wgraph"])
+def test_theta_without_a_seed_exits_1(tmp_path, capsys, command, carrier):
+    assert run(tmp_path, command, "--type", "A3", *carrier) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "--theta applies to a --seed class only" in out.err
+
+
+def test_cache_options_are_accepted_by_every_command(tmp_path, capsys):
+    # the cache options parse for every command, whether or not it caches
+    for argv in (["survey", "--type", "A2"], ["basis", "--type", "A2", "--regular"],
+                 ["wgraph", "--type", "A2", "--regular"], ["verify", "--type", "A2", "--suite", "hecke"]):
+        assert run(tmp_path, *argv) == 0
+        assert run(tmp_path, *argv, cache=True) == 0
+
+
 def test_cache_follows_matrix_file_content(tmp_path):
     # I2(6) and A2 x A1 both have order 12; the cache is keyed on the matrix
     # the file holds, not on its path

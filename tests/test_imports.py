@@ -13,7 +13,9 @@ are built from keys only at the boundary.  qpsets names no group table
 (``_ensure_table``, ``_table``, ``_GroupTable``): carriers are searched on
 the roots, and W is enumerated only for surveys and conjugacy classes.
 No module in src/ calls ``json.dumps`` with ``indent``: every indented
-document goes through jsonout.dump, which streams it.
+document goes through jsonout.dump, which streams it.  Only qpsets names the
+carrier kind ``"double-cover"``: the even double cover is a carrier of
+W x A1, so every other module reads it as any other carrier.
 """
 
 import ast
@@ -99,6 +101,22 @@ def test_src_reads_no_payloads(path):
 def test_qpsets_names_no_group_table():
     refs = _references(ast.parse((ROOT / "src" / "qpcox" / "qpsets.py").read_text()))
     assert [name for name in ("_ensure_table", "_table", "_GroupTable") if refs[name]] == []
+
+
+def string_constants(source: str) -> set[str]:
+    """The string literals in source, docstrings included."""
+    return {n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_scan_finds_string_constants():
+    assert "double-cover" in string_constants('if X.kind == "double-cover": pass')
+    assert "double-cover" not in string_constants("# double-cover\nx = 'double cover'")
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_only_qpsets_names_the_double_cover(path):
+    # the cover is a carrier of W x A1, so no reader special-cases it
+    assert path.name == "qpsets.py" or "double-cover" not in string_constants(path.read_text())
 
 
 def indented_dumps(source: str) -> list[int]:

@@ -495,6 +495,52 @@ def test_scaled_set_refuses_bad_action_rows(height2, row):
         ScaledWSet(build_system("A1"), "regular", list(range(len(row))), height2, [row])
 
 
+def _cover_bases():
+    """(carrier, its element oracle): A2 and B2 with J = {s1}, and the fpf
+    class of A3, whose heights are all integers."""
+    a2, b2, a3 = build_system("A2"), build_system("B2"), build_system("A3")
+    K = fpf_class(a3)
+    return [
+        (coset_set(a2, [0]), oracle.coset_set(a2, [0])),
+        (coset_set(b2, [0]), oracle.coset_set(b2, [0])),
+        (K, oracle.conjugacy_set(a3, payloads(K)[0])),
+    ]
+
+
+@pytest.mark.parametrize("i", range(3), ids=["A2-coset", "B2-coset", "A3-fpf"])
+def test_cover_of_a_cover_is_a_carrier_of_its_system(i):
+    # a cover of a cover is a set for W x A1 x A1: the reflection closure
+    # meets both bit flips, and the rows and the QP verdict are the oracle's
+    X, Y = _cover_bases()[i]
+    C, D = even_double_cover(even_double_cover(X)), oracle.even_double_cover(oracle.even_double_cover(Y))
+    words = {ra.word for ra in C.reflection_actions()}
+    assert all((s,) in words for s in range(X.n_gens + 2))
+    assert C.system.rank == C.n_gens == X.n_gens + 2
+    assert_same_carrier(C, D)
+    assert check_quasiparabolic(C).is_qp == check_quasiparabolic(X).is_qp
+
+
+def test_rht_witness_on_covers():
+    # an element of W x A1 (x A1) whose length is the height gained, and
+    # which carries the orbit minimum to the point along the action rows
+    for X, _ in _cover_bases():
+        for C in (even_double_cover(X), even_double_cover(even_double_cover(X))):
+            [x0] = C.minimal_elements()
+            for x in range(len(C)):
+                w = rht_witness(C, x)
+                assert 2 * w.length == C.height2[x] - C.height2[x0]
+                y = x0
+                for s in reversed(w.word()):
+                    y = C.action[s][y]
+                assert y == x
+
+
+def test_scaled_set_refuses_rows_beyond_its_rank():
+    a1 = build_system("A1")
+    with pytest.raises(ConsistencyError):
+        ScaledWSet(a1, "regular", [0, 1], [0, 2], [[1, 0], [1, 0]])
+
+
 def test_double_cover_needs_one_orbit():
     a1 = build_system("A1")
     two_fixed_points = ScaledWSet(a1, "regular", [0, 1], [0, 0], [[0, 1]])

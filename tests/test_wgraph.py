@@ -1,7 +1,7 @@
 from qpcox.barcanon import act_gen, canonical_basis, primed_basis
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.laurent import LaurentPoly, V, VINV, ZERO
-from qpcox.qpsets import conjugacy_set, coset_set, regular_set
+from qpcox.qpsets import conjugacy_set, coset_set, even_double_cover, regular_set
 from oracle_canonical import to_canonical_coords
 from oracle_qpsets import payloads
 from qpcox.wgraph import (
@@ -98,6 +98,18 @@ def test_quasi_admissibility_and_module_axioms_everywhere():
     # admissibility (nonnegative weights) holds on these classical carriers
     # but is reported, never assumed
     assert check_quasi_admissible(graphs_for(regular_set(a2))["m"]).admissible
+
+
+def test_covers_of_covers_are_w_graph_modules():
+    # the rho-matrices of a cover of a cover satisfy the braid relations of
+    # W x A1 x A1, both bit flips included
+    a2, b2, a3 = build_system("A2"), build_system("B2"), build_system("A3")
+    for X in (coset_set(a2, [0]), coset_set(b2, [0]), fpf_class(a3)):
+        C = even_double_cover(even_double_cover(X))
+        for G in graphs_for(C).values():
+            assert verify_wgraph_module(G).ok
+            assert check_quasi_admissible(G).quasi_admissible
+            assert G.n_gens == C.system.rank == X.n_gens + 2
 
 
 def test_single_vertex_graph():
