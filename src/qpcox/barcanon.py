@@ -50,7 +50,9 @@ from typing import Optional
 from .classify import twisted_classes, w0_translate
 from .coxeter import CoxeterSystem, stage
 from .errors import ConsistencyError, SystemMismatch, TruncationRequired, UncertifiedBar
-from .laurent import ONE, V, VINV, ZERO, LaurentPoly, act_generator, add_scaled, canonical_columns, v_power
+from .laurent import (
+    ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, act_generator, add_scaled, canonical_columns, lincomb, v_power,
+)
 from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic, lowest_descent
 
 
@@ -134,11 +136,9 @@ def act_hecke(vec: ModuleVector, A) -> ModuleVector:
 
 
 def _combine(kind: str, X: ScaledWSet, terms) -> ModuleVector:
-    """The vector sum of c * coords over the (coords, c) pairs of terms."""
-    out: dict[int, LaurentPoly] = {}
-    for coords, c in terms:
-        add_scaled(out, coords, c)
-    return ModuleVector(kind, X, out)
+    """The vector sum of c * coords over the (coords, c) pairs of terms, each
+    distinct product computed once (laurent.lincomb)."""
+    return ModuleVector(kind, X, lincomb(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +511,22 @@ def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
     For (s, y) with s lowering y, x runs over D + s D only, where D is
     down(y) + down(sy): a nonzero term needs x <= y, sx <= y, x <= sy,
     sx <= sy or x <= t <= sy, so outside that set both sides are 0.  Where s
-    keeps the height of y (kind M), sy = y and D is down(y)."""
+    keeps the height of y (kind M), sy = y and D is down(y).
+
+    The arithmetic goes through a PolyMemo private to the call: each
+    distinct shift, sum and product is done once, and every value is
+    interned, so the two sides are compared by identity."""
     X = table.X
     kind = table.kind
     order = bruhat_order(X)
     down = order.downsets
     h2 = X.height2
+    ar = PolyMemo()
+    shift, add, mul = ar.shift, ar.add, ar.mul
 
-    # wts[y] = {x: v^(ht y - ht x) p[x, y]} on x <= y, built once per entry
+    # wts[y] = {x: v^(ht y - ht x) p[x, y]} on x <= y, interned
     wts = [
-        {x: c.shift((h2[y] - h2[x]) // 2) for x, c in col.items() if order.leq(x, y)}
+        {x: shift(c, (h2[y] - h2[x]) // 2) for x, c in col.items() if order.leq(x, y)}
         for y, col in enumerate(table.cols)
     ]
 
@@ -536,40 +542,36 @@ def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
             wt_y = wts[y]
             if kind == "M" and h2[sy] == h2[y]:
                 for x in near(s, down[y]):
-                    if wt_y.get(x, ZERO) != wt_y.get(row[x], ZERO):
+                    if wt_y.get(x, ZERO) is not wt_y.get(row[x], ZERO):
                         return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": x})
                 continue
             if h2[sy] >= h2[y]:
                 continue
             # the correction runs over x <= t < sy with s descending t (weakly
             # for M, strictly for N); the t = x term is nonzero exactly when
-            # mu(x, sy) is
+            # mu(x, sy) is.  Each term is wt(x, t) times -mu(t, sy) v^(ht y - ht t)
             corrections = []
             for t, m in table.mus[sy].items():
                 drop = h2[row[t]] - h2[t]
                 if m and order.lt(t, sy) and (drop < 0 or (kind == "M" and drop == 0)):
-                    corrections.append((wts[t], m * v_power((h2[y] - h2[t]) // 2)))
+                    corrections.append((wts[t], ar.intern(-m * v_power((h2[y] - h2[t]) // 2))))
             wt_sy = wts[sy]
             for x in near(s, down[y] | down[sy]):
                 sx = row[x]
                 dh = h2[sx] - h2[x]
                 a, b = wt_sy.get(x, ZERO), wt_sy.get(sx, ZERO)  # wt(x, sy), wt(sx, sy)
-                if kind == "M":
-                    bracket = a + b.shift(2) if dh > 0 else a.shift(2) + b
+                if dh > 0:
+                    total = add(a, shift(b, 2))
+                elif dh < 0 or kind == "M":
+                    total = add(shift(a, 2), b)
                 else:
-                    if dh > 0:
-                        bracket = a + b.shift(2)
-                    elif dh < 0:
-                        bracket = a.shift(2) + b
-                    else:
-                        bracket = ZERO
-                total = bracket
+                    total = ZERO
                 for wt_t, c in corrections:
                     w = wt_t.get(x)
                     if w is not None:
-                        total = total - w * c
+                        total = add(total, mul(w, c))
                 here = wt_y.get(x, ZERO)
-                if here != total or here != wt_y.get(sx, ZERO):
+                if here is not total or here is not wt_y.get(sx, ZERO):
                     return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": x})
     return CheckVerdict(True, "recurrence")
 

@@ -7,6 +7,13 @@ silently.  Values are immutable after construction and safe to share.
 
 Sparse vectors {key: LaurentPoly} share one in-place kernel, add_scaled; on
 them act the H_s rule of M(X) and N(X) and the canonical solve built on it.
+A sum of many scaled vectors over few distinct values (a bar operator
+applied to a vector, a Hecke product) goes through lincomb instead, which
+computes each distinct (scalar, entry) product once per call, and a check
+that redoes the same polynomial arithmetic many times goes through a
+PolyMemo made for that call.  Both key their memos by id, so both hold every
+operand they key until they are dropped: an id is never reused while its
+memo lives, and nothing of either outlives its call.
 
 >>> p = V - V**-1
 >>> print(p * (V + V**-1))
@@ -17,6 +24,8 @@ v^-1 - v
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import repeat
 from typing import Iterable
 
 from .errors import ConsistencyError, TruncationRequired
@@ -112,15 +121,12 @@ class LaurentPoly:
         if q is None:
             return NotImplemented
         t: dict[int, int] = {}
+        q_terms = q.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in q.terms.items():
+            for e2, c2 in q_terms:
                 e = e1 + e2
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return LaurentPoly(t)
+                t[e] = t.get(e, 0) + c1 * c2
+        return LaurentPoly(t)  # drops the terms that cancelled
 
     __rmul__ = __mul__
 
@@ -160,8 +166,10 @@ class LaurentPoly:
         return self.terms == q.terms
 
     def __hash__(self) -> int:
+        # a constant hashes like the int it equals (ZERO like 0)
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
+            t = self.terms
+            self._hash = hash(t.get(0, 0)) if t.keys() <= {0} else hash(tuple(sorted(t.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -230,6 +238,101 @@ def add_scaled(acc: dict, vec: dict, c=ONE) -> dict:
         elif old is not None:
             del acc[k]
     return acc
+
+
+def lincomb(terms) -> dict:
+    """The sum of c * vec over the (vec, c) pairs of terms, as a new sparse
+    vector {key: LaurentPoly} without zero entries; c is a LaurentPoly or an
+    int.  The result equals the fold of add_scaled over terms.
+
+    Each distinct product is computed once per call: scalars are interned by
+    value, the call counts how often each (scalar, entry) pair lands on each
+    key, multiplies each distinct pair once and builds each output polynomial
+    once.  Entries are told apart by id, so the call holds every entry it has
+    counted until it returns: a vector freed between items cannot lend an id
+    to an entry of the next.  Nothing outlives the call.
+
+    >>> lincomb([({0: V, 1: ONE}, VINV), ({0: V}, 1), ({1: ONE}, -VINV)])
+    {0: LaurentPoly({0: 1, 1: 1})}
+    """
+    index: dict = {}  # scalar value -> its number in scalars
+    scalars: list[LaurentPoly] = []
+    held: dict = {}  # id(entry) -> entry, for every entry counted
+    counts: Counter = Counter()  # (scalar number, key, id(entry)) -> how often it lands
+    for vec, c in terms:
+        i = index.get(c)
+        if i is None:
+            i = index[c] = len(scalars)
+            scalars.append(ONE if c == 1 else c if isinstance(c, LaurentPoly) else LaurentPoly.const(c))
+        if vec and scalars[i]:
+            vals = vec.values()
+            held.update(zip(map(id, vals), vals))
+            counts.update(zip(repeat(i), vec, map(id, vals)))
+    products: dict = {}  # (scalar number, id(entry)) -> the terms of their product
+    sums: dict = {}  # key -> its summed terms
+    for (i, k, q), n in counts.items():
+        p = products.get((i, q))
+        if p is None:
+            p = products[i, q] = (held[q] if scalars[i] is ONE else scalars[i] * held[q]).terms.items()
+        t = sums.get(k)
+        if t is None:
+            t = sums[k] = {}
+        for e, c in p:
+            t[e] = t.get(e, 0) + n * c
+    out = {}
+    for k, t in sums.items():
+        p = LaurentPoly(t)
+        if p:
+            out[k] = p
+    return out
+
+
+class PolyMemo:
+    """Polynomial arithmetic within one computation, each distinct operation
+    done once.  Results are interned by value, so two results are equal
+    exactly when they are the same object.  Operations are memoized by the
+    ids of their operands, and the memo holds every operand it has keyed, so
+    no id is reused while it lives.  An operand from outside (a perturbed
+    table entry) is keyed by its own id and never taken for another; intern
+    maps it to the pooled object of its value.  Make one per call and let it
+    die with the call.
+
+    >>> ar = PolyMemo()
+    >>> ar.add(ar.shift(V, 1), ar.intern(ONE)) is ar.intern(v_power(2) + 1)
+    True
+    """
+
+    __slots__ = ("_pool", "_held", "_shifts", "_sums", "_products")
+
+    def __init__(self):
+        self._pool = {ZERO: ZERO}
+        self._held = []
+        self._shifts, self._sums, self._products = {}, {}, {}
+
+    def intern(self, p: LaurentPoly) -> LaurentPoly:
+        """The pooled object equal to p."""
+        return self._pool.setdefault(p, p)
+
+    def _keep(self, memo: dict, key: tuple, operands, value: LaurentPoly) -> LaurentPoly:
+        """Memoize value, interned, under key, holding the operands key names."""
+        self._held.append(operands)
+        r = memo[key] = self.intern(value)
+        return r
+
+    def shift(self, a: LaurentPoly, k: int) -> LaurentPoly:
+        key = (id(a), k)
+        r = self._shifts.get(key)
+        return self._keep(self._shifts, key, a, a.shift(k)) if r is None else r
+
+    def add(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        key = (id(a), id(b))
+        r = self._sums.get(key)
+        return self._keep(self._sums, key, (a, b), a + b) if r is None else r
+
+    def mul(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        key = (id(a), id(b))
+        r = self._products.get(key)
+        return self._keep(self._products, key, (a, b), a * b) if r is None else r
 
 
 def act_generator(coords: dict, action, s: int, height2, kind: str, bar: bool = False) -> dict:

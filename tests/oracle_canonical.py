@@ -25,6 +25,10 @@ scan every x (or every pair) and read mu from an (x, y)-keyed map.  Their
 parity check also ties that map to the v^-1 coefficients of the table, as
 verify_parity does, so that the two refuse the same tables.
 
+fold_combine is the sum of c * vec over (vec, c) pairs as the package formed
+it before laurent.lincomb: one add_scaled per pair, every product computed
+where it lands.
+
 closed_form_bar_columns is the paper's closed form for the bar operator on a
 twisted-involution class, which the package used there before it built every
 bar operator by the recurrence bar M_x = bar(H_s) bar M_sx.
@@ -48,6 +52,14 @@ from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, add_scaled, v_power
 from qpcox.qpsets import bruhat_order, check_quasiparabolic
 
 from oracle_qpsets import payloads
+
+
+def fold_combine(terms) -> dict:
+    """The sum of c * vec over the (vec, c) pairs of terms, one add_scaled per pair."""
+    out: dict = {}
+    for vec, c in terms:
+        add_scaled(out, vec, c)
+    return out
 
 
 class SkewViolation(Exception):

@@ -541,6 +541,18 @@ def test_flipped_mu_is_refused_as_at_the_parent():
     assert sampled >= 40
 
 
+def test_table_checks_read_entries_outside_the_pool_by_value():
+    # the recurrence check compares interned values by identity: an entry held
+    # by a new object is interned by its value, so equal copies still pass
+    for X in _mutation_carriers():
+        for kind in ("M", "N"):
+            table = canonical_basis(kind, X)
+            copied = _table_copy(table)
+            copied.cols = [{x: laurent.LaurentPoly(dict(c.terms)) for x, c in col.items()} for col in table.cols]
+            assert [c.ok for c in _table_checks(copied)] == [True] * 4
+            assert verify_recurrences(copied) == verify_recurrences(table)
+
+
 def test_primed_break_fails_as_primed_phi():
     # bar(u) = u is no longer computed: it follows from u = eps Phi(C), which
     # is checked along the multiplication theorem.  A primed vector that is

@@ -16,6 +16,14 @@ No module in src/ calls ``json.dumps`` with ``indent``: every indented
 document goes through jsonout.dump, which streams it.  Only qpsets names the
 carrier kind ``"double-cover"``: the even double cover is a carrier of
 W x A1, so every other module reads it as any other carrier.
+
+Only laurent and jsonout key a memo by ``id``: no other module in src/ reads
+the name ``id``, except inside a ``__hash__`` method.  A memo keyed that way
+holds its operands only while its call runs, so none outlives the call: no
+module or class body in src/ binds an empty container or a ``PolyMemo``, and
+no function of arguments is memoized by ``functools.cache`` or
+``lru_cache``.  A ``PolyMemo`` is made only as ``name = PolyMemo()`` in a
+function, which never returns, yields or stores that name elsewhere.
 """
 
 import ast
@@ -147,3 +155,98 @@ def test_no_dead_helpers_in_src():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def id_reads(source: str) -> list[int]:
+    """The lines of source that read the name id outside a __hash__ method."""
+    def visit(node, in_hash):
+        for child in ast.iter_child_nodes(node):
+            inner = in_hash or isinstance(child, ast.FunctionDef) and child.name == "__hash__"
+            if isinstance(child, ast.Name) and child.id == "id" and not inner:
+                yield child.lineno
+            yield from visit(child, inner)
+    return list(visit(ast.parse(source), False))
+
+
+def test_scan_finds_id_reads():
+    assert id_reads("k = (id(a), 1)\nids = map(id, xs)\nnode.id") == [1, 2]
+    assert id_reads("class E:\n    def __hash__(self):\n        return hash(id(self))") == []
+    assert id_reads("def key(self):\n    return id(self)") == [2]
+
+
+ID_KEYED = ("laurent.py", "jsonout.py")
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_only_laurent_and_jsonout_key_by_id(path):
+    assert path.name in ID_KEYED or id_reads(path.read_text()) == []
+
+
+MEMO_CALLS = ("PolyMemo", "Counter", "dict", "set", "list", "defaultdict", "OrderedDict",
+              "WeakKeyDictionary", "WeakValueDictionary")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _name(node):
+    """The name a call, an attribute or a name ends in."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _starts_a_memo(value) -> bool:
+    """An empty dict, list or set, or a PolyMemo."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, (ast.List, ast.Set)):
+        return not value.elts
+    return isinstance(value, ast.Call) and _name(value) in MEMO_CALLS and (
+        _name(value) == "PolyMemo" or not value.args and not value.keywords)
+
+
+def lasting_memos(source: str) -> list[int]:
+    """The lines of source that could keep a memo past its call: a module or
+    class body starting one, functools.cache or lru_cache on a function of
+    arguments, and a PolyMemo made other than as name = PolyMemo() in a
+    function that never returns, yields or stores name."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    out = [
+        node.lineno
+        for body in [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for node in body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _starts_a_memo(node.value)
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS) and node.args.args:
+            out += [d.lineno for d in node.decorator_list if _name(d) in ("cache", "lru_cache")]
+        if not (isinstance(node, ast.Call) and _name(node) == "PolyMemo"):
+            continue
+        site, fn = parent[node], parent[node]
+        while fn is not None and not isinstance(fn, FUNCTIONS):
+            fn = parent.get(fn)
+        if fn is None or not (isinstance(site, ast.Assign) and len(site.targets) == 1
+                              and isinstance(site.targets[0], ast.Name)):
+            out.append(node.lineno)
+            continue
+        name = site.targets[0].id
+        for n in ast.walk(fn):
+            stored = isinstance(n, ast.Assign) and not all(isinstance(t, ast.Name) for t in n.targets)
+            if (stored or isinstance(n, (ast.Return, ast.Yield, ast.YieldFrom))) and _name(n.value) == name:
+                out.append(n.lineno)
+    return sorted(set(out))
+
+
+def test_scan_finds_lasting_memos():
+    assert lasting_memos("_MEMO = {}\nCONST = {1: 2}\nc: Counter = Counter()\nd = dict(a=1)") == [1, 3]
+    assert lasting_memos("class C:\n    memo = PolyMemo()\n    seen = set()") == [2, 3]
+    assert lasting_memos("@functools.lru_cache(None)\ndef f(x): pass\n@cache\ndef g(x): pass") == [1, 3]
+    assert lasting_memos("@functools.cache\ndef digest(): pass") == []  # one value per process
+    assert lasting_memos("def f(X):\n    ar = PolyMemo()\n    return ar.add(1, 2)") == []
+    assert lasting_memos("def f(X):\n    ar = PolyMemo()\n    X._memo = ar") == [3]
+    assert lasting_memos("def f(X):\n    ar = PolyMemo()\n    return ar") == [3]
+    assert lasting_memos("def f(X):\n    X._memo = PolyMemo()\n    g(PolyMemo())") == [2, 3]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_no_memo_outlives_its_call(path):
+    assert lasting_memos(path.read_text()) == []

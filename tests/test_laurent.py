@@ -1,23 +1,26 @@
+import gc
 import random
 
 import pytest
 
-from qpcox.barcanon import ModuleVector
+from qpcox.barcanon import ModuleVector, canonical_basis, verify_recurrences
 from qpcox.coxeter import build_system
 from qpcox.hecke import HeckeElt
 from qpcox.laurent import (
     LaurentPoly,
     ONE,
+    PolyMemo,
     V,
     VINV,
     ZERO,
     add_scaled,
     canonical_columns,
+    lincomb,
     v_power,
 )
 from qpcox.qpsets import regular_set
 
-from oracle_canonical import SkewViolation, generic_canonical_columns, solve_skew
+from oracle_canonical import SkewViolation, fold_combine, generic_canonical_columns, solve_skew
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +237,120 @@ def test_vector_minus_itself_is_zero():
         h = HeckeElt(a2, {a2.elements()[k % 6]: q for k, q in coords.items()})
         assert (h - h).coords == {} and (h - h) == HeckeElt(a2, {})
         assert (h + h) == h.scale(2) and (h + h - h) == h
+
+
+# ---------------------------------------------------------------------------
+# hashing, the pooled sum kernel and the per-call memo
+
+
+def test_constant_hashes_like_its_int():
+    for c in (0, 1, -1, 2, -7, 10**30):
+        p = LaurentPoly.const(c)
+        assert p == c and hash(p) == hash(c)
+    assert hash(ZERO) == hash(0) and hash(ONE) == hash(1)
+    assert len({ONE, 1}) == 1 and len({ZERO, 0}) == 1 and len({ONE, 1, V}) == 2
+    assert {1: "x"}.get(ONE) == "x" and {ONE: "x"}.get(1) == "x" and {0: "z"}.get(ZERO) == "z"
+    rng = random.Random(31)
+    for _ in range(200):
+        p = random_poly(rng, span=3, nterms=3, cmax=3)
+        q = LaurentPoly(dict(p.terms))
+        assert p == q and hash(p) == hash(q)
+
+
+def copied(vec):
+    """vec with every entry replaced by an equal polynomial held by a new object."""
+    return {k: LaurentPoly(dict(q.terms)) for k, q in vec.items()}
+
+
+def random_terms(rng, pool):
+    """(vec, c) pairs over few distinct entry values, as in a bar matrix, with
+    int, zero and negative scalars, and entries copied to distinct objects."""
+    terms = []
+    for _ in range(rng.randrange(7)):
+        vec = {rng.randrange(10): rng.choice(pool) for _ in range(rng.randrange(8))}
+        if rng.random() < 0.3:
+            vec = copied(vec)
+        r = rng.random()
+        if r < 0.4:
+            c = rng.choice([0, 1, -1, 2, -3, ZERO, ONE, -ONE, LaurentPoly.const(2)])
+        elif r < 0.8:
+            c = LaurentPoly(dict(rng.choice(pool).terms))
+        else:
+            c = -random_poly(rng, span=3, nterms=3, cmax=3)
+        terms.append((vec, c))
+        if rng.random() < 0.2:  # a sum that cancels, through equal copies
+            terms.append((copied(vec), -c))
+    return terms
+
+
+def test_lincomb_matches_the_add_scaled_fold():
+    rng = random.Random(20261019)
+    pool = [p for p in (random_poly(rng, span=4, nterms=3, cmax=3) for _ in range(8)) if p] + [ONE, V, -VINV]
+    cancelled = 0
+    for _ in range(600):
+        terms = random_terms(rng, pool)
+        held = [(q, dict(q.terms)) for vec, c in terms for q in [*vec.values(), c] if isinstance(q, LaurentPoly)]
+        expect = fold_combine(terms)
+        out = lincomb(iter(terms))
+        assert out == expect
+        assert all(out.values())  # a sum that cancels leaves its key absent
+        assert all(q.terms == t for q, t in held)  # no input polynomial was mutated
+        cancelled += any(k not in out for vec, _ in terms for k in vec)
+    assert cancelled > 50
+    vec = {0: V, 1: ONE + VINV}
+    assert lincomb([(vec, VINV), (copied(vec), -VINV)]) == {}
+    assert lincomb([(vec, 1), (vec, ONE), (copied(vec), -2)]) == {}
+    assert lincomb([]) == {} and lincomb([(vec, 0), ({}, V)]) == {}
+
+
+def freed_vectors(n):
+    """Vectors made and dropped one at a time: an entry's id is free for the
+    next vector's entries as soon as the consumer lets go of it."""
+    for i in range(n):
+        yield {k: LaurentPoly({k: i % 5 + 1, -1: i % 3 - 1}) for k in range(4)}, (ONE, VINV, 2)[i % 3]
+
+
+def test_lincomb_holds_the_entries_it_keys_by_id():
+    seen, reused = set(), False
+    for vec, _ in freed_vectors(200):
+        ids = {id(q) for q in vec.values()}
+        reused |= bool(ids & seen)
+        seen |= ids
+    assert reused  # the generator does hand out reused ids
+    assert lincomb(freed_vectors(200)) == fold_combine(freed_vectors(200))
+
+
+def test_poly_memo_interns_and_matches_the_operators():
+    ar = PolyMemo()
+    a = LaurentPoly({1: 2, -1: 1})
+    assert ar.intern(a) is a and ar.intern(LaurentPoly(dict(a.terms))) is a
+    assert ar.intern(LaurentPoly()) is ZERO and ar.intern(a - a) is ZERO
+    rng = random.Random(19)
+    polys = [random_poly(rng, span=3, nterms=3, cmax=2) for _ in range(12)]
+    results = []
+    for _ in range(400):
+        p, q = rng.choice(polys), LaurentPoly(dict(rng.choice(polys).terms))
+        k = rng.randrange(-3, 4)
+        got = [ar.shift(p, k), ar.add(p, q), ar.mul(p, q)]
+        assert got == [p.shift(k), p + q, p * q]
+        results += got
+    # interned: two results are equal exactly when they are one object
+    for r, s in zip(results, results[1:] + results[:1]):
+        assert (r == s) == (r is s)
+
+
+def test_poly_memo_holds_the_operands_it_keys_by_id():
+    # each operand is dropped after its call, so without the hold its id
+    # would come back with another value and hit a stale entry
+    ar = PolyMemo()
+    for i in range(300):
+        assert ar.shift(LaurentPoly({0: i, 2: 1}), 1) == LaurentPoly({1: i, 3: 1})
+        assert ar.add(LaurentPoly.const(i), LaurentPoly({1: i})) == LaurentPoly({0: i, 1: i})
+
+
+def test_recurrence_memo_dies_with_its_call():
+    X = regular_set(build_system("A3"))
+    table = canonical_basis("M", X)
+    assert verify_recurrences(table).ok
+    gc.collect()
+    assert [o for o in gc.get_objects() if isinstance(o, PolyMemo)] == []
