@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .classify import twisted_classes, w0_translate
 from .coxeter import CoxeterSystem, stage
@@ -241,8 +240,7 @@ def bar_vector(vec: ModuleVector) -> ModuleVector:
     return _combine(kind, X, ((cols[p].coords, c.bar()) for p, c in vec.coords.items()))
 
 
-@dataclass
-class BarVerdict:
+class BarVerdict(NamedTuple):
     ok: bool
     kind: str
     failure: Optional[dict] = None
@@ -251,7 +249,7 @@ class BarVerdict:
     label: Optional[str] = None
 
 
-@_kind_stage("_barverdicts")
+@_kind_stage("_barverdicts", relabel=lambda verdict, X: verdict._replace(kind="N"))
 def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     """Certify the bar operator on this carrier.
 
@@ -433,8 +431,7 @@ def _canonical_table(kind: str, X: ScaledWSet) -> CanonicalTable:
     return CanonicalTable(kind, X)
 
 
-@dataclass
-class CheckVerdict:
+class CheckVerdict(NamedTuple):
     ok: bool
     name: str
     failure: Optional[dict] = None
@@ -459,14 +456,23 @@ def _table_checks(table: CanonicalTable) -> list[CheckVerdict]:
 def verify_parity(table: CanonicalTable) -> CheckVerdict:
     """v^(ht y - ht x) p[x, y] lies in 1 + v^2 Z[v^2] (kind M) or Z[v^2] (kind N),
     and mus[y] is exactly {x: [v^-1] p[x, y]} over the nonzero coefficients.
-    Together these give mu(x, y) = 0 wherever ht y - ht x is even."""
+    Together these give mu(x, y) = 0 wherever ht y - ht x is even.
+
+    Each (polynomial, height difference) is decided once per call, in a
+    memo keyed by value (the entries are the carrier's pooled objects): one
+    polynomial can pass at one difference and fail at another."""
     X = table.X
+    h2 = X.height2
+    unit = table.kind == "M"  # M also needs the constant term 1
+    passes: dict = {}  # (p, k) -> whether v^k p lies in the lattice of the kind
     for y, col in enumerate(table.cols):
         for x, c in col.items():
-            wt = c.shift((X.height2[y] - X.height2[x]) // 2)
-            if any(e < 0 or e % 2 for e in wt.terms):
-                return CheckVerdict(False, "parity", {"x": x, "y": y})
-            if table.kind == "M" and wt.constant_term != 1:
+            k = (h2[y] - h2[x]) // 2
+            ok = passes.get((c, k))
+            if ok is None:
+                ok = passes[c, k] = all(e + k >= 0 and not (e + k) % 2 for e in c.terms) and (
+                    not unit or c.terms.get(-k) == 1)
+            if not ok:
                 return CheckVerdict(False, "parity", {"x": x, "y": y})
         mus = table.mus[y]
         expect = {x: c.terms[-1] for x, c in col.items() if -1 in c.terms}
@@ -757,10 +763,9 @@ def primed_basis(
 # the inversion identity
 
 
-@dataclass
-class InversionVerdict:
+class InversionVerdict(NamedTuple):
     ok: bool
-    classes: list = field(default_factory=list)
+    classes: Sequence[dict] = ()
     failure: Optional[dict] = None
 
 
@@ -790,7 +795,7 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
     canonical one), one add_scaled per nonzero n entry.
     """
     classes = iplus_qp_classes(system)
-    verdict = InversionVerdict(True)
+    paired = []
     for K in classes:
         theta2, keys = w0_translate(K)
         K2 = next((c for c in classes if c.theta == theta2 and keys[0] in c.index), None)
@@ -809,7 +814,7 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
             if col != {y: ONE}:
                 x = min(x for x in col.keys() | {y} if col.get(x) != (ONE if x == y else None))
                 return InversionVerdict(False, failure={"class": K.describe_point(0), "x": x, "y": y})
-        verdict.classes.append(
+        paired.append(
             {
                 "theta": list(K.theta.sigma),
                 "size": len(K),
@@ -818,4 +823,4 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
                 "self_paired": K2 is K,
             }
         )
-    return verdict
+    return InversionVerdict(True, paired)

@@ -15,8 +15,7 @@ rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coxeter import CoxeterSystem, DiagramAut, ExtElement, KeyTwist
 from .errors import NotInvolutionClass, NoUniqueMinimal, TruncationRequired
@@ -77,8 +76,7 @@ def is_perfect(K: ScaledWSet) -> bool:
     return True
 
 
-@dataclass
-class StructureFlags:
+class StructureFlags(NamedTuple):
     J: tuple  # the left descent set of x
     fixed_by_J: bool  # sws = w for all s in J
     J_theta_stable: bool  # W_J finite and theta(J) = J
@@ -142,8 +140,7 @@ def structure_check(K: ScaledWSet) -> StructureFlags:
 # survey
 
 
-@dataclass
-class ClassReport:
+class ClassReport(NamedTuple):
     system: str
     theta: tuple
     seed_word: tuple
@@ -158,7 +155,7 @@ class ClassReport:
     structure: Optional[StructureFlags] = None
     order_agrees: Optional[bool] = None
     strong_exchange_ok: Optional[bool] = None
-    X: ScaledWSet = field(repr=False, default=None)
+    X: Optional[ScaledWSet] = None
 
     def to_json(self) -> dict:
         out = {
@@ -216,7 +213,8 @@ def class_report(K: ScaledWSet, diagnostics: bool = False) -> ClassReport:
     min_length = K.height2[0]
     n_min = K.height2.count(min_length)
     is_inv = KeyTwist(K.theta).involutive(K.keys[0])
-    report = ClassReport(
+    qp1_only = verdict.is_qp or check_qp1_only(K)
+    return ClassReport(
         system=system.name,
         theta=K.theta.sigma,
         seed_word=tuple(K.describe_point(0)["x"]),
@@ -226,17 +224,13 @@ def class_report(K: ScaledWSet, diagnostics: bool = False) -> ClassReport:
         n_w_minimal=len(K.minimal_elements()),
         is_twisted_involution_class=is_inv,
         qp=verdict,
-        qp1_only=verdict.is_qp or check_qp1_only(K),
+        qp1_only=qp1_only,
         perfect=is_perfect(K) if is_inv else None,
         structure=structure_check(K) if verdict.is_qp and n_min == 1 else None,
+        order_agrees=_order_agrees(K) if diagnostics and verdict.is_qp else None,
+        strong_exchange_ok=_strong_exchange(K) if diagnostics and is_inv and qp1_only else None,
         X=K,
     )
-    if diagnostics:
-        if verdict.is_qp:
-            report.order_agrees = _order_agrees(K)
-        if is_inv and report.qp1_only:
-            report.strong_exchange_ok = _strong_exchange(K)
-    return report
 
 
 def _order_agrees(K: ScaledWSet) -> bool:
@@ -326,8 +320,7 @@ def check_w0_translation(system: CoxeterSystem) -> bool:
 # universal systems
 
 
-@dataclass
-class UniversalQpVerdict:
+class UniversalQpVerdict(NamedTuple):
     is_qp: bool
     in_iplus: bool
     stuck_word: tuple

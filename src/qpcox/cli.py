@@ -3,7 +3,10 @@
 Exit codes are a contract: 0 all checks pass, 1 usage or I/O problem, 2 an
 internal consistency check failed (the report carries a witness), 3 bar
 verification failed for the selected carrier (evidence relevant to the
-existence conjecture for bar operators).
+existence conjecture for bar operators).  The process entry
+(console_entry, behind ``qpcox`` and ``python -m qpcox.cli``) flushes stdout
+and stderr and ends by os._exit, without interpreter teardown; main(argv)
+returns the exit code to in-process callers.
 
 Each carrier keeps its own stages (bar columns, bar verdict, canonical
 tables, Phi maps; see barcanon), and the carriers the suites test are built
@@ -668,5 +671,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def console_entry() -> None:
+    """Run main as the process ``qpcox`` or ``python -m qpcox.cli``: flush
+    stdout and stderr, then end by os._exit, without interpreter teardown.
+    The exit code is main's, or argparse's for --help.  A failed flush of
+    stdout (a closed pipe) is an I/O error, reported as main reports one."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"qpcox: io error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -38,9 +38,8 @@ carrier too; every sign and bipartition that depends on it reads it there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import coxeter
 from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, stage, twisted_conjugate
@@ -55,8 +54,7 @@ from .errors import (
 )
 
 
-@dataclass
-class QpVerdict:
+class QpVerdict(NamedTuple):
     is_qp: bool
     axiom: Optional[str] = None  # "QP1" or "QP2" when is_qp is False
     r_word: Optional[tuple] = None
@@ -73,8 +71,7 @@ class QpVerdict:
         }
 
 
-@dataclass
-class _ReflAction:
+class _ReflAction(NamedTuple):
     word: tuple
     img: list  # point id or None (out of a truncated carrier)
     img_h2: list  # exact height2 of the image, even when out of carrier

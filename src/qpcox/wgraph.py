@@ -11,8 +11,7 @@ connected components of the nonzero-weight digraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .barcanon import CanonicalTable, CheckVerdict
 from .errors import TruncationRequired
@@ -20,8 +19,7 @@ from .laurent import V, VINV, LaurentPoly, add_scaled
 from .qpsets import ScaledWSet
 
 
-@dataclass
-class WGraph:
+class WGraph(NamedTuple):
     kind: str  # "m" or "n"
     X: ScaledWSet
     tau: list[frozenset[int]]
@@ -64,8 +62,7 @@ def build_wgraph(table: CanonicalTable) -> WGraph:
     return WGraph(kind, X, tau, omega, X.n_gens)
 
 
-@dataclass
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(NamedTuple):
     quasi_admissible: bool
     admissible: bool
     failure: Optional[dict] = None
@@ -145,8 +142,7 @@ def _alternating(A, B, m):
 # cells
 
 
-@dataclass
-class CellPartition:
+class CellPartition(NamedTuple):
     cells: list[list[int]]  # each sorted; listed in topological order
     leq: list[int]  # bitmask over cell indices: reachability in the quotient
 

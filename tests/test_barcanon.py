@@ -541,6 +541,26 @@ def test_flipped_mu_is_refused_as_at_the_parent():
     assert sampled >= 40
 
 
+def test_parity_decides_each_polynomial_per_height_difference():
+    # one pooled polynomial at two height differences: it passes at the
+    # first, and at an odd distance from it v^k p has odd exponents, so
+    # parity refuses there, at the same (x, y) as the pair scan
+    planted = 0
+    for X in _mutation_carriers():
+        for kind in ("M", "N"):
+            table = canonical_basis(kind, X)
+            h2 = X.height2
+            scan = [(x, y, (h2[y] - h2[x]) // 2) for y, col in enumerate(table.cols) for x in col if x != y]
+            x1, y1, d1 = scan[0]
+            for x2, y2 in [(x, y) for x, y, d in scan if (d - d1) % 2][:3]:
+                broken = _table_copy(table)
+                broken.cols[y2][x2] = table.cols[y1][x1]
+                assert verify_parity(broken) == pair_table_checks(broken)[0] == CheckVerdict(
+                    False, "parity", {"x": x2, "y": y2}), (X, kind, x2, y2)
+                planted += 1
+    assert planted >= 12
+
+
 def test_table_checks_read_entries_outside_the_pool_by_value():
     # the recurrence check compares interned values by identity: an entry held
     # by a new object is interned by its value, so equal copies still pass

@@ -690,6 +690,70 @@ def test_verify_under_optimize_flag(tmp_path):
     assert "FAIL" not in proc.stdout and "PASS inversion" in proc.stdout
 
 
+def _process_env(unbuffered=False):
+    """The environment of a qpcox process: src on the path, stdout
+    block-buffered unless unbuffered is set."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["verify --type A2 --suite hecke", "basis --type H3 --regular --no-cache"])
+def test_closed_stdout_is_one_io_error(tmp_path, command, unbuffered):
+    # the reader is gone before the first write: whether the write fails in
+    # the command or at the final flush, one error line and exit code 1
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qpcox.cli", *command.split()], cwd=tmp_path,
+                              env=_process_env(unbuffered), stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("qpcox: io error: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_out_file_is_the_pinned_output(tmp_path):
+    ref = json.loads((SRC.parent / "qpbench" / "refs.json").read_text())["basis --type A2 --regular"]
+    out = tmp_path / "F"
+    proc = subprocess.run([sys.executable, "-m", "qpcox.cli", "basis", "--type", "A2", "--regular", "--out", str(out)],
+                          cwd=tmp_path, env=_process_env(), capture_output=True, timeout=120)
+    assert proc.returncode == ref["rc"] and proc.stdout == b"" and proc.stderr == b""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ref["sha256"]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["basis"], 1), (["basis", "--type", "A2"], 1)],
+                         ids=["help", "parser-usage", "usage"])
+def test_process_exit_codes(tmp_path, argv, code):
+    proc = subprocess.run([sys.executable, "-m", "qpcox.cli", *argv], cwd=tmp_path, env=_process_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout.startswith("usage: ") if code == 0 else proc.stdout == "" and "qpcox: error: " in proc.stderr
+
+
+def test_consistency_error_exits_2_without_teardown(tmp_path):
+    # the process ends by os._exit after flushing: stdout and stderr arrive,
+    # and an exit handler never runs
+    code = ("import atexit, sys\n"
+            "from qpcox import barcanon, cli, errors\n"
+            "def broken(kind, X):\n"
+            "    raise errors.ConsistencyError('planted')\n"
+            "barcanon.canonical_basis = broken\n"
+            "atexit.register(print, 'teardown')\n"
+            "print('before', end='')\n"
+            "sys.argv = ['qpcox', 'basis', '--type', 'A2', '--regular', '--no-cache']\n"
+            "cli.console_entry()\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_process_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == "before" and proc.stderr == "qpcox: consistency check failed: planted\n"
+
+
 def test_benchmark_trace_targets_exist():
     # the benchmark's per-layer trace wraps named entry points of every
     # layer; a refactor that drops one must fail here, not only in the trace

@@ -15,7 +15,9 @@ the roots, and W is enumerated only for surveys and conjugacy classes.
 No module in src/ calls ``json.dumps`` with ``indent``: every indented
 document goes through jsonout.dump, which streams it.  Only qpsets names the
 carrier kind ``"double-cover"``: the even double cover is a carrier of
-W x A1, so every other module reads it as any other carrier.
+W x A1, so every other module reads it as any other carrier.  No module in
+src/ imports ``dataclasses``: records are NamedTuples, and ``import
+qpcox.cli`` loads neither dataclasses nor inspect.
 
 Only laurent and jsonout key a memo by ``id``: no other module in src/ reads
 the name ``id``, except inside a ``__hash__`` method.  A memo keyed that way
@@ -27,6 +29,9 @@ function, which never returns, yields or stores that name elsewhere.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -250,3 +255,36 @@ def test_scan_finds_lasting_memos():
 @pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
 def test_no_memo_outlives_its_call(path):
     assert lasting_memos(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules source imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_scan_finds_imported_modules():
+    assert imported_modules("import dataclasses\nfrom os.path import join\nimport a.b as c") == {"dataclasses", "os", "a"}
+    assert "dataclasses" in imported_modules("def f():\n    from dataclasses import dataclass")
+    assert imported_modules("from . import dataclasses\nfrom .x import y") == set()
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_src_imports_no_dataclasses(path):
+    # records are NamedTuples: dataclasses (and the inspect it loads) cost
+    # every CLI process a measurable share of its start-up
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # -S keeps site hooks (a .pth that imports a package) out of the answer
+    code = "import sys, qpcox.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
