@@ -3,7 +3,9 @@
 Exit codes are a contract: 0 all checks pass, 1 usage or I/O problem, 2 an
 internal consistency check failed (the report carries a witness), 3 bar
 verification failed for the selected carrier (evidence relevant to the
-existence conjecture for bar operators).  The process entry
+existence conjecture for bar operators).
+
+The two paragraphs above are the --help description.  The process entry
 (console_entry, behind ``qpcox`` and ``python -m qpcox.cli``) flushes stdout
 and stderr and ends by os._exit, without interpreter teardown; main(argv)
 returns the exit code to in-process callers.
@@ -622,7 +624,8 @@ def _add_carrier(p):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="qpcox", description=__doc__)
+    parser = _Parser(prog="qpcox", description="\n\n".join((__doc__ or "").split("\n\n")[:2]),
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("survey", help="classify twisted conjugacy classes")

@@ -345,19 +345,20 @@ def vector_phi_verdict(phi):
         m_std = ModuleVector.standard("M", X, x)
         n_std = ModuleVector.standard("N", X, x)
         for s in range(X.n_gens):
-            if phi.mn(act_gen(m_std, s)) != act_bar_gen(phi.mn_cols[x], s).scale(-1):
+            if phi.mn(act_gen(m_std, s)) != act_bar_gen(phi.mn(m_std), s).scale(-1):
                 return CheckVerdict(False, "phi-twisted-law", {"s": s, "x": x})
-            if phi.nm(act_gen(n_std, s)) != act_bar_gen(phi.nm_cols[x], s).scale(-1):
+            if phi.nm(act_gen(n_std, s)) != act_bar_gen(phi.nm(n_std), s).scale(-1):
                 return CheckVerdict(False, "phi-twisted-law-n", {"s": s, "x": x})
     lemma = X.truncated_at is None and all(verify_bar_operator(k, X).ok for k in ("M", "N"))
     for x in X.minimal_elements() if lemma else range(len(X)):
         m_std = ModuleVector.standard("M", X, x)
         n_std = ModuleVector.standard("N", X, x)
-        if phi.nm(phi.mn_cols[x]) != m_std or phi.mn(phi.nm_cols[x]) != n_std:
+        mn, nm = phi.mn(m_std), phi.nm(n_std)
+        if phi.nm(mn) != m_std or phi.mn(nm) != n_std:
             return CheckVerdict(False, "phi-inverse", {"x": x})
-        if phi.mn(bar_vector(m_std)) != bar_vector(phi.mn_cols[x]):
+        if phi.mn(bar_vector(m_std)) != bar_vector(mn):
             return CheckVerdict(False, "phi-bar-square", {"x": x})
-        if phi.nm(bar_vector(n_std)) != bar_vector(phi.nm_cols[x]):
+        if phi.nm(bar_vector(n_std)) != bar_vector(nm):
             return CheckVerdict(False, "phi-bar-square-n", {"x": x})
     return CheckVerdict(True, "phi")
 

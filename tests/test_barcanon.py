@@ -1,6 +1,7 @@
 import copy
 import inspect
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -380,13 +381,19 @@ def test_bar_broken_at_a_twisted_involution_minimum_is_refused():
         assert not verdict.ok and verdict.failure["x"] == x0
 
 
-def test_phi_broken_off_the_minima_is_refused():
+def test_phi_on_a_bar_column_broken_off_the_minima_is_refused():
+    # Phi_MN reads N's bar columns: a wrong one fails N's bar verdict, and
+    # the Phi verdict with that witness; the every-point oracles refuse the
+    # maps it gives on their own
     X = coset_set(build_system("A3"), [1])
     top = len(X) - 1  # two generator moves or more from the minimum
+    cols = bar_columns("N", X)
+    cols[top] = cols[top] + N(X, 0).scale(V)
     phi = PhiMaps(X)
-    phi.mn_cols[top] = phi.mn_cols[top] + N(X, 0).scale(V)
-    verdict = phi.verify()
-    assert not verdict.ok and verdict.name == "phi-twisted-law"
+    witness = {"bar": "N", "reason": "incompatible with H_s", "s": 0, "x": 10}
+    assert phi.verify() == CheckVerdict(False, "phi-bar-operator", witness)
+    expect = CheckVerdict(False, "phi-twisted-law", {"s": 2, "x": 9})
+    assert full_phi_verdict(phi) == expect and vector_phi_verdict(phi) == expect
 
 
 def _bar_matches_vector_oracle(kind, X):
@@ -639,6 +646,36 @@ def test_canonical_basis_refuses_uncertified_bar():
                 refused.append((seed.x.word(), cutoff, len(X), kind))
     assert ((0, 1), 5, 4, "M") in refused  # the 4-point class of s1 s2 at cutoff 5
     assert len(refused) == 6
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_phi_verdict_runs_no_column_operation(name, monkeypatch):
+    # with both bar verdicts passed, every Phi identity is one they certify
+    def fail(*args, **kw):
+        pytest.fail("a column operation ran")
+
+    certified = [X for X in _untruncated_carriers(build_system(name))
+                 if all(verify_bar_operator(kind, X).ok for kind in ("M", "N"))]
+    assert certified
+    for kernel in ("act_generator", "add_scaled", "lincomb"):
+        monkeypatch.setattr(barcanon, kernel, fail)
+    for X in certified:
+        assert PhiMaps(X).verify() == CheckVerdict(True, "phi"), X
+
+
+def test_phi_maps_keep_no_column_copies():
+    # the maps read the bar columns: verifying them retains almost nothing
+    X = regular_set(build_system("A4"))
+    for kind in ("M", "N"):
+        assert verify_bar_operator(kind, X).ok
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert phi_maps(X).verify().ok
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def test_phi_verdict_is_computed_once(monkeypatch):

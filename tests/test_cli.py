@@ -734,6 +734,14 @@ def test_process_exit_codes(tmp_path, argv, code):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == code
     assert proc.stdout.startswith("usage: ") if code == 0 else proc.stdout == "" and "qpcox: error: " in proc.stderr
+    if code == 0:  # --help describes usage, not the module's notes on the cache
+        head = proc.stdout[proc.stdout.index("\n\n"):proc.stdout.index("positional arguments:")]
+        description = " ".join(head.split())
+        assert all(command in description for command in ("survey", "basis", "wgraph", "verify"))
+        codes = ("0 all checks pass", "1 usage or I/O problem", "2 an internal consistency check failed",
+                 "3 bar verification failed")
+        assert all(phrase in description for phrase in codes)
+        assert "sha256" not in proc.stdout and "cache" not in proc.stdout
 
 
 def test_consistency_error_exits_2_without_teardown(tmp_path):

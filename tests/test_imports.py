@@ -17,7 +17,9 @@ document goes through jsonout.dump, which streams it.  Only qpsets names the
 carrier kind ``"double-cover"``: the even double cover is a carrier of
 W x A1, so every other module reads it as any other carrier.  No module in
 src/ imports ``dataclasses``: records are NamedTuples, and ``import
-qpcox.cli`` loads neither dataclasses nor inspect.
+qpcox.cli`` loads neither dataclasses nor inspect.  No module in src/ names
+``mn_cols`` or ``nm_cols``: the Phi maps read the bar columns, and keep no
+scaled copies of them.
 
 Only laurent and jsonout key a memo by ``id``: no other module in src/ reads
 the name ``id``, except inside a ``__hash__`` method.  A memo keyed that way
@@ -109,6 +111,12 @@ def test_scan_finds_payload_reads():
 def test_src_reads_no_payloads(path):
     refs = _references(ast.parse(path.read_text()))
     assert [name for name in BOUNDARY_ONLY if refs[name]] == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_src_keeps_no_phi_column_copies(path):
+    refs = _references(ast.parse(path.read_text()))
+    assert [name for name in ("mn_cols", "nm_cols") if refs[name]] == []
 
 
 def test_qpsets_names_no_group_table():
