@@ -37,8 +37,8 @@ and of the table checks.  Only the parity check's constant-term clause reads
 the kind everywhere, so it runs per kind.
 
 The Hecke algebra itself is M on the regular carrier (see hecke), so this
-module never imports hecke: act_hecke reads only the words of an element's
-support.
+module never imports hecke: act_hecke reads only the words of the element
+keys in a Hecke element's support (CoxeterSystem.word_of).
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ def act_word(vec: ModuleVector, word) -> ModuleVector:
 
 def act_hecke(vec: ModuleVector, A) -> ModuleVector:
     """Left action of a Hecke element A (a hecke.HeckeElt of X's system)."""
-    return _combine(vec.kind, vec.X, ((act_word(vec, w.word()).coords, c) for w, c in A.coords.items()))
+    word_of = vec.X.system.word_of
+    return _combine(vec.kind, vec.X, ((act_word(vec, word_of(w)).coords, c) for w, c in A.coords.items()))
 
 
 def _combine(kind: str, X: ScaledWSet, terms) -> ModuleVector:

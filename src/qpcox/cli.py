@@ -56,7 +56,7 @@ import types
 from pathlib import Path
 
 from . import barcanon, classify, hecke, jsonout, qpsets, wgraph
-from .coxeter import CoxeterSystem, DiagramAut, Element, ExtElement, KeyTwist, build_system, stage
+from .coxeter import CoxeterSystem, DiagramAut, ExtElement, KeyTwist, build_system, stage
 from .errors import BadMatrix, ConsistencyError, QpcoxError
 from .laurent import V, VINV
 
@@ -421,7 +421,7 @@ def cmd_basis(args) -> int:
             payload["failures"] = [c.name for c in checks if not c.ok]
     if X.kind == "conjugacy" and X.truncated_at is None and KeyTwist(X.theta).involutive(X.keys[0]):
         theta, keys = classify.w0_translate(X)
-        payload["inversion_partner"] = {"theta": list(theta.sigma), "seed": list(Element(system, keys[0]).word())}
+        payload["inversion_partner"] = {"theta": list(theta.sigma), "seed": list(system.word_of(keys[0]))}
     failed = "failures" in payload
     _emit(args, _mu_csv(payload) if args.format == "csv" else payload, None if failed else path, head)
     return EXIT_CONSISTENCY if failed else EXIT_OK
@@ -468,9 +468,9 @@ def cmd_wgraph(args) -> int:
 
 
 def _suite_hecke(system) -> list[tuple[str, bool]]:
-    H = hecke.HeckeElt.basis
+    H = functools.partial(hecke.HeckeElt.basis, system)
     one = hecke.HeckeElt.unit(system)
-    gens = system.generators()
+    gens, elements = system._ensure_table().gen_ids, range(system.order())
 
     def braid(i, j):  # H_si H_sj H_si ... with m(i, j) factors
         out = one
@@ -481,8 +481,8 @@ def _suite_hecke(system) -> list[tuple[str, bool]]:
     return [
         ("hecke-quadratic", all(H(s) * H(s) == one + H(s).scale(V - VINV) for s in gens)),
         ("hecke-braid", all(braid(i, j) == braid(j, i) for i, j in itertools.combinations(range(system.rank), 2))),
-        ("hecke-bar-involution", all(H(w).bar().bar() == H(w) for w in system.elements())),
-        ("kl-bar-invariant", all(u.bar() == u for u in map(hecke.kl_basis(system).underline, system.elements()))),
+        ("hecke-bar-involution", all(H(w).bar().bar() == H(w) for w in elements)),
+        ("kl-bar-invariant", all(u.bar() == u for u in map(hecke.kl_basis(system).underline, elements))),
     ]
 
 

@@ -25,7 +25,8 @@ element's search parent by table recurrences, and a product folds a table
 over a reduced word.  Enumeration is lazy (building a system only builds and
 validates the root tables) and refuses groups larger than MAX_ORDER.
 
-KeyTwist is twisted conjugation on keys (ids or words).  Class searches,
+KeyTwist is twisted conjugation on keys (ids or words), and word_of is the
+one rule that turns a key into its reduced word.  Class searches,
 truncated reflection actions and structure checks run on it; Element,
 ExtElement and twisted_conjugate serve input, output and witness re-checks,
 so they keep only the group operations (product, inverse, identity, length,
@@ -285,11 +286,15 @@ class CoxeterSystem:
         return len(self._ensure_table().perms)
 
     @property
+    def identity_key(self):
+        """The key of the identity: the empty word on a universal system, else id 0."""
+        return () if self.family == "universal" else 0
+
+    @property
     def identity(self) -> "Element":
-        if self.family == "universal":
-            return Element(self, ())
-        self._ensure_table()
-        return Element(self, 0)
+        if self.family == "finite":
+            self._ensure_table()
+        return Element(self, self.identity_key)
 
     def generator(self, i: int) -> "Element":
         if not 0 <= i < self.rank:
@@ -306,6 +311,11 @@ class CoxeterSystem:
         for i in word:
             out = out * self.generator(i)
         return out
+
+    def word_of(self, key) -> tuple:
+        """The reduced word of the element with this key: the key itself on a
+        universal system, the greedy lowest-left-descent word of an id."""
+        return key if self.family == "universal" else self._ensure_table().word(key)
 
     def elements(self):
         """All elements in (length, id) order (finite family)."""
@@ -555,9 +565,7 @@ class Element:
 
     def word(self) -> tuple:
         """The reduced word found by greedy lowest-index left descents."""
-        if self.system.family == "universal":
-            return self.key
-        return self.system._table.word(self.key)
+        return self.system.word_of(self.key)
 
     def __mul__(self, other: "Element") -> "Element":
         self.system._check(other)

@@ -1,22 +1,25 @@
 """The Iwahori-Hecke algebra of a Coxeter system, in the H-normalization.
 
-Elements are finitely supported maps {H_w -> coefficient} with coefficients
-in Z[v, v^-1].  The defining relation is
+Elements are finitely supported maps {key of w -> coefficient of H_w} with
+coefficients in Z[v, v^-1], on element keys (ids, or reduced words on a
+universal system), not group elements.  The defining relation is
 
     H_s H_w = H_{sw}                    if the length goes up,
     H_s H_w = H_{sw} + (v - v^-1) H_w   if the length goes down,
 
 so H_s^-1 = H_s + (v^-1 - v).  H is the module M of barcanon on the regular
-carrier (W, length), whose point ids are the element ids: products are
-act_hecke, the bar involution (v -> v^-1, H_w -> (H_{w^-1})^-1) is
-bar_vector, and the Kazhdan-Lusztig basis is the canonical table of M.  These
-need a finite system (InfiniteParabolic otherwise).
+carrier (W, length), whose point ids are the element ids, so coordinates
+are an M-vector's as they stand: products are act_hecke, the bar involution
+(v -> v^-1, H_w -> (H_{w^-1})^-1) is bar_vector, and the Kazhdan-Lusztig
+basis is the canonical table of M.  These need a finite system
+(InfiniteParabolic otherwise); sums and act_hecke on a truncated universal
+carrier do not.
 """
 
 from __future__ import annotations
 
 from .barcanon import ModuleVector, act_hecke, bar_vector, canonical_basis
-from .coxeter import CoxeterSystem, Element, stage
+from .coxeter import CoxeterSystem, stage
 from .errors import ConsistencyError, SystemMismatch
 from .laurent import ONE, LaurentPoly, ZERO, add_scaled
 from .qpsets import ScaledWSet, regular_set
@@ -35,30 +38,26 @@ def regular_module(system: CoxeterSystem) -> ScaledWSet:
 
 
 class HeckeElt:
-    """An element of H(W, S) in coordinates over the standard basis {H_w}."""
+    """An element of H(W, S) in coordinates over the standard basis {H_w}, keyed
+    by element key (on a finite system, w's point id on the regular carrier)."""
 
     __slots__ = ("system", "coords")
 
-    def __init__(self, system: CoxeterSystem, coords: dict[Element, LaurentPoly]):
+    def __init__(self, system: CoxeterSystem, coords: dict):
         self.system = system
         self.coords = {w: c for w, c in coords.items() if c}
 
     @classmethod
     def unit(cls, system: CoxeterSystem) -> "HeckeElt":
-        return cls(system, {system.identity: ONE})
+        return cls(system, {system.identity_key: ONE})
 
     @classmethod
-    def basis(cls, w: Element) -> "HeckeElt":
-        return cls(w.system, {w: ONE})
+    def basis(cls, system: CoxeterSystem, w) -> "HeckeElt":
+        return cls(system, {w: ONE})
 
     def _check(self, other):
         if not isinstance(other, HeckeElt) or other.system is not self.system:
             raise SystemMismatch("Hecke elements from different systems")
-
-    def _vector(self) -> ModuleVector:
-        """This element as a vector of M on the regular carrier."""
-        X = regular_module(self.system)
-        return ModuleVector("M", X, {w.key: c for w, c in self.coords.items()})
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
@@ -71,23 +70,23 @@ class HeckeElt:
     def scale(self, c) -> "HeckeElt":
         return HeckeElt(self.system, add_scaled({}, self.coords, c))
 
-    def coeff(self, w: Element) -> LaurentPoly:
-        return self.coords.get(w, ZERO)
-
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        return _from_ids(self.system, act_hecke(other._vector(), self).coords)
+        X = regular_module(self.system)
+        return HeckeElt(self.system, act_hecke(ModuleVector("M", X, other.coords), self).coords)
 
     def bar(self) -> "HeckeElt":
         """The bar involution: v -> v^-1 on coefficients and H_w -> (H_{w^-1})^-1."""
-        return _from_ids(self.system, bar_vector(self._vector()).coords)
+        X = regular_module(self.system)
+        return HeckeElt(self.system, bar_vector(ModuleVector("M", X, self.coords)).coords)
 
     def theta(self) -> "HeckeElt":
         """The algebra automorphism with H_w -> (-1)^len(w) bar(H_w), A-linearly:
         the bar of the element with coefficients (-1)^len(w) bar(c)."""
         X = regular_module(self.system)
-        twisted = {w.key: -c.bar() if w.length % 2 else c.bar() for w, c in self.coords.items()}
-        return _from_ids(self.system, bar_vector(ModuleVector("M", X, twisted)).coords)
+        length = self.system._table.length
+        twisted = {w: -c.bar() if length[w] % 2 else c.bar() for w, c in self.coords.items()}
+        return HeckeElt(self.system, bar_vector(ModuleVector("M", X, twisted)).coords)
 
     def __eq__(self, other):
         return (
@@ -99,20 +98,12 @@ class HeckeElt:
     def __repr__(self):
         if not self.coords:
             return "0"
-        bits = []
-        for w in sorted(self.coords, key=lambda w: (w.length, w.key)):
-            bits.append(f"({self.coords[w]})H[{w!r}]")
-        return " + ".join(bits)
-
-
-def _from_ids(system: CoxeterSystem, coords: dict[int, LaurentPoly]) -> HeckeElt:
-    """The Hecke element with coordinates {element id: coefficient}."""
-    return HeckeElt(system, {Element(system, x): c for x, c in coords.items()})
+        return " + ".join(f"({self.coords[w]})H[{w}]" for w in sorted(self.coords))
 
 
 class KLTable:
     """The Kazhdan-Lusztig basis of H: polynomials h_{x,y} and their mu-coefficients,
-    the canonical table of M on the regular carrier with element ids for point ids."""
+    the canonical table of M on the regular carrier, indexed by element ids."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
@@ -121,14 +112,11 @@ class KLTable:
         # table's own stores: read-only
         self.mus, self.cols = table.mus, table.cols
 
-    def poly(self, x: Element, y: Element) -> LaurentPoly:
-        return self.cols[y.key].get(x.key, ZERO)
+    def poly(self, x: int, y: int) -> LaurentPoly:
+        return self.cols[y].get(x, ZERO)
 
-    def mu_of(self, x: Element, y: Element) -> int:
-        return self.mus[y.key].get(x.key, 0)
-
-    def underline(self, y: Element) -> HeckeElt:
-        return _from_ids(self.system, self.cols[y.key])
+    def underline(self, y: int) -> HeckeElt:
+        return HeckeElt(self.system, self.cols[y])
 
 
 def kl_basis(system: CoxeterSystem) -> KLTable:

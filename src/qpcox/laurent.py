@@ -246,25 +246,27 @@ def lincomb(terms) -> dict:
     int.  The result equals the fold of add_scaled over terms.
 
     Each distinct product is computed once per call: scalars are interned by
-    value, the call counts how often each (scalar, entry) pair lands on each
-    key, multiplies each distinct pair once and builds each output polynomial
-    once.  Entries are told apart by id, so the call holds every entry it has
-    counted until it returns: a vector freed between items cannot lend an id
-    to an entry of the next.  Nothing outlives the call.
+    value (and found zero once, there), the call counts how often each
+    (scalar, entry) pair lands on each key, multiplies each distinct pair
+    once and builds each output polynomial once.  Entries are told apart by
+    id, so the call holds every entry it has counted until it returns: a
+    vector freed between items cannot lend an id to an entry of the next.
+    Nothing outlives the call.
 
     >>> lincomb([({0: V, 1: ONE}, VINV), ({0: V}, 1), ({1: ONE}, -VINV)])
     {0: LaurentPoly({0: 1, 1: 1})}
     """
-    index: dict = {}  # scalar value -> its number in scalars
+    index: dict = {}  # scalar value -> its number in scalars, or -1 if it is zero
     scalars: list[LaurentPoly] = []
     held: dict = {}  # id(entry) -> entry, for every entry counted
     counts: Counter = Counter()  # (scalar number, key, id(entry)) -> how often it lands
     for vec, c in terms:
         i = index.get(c)
         if i is None:
-            i = index[c] = len(scalars)
-            scalars.append(ONE if c == 1 else c if isinstance(c, LaurentPoly) else LaurentPoly.const(c))
-        if vec and scalars[i]:
+            scalar = ONE if c == 1 else c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+            i = index[c] = len(scalars) if scalar else -1
+            scalars.append(scalar)
+        if vec and i >= 0:
             vals = vec.values()
             held.update(zip(map(id, vals), vals))
             counts.update(zip(repeat(i), vec, map(id, vals)))

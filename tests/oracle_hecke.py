@@ -6,9 +6,10 @@ carrier: H_s H_w multiplies group elements, bar(H_w) is built as
 H_s^-1 bar(H_{sw}) for the lowest left descent s, and the Kazhdan-Lusztig
 table solves over those columns.  Before bar_columns used its recurrence,
 every generic column replayed the whole greedy height-witness word of its
-point.  Both are kept as independent oracles.  The T-basis of the older
-literature (T_w = v^len(w) H_w) is here as a conversion: to_t_pairs and
-from_t_pairs.
+point.  Both are kept as independent oracles.  hecke keys coordinates by
+element id; by_element reads them as the {Element: coefficient} maps the
+oracle works on.  The T-basis of the older literature (T_w = v^len(w) H_w)
+is here as a conversion: to_t_pairs and from_t_pairs.
 """
 
 from __future__ import annotations
@@ -110,11 +111,16 @@ def replay_bar_columns(kind: str, X) -> list[ModuleVector]:
     return cols
 
 
+def by_element(A: HeckeElt) -> dict:
+    """The coordinates of A, keyed by Element instead of element id."""
+    return {Element(A.system, w): c for w, c in A.coords.items()}
+
+
 def to_t_pairs(A: HeckeElt) -> list:
     """Coordinates of A over the T-basis (T_w = v^len(w) H_w), for import/export."""
     return [
         [list(w.word()), (c * v_power(-w.length)).to_pairs()]
-        for w, c in sorted(A.coords.items(), key=lambda it: (it[0].length, it[0].key))
+        for w, c in sorted(by_element(A).items(), key=lambda it: (it[0].length, it[0].key))
     ]
 
 
@@ -122,5 +128,5 @@ def from_t_pairs(system, pairs) -> HeckeElt:
     out = {}
     for word, poly_pairs in pairs:
         w = system.element_from_word(word)
-        add_scaled(out, {w: LaurentPoly.from_pairs(poly_pairs)}, v_power(w.length))
+        add_scaled(out, {w.key: LaurentPoly.from_pairs(poly_pairs)}, v_power(w.length))
     return HeckeElt(system, out)

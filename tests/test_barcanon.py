@@ -121,15 +121,15 @@ def test_act_hecke_module_laws():
     v0 = M(X, 1) + M(X, 0).scale(V - 2)
     assert act_hecke(v0, unit) == v0
     s = a3.generator(0)
-    hs = HeckeElt.basis(s)
+    hs = HeckeElt.basis(a3, s.key)
     assert act_hecke(act_hecke(v0, hs), hs.bar()) == v0
     # act(H_w, M_x0) = M_x for the height witness w
     for pid in range(len(X)):
         w = rht_witness(X, pid)
-        assert act_hecke(M(X, X.minimal_elements()[0]), HeckeElt.basis(w)) == M(X, pid)
+        assert act_hecke(M(X, X.minimal_elements()[0]), HeckeElt.basis(a3, w.key)) == M(X, pid)
     # module-algebra compatibility on a pair of random-ish elements
-    a = HeckeElt.basis(a3.element_from_word((0, 1))).scale(V) + hs
-    b = HeckeElt.basis(a3.element_from_word((2,))) + unit.scale(VINV)
+    a = HeckeElt.basis(a3, a3.element_from_word((0, 1)).key).scale(V) + hs
+    b = HeckeElt.basis(a3, a3.element_from_word((2,)).key) + unit.scale(VINV)
     assert act_hecke(v0, a * b) == act_hecke(act_hecke(v0, b), a)
 
 
@@ -153,7 +153,7 @@ def test_bar_on_coset_kind_matches_hecke_bar_action():
         cols = bar_columns(kind, X)
         for pid, w in enumerate(payloads(X)):
             expect = act_hecke(
-                ModuleVector.standard(kind, X, e), HeckeElt.basis(w).bar()
+                ModuleVector.standard(kind, X, e), HeckeElt.basis(a3, w.key).bar()
             )
             assert cols[pid] == expect
             assert cols[pid] == act_bar_word(ModuleVector.standard(kind, X, e), w.word())
@@ -164,8 +164,8 @@ def test_bar_on_regular_kind_is_hecke_bar():
     X = regular_set(a2)
     cols = bar_columns("M", X)
     for pid, w in enumerate(payloads(X)):
-        hbar = HeckeElt.basis(w).bar()
-        expect = {X.index[u.word()]: c for u, c in hbar.coords.items()}
+        hbar = HeckeElt.basis(a2, w.key).bar()
+        expect = {X.index[a2.word_of(u)]: c for u, c in hbar.coords.items()}
         assert dict(cols[pid].coords) == expect
         # hecke's bar is bar_vector on this carrier, so also compare with the
         # Element-keyed oracle
@@ -707,7 +707,7 @@ def test_regular_table_equals_kl_table():
         for kind in ("M", "N"):
             table = canonical_basis(kind, X)
             for (x, y), c in table_entries(table.cols).items():
-                assert kl.poly(points[x], points[y]) == c
+                assert kl.poly(points[x].key, points[y].key) == c
             assert len(table_entries(table.cols)) == len(table_entries(kl.cols))
         # kl_basis is this table, so also compare with the Element-keyed solve
         assert (table_entries(kl.cols), table_entries(kl.mus)) == OracleHecke(sys).kl()

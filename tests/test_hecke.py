@@ -12,17 +12,17 @@ from qpcox.qpsets import conjugacy_set, coset_set
 
 from oracle_canonical import table_entries
 from oracle_group import bruhat_leq
-from oracle_hecke import OracleHecke, from_t_pairs, mult, to_t_pairs
+from oracle_hecke import OracleHecke, by_element, from_t_pairs, mult, to_t_pairs
 
 
 def H(w):
-    return HeckeElt.basis(w)
+    return HeckeElt.basis(w.system, w.key)
 
 
 def random_hecke(rng, system, elements):
     coords = {}
     for _ in range(rng.randrange(4)):
-        coords[rng.choice(elements)] = v_power(rng.randrange(-3, 4)) * rng.randrange(-3, 4)
+        coords[rng.choice(elements).key] = v_power(rng.randrange(-3, 4)) * rng.randrange(-3, 4)
     return HeckeElt(system, coords)
 
 
@@ -88,12 +88,12 @@ def test_kl_basis_small():
     a2 = build_system("A2")
     table = kl_basis(a2)
     s1, s2 = a2.generators()
-    assert table.underline(a2.identity) == HeckeElt.unit(a2)
-    assert table.underline(s1) == H(s1) + HeckeElt.unit(a2).scale(VINV)
+    assert table.underline(a2.identity.key) == HeckeElt.unit(a2)
+    assert table.underline(s1.key) == H(s1) + HeckeElt.unit(a2).scale(VINV)
     # underline H_{w0} = sum over x of v^(len(x) - 3) H_x, all six elements
     w0 = a2.longest_element()
-    expect = HeckeElt(a2, {x: v_power(x.length - 3) for x in a2.elements()})
-    assert table.underline(w0) == expect
+    expect = HeckeElt(a2, {x.key: v_power(x.length - 3) for x in a2.elements()})
+    assert table.underline(w0.key) == expect
 
 
 def test_kl_polys_properties():
@@ -101,9 +101,9 @@ def test_kl_polys_properties():
         sys = build_system(t)
         table = kl_basis(sys)
         for y in sys.elements():
-            u = table.underline(y)
+            u = table.underline(y.key)
             assert u.bar() == u
-            for x, c in u.coords.items():
+            for x, c in by_element(u).items():
                 if x == y:
                     assert c == ONE
                 else:
@@ -133,8 +133,8 @@ def test_kl_a3_singular_pairs():
     table = kl_basis(a3)
     w3412 = a3.element_from_word((1, 0, 2, 1))
     w4231 = a3.element_from_word((0, 1, 2, 1, 0))
-    assert table.poly(a3.generator(1), w3412) == v_power(-3) + v_power(-1)
-    assert table.poly(a3.generator(0) * a3.generator(2), w4231) == v_power(-3) + v_power(-1)
+    assert table.poly(a3.generator(1).key, w3412.key) == v_power(-3) + v_power(-1)
+    assert table.poly((a3.generator(0) * a3.generator(2)).key, w4231.key) == v_power(-3) + v_power(-1)
     nontrivial = [(x, y) for (x, y), c in table_entries(table.cols).items() if len(c.terms) > 1]
     assert len(nontrivial) == 6
     assert all(y in (w3412.key, w4231.key) for _, y in nontrivial)
@@ -182,7 +182,8 @@ def test_theta_is_algebra_automorphism():
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "I2(5)", "D4"])
 def test_hecke_matches_element_oracle(name):
-    # H as M(regular) against Element multiplication and the Element-keyed bar
+    # H as M(regular), keyed by element id, against Element multiplication
+    # and the Element-keyed bar
     sys = build_system(name)
     oracle = OracleHecke(sys)
     table = kl_basis(sys)
@@ -190,14 +191,14 @@ def test_hecke_matches_element_oracle(name):
     assert table_entries(table.cols) == h and table_entries(table.mus) == mu
     elements = sys.elements()
     for w in elements:
-        assert H(w).bar().coords == oracle.bar({w: ONE})
+        assert by_element(H(w).bar()) == oracle.bar({w: ONE})
     rng = random.Random(5)
     for _ in range(10):
         A = random_hecke(rng, sys, elements)
         B = random_hecke(rng, sys, elements)
-        assert (A * B).coords == mult(sys, A.coords, B.coords)
-        assert A.bar().coords == oracle.bar(A.coords)
-        assert A.theta().coords == oracle.theta(A.coords)
+        assert by_element(A * B) == mult(sys, by_element(A), by_element(B))
+        assert by_element(A.bar()) == oracle.bar(by_element(A))
+        assert by_element(A.theta()) == oracle.theta(by_element(A))
 
 
 def test_universal_products_need_a_finite_system():
@@ -208,7 +209,7 @@ def test_universal_products_need_a_finite_system():
         with pytest.raises(InfiniteParabolic):
             op()
     # sums, and the action on a truncated carrier, only read words
-    assert (hs + hs).coords == {s1: ONE + ONE}
+    assert (hs + hs).coords == {s1.key: ONE + ONE} == {(0,): ONE + ONE}
     X = conjugacy_set(u3, ExtElement(s1, u3.identity_aut()), cutoff=5)
     top = X.index[(s2 * s1 * s2).key]
     assert act_hecke(ModuleVector.standard("M", X, 0), H(s2)) == ModuleVector.standard("M", X, top)

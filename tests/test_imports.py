@@ -19,7 +19,9 @@ W x A1, so every other module reads it as any other carrier.  No module in
 src/ imports ``dataclasses``: records are NamedTuples, and ``import
 qpcox.cli`` loads neither dataclasses nor inspect.  No module in src/ names
 ``mn_cols`` or ``nm_cols``: the Phi maps read the bar columns, and keep no
-scaled copies of them.
+scaled copies of them.  Neither hecke nor barcanon imports or names
+``Element``: Hecke elements are keyed by element key (the point id on the
+regular carrier), and CoxeterSystem.word_of turns a key into its word.
 
 Only laurent and jsonout key a memo by ``id``: no other module in src/ reads
 the name ``id``, except inside a ``__hash__`` method.  A memo keyed that way
@@ -117,6 +119,26 @@ def test_src_reads_no_payloads(path):
 def test_src_keeps_no_phi_column_copies(path):
     refs = _references(ast.parse(path.read_text()))
     assert [name for name in ("mn_cols", "nm_cols") if refs[name]] == []
+
+
+def named(source: str) -> Counter:
+    """How often source names each name: read, as a bare name or an
+    attribute, or imported."""
+    tree = ast.parse(source)
+    imported = Counter(a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names)
+    return _references(tree) + imported
+
+
+def test_scan_finds_element_names():
+    assert named("from .coxeter import CoxeterSystem, Element as E")["Element"] == 1
+    assert named("def f(w: coxeter.Element): return Element(s, 0)")["Element"] == 2
+    assert named("x = ExtElement(w, t)  # Element\n'an Element'")["Element"] == 0
+
+
+@pytest.mark.parametrize("name", ["hecke.py", "barcanon.py"])
+def test_hecke_algebra_names_no_element(name):
+    # Hecke coordinates are element keys: the algebra builds no group element
+    assert named((ROOT / "src" / "qpcox" / name).read_text())["Element"] == 0
 
 
 def test_qpsets_names_no_group_table():
