@@ -762,6 +762,9 @@ class KeyTwist:
     - ``conj(w, x)`` is w x theta(w)^-1 (folded along the search parents of w,
       or by cancelling words at both junctions in one pass, with the word
       of theta(w)^-1 built once per w);
+    - ``conj_length(w, x)`` is the length of conj(w, x); on words it runs
+      the same cancellation and builds no word, so a caller can read the
+      length first and build the word only where it needs it;
     - ``length(x)`` is the length of x;
     - ``involutive(x)`` is whether (x, theta) is a twisted involution:
       theta^2 = 1 and theta(x) = x^-1.  Twisted conjugation preserves that,
@@ -770,7 +773,7 @@ class KeyTwist:
     twisted_conjugate is the same operation on Element objects.
     """
 
-    __slots__ = ("step", "step_length", "conj", "length", "involutive")
+    __slots__ = ("step", "step_length", "conj", "conj_length", "length", "involutive")
 
     def __init__(self, theta: DiagramAut):
         sigma = theta.sigma
@@ -793,7 +796,7 @@ class KeyTwist:
 
             tails = {}  # w -> the word of theta(w)^-1
 
-            def conj(w, x):  # w x tail, cancelled in one pass over both junctions
+            def cancel(w, x):  # w x tail, cancelled in one pass over both junctions
                 tail = tails.get(w)
                 if tail is None:
                     tail = tails[w] = tuple([sigma[s] for s in reversed(w)])
@@ -804,13 +807,21 @@ class KeyTwist:
                 j = 0  # letters cancelled between the reduced w x and tail
                 while j < m - i and j < k and x[m - 1 - j] == tail[j]:
                     j += 1
-                if j < m - i:
-                    return w[:n - i] + x[i:m - j] + tail[j:]
+                if j < m - i:  # w[:n - i] + x[i:m - j] + tail[j:]
+                    return tail, n - i, i, m - j, j
                 n -= i  # x is used up: w[:n] meets tail[j:]
                 while n and j < k and w[n - 1] == tail[j]:
                     n -= 1
                     j += 1
-                return w[:n] + tail[j:]
+                return tail, n, i, i, j
+
+            def conj(w, x):
+                tail, n, a, b, j = cancel(w, x)
+                return w[:n] + x[a:b] + tail[j:]
+
+            def conj_length(w, x):
+                tail, n, a, b, j = cancel(w, x)
+                return n + b - a + len(tail) - j
 
             def involutive(x):
                 return twist and tuple([sigma[s] for s in reversed(x)]) == x
@@ -834,6 +845,9 @@ class KeyTwist:
                     w = parent[w]
                 return x
 
+            def conj_length(w, x):
+                return lengths[conj(w, x)]
+
             def involutive(x):
                 return twist and theta._images()[x] == table.inverse[x]
 
@@ -841,5 +855,6 @@ class KeyTwist:
         self.step = step
         self.step_length = step_length
         self.conj = conj
+        self.conj_length = conj_length
         self.length = length
         self.involutive = involutive

@@ -39,13 +39,18 @@ def regular_module(system: CoxeterSystem) -> ScaledWSet:
 
 class HeckeElt:
     """An element of H(W, S) in coordinates over the standard basis {H_w}, keyed
-    by element key (on a finite system, w's point id on the regular carrier)."""
+    by element key (on a finite system, w's point id on the regular carrier).
+
+    coords is kept as given, neither copied nor filtered, as ModuleVector
+    keeps it: it holds no zero entry (the kernels that build elements leave
+    none), and it may be shared, as underline shares a canonical table's
+    column, so it is read-only."""
 
     __slots__ = ("system", "coords")
 
     def __init__(self, system: CoxeterSystem, coords: dict):
         self.system = system
-        self.coords = {w: c for w, c in coords.items() if c}
+        self.coords = coords
 
     @classmethod
     def unit(cls, system: CoxeterSystem) -> "HeckeElt":

@@ -75,7 +75,9 @@ class _ReflAction(NamedTuple):
     word: tuple
     img: list  # point id or None (out of a truncated carrier)
     img_h2: list  # exact height2 of the image, even when out of carrier
-    img_keys: list | None = None  # truncated carriers only: the word of each image
+    # truncated carriers only: the word of each image, None where no check
+    # reads it (img_h2 > cutoff and img_h2 >= height2[x] + 4)
+    img_keys: list | None = None
 
 
 class ScaledWSet:
@@ -187,14 +189,22 @@ class ScaledWSet:
         root is a(beta) for the root beta of r.  A truncated
         carrier twisted-conjugates the words of its points instead, over the
         reflections of length <= cutoff + 1: an image may leave the carrier,
-        and its exact height and word are still needed.
+        and its exact height is still needed.  Each image's length is
+        computed first (KeyTwist.conj_length), and its word is built only
+        where a check can read it: where the image can be a point
+        (img_h2 <= cutoff), or where (QP2) can read a step from it
+        (img_h2 < height2[x] + 4, see check_quasiparabolic).  Elsewhere
+        img_keys[x] is None.
         """
         out = []
         if self.truncated_at is not None:  # a universal conjugacy class
-            conj, index = KeyTwist(self.theta).conj, self.index
-            for r in self.system.reflection_words(self.truncated_at + 1):
-                images = [conj(r, x) for x in self.keys]
-                out.append(_ReflAction(r, [index.get(q) for q in images], [len(q) for q in images], images))
+            twist, index, cutoff = KeyTwist(self.theta), self.index, self.truncated_at
+            conj, conj_length = twist.conj, twist.conj_length
+            for r in self.system.reflection_words(cutoff + 1):
+                lengths = [conj_length(r, x) for x in self.keys]
+                images = [conj(r, x) if n <= cutoff or n < h + 4 else None
+                          for x, h, n in zip(self.keys, self.height2, lengths)]
+                out.append(_ReflAction(r, [index.get(q) for q in images], lengths, images))
         else:
             gens, refl = self.system.gen_root_perm, self.system.reflection_roots()
             position = {beta: i for i, (_, beta) in enumerate(refl)}
@@ -357,6 +367,13 @@ def check_quasiparabolic(X: ScaledWSet) -> QpVerdict:
     On truncated universal carriers the reflection range is finite (word
     length <= cutoff + 1) and heights of out-of-carrier images are still
     computed exactly from their words, so every reported witness is genuine.
+
+    (QP2) is read only at pairs with 0 < d < 4, d = h2(r x) - h2(x); at
+    d >= 4 it cannot fire.  A generator moves height2 by 0 or 2: inside a
+    carrier _validate_scaled enforces it, and outside a truncated one a
+    twisted step s y sigma(s) changes the length of y by 0 or 2.  So
+    h2(s r x) >= h2(r x) - 2 >= h2(x) + 2 >= h2(s x), while (QP2) needs
+    h2(s r x) < h2(s x).  (QP1) needs d = 0 and is scanned in full.
     """
     refl = X.reflection_actions()
     h2 = X.height2
@@ -369,8 +386,9 @@ def check_quasiparabolic(X: ScaledWSet) -> QpVerdict:
                 return QpVerdict(False, "QP1", ra.word, x, None, bound)
 
     for ra in refl:
+        img_h2 = ra.img_h2
         for x in range(len(X)):
-            if ra.img_h2[x] <= h2[x]:
+            if not 0 < img_h2[x] - h2[x] < 4:
                 continue
             rx = ra.img[x]
             for s in range(X.n_gens):
@@ -407,9 +425,10 @@ def revalidate_witness(X: ScaledWSet, witness: dict) -> bool:
     """Re-check a stored QP witness against a freshly built carrier.
 
     On a conjugacy carrier r . x is recomputed by twisted conjugation,
-    independently of the carrier's tables; other kinds read the reflection
-    row of the witness word.  A witness with a missing key or an
-    out-of-range point, generator or letter is rejected.
+    independently of the carrier's tables, for a reduced word that names a
+    reflection of the system; other kinds read the reflection row of the
+    witness word.  A witness with a missing key or an out-of-range point,
+    generator or letter is rejected.
     """
     try:
         axiom, word, x = witness["axiom"], witness["r_word"], witness["x"]
@@ -423,7 +442,7 @@ def revalidate_witness(X: ScaledWSet, witness: dict) -> bool:
     word = tuple(word)
     if X.kind == "conjugacy":
         r = X.system.element_from_word(word)
-        if r.length != len(word):
+        if r.length != len(word) or r not in X.system.reflections_up_to(len(word)):
             return False
         rx = twisted_conjugate(r, ExtElement(Element(X.system, X.keys[x]), X.theta))
         rx_id, h_rx = X.index.get(rx.x.key), rx.length

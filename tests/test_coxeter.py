@@ -377,13 +377,19 @@ def test_universal_elements():
     assert all(r.word() == tuple(reversed(r.word())) for r in refl)
 
 
+def universal_words(rank, n):
+    """The reduced words of length <= n in the universal group of this rank."""
+    words = [()]
+    for k in range(n):
+        words += [w + (s,) for w in words if len(w) == k for s in range(rank) if not w or w[-1] != s]
+    return words
+
+
 def test_fused_word_conjugation_matches_two_products():
     # w x theta(w)^-1 cancelled in one pass against two junction products, on
     # every pair of U3 words of length <= 6 under every theta
     u3 = build_system("U3")
-    words = [()]
-    for n in range(6):
-        words += [w + (s,) for w in words if len(w) == n for s in range(3) if not w or w[-1] != s]
+    words = universal_words(3, 6)
     assert len(words) == 1 + 3 + 6 + 12 + 24 + 48 + 96
     for theta in u3.diagram_automorphisms():
         conj = KeyTwist(theta).conj
@@ -391,6 +397,18 @@ def test_fused_word_conjugation_matches_two_products():
             tail = tuple(theta.sigma[s] for s in reversed(w))
             for x in words:
                 assert conj(w, x) == coxeter._u_mult(coxeter._u_mult(w, x), tail)
+
+
+def test_conj_length_is_the_length_of_conj():
+    # the length read without building the word, on U3 words of length <= 5
+    # and U4 words of length <= 3 under every theta, and on ids of A3
+    for type_string, n in (("U3", 5), ("U4", 3), ("A3", None)):
+        system = build_system(type_string)
+        keys = [w.key for w in system.elements()] if n is None else universal_words(system.rank, n)
+        for theta in system.diagram_automorphisms():
+            twist = KeyTwist(theta)
+            for w in keys:
+                assert [twist.conj_length(w, x) for x in keys] == [twist.length(twist.conj(w, x)) for x in keys]
 
 
 def test_word_is_reduced_and_reproduces_element():

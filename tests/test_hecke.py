@@ -23,7 +23,7 @@ def random_hecke(rng, system, elements):
     coords = {}
     for _ in range(rng.randrange(4)):
         coords[rng.choice(elements).key] = v_power(rng.randrange(-3, 4)) * rng.randrange(-3, 4)
-    return HeckeElt(system, coords)
+    return HeckeElt(system, {w: c for w, c in coords.items() if c})  # coordinates hold no zero
 
 
 def test_quadratic_relation():

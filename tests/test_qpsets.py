@@ -275,11 +275,67 @@ def test_check_qp1_only_matches_direct_scan_on_b3():
     assert seen[True] and seen[False]  # both verdicts occur
 
 
-def refl_rows(X, keys=False):
-    return [
-        (ra.word, ra.img, ra.img_h2) + ((ra.img_keys,) if keys else ())
-        for ra in X.reflection_actions()
-    ]
+def generated(mult, ident, gens):
+    """The subgroup generated by the element ids gens."""
+    H, queue = {ident}, [ident]
+    for h in queue:  # iterating the growing list closes the set
+        for g in gens:
+            k = mult(h, g)
+            if k not in H:
+                H.add(k)
+                queue.append(k)
+    return frozenset(H)
+
+
+def quotient_carriers(system):
+    """(W/H, its reflection rows by group arithmetic, r . wH = (r w)H) for
+    every cyclic subgroup H != 1 of a finite W and every subgroup generated
+    by two involutions; W acts on the left, and for each base coset the
+    heights are twice the Schreier-graph distance from it."""
+    table = system._ensure_table()
+    mult, ident, n = table.mult_ids, system.identity_key, len(table.perms)
+    involutions = [w for w in range(n) if w != ident and mult(w, w) == ident]
+    gens = [(w,) for w in range(n) if w != ident] + [(a, b) for a in involutions for b in involutions]
+    out = []
+    for H in dict.fromkeys(generated(mult, ident, g) for g in gens):
+        coset = [frozenset(mult(w, h) for h in H) for w in range(n)]
+        cosets = list(dict.fromkeys(coset))
+        cid = {c: i for i, c in enumerate(cosets)}
+        reps = [min(c) for c in cosets]
+        rows = [[cid[coset[mult(g, w)]] for w in reps] for g in table.gen_ids]
+        refl = [[cid[coset[mult(r.key, w)]] for w in reps] for r in system.reflections()]
+        for base in range(len(cosets)):
+            dist = {base: 0}
+            queue = [base]
+            for c in queue:
+                for row in rows:
+                    if row[c] not in dist:
+                        dist[row[c]] = dist[c] + 1
+                        queue.append(row[c])
+            order = sorted(range(len(cosets)), key=lambda c: (dist[c], c))
+            pos = {c: i for i, c in enumerate(order)}
+            X = ScaledWSet(system, "quotient", order, [2 * dist[c] for c in order],
+                           [[pos[row[c]] for c in order] for row in rows])
+            out.append((X, [[pos[row[c]] for c in order] for row in refl]))
+    return out
+
+
+def test_qp2_prune_matches_the_unpruned_scan_on_quotients():
+    # check_quasiparabolic reads (QP2) only where the image rises by less than
+    # two heights; the oracle scans every rising pair.  These quotients are
+    # the tier-1 carriers that fail (QP2)
+    verdicts = []
+    for type_string in ("A3", "B3"):
+        for X, refl in quotient_carriers(build_system(type_string)):
+            assert [ra.img for ra in X.reflection_actions()] == refl
+            verdict = check_quasiparabolic(X)
+            assert verdict == oracle.qp_verdict(X)
+            verdicts.append(verdict.axiom)
+    assert len(verdicts) == 1283 and verdicts.count("QP2") == 338 and verdicts.count(None)
+
+
+def refl_rows(X):
+    return [(ra.word, ra.img, ra.img_h2) for ra in X.reflection_actions()]
 
 
 def assert_same_carrier(X, Y, keys=False):
@@ -287,7 +343,12 @@ def assert_same_carrier(X, Y, keys=False):
     assert X.keys == Y.keys
     assert X.height2 == Y.height2
     assert X.action == Y.action
-    assert refl_rows(X, keys) == refl_rows(Y, keys)
+    assert refl_rows(X) == refl_rows(Y)
+    if keys:  # a truncated X keeps an image's word exactly where a check can read it
+        for ra, rb in zip(X.reflection_actions(), Y.reflection_actions()):
+            for x, h in enumerate(ra.img_h2):
+                dropped = h > X.truncated_at and h >= X.height2[x] + 4
+                assert ra.img_keys[x] == (None if dropped else rb.img_keys[x])
     assert check_quasiparabolic(X) == check_quasiparabolic(Y)
 
 
@@ -483,6 +544,13 @@ def test_revalidate_witness_rejects_malformed_witnesses():
         ]
         for witness in bad:
             assert not revalidate_witness(X, witness), witness
+    # a reduced word that names no reflection: s1 s2 . s1 = s2 has the height
+    # of s1, so it passed as a (QP1) witness when only reducedness was checked
+    a3 = build_system("A3")
+    X = conjugacy_set(a3, ext(a3, (0,)))
+    x = X.index[a3.generator(0).key]
+    assert revalidate_witness(X, {"axiom": "QP1", "r_word": [0, 1, 0], "x": x, "s": None})
+    assert not revalidate_witness(X, {"axiom": "QP1", "r_word": [0, 1], "x": x, "s": None})
 
 
 @pytest.mark.parametrize("height2, row", [
