@@ -15,6 +15,8 @@ rather than assumed.
 
 from __future__ import annotations
 
+from itertools import count
+from operator import and_, eq
 from typing import NamedTuple, Optional
 
 from .coxeter import CoxeterSystem, DiagramAut, ExtElement, KeyTwist
@@ -68,8 +70,8 @@ def is_perfect(K: ScaledWSet) -> bool:
         raise NotInvolutionClass("perfectness is defined for twisted involution classes")
     table = K.system._ensure_table()
     images, inverse, mult = K.theta._images(), table.inverse, table.mult_ids
-    for r in K.system.reflections():
-        rx = mult(r.key, x)
+    for r in K.system.reflection_ids():
+        rx = mult(r, x)
         y = mult(rx, images[rx])
         if inverse[y] != y:
             return False
@@ -95,10 +97,11 @@ def structure_check(K: ScaledWSet) -> StructureFlags:
     """The shape of the unique minimal element of a quasiparabolic class.
 
     The centralizer {z : z x theta(z)^-1 = x} and the twisted normalizer
-    {z : z W_J = W_J theta(z)} are compared in one pass over the ids, with
-    table lookups only: z x and x theta(z) come from the rows of left
-    multiplication by x and by x^-1, and a right coset W_J z is labelled by
-    its minimal element.
+    {z : z W_J = W_J theta(z)} are compared with table lookups only.  One
+    pass down the search tree (z = u t) gives back[z] = z^-1 x theta(z) =
+    t back[u] sigma(t), and the minimal element of the right coset W_J z:
+    with d that of W_J u, it is d t where d t is minimal, else d (Deodhar's
+    lemma).  The normalizer is then a few list passes over those labels.
     """
     system = K.system
     theta = K.theta
@@ -107,29 +110,26 @@ def structure_check(K: ScaledWSet) -> StructureFlags:
         raise NoUniqueMinimal(f"{n_min} elements of minimal length")
     x = K.keys[0]
     table = system._ensure_table()
-    images, inverse, rmult, lmult, length = (
-        theta._images(), table.inverse, table.rmult, table.lmult, table.length)
+    images, rmult, lmult, length, sigma = theta._images(), table.rmult, table.lmult, table.length, theta.sigma
     J = tuple(s for s in range(system.rank) if length[lmult[x][s]] < length[x])
     step = KeyTwist(theta).step
     fixed = all(step(s, x) == x for s in J)
     stable = tuple(sorted(theta.gen(j) for j in J)) == J
     x_is_longest = x == system.longest_element(J).key
 
-    left_x, left_xinv = [x], [inverse[x]]  # x z and x^-1 z, along the search tree
-    coset = [0]  # the minimal element of W_J z; ids are in length order
-    for z in range(1, len(rmult)):
-        u, t = table.parent[z], table.last[z]
-        left_x.append(rmult[left_x[u]][t])
-        left_xinv.append(rmult[left_xinv[u]][t])
-        down = next((lmult[z][j] for j in J if length[lmult[z][j]] < length[z]), None)
-        coset.append(z if down is None else coset[down])
-    # z x = (x^-1 z^-1)^-1; z theta(z)^-1 is in W_J iff W_J z = W_J theta(z),
-    # and z normalizes W_J iff z s_j is in W_J z for every j in J
-    centralizer_ok = all(
-        (inverse[left_xinv[inverse[z]]] == left_x[images[z]])
-        == (coset[images[z]] == c and all(coset[rmult[z][j]] == c for j in J))
-        for z, c in enumerate(coset)
-    )
+    back, coset = [x], [0]  # z^-1 x theta(z), and the minimal element of W_J z; ids are in length order
+    for z, u, t in zip(count(1), table.parent[1:], table.last[1:]):
+        back.append(lmult[rmult[back[u]][sigma[t]]][t])
+        d = coset[u]
+        y = rmult[d][t]  # W_J z = W_J y, and y is shorter than z unless y = z = d t
+        coset.append(coset[y] if y != z else d if J and min(map(lmult[z].__getitem__, J)) < z else z)
+    # z theta(z)^-1 is in W_J iff W_J z = W_J theta(z); z = a d (a in W_J)
+    # normalizes W_J iff d does, iff d s_j is in W_J d for every j in J
+    normalizing = set(coset)
+    for j in J:
+        normalizing = {d for d in normalizing if coset[rmult[d][j]] == d}
+    normal = map(and_, map(normalizing.__contains__, coset), map(eq, coset, map(coset.__getitem__, images)))
+    centralizer_ok = all(map(eq, normal, map(x.__eq__, back)))
 
     target = set(iota(system, theta * theta).keys)
     squares = {table.mult_ids(y, images[y]) for y in K.keys}
@@ -248,10 +248,10 @@ def _strong_exchange(K: ScaledWSet) -> bool:
     # moves down in the Bruhat order of W
     system = K.system
     conj, down = KeyTwist(K.theta).conj, system._bruhat_table()
-    length = system._table.length
+    length, refl = system._table.length, system.reflection_ids()
     for x in K.keys:
-        for r in system.reflections():
-            q = conj(r.key, x)
+        for r in refl:
+            q = conj(r, x)
             if length[q] < length[x] and not down[x] >> q & 1:
                 return False
     return True

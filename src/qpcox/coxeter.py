@@ -355,11 +355,15 @@ class CoxeterSystem:
         out.sort(key=lambda wb: (len(wb[0]), wb[0]))
         return out
 
-    @stage("_reflections")
     def reflections(self) -> list["Element"]:
-        """All reflections as elements of the enumerated group, sorted by
-        (length, id) (the survey code).  Finite family."""
-        return [self.element_from_word(word) for word, _ in self.reflection_roots()]
+        """All reflections as elements, in the order of reflection_ids.  Finite family."""
+        return [Element(self, r) for r in self.reflection_ids()]
+
+    @stage("_reflection_ids")
+    def reflection_ids(self) -> list[int]:
+        """The ids of all reflections, sorted by (length, id) (the survey code).  Finite family."""
+        rmult = self._ensure_table().rmult
+        return [functools.reduce(lambda w, s: rmult[w][s], word, 0) for word, _ in self.reflection_roots()]
 
     def reflections_up_to(self, max_length: int) -> list["Element"]:
         """Reflections of length <= max_length (universal family)."""
@@ -391,7 +395,7 @@ class CoxeterSystem:
     def _bruhat_table(self):
         """The Bruhat down-sets of W as bitmasks by id (the survey diagnostics)."""
         table = self._ensure_table()
-        refl = [r.key for r in self.reflections()]
+        refl = self.reflection_ids()
         down = [0] * len(table.perms)
         for y in range(len(down)):  # ids are in length order
             bits = 1 << y

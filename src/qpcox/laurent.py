@@ -296,8 +296,9 @@ class PolyMemo:
     ids of their operands, and the memo holds every operand it has keyed, so
     no id is reused while it lives.  An operand from outside (a perturbed
     table entry) is keyed by its own id and never taken for another; intern
-    maps it to the pooled object of its value.  Make one per call and let it
-    die with the call.
+    maps it to the pooled object of its value.  The values of pool, if
+    given, are interned first.  Make one per call and let it die with the
+    call.
 
     >>> ar = PolyMemo()
     >>> ar.add(ar.shift(V, 1), ar.intern(ONE)) is ar.intern(v_power(2) + 1)
@@ -306,8 +307,8 @@ class PolyMemo:
 
     __slots__ = ("_pool", "_held", "_shifts", "_sums", "_products")
 
-    def __init__(self):
-        self._pool = {ZERO: ZERO}
+    def __init__(self, pool=()):
+        self._pool = {**dict(zip(pool, pool)), ZERO: ZERO}
         self._held = []
         self._shifts, self._sums, self._products = {}, {}, {}
 

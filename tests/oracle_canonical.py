@@ -25,6 +25,11 @@ scan every x (or every pair) and read mu from an (x, y)-keyed map.  Their
 parity check also ties that map to the v^-1 coefficients of the table, as
 verify_parity does, so that the two refuse the same tables.
 
+fold_multiplication is verify_multiplication as the package ran it before
+it compared the two sides key by key: it builds (H_s + v^-1) C_x with the
+H_s rule (act_generator) and the right side with one add_scaled per term,
+and compares the two vectors.
+
 fold_combine is the sum of c * vec over (vec, c) pairs as the package formed
 it before laurent.lincomb: one add_scaled per pair, every product computed
 where it lands.
@@ -48,7 +53,7 @@ from qpcox.barcanon import (
     verify_bar_operator,
 )
 from qpcox.errors import ConsistencyError, TruncationRequired
-from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, add_scaled, v_power
+from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, act_generator, add_scaled, v_power
 from qpcox.qpsets import bruhat_order, check_quasiparabolic
 
 from oracle_qpsets import payloads
@@ -60,6 +65,35 @@ def fold_combine(terms) -> dict:
     for vec, c in terms:
         add_scaled(out, vec, c)
     return out
+
+
+def fold_multiplication(table):
+    """verify_multiplication with both sides formed as whole vectors."""
+    X = table.X
+    h2 = X.height2
+    order = bruhat_order(X)
+    weak = table.kind == "M"  # M descends weakly, N strictly
+
+    def descends(s, x):
+        d = h2[X.action[s][x]] - h2[x]
+        return d < 0 or (weak and d == 0)
+
+    for s in range(X.n_gens):
+        for x in range(len(X)):
+            u = table.cols[x]
+            lhs = act_generator(u, X.action, s, h2, table.kind)
+            add_scaled(lhs, u, VINV)
+            sx = X.action[s][x]
+            if descends(s, x):
+                rhs = add_scaled({}, u, V + VINV)
+            else:
+                rhs = dict(table.cols[sx]) if h2[sx] > h2[x] else {}
+                for w, m in table.mus[x].items():
+                    if m and order.leq(w, x) and descends(s, w):
+                        add_scaled(rhs, table.cols[w], m)
+            if lhs != rhs:
+                return CheckVerdict(False, "multiplication", {"s": s, "x": x})
+    return CheckVerdict(True, "multiplication")
 
 
 class SkewViolation(Exception):

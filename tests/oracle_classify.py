@@ -7,6 +7,10 @@ check collects the centralizer {z : z . w = w} and the twisted normalizer
 {z : z W_J = W_J theta(z)} by Element arithmetic over all of W, and the
 universal criterion follows length-reducing twisted conjugations of
 ExtElements.  It is kept as an independent oracle for those paths.
+
+rows_structure_check is the structure check on ids as it ran before it
+followed z^-1 x theta(z) down the search tree: it builds the rows x z and
+x^-1 z and labels each right coset W_J z by a descent search at every id.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import oracle_qpsets
 from oracle_group import bruhat_leq, is_twisted_involution, left_descents
 from oracle_qpsets import payloads, twisted
 from qpcox.classify import StructureFlags, UniversalQpVerdict
-from qpcox.coxeter import ExtElement
+from qpcox.coxeter import ExtElement, KeyTwist
 from qpcox.errors import NoUniqueMinimal, NotInvolutionClass
 
 
@@ -90,6 +94,43 @@ def structure_check(K):
     one = ExtElement(system.identity, theta * theta)
     target = set(payloads(oracle_qpsets.conjugacy_set(system, one)))
     squares = {p * p for p in payloads(K)}
+    return StructureFlags(J, fixed, stable, x_is_longest, centralizer_ok, squares == target)
+
+
+def rows_structure_check(K):
+    system = K.system
+    theta = K.theta
+    n_min = K.height2.count(K.height2[0])
+    if n_min != 1:
+        raise NoUniqueMinimal(f"{n_min} elements of minimal length")
+    x = K.keys[0]
+    table = system._ensure_table()
+    images, inverse, rmult, lmult, length = (
+        theta._images(), table.inverse, table.rmult, table.lmult, table.length)
+    J = tuple(s for s in range(system.rank) if length[lmult[x][s]] < length[x])
+    step = KeyTwist(theta).step
+    fixed = all(step(s, x) == x for s in J)
+    stable = tuple(sorted(theta.gen(j) for j in J)) == J
+    x_is_longest = x == system.longest_element(J).key
+
+    left_x, left_xinv = [x], [inverse[x]]  # x z and x^-1 z, along the search tree
+    coset = [0]  # the minimal element of W_J z; ids are in length order
+    for z in range(1, len(rmult)):
+        u, t = table.parent[z], table.last[z]
+        left_x.append(rmult[left_x[u]][t])
+        left_xinv.append(rmult[left_xinv[u]][t])
+        down = next((lmult[z][j] for j in J if length[lmult[z][j]] < length[z]), None)
+        coset.append(z if down is None else coset[down])
+    # z x = (x^-1 z^-1)^-1; z theta(z)^-1 is in W_J iff W_J z = W_J theta(z),
+    # and z normalizes W_J iff z s_j is in W_J z for every j in J
+    centralizer_ok = all(
+        (inverse[left_xinv[inverse[z]]] == left_x[images[z]])
+        == (coset[images[z]] == c and all(coset[rmult[z][j]] == c for j in J))
+        for z, c in enumerate(coset)
+    )
+
+    target = set(oracle_qpsets.conjugacy_set(system, ExtElement(system.identity, theta * theta)).keys)
+    squares = {table.mult_ids(y, images[y]) for y in K.keys}
     return StructureFlags(J, fixed, stable, x_is_longest, centralizer_ok, squares == target)
 
 

@@ -49,6 +49,7 @@ from oracle_canonical import (
     brute_force_canonical,
     closed_form_bar_columns,
     composed_bar_gen,
+    fold_multiplication,
     full_bar_verdict,
     full_phi_verdict,
     generic_canonical_columns,
@@ -529,6 +530,7 @@ def test_perturbed_p_is_refused_as_at_the_parent():
                 d = (X.height2[y] - X.height2[x]) // 2
                 broken.cols[y][x] = broken.cols[y][x] + v_power(2 - d)
                 assert _refusal(broken), (X, kind, x, y)
+                assert verify_multiplication(broken) == fold_multiplication(broken), (X, kind, x, y)
 
 
 def test_flipped_mu_is_refused_as_at_the_parent():
@@ -544,8 +546,59 @@ def test_flipped_mu_is_refused_as_at_the_parent():
                 broken = _table_copy(table)
                 broken.mus[y][x] = -broken.mus[y][x]
                 assert "parity" in _refusal(broken), (X, kind, x, y)
+                assert verify_multiplication(broken) == fold_multiplication(broken), (X, kind, x, y)
                 sampled += 1
     assert sampled >= 40
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)"])
+def test_multiplication_matches_the_fold_oracle(name):
+    # the key-by-key comparison gives the verdict and the witness (s, x) of
+    # the vector fold it replaced, on every quasiparabolic carrier; the
+    # mutation tests above compare them where the theorem fails
+    checked = 0
+    for X in _untruncated_carriers(build_system(name)):
+        if check_quasiparabolic(X).is_qp:
+            for kind in ("M", "N"):
+                table = canonical_basis(kind, X)
+                assert verify_multiplication(table) == fold_multiplication(table), (X, kind)
+                checked += 1
+    assert checked >= 10
+
+
+def test_multiplication_reads_a_planted_copy_by_value():
+    # an entry replaced by an equal polynomial from outside the pool is a
+    # distinct object: the sides are still equal, so the check passes
+    planted = 0
+    for X in _mutation_carriers():
+        for kind in ("M", "N"):
+            table = canonical_basis(kind, X)
+            entries = [(x, y) for y, col in enumerate(table.cols) for x in col]
+            for x, y in entries[::max(1, len(entries) // 20)]:
+                planted_table = _table_copy(table)
+                planted_table.cols[y][x] = laurent.LaurentPoly(dict(table.cols[y][x].terms))
+                assert planted_table.cols[y][x] is not table.cols[y][x]
+                expect = CheckVerdict(True, "multiplication")
+                assert verify_multiplication(planted_table) == fold_multiplication(planted_table) == expect
+                planted += 1
+    assert planted >= 40
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_table_checks_run_no_column_operation(name, monkeypatch):
+    # the multiplication theorem and the recurrences are checked key by key
+    def fail(*args, **kw):
+        pytest.fail("a column operation ran")
+
+    tables = [canonical_basis(kind, X) for X in _untruncated_carriers(build_system(name))
+              if check_quasiparabolic(X).is_qp for kind in ("M", "N")]
+    assert tables
+    for module in (barcanon, laurent):
+        for kernel in ("act_generator", "add_scaled"):
+            monkeypatch.setattr(module, kernel, fail)
+    for table in tables:
+        assert verify_multiplication(table) == CheckVerdict(True, "multiplication"), table.X
+        assert verify_recurrences(table) == CheckVerdict(True, "recurrence"), table.X
 
 
 def test_parity_decides_each_polynomial_per_height_difference():
