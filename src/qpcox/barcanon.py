@@ -24,17 +24,23 @@ maps are read from the bar columns, Phi_MN(M_x) = eps_x bar(N_x), so their
 verdict is the two bar verdicts (see PhiMaps.verify).  The table checks
 visit only the points below the columns they read.
 
+The bar columns, the bar verdict and the canonical solve apply H_s + c
+(laurent.generator_rule: c = v^-1 - v for bar(H_s), v^-1 for the solve)
+key by key with laurent.act_generator, through one PolyMemo per call that
+interns into the carrier's pool (_polys): each entry is the pooled object
+of its value when it is made, and the verdict compares pooled entries.
+
 The carrier is the cache of its own stages: the bar columns, bar verdict,
 canonical table and table checks of each kind (X._barcols[kind], ...) and
 the Phi maps are coxeter.stage functions, computed once per carrier and
 shared by every caller holding it.  The per-kind ones go through
 _kind_stage, whose one rule is this: where no generator keeps the height of
 a point (on a quasiparabolic carrier, fixes one), as on the regular
-carrier, the N stages are the M stages relabeled N.  That is exact: act_gen,
-and with it the bar recurrence, differs between the kinds only where s keeps
-the height, and so does the descent (weak for M, strict for N) of the solve
-and of the table checks.  Only the parity check's constant-term clause reads
-the kind everywhere, so it runs per kind.
+carrier, the N stages are the M stages relabeled N.  That is exact: the
+three-case rule, and with it the bar recurrence, differs between the kinds
+only where s keeps the height, and so does the descent (weak for M, strict
+for N) of the solve and of the table checks.  Only the parity check's
+constant-term clause reads the kind everywhere, so it runs per kind.
 
 The Hecke algebra itself is M on the regular carrier (see hecke), so this
 module never imports hecke: act_hecke reads only the words of the element
@@ -51,7 +57,8 @@ from .classify import twisted_classes, w0_translate
 from .coxeter import CoxeterSystem, stage
 from .errors import ConsistencyError, SystemMismatch, TruncationRequired, UncertifiedBar
 from .laurent import (
-    ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, act_generator, add_scaled, canonical_columns, lincomb, v_power,
+    ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, act_generator, add_scaled, canonical_columns, generator_rule, lincomb,
+    v_power,
 )
 from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic, lowest_descent
 
@@ -115,29 +122,39 @@ class ModuleVector:
 # the H-action
 
 
+def _apply(vec: ModuleVector, word, rule: tuple, ar: PolyMemo) -> dict:
+    """The coords of (H_{s_1} + c) ... (H_{s_k} + c) vec, for the rule
+    generator_rule(kind, c), through the memo ar of the caller."""
+    X, coords = vec.X, vec.coords
+    for s in reversed(word):
+        coords = act_generator(coords, X.action, s, X.height2, rule, ar)
+    return coords
+
+
 def act_gen(vec: ModuleVector, s: int) -> ModuleVector:
     """Left action of H_s, by the three-case rule."""
-    X = vec.X
-    return ModuleVector(vec.kind, X, act_generator(vec.coords, X.action, s, X.height2, vec.kind))
+    return act_word(vec, (s,))
 
 
 def act_bar_gen(vec: ModuleVector, s: int) -> ModuleVector:
     """Left action of bar(H_s) = H_s^-1 = H_s + (v^-1 - v)."""
-    X = vec.X
-    return ModuleVector(vec.kind, X, act_generator(vec.coords, X.action, s, X.height2, vec.kind, bar=True))
+    ar = PolyMemo()
+    return ModuleVector(vec.kind, vec.X, _apply(vec, (s,), generator_rule(vec.kind, VINV - V), ar))
 
 
 def act_word(vec: ModuleVector, word) -> ModuleVector:
     """Left action of H_{s_1} ... H_{s_k}."""
-    for s in reversed(word):
-        vec = act_gen(vec, s)
-    return vec
+    ar = PolyMemo()
+    return ModuleVector(vec.kind, vec.X, _apply(vec, word, generator_rule(vec.kind), ar))
 
 
 def act_hecke(vec: ModuleVector, A) -> ModuleVector:
-    """Left action of a Hecke element A (a hecke.HeckeElt of X's system)."""
+    """Left action of a Hecke element A (a hecke.HeckeElt of X's system),
+    every word applied through one memo."""
     word_of = vec.X.system.word_of
-    return _combine(vec.kind, vec.X, ((act_word(vec, word_of(w)).coords, c) for w, c in A.coords.items()))
+    ar = PolyMemo()
+    rule = generator_rule(vec.kind)
+    return _combine(vec.kind, vec.X, ((_apply(vec, word_of(w), rule, ar), c) for w, c in A.coords.items()))
 
 
 def _combine(kind: str, X: ScaledWSet, terms) -> ModuleVector:
@@ -204,29 +221,29 @@ def _bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     # ids refine height, so in id order each fill is one recurrence step
     # from a column already filled
     part = _bar_part(X, kind)
-    for x in range(len(X)):
-        _bar_fill(kind, X, part, x)
+    _bar_fill(kind, X, part, range(len(X)))
     return [part[x] for x in range(len(X))]
 
 
-def _bar_fill(kind: str, X: ScaledWSet, part: dict, x: int) -> None:
-    """Fill part[x] and the columns its recurrence reads: bar M_x =
-    bar(H_s) bar M_sx for the lowest generator s lowering x, down the chain
-    of such steps to a filled column or a minimal point, which keeps M_x.
-    Each entry is the carrier's pooled object (_polys)."""
-    pool = _polys(X)
-    chain = []
-    while x not in part:
-        step = lowest_descent(X.action, X.height2, x)
-        if step is None:
-            part[x] = ModuleVector.standard(kind, X, x)
-            break
-        chain.append((x, step))
-        x = step[1]
-    for y, (s, sy) in reversed(chain):
-        col = part[y] = act_bar_gen(part[sy], s)
-        for p, c in col.coords.items():
-            col.coords[p] = pool.setdefault(c, c)
+def _bar_fill(kind: str, X: ScaledWSet, part: dict, points) -> None:
+    """Fill part[x] for each x of points, and the columns its recurrence
+    reads: bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering
+    x, down the chain of such steps to a filled column or a minimal point,
+    which keeps M_x.  Every entry is computed key by key through one memo
+    for the call, which interns it into the carrier's pool (_polys)."""
+    ar = PolyMemo(_polys(X))
+    rule = generator_rule(kind, VINV - V)  # bar(H_s) = H_s + (v^-1 - v)
+    for x in points:
+        chain = []
+        while x not in part:
+            step = lowest_descent(X.action, X.height2, x)
+            if step is None:
+                part[x] = ModuleVector.standard(kind, X, x)
+                break
+            chain.append((x, step))
+            x = step[1]
+        for y, (s, sy) in reversed(chain):
+            part[y] = ModuleVector(kind, X, act_generator(part[sy].coords, X.action, s, X.height2, rule, ar))
 
 
 def bar_vector(vec: ModuleVector) -> ModuleVector:
@@ -239,8 +256,7 @@ def bar_vector(vec: ModuleVector) -> ModuleVector:
     cols = X.__dict__.get("_barcols", {}).get(kind)
     if cols is None:
         cols = _bar_part(X, kind)
-        for p in vec.coords:
-            _bar_fill(kind, X, cols, p)
+        _bar_fill(kind, X, cols, vec.coords)
         if len(cols) == len(X):
             cols = bar_columns(kind, X)
     return _combine(kind, X, ((cols[p].coords, c.bar()) for p, c in vec.coords.items()))
@@ -281,10 +297,14 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
                      = bar(H_s)^2 bar(M_y) = bar(H_s) bar(M_x).
     Ids refine height, so in id order the raising check at (s, sx) has
     passed before (s, x) is reached, and the lowering case is counted there.
-    The argument holds for the three-case rule, so at every (s, x) act_gen
-    and act_bar_gen must first send M_x where that rule and bar(H_s) = H_s +
-    (v^-1 - v) say; the columns are built with act_bar_gen, and a kernel that
+    The argument holds for the three-case rule, so at every (s, x) the
+    kernel (act_generator, on the rules of H_s and of bar(H_s) = H_s +
+    (v^-1 - v)) must first send M_x where that rule, written out here, says;
+    the columns and the images are built with that kernel, and one that
     broke the quadratic relation could otherwise pass every raising check.
+    Every image is computed key by key through one memo for the call, which
+    interns into the carrier's pool, so it is compared with the pooled
+    columns entry by entry.
 
     The involution is then checked only at the minimal points, those no
     generator lowers.  The commutation gives bar(H_s V) = bar(H_s) bar(V) for
@@ -304,6 +324,12 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     cols = bar_columns(kind, X)
     checked = skipped = 0
     full = X.truncated_at is None
+    ar = PolyMemo(_polys(X))
+    h, b = generator_rule(kind), generator_rule(kind, VINV - V)  # H_s and bar(H_s)
+    eigen = V if kind == "M" else -VINV  # H_s M_x where s keeps the height of x
+    # (H_s M_x, bar(H_s) M_x) as (coefficient of M_sx, of M_x), where s raises, lowers or keeps x
+    three_case = {1: ((ONE, ZERO), (ONE, VINV - V)), -1: ((ONE, V - VINV), (ONE, ZERO)),
+                  0: ((ZERO, eigen), (ZERO, eigen.bar()))}
 
     if full:
         order = bruhat_order(X)
@@ -316,22 +342,18 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
 
     points = X.minimal_elements() if full else range(len(X))
     for x in points:
-        try:
-            bb = bar_vector(cols[x])
-        except TruncationRequired:
-            skipped += 1
-            continue
         checked += 1
-        if bb != ModuleVector.standard(kind, X, x):
+        if _bar_of(cols[x].coords, cols, ar) != {x: ONE}:
             return BarVerdict(False, kind, {"reason": "not an involution", "x": x}, checked, skipped, X.label)
 
     for s in range(X.n_gens):
         for x in range(len(X)):
             try:
                 if full:
-                    ok = _commutes_on_columns(kind, X, cols, s, x)
+                    ok = _commutes_on_columns(X, cols, s, x, (h, b), three_case, ar)
                 else:
-                    ok = bar_vector(act_gen(ModuleVector.standard(kind, X, x), s)) == act_bar_gen(cols[x], s)
+                    image = act_generator(cols[x].coords, X.action, s, X.height2, b, ar)
+                    ok = _bar_of(act_generator({x: ONE}, X.action, s, X.height2, h, ar), cols, ar) == image
             except TruncationRequired:
                 skipped += 1
                 continue
@@ -346,22 +368,39 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     return BarVerdict(True, kind, None, checked, skipped, X.label)
 
 
-def _commutes_on_columns(kind: str, X: ScaledWSet, cols: list[ModuleVector], s: int, x: int) -> bool:
+def _bar_of(coords: dict, cols: list[ModuleVector], ar: PolyMemo) -> dict:
+    """bar of the vector coords, the sum of bar(c) cols[w] over its entries
+    (w, c), key by key through ar."""
+    add, mul, out = ar.add, ar.mul, {}
+    for w, c in coords.items():
+        b = ar.intern(c.bar())
+        for k, e in cols[w].coords.items():
+            if (t := add(out.get(k, ZERO), mul(b, e))) is ZERO:
+                del out[k]
+            else:
+                out[k] = t
+    return out
+
+
+def _commutes_on_columns(X: ScaledWSet, cols: list[ModuleVector], s: int, x: int, rules, three_case, ar) -> bool:
     """bar(H_s M_x) = bar(H_s) bar(M_x) on an untruncated carrier, as a
-    comparison of columns, after the two kernels are checked on M_x against
-    the three-case rule (see verify_bar_operator)."""
+    comparison of columns, after the kernel is checked on M_x, for the
+    rules of H_s and bar(H_s), against the three-case rule written out in
+    three_case (see verify_bar_operator)."""
     sx = X.action[s][x]
     d = X.height2[sx] - X.height2[x]
-    eigen = V if kind == "M" else -VINV  # H_s M_x where s keeps the height of x
-    rule = {sx: ONE} if d > 0 else {sx: ONE, x: V - VINV} if d < 0 else {x: eigen}
-    if act_generator({x: ONE}, X.action, s, X.height2, kind) != rule:
-        return False
-    if act_generator({x: ONE}, X.action, s, X.height2, kind, bar=True) != add_scaled(rule, {x: ONE}, VINV - V):
-        return False
+    expect = three_case[(d > 0) - (d < 0)]
+    for rule, (at_sx, at_x) in zip(rules, expect):
+        std = {k: c for k, c in ((sx, at_sx), (x, at_x)) if c is not ZERO}  # sx = x where s keeps the height
+        if act_generator({x: ONE}, X.action, s, X.height2, rule, ar) != std:
+            return False
     if d < 0:
         return True  # follows from the raising check at (s, sx)
-    image = act_generator(cols[x].coords, X.action, s, X.height2, kind, bar=True)
-    return image == (cols[sx].coords if d > 0 else add_scaled({}, cols[x].coords, eigen.bar()))
+    image = act_generator(cols[x].coords, X.action, s, X.height2, rules[1], ar)
+    if d > 0:
+        return image == cols[sx].coords
+    mul, scale = ar.mul, expect[1][1]  # the conjugate eigenvalue
+    return image == {k: mul(scale, c) for k, c in cols[x].coords.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +415,13 @@ class CanonicalTable:
     def __init__(self, kind: str, X: ScaledWSet):
         self.kind = kind
         self.X = X
-        p, mu = canonical_columns(kind, X.action, X.height2)
-        # the one store, shared with every caller: read-only; each entry is
-        # the carrier's pooled object (_polys)
+        # each entry is the carrier's pooled object (_polys), pooled as the
+        # solve makes it
+        p, mu = canonical_columns(kind, X.action, X.height2, _polys(X))
+        # the one store, shared with every caller: read-only
         self.cols: list[dict[int, LaurentPoly]] = [{} for _ in range(len(X))]
-        pool = _polys(X)
         for (x, y), c in p.items():
-            self.cols[y][x] = pool.setdefault(c, c)
+            self.cols[y][x] = c
         self.mus: list[dict[int, int]] = [{} for _ in range(len(X))]
         for (x, y), m in mu.items():
             self.mus[y][x] = m
@@ -494,14 +533,15 @@ def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
     u[sk] = v^(+-1) u[k] as s raises or lowers k, and no k is level for N),
     else C_sx (where s raises x) plus the sum of mu(w, x) C_w over the
     w <= x that s descends, both sides summed per key through a PolyMemo
-    per generator that holds the carrier's pool first."""
+    per generator that interns into a copy of the carrier's pool, so the
+    check's sums stay out of it."""
     X = table.X
     h2 = X.height2
     order = bruhat_order(X)
     weak = table.kind == "M"  # M descends weakly, N strictly
     level, consts = V + VINV, {}  # the left side's factor at a level key (M); mu -> its polynomial
     for s in range(X.n_gens):
-        ar = PolyMemo(_polys(X))  # one per generator: fewer values are held at a time
+        ar = PolyMemo(dict(_polys(X)))  # one per generator: fewer values are held at a time
         shift, add, mul, row = ar.shift, ar.add, ar.mul, X.action[s]
         for x, u in enumerate(table.cols):
             d = h2[row[x]] - h2[x]
@@ -744,6 +784,8 @@ def primed_basis(
         return vectors, CheckVerdict(False, "primed-phi", {"phi": certified.name, **(certified.failure or {})})
     eps = phi.eps
     weak = src.kind == "M"  # the descent of the other kind's solve
+    ar = PolyMemo()
+    bar_rule = generator_rule(kind, VINV - V)
     for y, u in enumerate(vectors):
         if u.coeff(y) != ONE:
             return vectors, CheckVerdict(False, "primed-unitriangular", {"y": y})
@@ -756,7 +798,7 @@ def primed_basis(
         else:  # Phi(C_y) from Phi(C_sy) = eps_sy u_sy and the Phi(C_w) = eps_w u_w
             s, sy = step
             prev = add_scaled({}, vectors[sy].coords, eps[sy])
-            image = add_scaled({}, act_generator(prev, X.action, s, h2, kind, bar=True), -1)
+            image = add_scaled({}, act_generator(prev, X.action, s, h2, bar_rule, ar), -1)
             add_scaled(image, prev, VINV)
             for w, c in src.cols[sy].items():
                 d = h2[X.action[s][w]] - h2[w]

@@ -5,15 +5,17 @@ integer coefficient; the zero polynomial is the empty map.  Coefficients are
 plain Python ints, so they are arbitrary precision and cannot overflow
 silently.  Values are immutable after construction and safe to share.
 
-Sparse vectors {key: LaurentPoly} share one in-place kernel, add_scaled; on
-them act the H_s rule of M(X) and N(X) and the canonical solve built on it.
+Sparse vectors {key: LaurentPoly} share one in-place kernel, add_scaled.
 A sum of many scaled vectors over few distinct values (a bar operator
 applied to a vector, a Hecke product) goes through lincomb instead, which
-computes each distinct (scalar, entry) product once per call, and a check
-that redoes the same polynomial arithmetic many times goes through a
-PolyMemo made for that call.  Both key their memos by id, so both hold every
-operand they key until they are dropped: an id is never reused while its
-memo lives, and nothing of either outlives its call.
+computes each distinct (scalar, entry) product once per call.  Arithmetic
+that redoes the same polynomial operations many times goes through a
+PolyMemo made for that call, which interns its results into a pool: the
+H_s rule of M(X) and N(X) (act_generator, applying H_s + c key by key, for
+the bar columns, the bar verdict and the canonical solve built on it) and
+the table checks.  Both key their memos by id, so both hold every operand
+they key until they are dropped: an id is never reused while its memo
+lives, and no memo outlives its call.
 
 >>> p = V - V**-1
 >>> print(p * (V + V**-1))
@@ -291,14 +293,15 @@ def lincomb(terms) -> dict:
 
 class PolyMemo:
     """Polynomial arithmetic within one computation, each distinct operation
-    done once.  Results are interned by value, so two results are equal
-    exactly when they are the same object.  Operations are memoized by the
-    ids of their operands, and the memo holds every operand it has keyed, so
-    no id is reused while it lives.  An operand from outside (a perturbed
-    table entry) is keyed by its own id and never taken for another; intern
-    maps it to the pooled object of its value.  The values of pool, if
-    given, are interned first.  Make one per call and let it die with the
-    call.
+    done once.  Results are interned by value into pool (a fresh dict if
+    none is given), so two results are equal exactly when they are the same
+    object; interning into a carrier's pool makes every result the pooled
+    object its tables share.  Operations are memoized by the ids of their
+    operands, and the memo holds every operand it has keyed, so no id is
+    reused while it lives.  An operand from outside (a perturbed table
+    entry) is keyed by its own id and never taken for another; intern maps
+    it to the pooled object of its value.  Make one per call and let it die
+    with the call; the pool outlives it.
 
     >>> ar = PolyMemo()
     >>> ar.add(ar.shift(V, 1), ar.intern(ONE)) is ar.intern(v_power(2) + 1)
@@ -307,8 +310,9 @@ class PolyMemo:
 
     __slots__ = ("_pool", "_held", "_shifts", "_sums", "_products")
 
-    def __init__(self, pool=()):
-        self._pool = {**dict(zip(pool, pool)), ZERO: ZERO}
+    def __init__(self, pool: dict | None = None):
+        self._pool = {} if pool is None else pool
+        self._pool[ZERO] = ZERO  # a zero result is ZERO itself
         self._held = []
         self._shifts, self._sums, self._products = {}, {}, {}
 
@@ -338,40 +342,61 @@ class PolyMemo:
         return self._keep(self._products, key, (a, b), a * b) if r is None else r
 
 
-def act_generator(coords: dict, action, s: int, height2, kind: str, bar: bool = False) -> dict:
-    """H_s applied to a sparse vector over the standard basis of M(X) or N(X),
-    X given by its action rows and doubled heights.  The three-case rule:
-    H_s M_x is M_sx where s raises x, M_sx + (v - v^-1) M_x where s lowers x,
-    and v M_x (kind M) or -v^-1 N_x (kind N) where s keeps the height of x.
+def generator_rule(kind: str, c: LaurentPoly = ZERO) -> tuple:
+    """The three-case rule of H_s + c on M(X) or N(X), as the coefficients
+    (raising, lowering, level) that act_generator reads.  H_s M_k is M_sk
+    where s raises k, M_sk + (v - v^-1) M_k where s lowers k, and v M_k
+    (kind M) or -v^-1 N_k (kind N) where s keeps the height of k; c adds
+    c M_k to each.  A zero coefficient is ZERO itself.
 
-    With bar, bar(H_s) = H_s + (v^-1 - v) instead, in one pass: M_sx +
-    (v^-1 - v) M_x where s raises x, M_sx where s lowers x, and v^-1 M_x (M)
-    or -v N_x (N) where s keeps the height of x."""
-    row = action[s]
-    out, moved, level = {}, {}, {}  # M_sx for each moved x; the M_x that s lowers (raises, with bar); those it keeps
-    for x, c in coords.items():
-        y = row[x]
-        if y is None:
-            raise TruncationRequired(f"generator {s} leaves the carrier at point {x}")
-        if height2[y] == height2[x]:
-            level[x] = c
+    bar(H_s) = H_s^-1 is H_s + (v^-1 - v), and the canonical solve applies
+    H_s + v^-1.  Build a rule once per computation, not per vector."""
+    eigen = V if kind == "M" else -VINV
+    return tuple(a or ZERO for a in (c, V - VINV + c, eigen + c))
+
+
+def act_generator(coords: dict, action, s: int, height2, rule: tuple, ar: PolyMemo) -> dict:
+    """(H_s + c) applied to a sparse vector over the standard basis of M(X)
+    or N(X), X given by its action rows and doubled heights, for the rule
+    (up, down, level) = generator_rule(kind, c).  Key by key: the image at
+    k is coords[sk] + up coords[k] where s raises k, coords[sk] + down
+    coords[k] where s lowers k, and level coords[k] where s keeps the
+    height of k.  Every entry is an entry of coords or a result of ar, so
+    on pooled coords every entry is pooled, and no entry is zero."""
+    up, down, level = rule
+    row, add, mul = action[s], ar.add, ar.mul
+    out = {}
+    for k, c in coords.items():
+        sk = row[k]
+        if sk is None:
+            raise TruncationRequired(f"generator {s} leaves the carrier at point {k}")
+        d = height2[sk] - height2[k]
+        if not d:
+            if level is not ZERO:
+                out[k] = mul(level, c)
+            continue
+        a = up if d > 0 else down
+        t = ZERO if a is ZERO else mul(a, c)
+        q = coords.get(sk)
+        if q is None:
+            out[sk] = c  # the image at sk is coords[k]
         else:
-            out[y] = c
-            if (height2[y] < height2[x]) != bar:
-                moved[x] = c
-    add_scaled(out, moved, VINV - V if bar else V - VINV)
-    if kind == "M":
-        return add_scaled(out, level, VINV if bar else V)
-    return add_scaled(out, level, -V if bar else -VINV)
+            t = q if t is ZERO else add(q, t)
+        if t is not ZERO:
+            out[k] = t
+    return out
 
 
-def canonical_columns(kind: str, action, height2) -> tuple[dict, dict]:
+def canonical_columns(kind: str, action, height2, pool: dict | None = None) -> tuple[dict, dict]:
     """The canonical basis C_y = sum p[x, y] M_x of M(X) or N(X), X given by
     its action rows and doubled heights (ids refining height).  A minimal
     point keeps C_y = M_y; otherwise, with s the lowest generator lowering y,
     the multiplication theorem gives C_y = (H_s + v^-1) C_sy - sum mu(w, sy) C_w
     over the w < sy that s descends, weakly for M and strictly for N.
-    Returns p keyed (x, y) and the nonzero mu[x, y] = [v^-1] p[x, y].
+    Returns p keyed (x, y) and the nonzero mu[x, y] = [v^-1] p[x, y].  Each
+    entry is computed key by key through one PolyMemo for the call, which
+    interns into pool (a carrier's pool, so the entries are pooled as they
+    are made).
 
     The certificate does not rest on that identity: each column must hold 1
     at y, no entry above id y and all others in v^-1 Z[v^-1], else
@@ -383,20 +408,27 @@ def canonical_columns(kind: str, action, height2) -> tuple[dict, dict]:
     v^-1 Z[v^-1], whose entry at its highest id is then bar-fixed, hence zero:
     each column is the unique canonical one.
     """
+    ar = PolyMemo(pool)
+    add, mul, one = ar.add, ar.mul, ar.intern(ONE)
+    rule = generator_rule(kind, VINV)  # H_s + v^-1
     weak = kind == "M"  # s descends w weakly for M, strictly for N
     cols, mus, p, mu = [], [], {}, {}  # per y: C_y and its mu-coefficients; the tables returned
     for y in range(len(height2)):
         step = lowest_descent(action, height2, y)
         if step is None:
-            col = {y: ONE}
+            col = {y: one}
         else:
             s, sy = step
-            col = act_generator(cols[sy], action, s, height2, kind)
-            add_scaled(col, cols[sy], VINV)
+            col = act_generator(cols[sy], action, s, height2, rule, ar)
             for w, m in mus[sy].items():
                 d = height2[action[s][w]] - height2[w]
                 if d < 0 or (weak and d == 0):
-                    add_scaled(col, cols[w], -m)
+                    scale = ar.intern(LaurentPoly.const(-m))  # pooled, so one object per m
+                    for k, c in cols[w].items():
+                        if (t := add(col.get(k, ZERO), mul(scale, c))) is ZERO:
+                            del col[k]
+                        else:
+                            col[k] = t
         if col.get(y) != ONE or any(x > y or x != y and max(c.terms) >= 0 for x, c in col.items()):
             raise ConsistencyError(f"canonical {kind}-column {y} is not unitriangular in v^-1 Z[v^-1]")
         cols.append(col)

@@ -51,14 +51,16 @@ def build_wgraph(table: CanonicalTable) -> WGraph:
             moves.append((s, h2[y] - h2[x]))
         # m: the generators that weakly lower x; n: those that weakly raise it
         tau.append(frozenset(s for s, d in moves if (d <= 0 if kind == "m" else d >= 0)))
+    # a weight is nonzero only where mu(x, y) or mu(y, x) is: visit those
+    # pairs in (x, y) order, both ways round
+    pairs = sorted({pair for y, mus in enumerate(table.mus) for x in mus for pair in ((x, y), (y, x))})
     omega: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        for y in range(n):
-            if x == y or tau[x] <= tau[y]:
-                continue
-            w = table.mu_of(x, y) + table.mu_of(y, x)
-            if w:
-                omega[(x, y)] = w
+    for x, y in pairs:
+        if x == y or tau[x] <= tau[y]:
+            continue
+        w = table.mu_of(x, y) + table.mu_of(y, x)
+        if w:
+            omega[(x, y)] = w
     return WGraph(kind, X, tau, omega, X.n_gens)
 
 

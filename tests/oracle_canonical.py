@@ -25,10 +25,17 @@ scan every x (or every pair) and read mu from an (x, y)-keyed map.  Their
 parity check also ties that map to the v^-1 coefficients of the table, as
 verify_parity does, so that the two refuse the same tables.
 
+fold_act_generator is the H_s and bar(H_s) kernel as the package ran it
+before it applied H_s + c key by key through a memo: it gathers the moved
+and the level coordinates and adds each group with one add_scaled.
+fold_bar_columns, fold_bar_verdict and fold_canonical_columns are the bar
+recurrence, the bar verdict and the canonical solve on that kernel and
+add_scaled, with no pooling.
+
 fold_multiplication is verify_multiplication as the package ran it before
 it compared the two sides key by key: it builds (H_s + v^-1) C_x with the
-H_s rule (act_generator) and the right side with one add_scaled per term,
-and compares the two vectors.
+H_s rule (fold_act_generator) and the right side with one add_scaled per
+term, and compares the two vectors.
 
 fold_combine is the sum of c * vec over (vec, c) pairs as the package formed
 it before laurent.lincomb: one add_scaled per pair, every product computed
@@ -53,8 +60,8 @@ from qpcox.barcanon import (
     verify_bar_operator,
 )
 from qpcox.errors import ConsistencyError, TruncationRequired
-from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, act_generator, add_scaled, v_power
-from qpcox.qpsets import bruhat_order, check_quasiparabolic
+from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, add_scaled, v_power
+from qpcox.qpsets import bruhat_order, check_quasiparabolic, lowest_descent
 
 from oracle_qpsets import payloads
 
@@ -81,7 +88,7 @@ def fold_multiplication(table):
     for s in range(X.n_gens):
         for x in range(len(X)):
             u = table.cols[x]
-            lhs = act_generator(u, X.action, s, h2, table.kind)
+            lhs = fold_act_generator(u, X.action, s, h2, table.kind)
             add_scaled(lhs, u, VINV)
             sx = X.action[s][x]
             if descends(s, x):
@@ -94,6 +101,123 @@ def fold_multiplication(table):
             if lhs != rhs:
                 return CheckVerdict(False, "multiplication", {"s": s, "x": x})
     return CheckVerdict(True, "multiplication")
+
+
+def fold_act_generator(coords, action, s, height2, kind, bar=False):
+    """H_s applied to a sparse vector by the three-case rule: M_sx where s
+    raises x, M_sx + (v - v^-1) M_x where s lowers x, and v M_x (kind M) or
+    -v^-1 N_x (kind N) where s keeps the height of x.  With bar, bar(H_s) =
+    H_s + (v^-1 - v) in one pass: M_sx + (v^-1 - v) M_x where s raises x,
+    M_sx where s lowers x, and v^-1 M_x (M) or -v N_x (N) where s keeps the
+    height of x."""
+    row = action[s]
+    out, moved, level = {}, {}, {}  # M_sx for each moved x; the M_x that s lowers (raises, with bar); those it keeps
+    for x, c in coords.items():
+        y = row[x]
+        if y is None:
+            raise TruncationRequired(f"generator {s} leaves the carrier at point {x}")
+        if height2[y] == height2[x]:
+            level[x] = c
+        else:
+            out[y] = c
+            if (height2[y] < height2[x]) != bar:
+                moved[x] = c
+    add_scaled(out, moved, VINV - V if bar else V - VINV)
+    if kind == "M":
+        return add_scaled(out, level, VINV if bar else V)
+    return add_scaled(out, level, -V if bar else -VINV)
+
+
+def fold_bar_columns(kind, X):
+    """The bar columns by the recurrence bar M_x = bar(H_s) bar M_sx, s the
+    lowest generator lowering x, each step one fold_act_generator."""
+    cols = []
+    for x in range(len(X)):
+        step = lowest_descent(X.action, X.height2, x)
+        if step is None:
+            cols.append({x: ONE})
+        else:
+            s, sx = step
+            cols.append(fold_act_generator(cols[sx], X.action, s, X.height2, kind, bar=True))
+    return [ModuleVector(kind, X, col) for col in cols]
+
+
+def _fold_bar(coords, cols):
+    """bar of the vector coords, one add_scaled per entry."""
+    return fold_combine((cols[w].coords, c.bar()) for w, c in coords.items())
+
+
+def fold_bar_verdict(kind, X):
+    """verify_bar_operator on the package's bar columns, its kernel checks,
+    images and sums formed by fold_act_generator and add_scaled."""
+    verdict = check_quasiparabolic(X)
+    if not verdict.is_qp:
+        return BarVerdict(False, kind, {"reason": "not quasiparabolic", **(verdict.witness() or {})})
+    cols = bar_columns(kind, X)
+    checked = skipped = 0
+    full = X.truncated_at is None
+    if full:
+        order = bruhat_order(X)
+        for x in range(len(X)):
+            col = cols[x]
+            if col.coeff(x) != ONE or any(not order.lt(w, x) for w in col.coords if w != x):
+                return BarVerdict(False, kind, {"reason": "not unitriangular", "x": x}, checked, skipped, X.label)
+    points = X.minimal_elements() if full else range(len(X))
+    for x in points:
+        checked += 1
+        if _fold_bar(cols[x].coords, cols) != {x: ONE}:
+            return BarVerdict(False, kind, {"reason": "not an involution", "x": x}, checked, skipped, X.label)
+    eigen = V if kind == "M" else -VINV
+    for s in range(X.n_gens):
+        for x in range(len(X)):
+            try:
+                image = fold_act_generator(cols[x].coords, X.action, s, X.height2, kind, bar=True)
+                if full:
+                    sx = X.action[s][x]
+                    d = X.height2[sx] - X.height2[x]
+                    rule = {sx: ONE} if d > 0 else {sx: ONE, x: V - VINV} if d < 0 else {x: eigen}
+                    ok = fold_act_generator({x: ONE}, X.action, s, X.height2, kind) == rule and fold_act_generator(
+                        {x: ONE}, X.action, s, X.height2, kind, bar=True) == add_scaled(dict(rule), {x: ONE}, VINV - V)
+                    if ok and d >= 0:
+                        ok = image == (cols[sx].coords if d > 0 else add_scaled({}, cols[x].coords, eigen.bar()))
+                else:
+                    ok = _fold_bar(fold_act_generator({x: ONE}, X.action, s, X.height2, kind), cols) == image
+            except TruncationRequired:
+                skipped += 1
+                continue
+            checked += 1
+            if not ok:
+                return BarVerdict(
+                    False, kind, {"reason": "incompatible with H_s", "s": s, "x": x}, checked, skipped, X.label)
+    if full:
+        checked += len(X) - len(points)
+    return BarVerdict(True, kind, None, checked, skipped, X.label)
+
+
+def fold_canonical_columns(kind, action, height2):
+    """laurent.canonical_columns with each column formed by
+    fold_act_generator and add_scaled, and nothing pooled."""
+    weak = kind == "M"
+    cols, mus, p, mu = [], [], {}, {}
+    for y in range(len(height2)):
+        step = lowest_descent(action, height2, y)
+        if step is None:
+            col = {y: ONE}
+        else:
+            s, sy = step
+            col = fold_act_generator(cols[sy], action, s, height2, kind)
+            add_scaled(col, cols[sy], VINV)
+            for w, m in mus[sy].items():
+                d = height2[action[s][w]] - height2[w]
+                if d < 0 or (weak and d == 0):
+                    add_scaled(col, cols[w], -m)
+        if col.get(y) != ONE or any(x > y or x != y and max(c.terms) >= 0 for x, c in col.items()):
+            raise ConsistencyError(f"canonical {kind}-column {y} is not unitriangular in v^-1 Z[v^-1]")
+        cols.append(col)
+        mus.append({x: c.terms[-1] for x, c in col.items() if -1 in c.terms})
+        p.update(((x, y), c) for x, c in col.items())
+        mu.update(((x, y), m) for x, m in mus[y].items())
+    return p, mu
 
 
 class SkewViolation(Exception):

@@ -49,6 +49,9 @@ from oracle_canonical import (
     brute_force_canonical,
     closed_form_bar_columns,
     composed_bar_gen,
+    fold_bar_columns,
+    fold_bar_verdict,
+    fold_canonical_columns,
     fold_multiplication,
     full_bar_verdict,
     full_phi_verdict,
@@ -200,11 +203,13 @@ def _truncated_u3_classes(cutoffs=(5, 7)):
 
 
 def _pooled(X) -> bool:
-    """Whether the bar columns of both kinds on X hold one object per
-    distinct polynomial (the carrier's pool, which its tables share)."""
-    pool = {}
-    return all(pool.setdefault(c, c) is c for kind in ("M", "N") for col in bar_columns(kind, X)
-               for c in col.coords.values())
+    """Whether the bar columns of both kinds on X, and the canonical tables
+    of the kinds whose bar operator is certified, hold the carrier's pooled
+    object for every value: one object per distinct polynomial."""
+    pool = barcanon._polys(X)
+    cols = [col.coords for kind in ("M", "N") for col in bar_columns(kind, X)]
+    cols += [col for kind in ("M", "N") if verify_bar_operator(kind, X).ok for col in canonical_basis(kind, X).cols]
+    return all(pool.get(c) is c for col in cols for c in col.values())
 
 
 def test_truncated_bar_columns_match_witness_replay():
@@ -342,18 +347,28 @@ def test_truncated_checks_match_full_oracle():
             assert _matches_oracles(kind, X), (seed, cutoff, kind)
 
 
-def _mutated_solve(old, new):
-    """laurent.canonical_columns with one line of its source replaced."""
-    source = inspect.getsource(laurent.canonical_columns)
+def _mutated(name, old, new):
+    """The function name of laurent with one line of its source replaced."""
+    source = inspect.getsource(getattr(laurent, name))
     assert old in source
     namespace = dict(vars(laurent))
     exec(source.replace(old, new), namespace)
-    return namespace["canonical_columns"]
+    return namespace[name]
 
 
+def _mutated_solve(old, new):
+    """laurent.canonical_columns with one line of its source replaced."""
+    return _mutated("canonical_columns", old, new)
+
+
+# each id names the line a mutation replaced in the add_scaled solve and
+# kernel, which tests/oracle_canonical.py keeps as fold_canonical_columns
+# and fold_act_generator
 @pytest.mark.parametrize("old, new, kind", [
-    ("add_scaled(col, cols[w], -m)", "pass", "M"),  # no mu correction
-    ("add_scaled(col, cols[w], -m)", "pass", "N"),
+    pytest.param("for k, c in cols[w].items():", "for k, c in ():", "M",  # no mu correction
+                 id="add_scaled(col, cols[w], -m)-pass-M"),
+    pytest.param("for k, c in cols[w].items():", "for k, c in ():", "N",
+                 id="add_scaled(col, cols[w], -m)-pass-N"),
     ('weak = kind == "M"', "weak = False", "M"),  # strict descent for M
 ])
 def test_broken_solve_is_refused_by_its_certificate(old, new, kind):
@@ -369,6 +384,7 @@ def test_bar_broken_off_the_minima_is_refused():
     cols[top] = cols[top] + M(X, 0).scale(VINV)  # still unitriangular
     verdict = verify_bar_operator("M", X)
     assert not verdict.ok and verdict.failure["reason"] == "incompatible with H_s"
+    assert fold_bar_verdict("M", X) == verdict
     assert full_bar_verdict("M", X).failure == {"reason": "not an involution", "x": top}
 
 
@@ -380,6 +396,7 @@ def test_bar_broken_at_a_twisted_involution_minimum_is_refused():
         cols[x0] = cols[x0].scale(V)
         verdict = verify_bar_operator(kind, X)
         assert not verdict.ok and verdict.failure["x"] == x0
+        assert fold_bar_verdict(kind, X) == verdict
 
 
 def test_phi_on_a_bar_column_broken_off_the_minima_is_refused():
@@ -430,6 +447,59 @@ def test_truncated_verdicts_match_vector_oracles():
                 assert table_checks(kind, X) == pair_table_checks(table), (seed, cutoff, kind)
 
 
+def _qp_carriers(name):
+    return [X for X in _untruncated_carriers(build_system(name)) if check_quasiparabolic(X).is_qp]
+
+
+def _matches_fold_oracles(kind, X):
+    """Whether the bar columns, the bar verdict (its counts and witness too)
+    and, where that passes, the canonical table equal by value the ones the
+    add_scaled kernel they replaced builds, with nothing pooled."""
+    verdict = verify_bar_operator(kind, X)
+    if bar_columns(kind, X) != fold_bar_columns(kind, X) or verdict != fold_bar_verdict(kind, X):
+        return False
+    if not verdict.ok:
+        return True
+    table = canonical_basis(kind, X)
+    return (table_entries(table.cols), table_entries(table.mus)) == fold_canonical_columns(kind, X.action, X.height2)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)"])
+def test_key_by_key_kernels_match_the_fold_oracles(name):
+    carriers = _qp_carriers(name)
+    assert carriers
+    for X in carriers:
+        for kind in ("M", "N"):
+            assert _matches_fold_oracles(kind, X), (X, kind)
+        assert _pooled(X), X
+
+
+def test_truncated_key_by_key_kernels_match_the_fold_oracles():
+    for seed, cutoff, X in _truncated_u3_classes((5, 6, 7)):
+        for kind in ("M", "N"):
+            assert _matches_fold_oracles(kind, X), (seed, cutoff, kind)
+        assert _pooled(X), (seed, cutoff)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_bar_stages_and_tables_form_no_vector_sum(name, monkeypatch):
+    # the bar columns, the bar verdict and both canonical tables are built
+    # key by key through a memo: neither vector kernel runs
+    def fail(*args, **kw):
+        pytest.fail("a vector sum ran")
+
+    carriers = _qp_carriers(name)  # fresh carriers: none of their stages is built
+    assert carriers
+    for module in (barcanon, laurent):
+        for kernel in ("add_scaled", "lincomb"):
+            monkeypatch.setattr(module, kernel, fail)
+    for X in carriers:
+        for kind in ("M", "N"):
+            assert len(bar_columns(kind, X)) == len(X)
+            assert verify_bar_operator(kind, X).ok, (X, kind)
+            assert canonical_basis(kind, X).kind == kind
+
+
 def test_bar_kernel_is_its_definition():
     # act_bar_gen applies bar(H_s) in one pass; it must equal H_s + (v^-1 - v)
     # built from the H_s rule, on vectors with polynomial coefficients too
@@ -450,23 +520,22 @@ def test_bar_kernel_is_its_definition():
                     assert act_bar_gen(vec, s) == expect, (X, kind, s, vec)
 
 
-def _mutated_kernel(old, new):
-    """laurent.act_generator with one line of its source replaced."""
-    source = inspect.getsource(laurent.act_generator)
-    assert old in source
-    namespace = dict(vars(laurent))
-    exec(source.replace(old, new), namespace)
-    return namespace["act_generator"]
+def _mutated_kernel(name, old, new, monkeypatch):
+    """Plant barcanon's act_generator or generator_rule with one line of its
+    source replaced: the bar columns, the bar verdict and act_gen and
+    act_bar_gen then run on it, and laurent's canonical solve does not."""
+    monkeypatch.setattr(barcanon, name, _mutated(name, old, new))
 
 
 def test_bar_broken_off_the_recurrence_is_refused(monkeypatch):
-    # a bar(H_s) kernel that drops the coefficient of each coordinate it moves
-    # is right on every standard vector, and the columns are built with it, so
-    # every recurrence step holds: the broken columns show only at a raising
-    # edge (s, x) that is not the recurrence step of sx.  The parent's loop
-    # refuses them with the same reason.
-    broken = _mutated_kernel("moved[x] = c", "moved[x] = c if not bar else ONE")
-    monkeypatch.setattr(barcanon, "act_generator", broken)
+    # a bar(H_s) kernel that drops the coefficient of each coordinate it
+    # raises (multiplying v^-1 - v by 1 in its place) is right on every
+    # standard vector, and the columns are built with it, so every
+    # recurrence step holds: the broken columns show only at a raising edge
+    # (s, x) that is not the recurrence step of sx.  H_s has no raising
+    # coefficient, so its rule is unchanged.  The parent's loop refuses them
+    # with the same reason.
+    _mutated_kernel("act_generator", "mul(a, c)", "mul(a, c if d < 0 else ONE)", monkeypatch)
     X = regular_set(build_system("A3"))
     for kind in ("M", "N"):
         verdict = verify_bar_operator(kind, X)
@@ -477,21 +546,27 @@ def test_bar_broken_off_the_recurrence_is_refused(monkeypatch):
         assert vector_bar_verdict(kind, X).failure["reason"] == "incompatible with H_s"
 
 
-@pytest.mark.parametrize("old, new, carrier", [
-    # a wrong raising coefficient: the raising checks alone pass it on the
-    # regular carrier, where no generator keeps a height
-    ("VINV - V if bar else V - VINV", "VINV if bar else V - VINV", regular_set),
-    ("VINV - V if bar else V - VINV", "VINV if bar else V - VINV", lambda W: coset_set(W, [1])),
-    # the H_s eigenvalue where bar(H_s)'s belongs
-    ("VINV if bar else V)", "V)", lambda W: coset_set(W, [1])),
+@pytest.mark.parametrize("old, new, carrier, edge", [  # ids as for the broken solve
+    # a wrong raising coefficient of bar(H_s) = H_s + c (v^-1, not v^-1 - v;
+    # H_s has c = 0): the raising checks alone pass it on the regular
+    # carrier, where no generator keeps a height.  It is refused at the
+    # first raising edge
+    pytest.param("(c, V - VINV + c", "(c and VINV, V - VINV + c", regular_set, (0, 0),
+                 id="VINV - V if bar else V - VINV-VINV if bar else V - VINV-regular_set"),
+    pytest.param("(c, V - VINV + c", "(c and VINV, V - VINV + c", lambda W: coset_set(W, [1]), (0, 0),
+                 id="VINV - V if bar else V - VINV-VINV if bar else V - VINV-<lambda>"),
+    # the H_s eigenvalue where bar(H_s)'s belongs, refused at the first
+    # edge where s keeps the height
+    pytest.param("eigen + c)", "eigen)", lambda W: coset_set(W, [1]), (0, 4), id="VINV if bar else V)-V)-<lambda>"),
 ])
-def test_bar_kernel_broken_on_standard_vectors_is_refused(monkeypatch, old, new, carrier):
-    # the comparisons rest on the three-case rule, so the kernels are checked
-    # against it on every standard vector; the parent's loop refuses these too
-    monkeypatch.setattr(barcanon, "act_generator", _mutated_kernel(old, new))
+def test_bar_kernel_broken_on_standard_vectors_is_refused(monkeypatch, old, new, carrier, edge):
+    # the comparisons rest on the three-case rule, so the kernel is checked
+    # against it on every standard vector, for the rules of H_s and of
+    # bar(H_s) alike; the parent's loop refuses these too, at the same edge
+    _mutated_kernel("generator_rule", old, new, monkeypatch)
     X = carrier(build_system("A3"))
     verdict = verify_bar_operator("M", X)
-    assert not verdict.ok and verdict.failure["reason"] == "incompatible with H_s"
+    assert verdict.failure == {"reason": "incompatible with H_s", "s": edge[0], "x": edge[1]}
     assert vector_bar_verdict("M", X).failure["reason"] == "incompatible with H_s"
 
 

@@ -580,9 +580,9 @@ def _count_stages(monkeypatch):
     counts = {"solves": 0, "bar_matrices": 0}
     solve, fill = barcanon.canonical_columns, barcanon._bar_columns
 
-    def counted_solve(kind, action, height2):
+    def counted_solve(kind, action, height2, pool=None):
         counts["solves"] += 1
-        return solve(kind, action, height2)
+        return solve(kind, action, height2, pool)
 
     def counted_fill(kind, X):
         counts["bar_matrices"] += 1

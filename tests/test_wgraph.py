@@ -208,3 +208,29 @@ def test_dot_and_json_exports():
     assert d["quasi_admissible"] is True
     assert len(d["vertices"]) == 6
     assert all(len(e) == 3 for e in d["edges"])
+
+
+def pair_scan_omega(table, tau):
+    """The edge weights of build_wgraph as it formed them before it read
+    only the nonzero mu: every ordered pair, in (x, y) order."""
+    n = len(tau)
+    omega = {}
+    for x in range(n):
+        for y in range(n):
+            if x != y and not tau[x] <= tau[y]:
+                w = table.mu_of(x, y) + table.mu_of(y, x)
+                if w:
+                    omega[(x, y)] = w
+    return omega
+
+
+def test_weights_from_the_nonzero_mu_match_the_pair_scan():
+    # the same items in the same order, so cells, JSON and DOT are unchanged
+    carriers = [regular_set(build_system(name)) for name in ("A3", "B3", "H3", "A4")]
+    carriers += [coset_set(build_system("B3"), [0]), fpf_class(build_system("A5"))]
+    for X in carriers:
+        for kind in ("M", "N"):
+            table = canonical_basis(kind, X)
+            G = build_wgraph(table)
+            assert list(G.omega.items()) == list(pair_scan_omega(table, G.tau).items()), (X, kind)
+            assert G.omega, (X, kind)
