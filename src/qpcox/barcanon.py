@@ -29,6 +29,11 @@ The bar columns, the bar verdict and the canonical solve apply H_s + c
 key by key with laurent.act_generator, through one PolyMemo per call that
 interns into the carrier's pool (_polys): each entry is the pooled object
 of its value when it is made, and the verdict compares pooled entries.
+Every sum of scaled columns in a check (the bar of a vector in the bar
+verdict, the right side of the multiplication theorem, the primed image
+and the inversion columns) is one laurent.combine, key by key through such
+a memo; the checks after the bar verdict give it a copy of the pool, so
+their sums stay out of it.
 
 The carrier is the cache of its own stages: the bar columns, bar verdict,
 canonical table and table checks of each kind (X._barcols[kind], ...) and
@@ -57,8 +62,8 @@ from .classify import twisted_classes, w0_translate
 from .coxeter import CoxeterSystem, stage
 from .errors import ConsistencyError, SystemMismatch, TruncationRequired, UncertifiedBar
 from .laurent import (
-    ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, act_generator, add_scaled, canonical_columns, generator_rule, lincomb,
-    v_power,
+    ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, act_generator, add_scaled, canonical_columns, combine, generator_rule,
+    lincomb, v_power,
 )
 from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic, lowest_descent
 
@@ -129,23 +134,6 @@ def _apply(vec: ModuleVector, word, rule: tuple, ar: PolyMemo) -> dict:
     for s in reversed(word):
         coords = act_generator(coords, X.action, s, X.height2, rule, ar)
     return coords
-
-
-def act_gen(vec: ModuleVector, s: int) -> ModuleVector:
-    """Left action of H_s, by the three-case rule."""
-    return act_word(vec, (s,))
-
-
-def act_bar_gen(vec: ModuleVector, s: int) -> ModuleVector:
-    """Left action of bar(H_s) = H_s^-1 = H_s + (v^-1 - v)."""
-    ar = PolyMemo()
-    return ModuleVector(vec.kind, vec.X, _apply(vec, (s,), generator_rule(vec.kind, VINV - V), ar))
-
-
-def act_word(vec: ModuleVector, word) -> ModuleVector:
-    """Left action of H_{s_1} ... H_{s_k}."""
-    ar = PolyMemo()
-    return ModuleVector(vec.kind, vec.X, _apply(vec, word, generator_rule(vec.kind), ar))
 
 
 def act_hecke(vec: ModuleVector, A) -> ModuleVector:
@@ -343,7 +331,7 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     points = X.minimal_elements() if full else range(len(X))
     for x in points:
         checked += 1
-        if _bar_of(cols[x].coords, cols, ar) != {x: ONE}:
+        if combine(((cols[w].coords, c.bar()) for w, c in cols[x].coords.items()), ar) != {x: ONE}:
             return BarVerdict(False, kind, {"reason": "not an involution", "x": x}, checked, skipped, X.label)
 
     for s in range(X.n_gens):
@@ -353,7 +341,8 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
                     ok = _commutes_on_columns(X, cols, s, x, (h, b), three_case, ar)
                 else:
                     image = act_generator(cols[x].coords, X.action, s, X.height2, b, ar)
-                    ok = _bar_of(act_generator({x: ONE}, X.action, s, X.height2, h, ar), cols, ar) == image
+                    std = act_generator({x: ONE}, X.action, s, X.height2, h, ar)  # H_s M_x
+                    ok = combine(((cols[w].coords, c.bar()) for w, c in std.items()), ar) == image
             except TruncationRequired:
                 skipped += 1
                 continue
@@ -366,20 +355,6 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     if full:
         checked += len(X) - len(points)  # the involutions the lemma certifies
     return BarVerdict(True, kind, None, checked, skipped, X.label)
-
-
-def _bar_of(coords: dict, cols: list[ModuleVector], ar: PolyMemo) -> dict:
-    """bar of the vector coords, the sum of bar(c) cols[w] over its entries
-    (w, c), key by key through ar."""
-    add, mul, out = ar.add, ar.mul, {}
-    for w, c in coords.items():
-        b = ar.intern(c.bar())
-        for k, e in cols[w].coords.items():
-            if (t := add(out.get(k, ZERO), mul(b, e))) is ZERO:
-                del out[k]
-            else:
-                out[k] = t
-    return out
 
 
 def _commutes_on_columns(X: ScaledWSet, cols: list[ModuleVector], s: int, x: int, rules, three_case, ar) -> bool:
@@ -532,14 +507,14 @@ def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
     u = C_x, (H_s + v^-1) u is (v + v^-1) u where s descends x (key by key,
     u[sk] = v^(+-1) u[k] as s raises or lowers k, and no k is level for N),
     else C_sx (where s raises x) plus the sum of mu(w, x) C_w over the
-    w <= x that s descends, both sides summed per key through a PolyMemo
-    per generator that interns into a copy of the carrier's pool, so the
-    check's sums stay out of it."""
+    w <= x that s descends (one combine), both sides summed per key through
+    a PolyMemo per generator that interns into a copy of the carrier's
+    pool, so the check's sums stay out of it."""
     X = table.X
     h2 = X.height2
     order = bruhat_order(X)
     weak = table.kind == "M"  # M descends weakly, N strictly
-    level, consts = V + VINV, {}  # the left side's factor at a level key (M); mu -> its polynomial
+    level = V + VINV  # the left side's factor at a level key (M)
     for s in range(X.n_gens):
         ar = PolyMemo(dict(_polys(X)))  # one per generator: fewer values are held at a time
         shift, add, mul, row = ar.shift, ar.add, ar.mul, X.action[s]
@@ -562,16 +537,9 @@ def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
                         lhs[sk] = c
                 elif weak:
                     lhs[k] = mul(level, c)
-            rhs = dict(table.cols[row[x]]) if d > 0 else {}
-            for w, m in table.mus[x].items():
-                dw = h2[row[w]] - h2[w]
-                if m and order.leq(w, x) and (dw < 0 or (weak and dw == 0)):
-                    scale = consts.setdefault(m, LaurentPoly.const(m))
-                    for k, c in table.cols[w].items():
-                        if (t := add(rhs.get(k, ZERO), c if m == 1 else mul(scale, c))) is ZERO:
-                            del rhs[k]
-                        else:
-                            rhs[k] = t
+            rhs = combine(((table.cols[w], m) for w, m in table.mus[x].items()
+                           if m and order.leq(w, x) and ((dw := h2[row[w]] - h2[w]) < 0 or weak and not dw)),
+                          ar, dict(table.cols[row[x]]) if d > 0 else None)
             if lhs != rhs:
                 return CheckVerdict(False, "multiplication", {"s": s, "x": x})
     return CheckVerdict(True, "multiplication")
@@ -761,12 +729,17 @@ def primed_basis(
     bar verdicts, is required, and without it no vector passes.
 
     Each distinct (polynomial, sign) is barred once per call, in a memo keyed
-    by value (the entries are the carrier's pooled objects).
+    by value (the entries are the carrier's pooled objects), and interned
+    into one PolyMemo on a copy of the carrier's pool.  The image is then
+    one act_generator on the rule of H_s - v, as v - H_s = -(H_s - v), and
+    one combine with the signs eps folded into the scalars, both key by key
+    through that memo; the check's sums stay out of the carrier's pool.
     """
     X = table_m.X
     src = table_n if kind == "M" else table_m
     h2, parity = X.height2, X.parity
-    bars: dict = {}  # (p, whether the sign flips) -> bar(p) with that sign
+    ar = PolyMemo(dict(_polys(X)))
+    bars: dict = {}  # (p, whether the sign flips) -> bar(p) with that sign, interned
     vectors = []
     for y, col in enumerate(src.cols):
         coords = {}
@@ -774,7 +747,7 @@ def primed_basis(
             flip = parity[x] != parity[y]
             b = bars.get((c, flip))
             if b is None:
-                b = bars[c, flip] = -c.bar() if flip else c.bar()
+                b = bars[c, flip] = ar.intern(-c.bar() if flip else c.bar())
             coords[x] = b
         vectors.append(ModuleVector(kind, X, coords))
 
@@ -784,8 +757,7 @@ def primed_basis(
         return vectors, CheckVerdict(False, "primed-phi", {"phi": certified.name, **(certified.failure or {})})
     eps = phi.eps
     weak = src.kind == "M"  # the descent of the other kind's solve
-    ar = PolyMemo()
-    bar_rule = generator_rule(kind, VINV - V)
+    rule = generator_rule(kind, -V)  # H_s - v
     for y, u in enumerate(vectors):
         if u.coeff(y) != ONE:
             return vectors, CheckVerdict(False, "primed-unitriangular", {"y": y})
@@ -797,14 +769,11 @@ def primed_basis(
             image = bar_columns(kind, X)[y].coords
         else:  # Phi(C_y) from Phi(C_sy) = eps_sy u_sy and the Phi(C_w) = eps_w u_w
             s, sy = step
-            prev = add_scaled({}, vectors[sy].coords, eps[sy])
-            image = add_scaled({}, act_generator(prev, X.action, s, h2, bar_rule, ar), -1)
-            add_scaled(image, prev, VINV)
-            for w, c in src.cols[sy].items():
-                d = h2[X.action[s][w]] - h2[w]
-                if w < sy and -1 in c.terms and (d < 0 or (weak and d == 0)):
-                    add_scaled(image, vectors[w].coords, -c.terms[-1] * eps[w])
-            image = add_scaled({}, image, eps[y])
+            row = X.action[s]
+            terms = [(act_generator(vectors[sy].coords, X.action, s, h2, rule, ar), -eps[y] * eps[sy])]
+            terms += ((vectors[w].coords, -c.terms[-1] * eps[w] * eps[y]) for w, c in src.cols[sy].items()
+                      if w < sy and -1 in c.terms and ((d := h2[row[w]] - h2[w]) < 0 or weak and not d))
+            image = combine(terms, ar)
         if u.coords != image:
             return vectors, CheckVerdict(False, "primed-phi", {"y": y})
     return vectors, CheckVerdict(True, f"primed-{kind}")
@@ -843,7 +812,8 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
     one vector: the coefficient of M_x in sum_w (-1)^((len y - len w)/2)
     n[y w0+, w w0+] C_w, C_w the canonical M-vectors, is exactly the sum at
     (x, y), so the vector must be M_y (the standard basis expands over the
-    canonical one), one add_scaled per nonzero n entry.
+    canonical one): one combine per column, through one PolyMemo per class
+    on a copy of its pool, so the check's sums stay out of the pool.
     """
     classes = iplus_qp_classes(system)
     paired = []
@@ -854,14 +824,11 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
             return InversionVerdict(False, failure={"reason": "partner class is not QP", "class": K.describe_point(0)})
         table_m = canonical_basis("M", K)
         table_n = canonical_basis("N", K2)
-        part = [K2.index[k] for k in keys]
-        n = len(K)
-        for y in range(n):
-            col: dict[int, LaurentPoly] = {}
-            for w in range(n):
-                c = table_n.poly(part[y], part[w])
-                if c:
-                    add_scaled(col, table_m.cols[w], c * (-1 if K.parity[y] != K.parity[w] else 1))
+        part, parity = [K2.index[k] for k in keys], K.parity
+        ar = PolyMemo(dict(_polys(K)))
+        for y in range(len(K)):
+            col = combine(((table_m.cols[w], c if parity[y] == parity[w] else -c) for w in range(len(K))
+                           if (c := table_n.poly(part[y], part[w]))), ar)
             if col != {y: ONE}:
                 x = min(x for x in col.keys() | {y} if col.get(x) != (ONE if x == y else None))
                 return InversionVerdict(False, failure={"class": K.describe_point(0), "x": x, "y": y})

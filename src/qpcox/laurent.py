@@ -5,15 +5,20 @@ integer coefficient; the zero polynomial is the empty map.  Coefficients are
 plain Python ints, so they are arbitrary precision and cannot overflow
 silently.  Values are immutable after construction and safe to share.
 
-Sparse vectors {key: LaurentPoly} share one in-place kernel, add_scaled.
-A sum of many scaled vectors over few distinct values (a bar operator
-applied to a vector, a Hecke product) goes through lincomb instead, which
-computes each distinct (scalar, entry) product once per call.  Arithmetic
-that redoes the same polynomial operations many times goes through a
-PolyMemo made for that call, which interns its results into a pool: the
-H_s rule of M(X) and N(X) (act_generator, applying H_s + c key by key, for
-the bar columns, the bar verdict and the canonical solve built on it) and
-the table checks.  Both key their memos by id, so both hold every operand
+Sums of sparse vectors {key: LaurentPoly} have three kernels.  add_scaled
+adds one scaled vector in place: the +, - and scale of module vectors and
+Hecke elements, and the W-graph products.  lincomb sums many scaled vectors
+over few distinct values (a bar operator applied to a vector, a Hecke
+product, the Phi maps), computing each distinct (scalar, entry) product once
+per call.  combine sums them key by key through a PolyMemo, so every sum
+is an object of the memo's pool: the mu corrections of the canonical solve,
+the bar verdict, the multiplication check, the primed bases and the
+inversion pairing.  Arithmetic that redoes the same
+polynomial operations many times goes through a PolyMemo made for that
+call, which interns its results into a pool: the H_s rule of M(X) and N(X)
+(act_generator, applying H_s + c key by key, for the bar columns, the bar
+verdict and the canonical solve built on it), combine and the table checks.
+lincomb and PolyMemo key their memos by id, so both hold every operand
 they key until they are dropped: an id is never reused while its memo
 lives, and no memo outlives its call.
 
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
-from typing import Iterable
 
 from .errors import ConsistencyError, TruncationRequired
 from .qpsets import lowest_descent
@@ -50,13 +54,6 @@ class LaurentPoly:
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
-        t: dict[int, int] = {}
-        for e, c in pairs:
-            t[e] = t.get(e, 0) + c
-        return cls(t)
-
     def to_pairs(self) -> list[list[int]]:
         """Serialize as [exponent, coefficient] pairs with strictly increasing exponents."""
         return [[e, self.terms[e]] for e in sorted(self.terms)]
@@ -68,10 +65,6 @@ class LaurentPoly:
 
     def coeff(self, e: int) -> int:
         return self.terms.get(e, 0)
-
-    @property
-    def constant_term(self) -> int:
-        return self.terms.get(0, 0)
 
     def min_exp(self) -> int:
         if not self.terms:
@@ -342,6 +335,38 @@ class PolyMemo:
         return self._keep(self._products, key, (a, b), a * b) if r is None else r
 
 
+def combine(terms, ar: PolyMemo, out: dict | None = None) -> dict:
+    """out (a fresh dict if none is given) plus the sum of c * vec over the
+    (vec, c) pairs of terms, in place, key by key through ar; returns out.
+    c is a LaurentPoly or an int; an int becomes a constant polynomial
+    before it is interned, so the pool holds polynomials only.  A zero
+    scalar adds nothing, and a unit scalar adds the entries themselves,
+    with no product.  A key whose sum is zero is removed, so out never
+    holds a zero polynomial.  Each entry stored is an entry of a vec (a
+    unit pair's, on a key out lacks) or a result of ar.
+
+    >>> combine([({0: V, 1: ONE}, VINV), ({1: ONE}, -VINV)], PolyMemo(), {0: ONE})
+    {0: LaurentPoly({0: 2})}
+    """
+    out = {} if out is None else out
+    add, mul = ar.add, ar.mul
+    for vec, c in terms:
+        c = ar.intern(c if isinstance(c, LaurentPoly) else LaurentPoly.const(c))
+        if c is ZERO:
+            continue
+        unit = c == ONE
+        for k, e in vec.items():
+            p = e if unit else mul(c, e)
+            q = out.get(k)
+            if q is None:
+                out[k] = p
+            elif (t := add(q, p)) is ZERO:
+                del out[k]
+            else:
+                out[k] = t
+    return out
+
+
 def generator_rule(kind: str, c: LaurentPoly = ZERO) -> tuple:
     """The three-case rule of H_s + c on M(X) or N(X), as the coefficients
     (raising, lowering, level) that act_generator reads.  H_s M_k is M_sk
@@ -409,7 +434,7 @@ def canonical_columns(kind: str, action, height2, pool: dict | None = None) -> t
     each column is the unique canonical one.
     """
     ar = PolyMemo(pool)
-    add, mul, one = ar.add, ar.mul, ar.intern(ONE)
+    one = ar.intern(ONE)
     rule = generator_rule(kind, VINV)  # H_s + v^-1
     weak = kind == "M"  # s descends w weakly for M, strictly for N
     cols, mus, p, mu = [], [], {}, {}  # per y: C_y and its mu-coefficients; the tables returned
@@ -419,16 +444,10 @@ def canonical_columns(kind: str, action, height2, pool: dict | None = None) -> t
             col = {y: one}
         else:
             s, sy = step
+            row = action[s]
             col = act_generator(cols[sy], action, s, height2, rule, ar)
-            for w, m in mus[sy].items():
-                d = height2[action[s][w]] - height2[w]
-                if d < 0 or (weak and d == 0):
-                    scale = ar.intern(LaurentPoly.const(-m))  # pooled, so one object per m
-                    for k, c in cols[w].items():
-                        if (t := add(col.get(k, ZERO), mul(scale, c))) is ZERO:
-                            del col[k]
-                        else:
-                            col[k] = t
+            combine(((cols[w], -m) for w, m in mus[sy].items()
+                     if (d := height2[row[w]] - height2[w]) < 0 or weak and not d), ar, col)
         if col.get(y) != ONE or any(x > y or x != y and max(c.terms) >= 0 for x, c in col.items()):
             raise ConsistencyError(f"canonical {kind}-column {y} is not unitriangular in v^-1 Z[v^-1]")
         cols.append(col)

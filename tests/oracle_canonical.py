@@ -41,6 +41,16 @@ fold_combine is the sum of c * vec over (vec, c) pairs as the package formed
 it before laurent.lincomb: one add_scaled per pair, every product computed
 where it lands.
 
+fold_primed_check and fold_inversion_check are primed_basis and
+inversion_check as the package ran them before it summed their columns key
+by key with laurent.combine: the primed image by one add_scaled per term
+(the H_s action on the bar(H_s) rule through a fresh memo), and each column
+of the inversion pairing by one add_scaled per nonzero n entry.
+
+act_word, act_gen and act_bar_gen apply H_s + c to one ModuleVector through
+barcanon's kernel and rule as they stand when called, so a test that plants
+either reaches them; only tests apply H_s to a single vector.
+
 closed_form_bar_columns is the paper's closed form for the bar operator on a
 twisted-involution class, which the package used there before it built every
 bar operator by the recurrence bar M_x = bar(H_s) bar M_sx.
@@ -48,22 +58,42 @@ bar operator by the recurrence bar M_x = bar(H_s) bar M_sx.
 
 from fractions import Fraction
 
+from qpcox import barcanon
 from qpcox.barcanon import (
     BarVerdict,
     CheckVerdict,
+    InversionVerdict,
     ModuleVector,
-    act_bar_gen,
-    act_gen,
     bar_columns,
     bar_vector,
+    canonical_basis,
+    iplus_qp_classes,
     phi_maps,
     verify_bar_operator,
 )
+from qpcox.classify import w0_translate
 from qpcox.errors import ConsistencyError, TruncationRequired
-from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, add_scaled, v_power
+from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, add_scaled, v_power
 from qpcox.qpsets import bruhat_order, check_quasiparabolic, lowest_descent
 
 from oracle_qpsets import payloads
+
+
+def act_word(vec, word, c=ZERO):
+    """Left action of (H_{s_1} + c) ... (H_{s_k} + c) on vec, through
+    barcanon's act_generator and generator_rule as they are when called."""
+    ar = PolyMemo()
+    return ModuleVector(vec.kind, vec.X, barcanon._apply(vec, word, barcanon.generator_rule(vec.kind, c), ar))
+
+
+def act_gen(vec, s):
+    """Left action of H_s, by the three-case rule."""
+    return act_word(vec, (s,))
+
+
+def act_bar_gen(vec, s):
+    """Left action of bar(H_s) = H_s^-1 = H_s + (v^-1 - v)."""
+    return act_word(vec, (s,), VINV - V)
 
 
 def fold_combine(terms) -> dict:
@@ -548,6 +578,73 @@ def vector_primed_basis(table_m, table_n, kind):
     return vectors, CheckVerdict(True, f"primed-{kind}")
 
 
+def fold_primed_check(table_m, table_n, kind):
+    """primed_basis with the image eps_y Phi(C_y) formed by one add_scaled
+    per term, as (v^-1 - bar(H_s)) eps_sy u_sy - sum mu(w, sy) eps_w u_w
+    scaled by eps_y, nothing pooled."""
+    X = table_m.X
+    src = table_n if kind == "M" else table_m
+    h2, parity = X.height2, X.parity
+    vectors = []
+    for y, col in enumerate(src.cols):
+        coords = {x: -c.bar() if parity[x] != parity[y] else c.bar() for x, c in col.items()}
+        vectors.append(ModuleVector(kind, X, coords))
+    phi = phi_maps(X)
+    certified = phi.verify()
+    if not certified.ok:
+        return vectors, CheckVerdict(False, "primed-phi", {"phi": certified.name, **(certified.failure or {})})
+    eps = phi.eps
+    weak = src.kind == "M"
+    for y, u in enumerate(vectors):
+        if u.coeff(y) != ONE:
+            return vectors, CheckVerdict(False, "primed-unitriangular", {"y": y})
+        for x, c in u.coords.items():
+            if x != y and c.min_exp() < 1:
+                return vectors, CheckVerdict(False, "primed-congruence", {"x": x, "y": y})
+        step = lowest_descent(X.action, h2, y)
+        if step is None:
+            image = bar_columns(kind, X)[y].coords
+        else:
+            s, sy = step
+            prev = add_scaled({}, vectors[sy].coords, eps[sy])
+            image = add_scaled({}, act_bar_gen(ModuleVector(kind, X, prev), s).coords, -1)
+            add_scaled(image, prev, VINV)
+            for w, c in src.cols[sy].items():
+                d = h2[X.action[s][w]] - h2[w]
+                if w < sy and -1 in c.terms and (d < 0 or (weak and d == 0)):
+                    add_scaled(image, vectors[w].coords, -c.terms[-1] * eps[w])
+            image = add_scaled({}, image, eps[y])
+        if u.coords != image:
+            return vectors, CheckVerdict(False, "primed-phi", {"y": y})
+    return vectors, CheckVerdict(True, f"primed-{kind}")
+
+
+def fold_inversion_check(system):
+    """inversion_check with column y of the pairing formed by one add_scaled
+    per nonzero n entry."""
+    classes = iplus_qp_classes(system)
+    paired = []
+    for K in classes:
+        theta2, keys = w0_translate(K)
+        K2 = next((c for c in classes if c.theta == theta2 and keys[0] in c.index), None)
+        if K2 is None:
+            return InversionVerdict(False, failure={"reason": "partner class is not QP", "class": K.describe_point(0)})
+        table_m, table_n = canonical_basis("M", K), canonical_basis("N", K2)
+        part = [K2.index[k] for k in keys]
+        for y in range(len(K)):
+            col = {}
+            for w in range(len(K)):
+                c = table_n.poly(part[y], part[w])
+                if c:
+                    add_scaled(col, table_m.cols[w], c * (-1 if K.parity[y] != K.parity[w] else 1))
+            if col != {y: ONE}:
+                x = min(x for x in col.keys() | {y} if col.get(x) != (ONE if x == y else None))
+                return InversionVerdict(False, failure={"class": K.describe_point(0), "x": x, "y": y})
+        paired.append({"theta": list(K.theta.sigma), "size": len(K), "partner_theta": list(K2.theta.sigma),
+                       "partner_size": len(K2), "self_paired": K2 is K})
+    return InversionVerdict(True, paired)
+
+
 def pair_table_checks(table):
     """Parity, multiplication, recurrence and mu-delta verdicts of table, each
     by scanning every x or every pair; parity alone on a truncated carrier."""
@@ -566,7 +663,7 @@ def _pair_parity(table, mu):
             wt = c.shift((X.height2[y] - X.height2[x]) // 2)
             if any(e < 0 or e % 2 for e in wt.terms):
                 return CheckVerdict(False, "parity", {"x": x, "y": y})
-            if table.kind == "M" and wt.constant_term != 1:
+            if table.kind == "M" and wt.coeff(0) != 1:
                 return CheckVerdict(False, "parity", {"x": x, "y": y})
         for x in range(len(X)):  # the nonzero mu(x, y) = [v^-1] p[x, y], stored exactly
             if mu.get((x, y)) != coeffs.get((x, y)):

@@ -9,7 +9,8 @@ every generic column replayed the whole greedy height-witness word of its
 point.  Both are kept as independent oracles.  hecke keys coordinates by
 element id; by_element reads them as the {Element: coefficient} maps the
 oracle works on.  The T-basis of the older literature (T_w = v^len(w) H_w)
-is here as a conversion: to_t_pairs and from_t_pairs.
+is here as a conversion: to_t_pairs and from_t_pairs (which reads each
+polynomial's [exponent, coefficient] pairs with from_pairs).
 """
 
 from __future__ import annotations
@@ -124,9 +125,18 @@ def to_t_pairs(A: HeckeElt) -> list:
     ]
 
 
+def from_pairs(pairs) -> LaurentPoly:
+    """The polynomial with the [exponent, coefficient] pairs given, summed
+    where an exponent repeats (the inverse of LaurentPoly.to_pairs)."""
+    t: dict[int, int] = {}
+    for e, c in pairs:
+        t[e] = t.get(e, 0) + c
+    return LaurentPoly(t)
+
+
 def from_t_pairs(system, pairs) -> HeckeElt:
     out = {}
     for word, poly_pairs in pairs:
         w = system.element_from_word(word)
-        add_scaled(out, {w.key: LaurentPoly.from_pairs(poly_pairs)}, v_power(w.length))
+        add_scaled(out, {w.key: from_pairs(poly_pairs)}, v_power(w.length))
     return HeckeElt(system, out)

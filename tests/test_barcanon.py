@@ -13,8 +13,6 @@ from qpcox.barcanon import (
     _bar_columns,
     _kinds_agree,
     _table_checks,
-    act_bar_gen,
-    act_gen,
     act_hecke,
     bar_columns,
     canonical_basis,
@@ -45,14 +43,18 @@ from qpcox.qpsets import (
 )
 
 from oracle_canonical import (
+    act_bar_gen,
     act_bar_word,
+    act_gen,
     brute_force_canonical,
     closed_form_bar_columns,
     composed_bar_gen,
     fold_bar_columns,
     fold_bar_verdict,
     fold_canonical_columns,
+    fold_inversion_check,
     fold_multiplication,
+    fold_primed_check,
     full_bar_verdict,
     full_phi_verdict,
     generic_canonical_columns,
@@ -363,11 +365,12 @@ def _mutated_solve(old, new):
 
 # each id names the line a mutation replaced in the add_scaled solve and
 # kernel, which tests/oracle_canonical.py keeps as fold_canonical_columns
-# and fold_act_generator
+# and fold_act_generator; the mu-correction mutation now empties the terms
+# of the solve's combine
 @pytest.mark.parametrize("old, new, kind", [
-    pytest.param("for k, c in cols[w].items():", "for k, c in ():", "M",  # no mu correction
+    pytest.param("for w, m in mus[sy].items()", "for w, m in ()", "M",  # no mu correction
                  id="add_scaled(col, cols[w], -m)-pass-M"),
-    pytest.param("for k, c in cols[w].items():", "for k, c in ():", "N",
+    pytest.param("for w, m in mus[sy].items()", "for w, m in ()", "N",
                  id="add_scaled(col, cols[w], -m)-pass-N"),
     ('weak = kind == "M"', "weak = False", "M"),  # strict descent for M
 ])
@@ -498,6 +501,76 @@ def test_bar_stages_and_tables_form_no_vector_sum(name, monkeypatch):
             assert len(bar_columns(kind, X)) == len(X)
             assert verify_bar_operator(kind, X).ok, (X, kind)
             assert canonical_basis(kind, X).kind == kind
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_primed_and_inversion_checks_form_no_vector_sum(name, monkeypatch):
+    # the primed image and the inversion columns are summed key by key
+    # through a memo (laurent.combine): neither vector kernel runs
+    def fail(*args, **kw):
+        pytest.fail("a vector sum ran")
+
+    system = build_system(name)
+    carriers = _qp_carriers(name)
+    assert carriers
+    for module in (barcanon, laurent):
+        for kernel in ("add_scaled", "lincomb"):
+            monkeypatch.setattr(module, kernel, fail)
+    for X in carriers:
+        table_m, table_n = canonical_basis("M", X), canonical_basis("N", X)
+        for kind in ("M", "N"):
+            assert primed_basis(table_m, table_n, kind)[1] == CheckVerdict(True, f"primed-{kind}"), (X, kind)
+    assert inversion_check(system).ok
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)"])
+def test_primed_and_inversion_checks_match_the_fold_oracles(name):
+    # the key-by-key sums give the vectors, verdicts and witnesses of the
+    # add_scaled folds they replaced, on every quasiparabolic carrier in both
+    # kinds; test_primed_break_fails_as_primed_phi compares them where the
+    # check fails
+    for X in _qp_carriers(name):
+        tables = {kind: canonical_basis(kind, X) for kind in ("M", "N")}
+        for kind in ("M", "N"):
+            assert primed_basis(tables["M"], tables["N"], kind) == fold_primed_check(tables["M"], tables["N"], kind)
+    system = build_system(name)
+    assert inversion_check(system) == fold_inversion_check(system)
+
+
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_perturbed_inversion_is_refused_as_by_the_fold(name):
+    # one changed entry of an N table: the key-by-key columns fail at the
+    # class and (x, y) where the add_scaled fold fails
+    system = build_system(name)
+    classes = iplus_qp_classes(system)
+    K = next(K for K in classes if len(K) >= 3)
+    theta, keys = w0_translate(K)
+    table_n = canonical_basis("N", next(c for c in classes if c.theta == theta and keys[0] in c.index))
+    table_n.cols = [dict(col) for col in table_n.cols]
+    table_n.cols[-1][0] = table_n.poly(0, len(table_n.cols) - 1) + VINV
+    verdict = inversion_check(system)
+    assert not verdict.ok and verdict == fold_inversion_check(system)
+
+
+def test_primed_and_inversion_checks_leave_the_pool_alone():
+    # each check sums through a memo on a copy of the carrier's pool, so the
+    # pool holds after it what it held before
+    for name in ("A3", "B3"):
+        system = build_system(name)
+        for X in _qp_carriers(name):
+            tables = [canonical_basis(kind, X) for kind in ("M", "N")]
+            assert phi_maps(X).verify().ok
+            size = len(barcanon._polys(X))
+            for kind in ("M", "N"):
+                assert primed_basis(*tables, kind)[1].ok
+            assert len(barcanon._polys(X)) == size, X
+        classes = iplus_qp_classes(system)
+        for K in classes:
+            for kind in ("M", "N"):
+                canonical_basis(kind, K)
+        sizes = [len(barcanon._polys(K)) for K in classes]
+        assert inversion_check(system).ok
+        assert [len(barcanon._polys(K)) for K in classes] == sizes
 
 
 def test_bar_kernel_is_its_definition():
@@ -719,6 +792,7 @@ def test_primed_break_fails_as_primed_phi():
         broken = _table_copy(table_n)
         broken.cols[y][0] = broken.cols[y].get(0, laurent.ZERO) + v_power(-1 - X.height2[y] // 2)
         assert primed_basis(table_m, broken, "M")[1] == CheckVerdict(False, "primed-phi", {"y": y})
+        assert fold_primed_check(table_m, broken, "M")[1] == CheckVerdict(False, "primed-phi", {"y": y})
         assert vector_primed_basis(table_m, broken, "M")[1] == CheckVerdict(False, "primed-bar-invariance", {"y": y})
 
 

@@ -15,12 +15,14 @@ from qpcox.laurent import (
     ZERO,
     add_scaled,
     canonical_columns,
+    combine,
     lincomb,
     v_power,
 )
 from qpcox.qpsets import regular_set
 
 from oracle_canonical import SkewViolation, fold_combine, generic_canonical_columns, solve_skew
+from oracle_hecke import from_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +137,8 @@ def test_solve_skew_rejects_bad_input():
 def test_serialization_pairs():
     p = LaurentPoly({2: 5, -1: -3})
     assert p.to_pairs() == [[-1, -3], [2, 5]]
-    assert LaurentPoly.from_pairs(p.to_pairs()) == p
-    assert LaurentPoly.from_pairs([]) == ZERO
+    assert from_pairs(p.to_pairs()) == p
+    assert from_pairs([]) == ZERO
 
 
 def test_str():
@@ -301,6 +303,25 @@ def test_lincomb_matches_the_add_scaled_fold():
     assert lincomb([(vec, VINV), (copied(vec), -VINV)]) == {}
     assert lincomb([(vec, 1), (vec, ONE), (copied(vec), -2)]) == {}
     assert lincomb([]) == {} and lincomb([(vec, 0), ({}, V)]) == {}
+
+
+def test_combine_matches_the_add_scaled_fold():
+    rng = random.Random(20261020)
+    pool = [p for p in (random_poly(rng, span=4, nterms=3, cmax=3) for _ in range(8)) if p] + [ONE, V, -VINV]
+    for _ in range(600):
+        terms = random_terms(rng, pool)
+        held = [(q, dict(q.terms)) for vec, c in terms for q in [*vec.values(), c] if isinstance(q, LaurentPoly)]
+        start = {k: rng.choice(pool) for k in range(rng.randrange(4))}
+        ar = PolyMemo()
+        out = combine(iter(terms), ar, dict(start))
+        assert out == fold_combine([(start, ONE), *terms])
+        assert all(out.values())  # a sum that cancels leaves its key absent
+        assert all(q.terms == t for q, t in held)  # no input polynomial was mutated
+        assert all(type(k) is LaurentPoly for k in ar._pool)  # an int scalar is interned as a polynomial
+    vec = {0: V, 1: ONE + VINV}
+    got = combine([(vec, 1), ({}, V), (vec, 0), (vec, ZERO)], PolyMemo())
+    assert got == vec and all(got[k] is vec[k] for k in vec)  # a unit scalar adds the entries themselves
+    assert combine([(vec, VINV), (copied(vec), -VINV)], PolyMemo()) == {}
 
 
 def freed_vectors(n):

@@ -1,8 +1,8 @@
-from qpcox.barcanon import act_gen, canonical_basis, primed_basis
+from qpcox.barcanon import canonical_basis, primed_basis
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.laurent import LaurentPoly, V, VINV, ZERO
 from qpcox.qpsets import conjugacy_set, coset_set, even_double_cover, regular_set
-from oracle_canonical import to_canonical_coords
+from oracle_canonical import act_gen, to_canonical_coords
 from oracle_qpsets import payloads
 from qpcox.wgraph import (
     build_wgraph,
