@@ -147,7 +147,7 @@ def act_hecke(vec: ModuleVector, A) -> ModuleVector:
 
 def _combine(kind: str, X: ScaledWSet, terms) -> ModuleVector:
     """The vector sum of c * coords over the (coords, c) pairs of terms, each
-    distinct product computed once (laurent.lincomb)."""
+    distinct product one integer product (laurent.lincomb)."""
     return ModuleVector(kind, X, lincomb(terms))
 
 
@@ -239,7 +239,9 @@ def bar_vector(vec: ModuleVector) -> ModuleVector:
 
     Reads bar_columns where they are built; otherwise it fills only the
     columns below the support of vec (the partial store X._barpart), and
-    completes bar_columns once those cover the carrier."""
+    completes bar_columns once those cover the carrier.  Each distinct
+    coefficient is barred once per call, in a dict keyed by value, so equal
+    coefficients reach lincomb as one scalar."""
     kind, X = vec.kind, vec.X
     cols = X.__dict__.get("_barcols", {}).get(kind)
     if cols is None:
@@ -247,7 +249,8 @@ def bar_vector(vec: ModuleVector) -> ModuleVector:
         _bar_fill(kind, X, cols, vec.coords)
         if len(cols) == len(X):
             cols = bar_columns(kind, X)
-    return _combine(kind, X, ((cols[p].coords, c.bar()) for p, c in vec.coords.items()))
+    bars = {c: c.bar() for c in set(vec.coords.values())}
+    return _combine(kind, X, ((cols[p].coords, bars[c]) for p, c in vec.coords.items()))
 
 
 class BarVerdict(NamedTuple):

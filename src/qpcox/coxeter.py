@@ -824,6 +824,10 @@ class KeyTwist:
                 return w[:n] + x[a:b] + tail[j:]
 
             def conj_length(w, x):
+                # no letter cancels where x starts with a letter other than
+                # w's last and ends with one other than theta(w)^-1's first
+                if w and x and x[0] != w[-1] and x[-1] != sigma[w[-1]]:
+                    return 2 * len(w) + len(x)
                 tail, n, a, b, j = cancel(w, x)
                 return n + b - a + len(tail) - j
 

@@ -9,11 +9,13 @@ Sums of sparse vectors {key: LaurentPoly} have three kernels.  add_scaled
 adds one scaled vector in place: the +, - and scale of module vectors and
 Hecke elements, and the W-graph products.  lincomb sums many scaled vectors
 over few distinct values (a bar operator applied to a vector, a Hecke
-product, the Phi maps), computing each distinct (scalar, entry) product once
-per call.  combine sums them key by key through a PolyMemo, so every sum
-is an object of the memo's pool: the mu corrections of the canonical solve,
-the bar verdict, the multiplication check, the primed bases and the
-inversion pairing.  Arithmetic that redoes the same
+product, the Phi maps) by Kronecker substitution: every polynomial is read
+at v = 2^b for a b that bounds the result, so each distinct (scalar, entry)
+product is one integer product per call and each key's sum one integer,
+with no polynomial arithmetic.  combine sums them key by key through a
+PolyMemo, so every sum is an object of the memo's pool: the mu corrections
+of the canonical solve, the bar verdict, the multiplication check, the
+primed bases and the inversion pairing.  Arithmetic that redoes the same
 polynomial operations many times goes through a PolyMemo made for that
 call, which interns its results into a pool: the H_s rule of M(X) and N(X)
 (act_generator, applying H_s + c key by key, for the bar columns, the bar
@@ -30,9 +32,6 @@ v^-1 - v
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from itertools import repeat
 
 from .errors import ConsistencyError, TruncationRequired
 from .qpsets import lowest_descent
@@ -240,47 +239,80 @@ def lincomb(terms) -> dict:
     vector {key: LaurentPoly} without zero entries; c is a LaurentPoly or an
     int.  The result equals the fold of add_scaled over terms.
 
-    Each distinct product is computed once per call: scalars are interned by
-    value (and found zero once, there), the call counts how often each
-    (scalar, entry) pair lands on each key, multiplies each distinct pair
-    once and builds each output polynomial once.  Entries are told apart by
-    id, so the call holds every entry it has counted until it returns: a
-    vector freed between items cannot lend an id to an entry of the next.
-    Nothing outlives the call.
+    The sum is taken by Kronecker substitution, with no polynomial
+    arithmetic.  Each distinct scalar (interned by value; zero ones are
+    skipped) and each distinct entry (told apart by id; ZERO is skipped) is
+    read once at v = 2^b, each distinct (scalar, entry) pair is multiplied
+    once as ints, and each key adds its products as one int.  b is one bit
+    more than the bit length of the largest entry's L1 norm times the sum
+    of the scalars' L1 norms over the pairs.  No result coefficient exceeds
+    that bound, so each lies below 2^(b-1) in absolute value, and the
+    balanced base-2^b digits of a sum are its coefficients.  terms is
+    listed first, so every entry keyed by id stays alive until the call
+    returns: a vector freed between items cannot lend an id to an entry of
+    the next.  Nothing outlives the call.
 
     >>> lincomb([({0: V, 1: ONE}, VINV), ({0: V}, 1), ({1: ONE}, -VINV)])
     {0: LaurentPoly({0: 1, 1: 1})}
     """
+    terms = list(terms)
     index: dict = {}  # scalar value -> its number in scalars, or -1 if it is zero
-    scalars: list[LaurentPoly] = []
-    held: dict = {}  # id(entry) -> entry, for every entry counted
-    counts: Counter = Counter()  # (scalar number, key, id(entry)) -> how often it lands
+    scalars: list[dict] = []  # the terms of each scalar
+    work = []  # (scalar number, vec) for every pair that can add something
+    held: dict = {}  # id(entry) -> entry, for every entry summed
     for vec, c in terms:
         i = index.get(c)
         if i is None:
-            scalar = ONE if c == 1 else c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-            i = index[c] = len(scalars) if scalar else -1
-            scalars.append(scalar)
+            t = c.terms if isinstance(c, LaurentPoly) else {0: c} if c else {}
+            i = index[c] = len(scalars) if t else -1
+            scalars.append(t)
         if vec and i >= 0:
+            work.append((i, vec))
             vals = vec.values()
             held.update(zip(map(id, vals), vals))
-            counts.update(zip(repeat(i), vec, map(id, vals)))
-    products: dict = {}  # (scalar number, id(entry)) -> the terms of their product
-    sums: dict = {}  # key -> its summed terms
-    for (i, k, q), n in counts.items():
-        p = products.get((i, q))
-        if p is None:
-            p = products[i, q] = (held[q] if scalars[i] is ONE else scalars[i] * held[q]).terms.items()
-        t = sums.get(k)
-        if t is None:
-            t = sums[k] = {}
-        for e, c in p:
-            t[e] = t.get(e, 0) + n * c
+    held.pop(id(ZERO), None)
+    if not held:
+        return {}
+    l1 = [sum(map(abs, t.values())) for t in scalars]
+    bound = max(sum(map(abs, q.terms.values())) for q in held.values()) * sum(l1[i] for i, _ in work)
+    b = bound.bit_length() + 1  # every coefficient of the result lies below 2^(b-1) in absolute value
+    # exponents are offset by their least value, so every digit is nonnegative
+    lo_s = min(e for t in scalars for e in t)
+    lo_q = min((e for q in held.values() for e in q.terms), default=0)
+    at = [sum(c << b * (e - lo_s) for e, c in t.items()) for t in scalars]
+    entry_at = {q: sum(c << b * (e - lo_q) for e, c in p.terms.items()) for q, p in held.items()}
+    products: list[dict] = [{} for _ in scalars]  # per scalar: id(entry) -> their product at 2^b
+    sums: dict = {}  # key -> its sum at 2^b
+    get = sums.get
+    for i, vec in work:
+        s, prod = at[i], products[i]
+        for k, q in vec.items():
+            q = id(q)
+            p = prod.get(q)
+            if p is None:
+                p = prod[q] = s * entry_at.get(q, 0)
+            sums[k] = get(k, 0) + p
+    base, half, mask = 1 << b, 1 << (b - 1), (1 << b) - 1
     out = {}
-    for k, t in sums.items():
-        p = LaurentPoly(t)
-        if p:
-            out[k] = p
+    for k, n in sums.items():
+        if not n:
+            continue
+        t = {}
+        e = lo_s + lo_q
+        while n:  # the balanced base-2^b digits of n, skipping the zero ones at its low end
+            z = ((n & -n).bit_length() - 1) // b
+            n >>= z * b
+            e += z
+            d = n & mask
+            if d >= half:
+                d -= base
+            t[e] = d
+            n = (n - d) >> b
+            e += 1
+        p = LaurentPoly.__new__(LaurentPoly)  # t holds no zero: skip the filter
+        p.terms = t
+        p._hash = None
+        out[k] = p
     return out
 
 

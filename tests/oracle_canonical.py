@@ -39,7 +39,9 @@ term, and compares the two vectors.
 
 fold_combine is the sum of c * vec over (vec, c) pairs as the package formed
 it before laurent.lincomb: one add_scaled per pair, every product computed
-where it lands.
+where it lands.  count_lincomb is laurent.lincomb as it was before it summed
+by Kronecker substitution: it counts how often each (scalar, entry) pair
+lands on each key and multiplies each distinct pair once as polynomials.
 
 fold_primed_check and fold_inversion_check are primed_basis and
 inversion_check as the package ran them before it summed their columns key
@@ -56,7 +58,9 @@ twisted-involution class, which the package used there before it built every
 bar operator by the recurrence bar M_x = bar(H_s) bar M_sx.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 
 from qpcox import barcanon
 from qpcox.barcanon import (
@@ -101,6 +105,44 @@ def fold_combine(terms) -> dict:
     out: dict = {}
     for vec, c in terms:
         add_scaled(out, vec, c)
+    return out
+
+
+def count_lincomb(terms) -> dict:
+    """The sum of c * vec over the (vec, c) pairs of terms: scalars interned
+    by value, each (scalar, entry) pair counted per key, each distinct pair
+    multiplied once and each output polynomial built once.  Entries are told
+    apart by id, and every entry counted is held until the call returns."""
+    index: dict = {}  # scalar value -> its number in scalars, or -1 if it is zero
+    scalars: list[LaurentPoly] = []
+    held: dict = {}  # id(entry) -> entry, for every entry counted
+    counts: Counter = Counter()  # (scalar number, key, id(entry)) -> how often it lands
+    for vec, c in terms:
+        i = index.get(c)
+        if i is None:
+            scalar = ONE if c == 1 else c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+            i = index[c] = len(scalars) if scalar else -1
+            scalars.append(scalar)
+        if vec and i >= 0:
+            vals = vec.values()
+            held.update(zip(map(id, vals), vals))
+            counts.update(zip(repeat(i), vec, map(id, vals)))
+    products: dict = {}  # (scalar number, id(entry)) -> the terms of their product
+    sums: dict = {}  # key -> its summed terms
+    for (i, k, q), n in counts.items():
+        p = products.get((i, q))
+        if p is None:
+            p = products[i, q] = (held[q] if scalars[i] is ONE else scalars[i] * held[q]).terms.items()
+        t = sums.get(k)
+        if t is None:
+            t = sums[k] = {}
+        for e, c in p:
+            t[e] = t.get(e, 0) + n * c
+    out = {}
+    for k, t in sums.items():
+        p = LaurentPoly(t)
+        if p:
+            out[k] = p
     return out
 
 

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from qpcox.barcanon import ModuleVector, canonical_basis, verify_recurrences
+from qpcox import barcanon
+from qpcox.barcanon import ModuleVector, bar_columns, bar_vector, canonical_basis, verify_recurrences
 from qpcox.coxeter import build_system
-from qpcox.hecke import HeckeElt
+from qpcox.hecke import HeckeElt, kl_basis
 from qpcox.laurent import (
     LaurentPoly,
     ONE,
@@ -19,9 +20,9 @@ from qpcox.laurent import (
     lincomb,
     v_power,
 )
-from qpcox.qpsets import regular_set
+from qpcox.qpsets import coset_set, regular_set
 
-from oracle_canonical import SkewViolation, fold_combine, generic_canonical_columns, solve_skew
+from oracle_canonical import SkewViolation, count_lincomb, fold_combine, generic_canonical_columns, solve_skew
 from oracle_hecke import from_pairs
 
 
@@ -285,6 +286,33 @@ def random_terms(rng, pool):
     return terms
 
 
+def lincomb_cases():
+    """Sums at the edges of the integer packing: coefficients at the bound
+    on the result, big integers, far exponents, cancelling powers, int
+    scalars and ZERO entries."""
+    big = LaurentPoly({0: 2**61})
+    for sign in (1, -1):
+        # one coefficient exactly at the bound: max entry L1 times the scalars' L1
+        yield [({0: sign * big}, 1)]
+        yield [({0: big}, sign)]
+        yield [({0: LaurentPoly({3: 5 * sign})}, LaurentPoly({-2: 7})), ({0: LaurentPoly({1: 5})}, 7 * sign)]
+        yield [({0: 3 * sign * V, 1: -V}, 1), ({0: 3 * V, 1: -V}, sign), ({0: 3 * sign * V}, ONE)]
+        yield [({k: sign * v_power(k) for k in range(4)}, LaurentPoly({-k: 2 for k in range(4)}))]  # spread out
+    huge = LaurentPoly({-2: 3**50, 1: -(2**70) - 1})
+    yield [({0: huge, 1: ONE}, 10**25 * V), ({0: -huge}, -(2**64) + 1), ({1: huge}, huge)]
+    far = LaurentPoly({500: 3, -500: -2})
+    yield [({0: far, 1: V}, LaurentPoly({-500: 1, 500: 4})), ({1: far}, v_power(-500)), ({0: ONE}, v_power(500))]
+    p = (V - VINV) ** 12
+    vec = {0: V + 2 * VINV, 1: p, 2: ONE}
+    yield [(vec, p), (copied(vec), -p)]
+    yield [(vec, p), ({0: ONE}, p), (copied(vec), -p), ({0: -ONE}, p)]
+    for c in (0, 1, -1, 10**40):
+        yield [(vec, c), ({0: V, 3: -VINV}, c), ({3: VINV}, V)]
+    yield [({0: ZERO, 1: V}, 2)]
+    yield [({0: ZERO}, V), ({1: ZERO, 2: ONE}, 1)]
+    yield [({0: ZERO}, V)]
+
+
 def test_lincomb_matches_the_add_scaled_fold():
     rng = random.Random(20261019)
     pool = [p for p in (random_poly(rng, span=4, nterms=3, cmax=3) for _ in range(8)) if p] + [ONE, V, -VINV]
@@ -294,7 +322,7 @@ def test_lincomb_matches_the_add_scaled_fold():
         held = [(q, dict(q.terms)) for vec, c in terms for q in [*vec.values(), c] if isinstance(q, LaurentPoly)]
         expect = fold_combine(terms)
         out = lincomb(iter(terms))
-        assert out == expect
+        assert out == expect == count_lincomb(terms)
         assert all(out.values())  # a sum that cancels leaves its key absent
         assert all(q.terms == t for q, t in held)  # no input polynomial was mutated
         cancelled += any(k not in out for vec, _ in terms for k in vec)
@@ -303,6 +331,49 @@ def test_lincomb_matches_the_add_scaled_fold():
     assert lincomb([(vec, VINV), (copied(vec), -VINV)]) == {}
     assert lincomb([(vec, 1), (vec, ONE), (copied(vec), -2)]) == {}
     assert lincomb([]) == {} and lincomb([(vec, 0), ({}, V)]) == {}
+    for terms in lincomb_cases():
+        out = lincomb(terms)
+        assert out == count_lincomb(terms) == fold_combine(terms), terms
+        assert all(out.values())
+    assert lincomb([({0: LaurentPoly({0: 2**61})}, 1)]) == {0: LaurentPoly({0: 2**61})}
+    assert lincomb([({0: ZERO, 1: V}, 2)]) == {1: 2 * V} and lincomb([({0: ZERO}, V)]) == {}
+
+
+def test_lincomb_and_bar_vector_do_no_polynomial_arithmetic(monkeypatch):
+    # lincomb sums by Kronecker substitution, and bar_vector only bars the
+    # coefficients of the vector: with LaurentPoly's + and * made to fail,
+    # both still give the sums of the counting kernel
+    a3, b3 = build_system("A3"), build_system("B3")
+    vectors = []
+    for X in (regular_set(a3), regular_set(b3), coset_set(b3, [0, 2])):
+        for kind in ("M", "N"):
+            vectors += bar_columns(kind, X)
+            vectors += [ModuleVector(kind, X, col) for col in canonical_basis(kind, X).cols]
+    bars = [count_lincomb((bar_columns(u.kind, u.X)[p].coords, c.bar()) for p, c in u.coords.items())
+            for u in vectors]
+    saved = []  # the terms of act_hecke in the Hecke products below
+
+    def record(terms):
+        saved.append(list(terms))
+        return lincomb(saved[-1])
+
+    monkeypatch.setattr(barcanon, "lincomb", record)
+    kl = kl_basis(a3)
+    elements = [kl.underline(y) for y in (5, 11, 23)] + [HeckeElt(a3, {0: V - VINV, 3: 2 * VINV, 7: ONE})]
+    for h in elements:
+        for g in elements:
+            h * g
+    monkeypatch.undo()
+    sums = [count_lincomb(terms) for terms in saved]
+    assert len(saved) == len(elements) ** 2 and any(len(terms) > 1 for terms in saved)
+
+    def fail(*args):
+        pytest.fail("polynomial arithmetic ran")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, op, fail)
+    assert [bar_vector(u).coords for u in vectors] == bars
+    assert [lincomb(terms) for terms in saved] == sums
 
 
 def test_combine_matches_the_add_scaled_fold():
