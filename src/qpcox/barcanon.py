@@ -62,7 +62,7 @@ from .classify import twisted_classes, w0_translate
 from .coxeter import CoxeterSystem, stage
 from .errors import ConsistencyError, SystemMismatch, TruncationRequired, UncertifiedBar
 from .laurent import (
-    ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, act_generator, add_scaled, canonical_columns, combine, generator_rule,
+    ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, act_generator, canonical_columns, combine, generator_rule,
     lincomb, v_power,
 )
 from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic, lowest_descent
@@ -94,14 +94,14 @@ class ModuleVector:
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check(other)
-        return ModuleVector(self.kind, self.X, add_scaled(dict(self.coords), other.coords))
+        return ModuleVector(self.kind, self.X, lincomb(((self.coords, 1), (other.coords, 1))))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         self._check(other)
-        return ModuleVector(self.kind, self.X, add_scaled(dict(self.coords), other.coords, -1))
+        return ModuleVector(self.kind, self.X, lincomb(((self.coords, 1), (other.coords, -1))))
 
     def scale(self, c) -> "ModuleVector":
-        return ModuleVector(self.kind, self.X, add_scaled({}, self.coords, c))
+        return ModuleVector(self.kind, self.X, lincomb(((self.coords, c),)))
 
     def coeff(self, pid: int) -> LaurentPoly:
         return self.coords.get(pid, ZERO)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .barcanon import ModuleVector, act_hecke, bar_vector, canonical_basis
 from .coxeter import CoxeterSystem, stage
 from .errors import ConsistencyError, SystemMismatch
-from .laurent import ONE, LaurentPoly, ZERO, add_scaled
+from .laurent import ONE, LaurentPoly, ZERO, lincomb
 from .qpsets import ScaledWSet, regular_set
 
 
@@ -66,14 +66,14 @@ class HeckeElt:
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        return HeckeElt(self.system, add_scaled(dict(self.coords), other.coords))
+        return HeckeElt(self.system, lincomb(((self.coords, 1), (other.coords, 1))))
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        return HeckeElt(self.system, add_scaled(dict(self.coords), other.coords, -1))
+        return HeckeElt(self.system, lincomb(((self.coords, 1), (other.coords, -1))))
 
     def scale(self, c) -> "HeckeElt":
-        return HeckeElt(self.system, add_scaled({}, self.coords, c))
+        return HeckeElt(self.system, lincomb(((self.coords, c),)))
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)

@@ -5,10 +5,9 @@ integer coefficient; the zero polynomial is the empty map.  Coefficients are
 plain Python ints, so they are arbitrary precision and cannot overflow
 silently.  Values are immutable after construction and safe to share.
 
-Sums of sparse vectors {key: LaurentPoly} have three kernels.  add_scaled
-adds one scaled vector in place: the +, - and scale of module vectors and
-Hecke elements, and the W-graph products.  lincomb sums many scaled vectors
-over few distinct values (a bar operator applied to a vector, a Hecke
+Sums of sparse vectors {key: LaurentPoly} have two kernels.  lincomb sums
+scaled vectors over few distinct values (the +, - and scale of module
+vectors and Hecke elements, a bar operator applied to a vector, a Hecke
 product, the Phi maps) by Kronecker substitution: every polynomial is read
 at v = 2^b for a b that bounds the result, so each distinct (scalar, entry)
 product is one integer product per call and each key's sum one integer,
@@ -197,49 +196,14 @@ def v_power(k: int) -> LaurentPoly:
     return LaurentPoly({k: 1})
 
 
-def add_scaled(acc: dict, vec: dict, c=ONE) -> dict:
-    """acc += c * vec for sparse vectors {key: LaurentPoly}, in place; returns acc.
-
-    Entries that cancel are removed, so acc never holds a zero polynomial.
-    Each touched key gets one freshly built polynomial: no polynomial held by
-    acc, vec or c is mutated, so shared values such as ONE stay intact.  c is
-    a LaurentPoly or an int; acc must be a different dict from vec.
-
-    >>> acc = {0: ONE}
-    >>> add_scaled(acc, {0: V, 1: ONE}, VINV)
-    {0: LaurentPoly({0: 2}), 1: LaurentPoly({-1: 1})}
-    """
-    ct = (c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)).terms
-    if not ct:
-        return acc
-    scalar = list(ct.items())
-    for k, q in vec.items():
-        old = acc.get(k)
-        t = dict(old.terms) if old is not None else {}
-        for e1, c1 in scalar:
-            for e2, c2 in q.terms.items():
-                e = e1 + e2
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    del t[e]  # both factors are nonzero, so e was present
-        if t:
-            fresh = LaurentPoly.__new__(LaurentPoly)  # t is clean: skip the filter
-            fresh.terms = t
-            fresh._hash = None
-            acc[k] = fresh
-        elif old is not None:
-            del acc[k]
-    return acc
-
-
 def lincomb(terms) -> dict:
     """The sum of c * vec over the (vec, c) pairs of terms, as a new sparse
     vector {key: LaurentPoly} without zero entries; c is a LaurentPoly or an
-    int.  The result equals the fold of add_scaled over terms.
+    int.  The result equals the sum of the vectors scaled one at a time.
+    One term with the scalar 1 (or ONE) is its vector's own nonzero
+    entries, in a new dict, with no arithmetic.
 
-    The sum is taken by Kronecker substitution, with no polynomial
+    Any other sum is taken by Kronecker substitution, with no polynomial
     arithmetic.  Each distinct scalar (interned by value; zero ones are
     skipped) and each distinct entry (told apart by id; ZERO is skipped) is
     read once at v = 2^b, each distinct (scalar, entry) pair is multiplied
@@ -256,6 +220,8 @@ def lincomb(terms) -> dict:
     {0: LaurentPoly({0: 1, 1: 1})}
     """
     terms = list(terms)
+    if len(terms) == 1 and terms[0][1] == 1:
+        return {k: q for k, q in terms[0][0].items() if q.terms}
     index: dict = {}  # scalar value -> its number in scalars, or -1 if it is zero
     scalars: list[dict] = []  # the terms of each scalar
     work = []  # (scalar number, vec) for every pair that can add something

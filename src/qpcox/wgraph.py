@@ -15,7 +15,6 @@ from typing import NamedTuple, Optional
 
 from .barcanon import CanonicalTable, CheckVerdict
 from .errors import TruncationRequired
-from .laurent import V, VINV, LaurentPoly, add_scaled
 from .qpsets import ScaledWSet
 
 
@@ -93,51 +92,80 @@ def check_quasi_admissible(G: WGraph) -> AdmissibilityVerdict:
 # the module defined by a labeled graph
 
 
-def _rho_columns(G: WGraph, s: int) -> list[dict[int, LaurentPoly]]:
-    cols = [{x: -VINV if s in G.tau[x] else V} for x in G.vertices()]
-    for (x, y), w in G.omega.items():  # omega holds nonzero weights off the diagonal
-        if s in G.tau[x] and s not in G.tau[y]:
-            cols[x][y] = LaurentPoly.const(w)
-    return cols
-
-
-def _mat_mult(A: list[dict], B: list[dict]) -> list[dict]:
-    out = []
-    for col in B:
-        acc: dict[int, LaurentPoly] = {}
-        for y, c in col.items():
-            add_scaled(acc, A[y], c)
-        out.append(acc)
-    return out
-
-
 def verify_wgraph_module(G: WGraph) -> CheckVerdict:
-    """The quadratic relation and the braid relations for the rho-matrices."""
-    system = G.X.system
-    rho = [_rho_columns(G, s) for s in range(G.n_gens)]
+    """The quadratic relation and the braid relations for the rho-matrices.
+
+    Both are checked on v rho(H_s), whose entries lie in Z[v]: column x is
+    v^2 e_x where s is outside tau(x), else -e_x plus w v e_y for each edge
+    (x, y) of weight w with s outside tau(y).  (rho - v)(rho + v^-1) = 0 is
+    (v rho - v^2)(v rho + 1) = 0, and a braid relation of m factors a side
+    holds for rho exactly when it holds for v rho.  Each v rho is read once
+    at v = 2^b as sparse int columns, and each relation is tested column by
+    column as a product of int columns.
+
+    Reading at 2^b is a ring map, so a relation that holds passes.  One
+    that fails also fails at 2^b.  Let c be the largest column L1 norm (the
+    sum of the absolute coefficients of a column's entries) of v rho - v^2,
+    v rho + 1 and v rho: at most 2 plus the largest sum of |w| over the
+    edges out of a vertex.  Let m >= 2 be the largest finite m_st.  The
+    column L1 norm is submultiplicative, so each coefficient of a product of
+    at most m factors lies within c^m of 0, and each coefficient of the
+    difference of two sides within 2 c^m < 2^(b-1).  A polynomial whose
+    coefficients all lie below 2^(b-1) in absolute value is zero only if
+    its value at 2^b is: the coefficients are its balanced base-2^b digits.
+    """
+    tau, omega = G.tau, G.omega
+    matrix = G.X.system.matrix
+    out_l1 = [0] * len(tau)
+    for (x, _), w in omega.items():
+        out_l1[x] += abs(w)
+    m = max(2, *map(max, matrix))  # an infinite m_st is 0
+    b = (2 * (2 + max(out_l1, default=0)) ** m).bit_length() + 1
+    v, v2 = 1 << b, 1 << 2 * b
+    rho = []  # rho[s][x]: column x of v rho(H_s) at v = 2^b
     for s in range(G.n_gens):
-        # (rho(H_s) - v)(rho(H_s) + v^-1) = 0
-        minus = [add_scaled(dict(col), {x: V}, -1) for x, col in enumerate(rho[s])]
-        plus = [add_scaled(dict(col), {x: VINV}) for x, col in enumerate(rho[s])]
-        if any(col for col in _mat_mult(minus, plus)):
+        cols = [{x: -1} if s in t else {x: v2} for x, t in enumerate(tau)]
+        for (x, y), w in omega.items():  # omega holds nonzero weights off the diagonal
+            if s in tau[x] and s not in tau[y]:
+                cols[x][y] = w * v
+        rho.append(cols)
+    for s, cols in enumerate(rho):
+        minus = [{**col, x: col[x] - v2} for x, col in enumerate(cols)]
+        plus = [{**col, x: col[x] + 1} for x, col in enumerate(cols)]
+        if any(any(col.values()) for col in _mul(minus, plus)):
             return CheckVerdict(False, "wgraph-quadratic", {"s": s})
     for s in range(G.n_gens):
         for t in range(s + 1, G.n_gens):
-            m_st = system.matrix[s][t]
-            left = _alternating(rho[s], rho[t], m_st)
-            right = _alternating(rho[t], rho[s], m_st)
-            if left != right:
+            m_st = matrix[s][t]
+            if not m_st:
+                continue
+            # A B A ... = A P and B A B ... = P F, for P = B A B ... with
+            # m_st - 1 factors and F the factor after it
+            A, B = rho[s], rho[t]
+            P, F = B, A
+            for _ in range(m_st - 2):
+                P, F = _mul(P, F), B if F is A else A
+            if any(p != q and _nonzero(p) != _nonzero(q) for p, q in zip(_mul(A, P), _mul(P, F))):
                 return CheckVerdict(False, "wgraph-braid", {"s": s, "t": t})
     return CheckVerdict(True, "wgraph-module")
 
 
-def _alternating(A, B, m):
-    """A B A B ... with m factors, rightmost applied first."""
-    out = None
-    seq = [A if i % 2 == 0 else B for i in range(m)]
-    for M in reversed(seq):
-        out = M if out is None else _mat_mult(out, M)
+def _mul(A: list[dict], B: list[dict]) -> list[dict]:
+    """The product of two matrices given as lists of sparse int columns; an
+    entry that cancels is kept as 0."""
+    out = []
+    for col in B:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for y, c in col.items():
+            for x, a in A[y].items():
+                acc[x] = get(x, 0) + a * c
+        out.append(acc)
     return out
+
+
+def _nonzero(col: dict) -> dict:
+    return {k: c for k, c in col.items() if c}
 
 
 # ---------------------------------------------------------------------------

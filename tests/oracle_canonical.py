@@ -37,6 +37,12 @@ it compared the two sides key by key: it builds (H_s + v^-1) C_x with the
 H_s rule (fold_act_generator) and the right side with one add_scaled per
 term, and compares the two vectors.
 
+add_scaled is the in-place sum of one scaled sparse vector as laurent had it
+before the +, - and scale of module vectors and Hecke elements went through
+laurent.lincomb and the W-graph module check read its matrices at v = 2^b:
+each touched key gets one polynomial built by the polynomial product.  It
+is the kernel of every fold here and of oracle_wgraph.
+
 fold_combine is the sum of c * vec over (vec, c) pairs as the package formed
 it before laurent.lincomb: one add_scaled per pair, every product computed
 where it lands.  count_lincomb is laurent.lincomb as it was before it summed
@@ -77,7 +83,7 @@ from qpcox.barcanon import (
 )
 from qpcox.classify import w0_translate
 from qpcox.errors import ConsistencyError, TruncationRequired
-from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, add_scaled, v_power
+from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, v_power
 from qpcox.qpsets import bruhat_order, check_quasiparabolic, lowest_descent
 
 from oracle_qpsets import payloads
@@ -98,6 +104,35 @@ def act_gen(vec, s):
 def act_bar_gen(vec, s):
     """Left action of bar(H_s) = H_s^-1 = H_s + (v^-1 - v)."""
     return act_word(vec, (s,), VINV - V)
+
+
+def add_scaled(acc: dict, vec: dict, c=ONE) -> dict:
+    """acc += c * vec for sparse vectors {key: LaurentPoly}, in place; returns acc.
+
+    Entries that cancel are removed, so acc never holds a zero polynomial.
+    Each touched key gets one freshly built polynomial: no polynomial held by
+    acc, vec or c is mutated, so shared values such as ONE stay intact.  c is
+    a LaurentPoly or an int; acc must be a different dict from vec."""
+    ct = (c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)).terms
+    if not ct:
+        return acc
+    scalar = list(ct.items())
+    for k, q in vec.items():
+        old = acc.get(k)
+        t = dict(old.terms) if old is not None else {}
+        for e1, c1 in scalar:
+            for e2, c2 in q.terms.items():
+                e = e1 + e2
+                s = t.get(e, 0) + c1 * c2
+                if s:
+                    t[e] = s
+                else:
+                    del t[e]  # both factors are nonzero, so e was present
+        if t:
+            acc[k] = LaurentPoly(t)
+        elif old is not None:
+            del acc[k]
+    return acc
 
 
 def fold_combine(terms) -> dict:

@@ -487,15 +487,14 @@ def test_truncated_key_by_key_kernels_match_the_fold_oracles():
 @pytest.mark.parametrize("name", ["A3", "B3"])
 def test_bar_stages_and_tables_form_no_vector_sum(name, monkeypatch):
     # the bar columns, the bar verdict and both canonical tables are built
-    # key by key through a memo: neither vector kernel runs
+    # key by key through a memo: lincomb does not run
     def fail(*args, **kw):
         pytest.fail("a vector sum ran")
 
     carriers = _qp_carriers(name)  # fresh carriers: none of their stages is built
     assert carriers
     for module in (barcanon, laurent):
-        for kernel in ("add_scaled", "lincomb"):
-            monkeypatch.setattr(module, kernel, fail)
+        monkeypatch.setattr(module, "lincomb", fail)
     for X in carriers:
         for kind in ("M", "N"):
             assert len(bar_columns(kind, X)) == len(X)
@@ -506,7 +505,7 @@ def test_bar_stages_and_tables_form_no_vector_sum(name, monkeypatch):
 @pytest.mark.parametrize("name", ["A3", "B3"])
 def test_primed_and_inversion_checks_form_no_vector_sum(name, monkeypatch):
     # the primed image and the inversion columns are summed key by key
-    # through a memo (laurent.combine): neither vector kernel runs
+    # through a memo (laurent.combine): lincomb does not run
     def fail(*args, **kw):
         pytest.fail("a vector sum ran")
 
@@ -514,8 +513,7 @@ def test_primed_and_inversion_checks_form_no_vector_sum(name, monkeypatch):
     carriers = _qp_carriers(name)
     assert carriers
     for module in (barcanon, laurent):
-        for kernel in ("add_scaled", "lincomb"):
-            monkeypatch.setattr(module, kernel, fail)
+        monkeypatch.setattr(module, "lincomb", fail)
     for X in carriers:
         table_m, table_n = canonical_basis("M", X), canonical_basis("N", X)
         for kind in ("M", "N"):
@@ -742,7 +740,7 @@ def test_table_checks_run_no_column_operation(name, monkeypatch):
               if check_quasiparabolic(X).is_qp for kind in ("M", "N")]
     assert tables
     for module in (barcanon, laurent):
-        for kernel in ("act_generator", "add_scaled"):
+        for kernel in ("act_generator", "lincomb"):
             monkeypatch.setattr(module, kernel, fail)
     for table in tables:
         assert verify_multiplication(table) == CheckVerdict(True, "multiplication"), table.X
@@ -859,7 +857,7 @@ def test_phi_verdict_runs_no_column_operation(name, monkeypatch):
     certified = [X for X in _untruncated_carriers(build_system(name))
                  if all(verify_bar_operator(kind, X).ok for kind in ("M", "N"))]
     assert certified
-    for kernel in ("act_generator", "add_scaled", "lincomb"):
+    for kernel in ("act_generator", "lincomb"):
         monkeypatch.setattr(barcanon, kernel, fail)
     for X in certified:
         assert PhiMaps(X).verify() == CheckVerdict(True, "phi"), X

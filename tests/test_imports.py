@@ -19,9 +19,12 @@ W x A1, so every other module reads it as any other carrier.  No module in
 src/ imports ``dataclasses``: records are NamedTuples, and ``import
 qpcox.cli`` loads neither dataclasses nor inspect.  No module in src/ names
 ``mn_cols`` or ``nm_cols``: the Phi maps read the bar columns, and keep no
-scaled copies of them.  Neither hecke nor barcanon imports or names
-``Element``: Hecke elements are keyed by element key (the point id on the
-regular carrier), and CoxeterSystem.word_of turns a key into its word.
+scaled copies of them.  No module in src/ names ``add_scaled``, not even in
+a comment: sums of scaled vectors go through laurent's two kernels, lincomb
+and combine, the W-graph module check multiplies int columns, and the
+one-vector fold is a test oracle.  Neither hecke nor barcanon imports or
+names ``Element``: Hecke elements are keyed by element key (the point id on
+the regular carrier), and CoxeterSystem.word_of turns a key into its word.
 
 Only laurent and jsonout key a memo by ``id``: no other module in src/ reads
 the name ``id``, except inside a ``__hash__`` method.  A memo keyed that way
@@ -119,6 +122,11 @@ def test_src_reads_no_payloads(path):
 def test_src_keeps_no_phi_column_copies(path):
     refs = _references(ast.parse(path.read_text()))
     assert [name for name in ("mn_cols", "nm_cols") if refs[name]] == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_src_names_no_add_scaled(path):
+    assert "add_scaled" not in path.read_text()
 
 
 def named(source: str) -> Counter:

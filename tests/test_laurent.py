@@ -14,7 +14,6 @@ from qpcox.laurent import (
     V,
     VINV,
     ZERO,
-    add_scaled,
     canonical_columns,
     combine,
     lincomb,
@@ -22,7 +21,9 @@ from qpcox.laurent import (
 )
 from qpcox.qpsets import coset_set, regular_set
 
-from oracle_canonical import SkewViolation, count_lincomb, fold_combine, generic_canonical_columns, solve_skew
+from oracle_canonical import (
+    SkewViolation, add_scaled, count_lincomb, fold_combine, generic_canonical_columns, solve_skew,
+)
 from oracle_hecke import from_pairs
 
 
@@ -337,6 +338,12 @@ def test_lincomb_matches_the_add_scaled_fold():
         assert all(out.values())
     assert lincomb([({0: LaurentPoly({0: 2**61})}, 1)]) == {0: LaurentPoly({0: 2**61})}
     assert lincomb([({0: ZERO, 1: V}, 2)]) == {1: 2 * V} and lincomb([({0: ZERO}, V)]) == {}
+    # one term with a unit scalar is its vector's own nonzero entries
+    vec = {0: V + 2 * VINV, 1: ZERO, 2: -v_power(3), 3: LaurentPoly({7: 2**70})}
+    for c in (1, ONE):
+        out = lincomb([(vec, c)])
+        assert out == count_lincomb([(vec, c)]) and out is not vec
+        assert list(out) == [0, 2, 3] and all(out[k] is vec[k] for k in out)
 
 
 def test_lincomb_and_bar_vector_do_no_polynomial_arithmetic(monkeypatch):

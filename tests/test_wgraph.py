@@ -1,10 +1,14 @@
+import pytest
+
 from qpcox.barcanon import canonical_basis, primed_basis
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.laurent import LaurentPoly, V, VINV, ZERO
 from qpcox.qpsets import conjugacy_set, coset_set, even_double_cover, regular_set
 from oracle_canonical import act_gen, to_canonical_coords
 from oracle_qpsets import payloads
+from oracle_wgraph import poly_verify_wgraph_module, rho_columns
 from qpcox.wgraph import (
+    WGraph,
     build_wgraph,
     cells,
     check_quasi_admissible,
@@ -27,6 +31,13 @@ def graphs_for(X):
         "m": build_wgraph(canonical_basis("M", X)),
         "n": build_wgraph(canonical_basis("N", X)),
     }
+
+
+def module_verdict(G):
+    """verify_wgraph_module's verdict, which must equal the polynomial oracle's."""
+    verdict = verify_wgraph_module(G)
+    assert verdict == poly_verify_wgraph_module(G)
+    return verdict
 
 
 def point_words(X, pids):
@@ -74,7 +85,7 @@ def test_fpf_a3_graph():
     for G in gs.values():
         verdict = check_quasi_admissible(G)
         assert verdict.quasi_admissible
-        assert verify_wgraph_module(G).ok
+        assert module_verdict(G).ok
         part = cells(G)
         assert sorted(sum(part.cells, [])) == list(range(len(X)))
 
@@ -94,7 +105,7 @@ def test_quasi_admissibility_and_module_axioms_everywhere():
         for G in graphs_for(X).values():
             verdict = check_quasi_admissible(G)
             assert verdict.quasi_admissible, verdict.failure
-            assert verify_wgraph_module(G).ok
+            assert module_verdict(G).ok
     # admissibility (nonnegative weights) holds on these classical carriers
     # but is reported, never assumed
     assert check_quasi_admissible(graphs_for(regular_set(a2))["m"]).admissible
@@ -107,7 +118,7 @@ def test_covers_of_covers_are_w_graph_modules():
     for X in (coset_set(a2, [0]), coset_set(b2, [0]), fpf_class(a3)):
         C = even_double_cover(even_double_cover(X))
         for G in graphs_for(C).values():
-            assert verify_wgraph_module(G).ok
+            assert module_verdict(G).ok
             assert check_quasi_admissible(G).quasi_admissible
             assert G.n_gens == C.system.rank == X.n_gens + 2
 
@@ -116,7 +127,7 @@ def test_single_vertex_graph():
     a1 = build_system("A1")
     X = coset_set(a1, [0])  # one point
     for G in graphs_for(X).values():
-        assert verify_wgraph_module(G).ok
+        assert module_verdict(G).ok
         assert cells(G).cells == [[0]]
 
 
@@ -169,10 +180,8 @@ def test_transpose_law_for_m_graph():
         assert not rem
         return out
 
-    from qpcox.wgraph import _rho_columns
-
     for s in range(X.n_gens):
-        rho = _rho_columns(G, s)
+        rho = rho_columns(G, s)
         for x in range(len(X)):
             coords = expand_over_primed(act_gen(primed[x], s))
             for y in range(len(X)):
@@ -234,3 +243,89 @@ def test_weights_from_the_nonzero_mu_match_the_pair_scan():
             G = build_wgraph(table)
             assert list(G.omega.items()) == list(pair_scan_omega(table, G.tau).items()), (X, kind)
             assert G.omega, (X, kind)
+            assert module_verdict(G).ok, (X, kind)
+
+
+def mutations(G):
+    """Each graph with one edge weight raised by 1, then each with one edge dropped."""
+    for e, w in G.omega.items():
+        yield G._replace(omega={**G.omega, e: w + 1})
+    for e in G.omega:
+        yield G._replace(omega={k: w for k, w in G.omega.items() if k != e})
+
+
+@pytest.mark.parametrize("carrier", ["regular", "fpf"])
+@pytest.mark.parametrize("kind", ["M", "N"])
+def test_mutated_graphs_fail_the_module_check_as_the_oracle_does(carrier, kind):
+    a3 = build_system("A3")
+    X = regular_set(a3) if carrier == "regular" else fpf_class(a3)
+    G = build_wgraph(canonical_basis(kind, X))
+    # an edge between tau-incomparable points: changing or dropping it
+    # breaks a braid relation on both carriers
+    x, y = next(e for e in sorted(G.omega) if not G.tau[e[1]] <= G.tau[e[0]])
+    changed = G._replace(omega={**G.omega, (x, y): G.omega[(x, y)] + 1})
+    dropped = G._replace(omega={k: w for k, w in G.omega.items() if k != (x, y)})
+    for H in (changed, dropped):
+        verdict = module_verdict(H)
+        assert not verdict.ok and verdict.name == "wgraph-braid"
+        assert set(verdict.failure) == {"s", "t"}
+    failed = [not module_verdict(H).ok for H in mutations(G)]
+    assert sum(failed) >= len(failed) // 2
+
+
+@pytest.mark.parametrize("name", ["I2(8)", "I2(12)"])
+def test_module_check_on_dihedral_regular_graphs_matches_the_oracle(name):
+    # m_st = 8 and 12: the longest products, and the largest 2^b
+    X = regular_set(build_system(name))
+    for G in graphs_for(X).values():
+        assert module_verdict(G).ok
+        e = min(G.omega)
+        assert module_verdict(G._replace(omega={**G.omega, e: -G.omega[e]})) == (
+            False, "wgraph-braid", {"s": 0, "t": 1})
+
+
+def hand_built(name, tau, omega):
+    X = regular_set(build_system(name))  # only its system's matrix is read
+    return WGraph("m", X, [frozenset(t) for t in tau], omega, X.n_gens)
+
+
+def test_module_check_with_weights_beyond_64_bits_matches_the_oracle():
+    big = 2**70 + 1
+    # on A1 x A1 the edge from {s, t} to {s} may carry any weight
+    assert module_verdict(hand_built("I2(2)", [{0}, {0, 1}], {(1, 0): big})).ok
+    assert module_verdict(hand_built("I2(2)", [{0}, {0, 1}], {(1, 0): -(2**64)})).ok
+    assert not module_verdict(hand_built("I2(2)", [{0}, {1}], {(0, 1): 2**64})).ok
+    # on A2 the two weights of a {s} -- {t} pair must multiply to 1
+    assert module_verdict(hand_built("A2", [{0}, {1}], {(0, 1): -1, (1, 0): -1})).ok
+    for a, b in ((2**64, 2**64), (2**64, 1), (big, -big), (2**64 + 1, 2**64 - 1)):
+        verdict = module_verdict(hand_built("A2", [{0}, {1}], {(0, 1): a, (1, 0): b}))
+        assert verdict == (False, "wgraph-braid", {"s": 0, "t": 1})
+    # the braid difference of this A2 graph is -v^2 (v - W)(W v - 1) at (2, 3)
+    # and zero elsewhere, so reading it at v = W would pass it
+    for W in (2, 2**64, 2**100):
+        omega = {(0, 1): 1, (1, 0): 1, (0, 2): 1, (3, 0): W, (3, 1): W * W + 1}
+        verdict = module_verdict(hand_built("A2", [{0}, {1}, set(), {0, 1}], omega))
+        assert verdict == (False, "wgraph-braid", {"s": 0, "t": 1})
+    # a classical graph with every weight scaled past 2^64
+    G = build_wgraph(canonical_basis("M", regular_set(build_system("A3"))))
+    for c in (2**64, -(2**80) - 3):
+        assert not module_verdict(G._replace(omega={e: c * w for e, w in G.omega.items()})).ok
+    assert module_verdict(G._replace(omega={e: -w for e, w in G.omega.items()})).ok
+
+
+def test_module_check_does_no_polynomial_arithmetic(monkeypatch):
+    # the rho-matrices are read at v = 2^b: with LaurentPoly's +, - and *
+    # made to fail, every verdict is still the oracle's
+    a3 = build_system("A3")
+    graphs = [G for X in (regular_set(a3), fpf_class(a3), regular_set(build_system("I2(8)")))
+              for G in graphs_for(X).values()]
+    graphs += list(mutations(graphs[0]))[:20]
+    expect = [poly_verify_wgraph_module(G) for G in graphs]
+    assert not all(v.ok for v in expect)
+
+    def fail(*args):
+        pytest.fail("polynomial arithmetic ran")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(LaurentPoly, op, fail)
+    assert [verify_wgraph_module(G) for G in graphs] == expect
