@@ -1,14 +1,13 @@
 """Coxeter systems with exact element arithmetic.
 
 Two families are supported.  A *finite* system is built from the root set of
-its geometric representation: roots are generated numerically (each is
-looked up by its coordinates rounded to a grid of 1e-9), and each generator
-becomes an integer permutation of the root indices, with a sign per root.
-The construction is self-validating: generator permutations must be
-involutions satisfying the braid relations, and the root count must be twice
-the number of positive roots, so a misidentified root fails loudly.  Root
-vectors are used nowhere else.  A *universal* system (every off-diagonal
-order infinite) represents each element by its unique reduced word.
+its geometric representation, closed exactly on int keys one component of
+the Coxeter graph at a time, which also decides finiteness (no float is
+computed).  Each generator becomes an integer permutation of the root
+indices, with a sign per root, gated by the Coxeter relations and the even
+split into positive and negative roots.  A *universal* system (every
+off-diagonal order infinite) represents each element by its unique reduced
+word.
 
 Reflections are read on the roots (reflection_roots): s_beta for each
 positive root beta, with its greedy lowest-left-descent word, and no group
@@ -55,9 +54,6 @@ from .errors import (
 INF = 0  # internal marker for an infinite bond order
 
 MAX_ORDER = 500_000  # the largest |W| enumerated, and |X| searched: above |A8| = 362880, below |E7|
-
-_SNAP = 1e-9
-
 
 def stage(attr: str):
     """A decorator for a stage fn(owner, *arg), with at most one argument
@@ -159,18 +155,41 @@ def _normalize_matrix(matrix):
     return tuple(out)
 
 
-def _is_positive_definite(form, tol=1e-9):
-    # Cholesky with failure on a nonpositive pivot
-    n = len(form)
-    L = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        d = form[i][i] - sum(L[i][k] ** 2 for k in range(i))
-        if d <= tol:
-            return False
-        L[i][i] = math.sqrt(d)
-        for j in range(i + 1, n):
-            L[j][i] = (form[j][i] - sum(L[j][k] * L[i][k] for k in range(i))) / L[i][i]
-    return True
+# 2cos(pi/m) as the int matrix (c, d, e, f) of x + y w -> (c x + d y) + (e x + f y) w
+# on Z[w], w = 2cos(pi/4) = sqrt 2 or w = 2cos(pi/5), the golden ratio
+_TWO_COS = {3: (1, 0, 0, 1), 4: (0, 2, 1, 0), 5: (0, 1, 1, 1)}
+
+
+def _root_rule(name, matrix, J):
+    """The keys of alpha_j and the reflections s_j on keys (j in J) and the
+    most roots of a finite group of J's rank, on a component J of the
+    Coxeter graph.  I2(m) (m = 1 on A1) keys its roots, at the angles
+    t pi / m, by t mod 2m: alpha_j at 0 and m - 1, s_j sending t to m - t and
+    m - 2 - t.  A component of rank k >= 3 is finite only with its bonds in
+    {3, 4} or in {3, 5} (Humphreys, Reflection Groups and Coxeter Groups,
+    2.4), and then has at most max(k^2, 120) positive roots (2.10).  It keys
+    a root by (a_1, b_1, ..., a_k, b_k), its coordinates a + b w in Z[w], and
+    s_j sets x_j to the sum of 2cos(pi/m_jq) x_q over q != j, minus x_j."""
+    k = len(J)
+    if k <= 2:
+        m = matrix[J[0]][J[-1]]
+        return (0, m - 1)[:k], [lambda t, turn=turn: (turn - t) % (2 * m) for turn in (m, m - 2)[:k]], 2 * m
+    bonds = {matrix[a][b] for a in J for b in J} - {1, 2}
+    if not (bonds <= {3, 4} or bonds <= {3, 5}):
+        raise NotFinite(f"{name} is infinite: a component of rank {k} has the bonds {sorted(bonds)}")
+
+    def reflection(p):
+        row = [(2 * q, _TWO_COS[matrix[J[p]][j]]) for q, j in enumerate(J) if matrix[J[p]][j] > 2]
+
+        def reflect(v):
+            a, b = -v[2 * p], -v[2 * p + 1]
+            for q, (c, d, e, f) in row:
+                a, b = a + c * v[q] + d * v[q + 1], b + e * v[q] + f * v[q + 1]
+            return v[:2 * p] + (a, b) + v[2 * p + 2:]
+        return reflect
+
+    units = [tuple(int(q == 2 * p) for q in range(2 * k)) for p in range(k)]
+    return units, [reflection(p) for p in range(k)], 2 * max(k * k, 120)
 
 
 class CoxeterSystem:
@@ -210,67 +229,42 @@ class CoxeterSystem:
     # -- geometric representation (finite family) --------------------------
 
     def _build_roots(self):
-        n = self.rank
-        form = [
-            [-math.cos(math.pi / self.matrix[i][j]) for j in range(n)] for i in range(n)
-        ]
-        if not _is_positive_definite(form):
-            raise NotFinite(f"bilinear form of {self.name} is not positive definite")
-        roots: list[tuple[float, ...]] = []
-        index: dict[tuple[int, ...], int] = {}  # coordinates on the _SNAP grid -> root
-
-        def snap(vec):
-            return tuple([round(c / _SNAP) for c in vec])
-
-        def find(vec):
-            k = index.setdefault(snap(vec), len(roots))
-            if k == len(roots):
-                roots.append(vec)
-            return k
-
-        for i in range(n):
-            find(tuple(1.0 if j == i else 0.0 for j in range(n)))
-
-        # iterating the growing list closes the root set in discovery order
-        perms = [[] for _ in range(n)]
-        for vec in roots:
-            for i in range(n):  # the reflection of vec in alpha_i
-                pairing = 2.0 * sum(form[i][j] * vec[j] for j in range(n))
-                perms[i].append(find(tuple(c - pairing if j == i else c for j, c in enumerate(vec))))
-            if len(roots) > 100000:
-                raise NotFinite(f"root closure of {self.name} did not terminate")
-        perms = [tuple(p) for p in perms]
-
-        def sign(vec):
-            for c in vec:
-                if abs(c) > 1e-6:
-                    return c > 0
-            raise NotFinite("root with vanishing coordinates")
-
-        if any(snap([-c for c in vec]) not in index for vec in roots):
-            raise NotFinite("root set is not symmetric under negation")
-
-        # structural self-checks gating the floating-point snapping
-        ident = tuple(range(len(roots)))
-        for i, p in enumerate(perms):
-            if _compose(p, p) != ident:
-                raise NotFinite(f"generator {i} is not an involution on roots")
-        for i in range(n):
-            for j in range(i + 1, n):
-                prod = _compose(perms[i], perms[j])
-                power = ident
-                for _ in range(self.matrix[i][j]):
-                    power = _compose(power, prod)
-                if power != ident:
-                    raise NotFinite(f"braid relation ({i},{j}) fails on roots")
-        positive = tuple(sign(vec) for vec in roots)
+        """gen_root_perm[i][r], the root s_i sends root r to, and positive[r]
+        on the roots, keyed exactly per component of the Coxeter graph
+        (_root_rule), in discovery order: alpha_i is root i, then each root
+        in turn goes through s_0 .. s_n-1, which fix the other components'
+        roots.  s_i flips the sign of +-alpha_i only, so a sign needs no
+        test.  (s_i s_j)^m_ij = 1 for i <= j and the even split into positive
+        and negative roots gate the tables (ConsistencyError)."""
+        n, mat = self.rank, self.matrix
+        comp = list(range(n))
+        for _ in range(n):  # each generator's component, named by its least generator
+            comp = [min(comp[j] for j in range(n) if mat[i][j] != 2) for i in range(n)]
+        roots, reflections, caps, index = [None] * n, [None] * n, {}, {}
+        for c in sorted(set(comp)):
+            J = [j for j in range(n) if comp[j] == c]
+            units, refls, caps[c] = _root_rule(self.name, mat, J)
+            index[c] = dict(zip(units, J))  # key -> root, per component
+            for j, key, refl in zip(J, units, refls):
+                roots[j], reflections[j] = (c, key), refl
+        positive, perms = [True] * n, [[] for _ in range(n)]
+        for r, (c, key) in enumerate(roots):  # iterating the growing list closes the root set
+            for i in range(n):
+                image = reflections[i](key) if comp[i] == c else key
+                k = index[c].setdefault(image, len(roots))
+                if k == len(roots):
+                    if len(index[c]) > caps[c]:
+                        raise NotFinite(f"{self.name} is infinite: the component of s{c + 1} has over {caps[c]} roots")
+                    roots.append((c, image))
+                    positive.append(positive[r] != (r == i))
+                perms[i].append(k)
+        perms = tuple(map(tuple, perms))
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            if not _order_divides(_compose(perms[i], perms[j]), mat[i][j]):
+                raise ConsistencyError(f"(s{i + 1} s{j + 1})^{mat[i][j]} = 1 fails on the roots of {self.name}")
         if sum(positive) * 2 != len(roots):
-            raise NotFinite("root set is not split evenly into positive and negative")
-
-        self.roots = tuple(roots)
-        self.gen_root_perm = tuple(perms)
-        self.positive = positive
-        self.n_positive_roots = len(roots) // 2
+            raise ConsistencyError(f"the roots of {self.name} do not split evenly into positive and negative")
+        self.gen_root_perm, self.positive, self.n_positive_roots = perms, tuple(positive), len(roots) // 2
 
     # -- group enumeration (finite family) ----------------------------------
 
@@ -433,17 +427,11 @@ class CoxeterSystem:
 
     @stage("_aut_list")
     def diagram_automorphisms(self) -> list["DiagramAut"]:
-        """All permutations of S preserving the Coxeter matrix, identity first."""
-        auts = []
-        for sigma in itertools.permutations(range(self.rank)):
-            if all(
-                self.matrix[sigma[i]][sigma[j]] == self.matrix[i][j]
-                for i in range(self.rank)
-                for j in range(self.rank)
-            ):
-                auts.append(DiagramAut(self, sigma))
-        auts.sort(key=lambda a: a.sigma)
-        return auts
+        """All permutations of S preserving the Coxeter matrix, in
+        lexicographic order (so the identity first)."""
+        m, n = self.matrix, self.rank
+        return [DiagramAut(self, sigma) for sigma in itertools.permutations(range(n))
+                if all(m[sigma[i]][sigma[j]] == m[i][j] for i in range(n) for j in range(n))]
 
     def identity_aut(self) -> "DiagramAut":
         return DiagramAut(self, tuple(range(self.rank)))
@@ -464,6 +452,18 @@ class CoxeterSystem:
 def _compose(p, q):
     """Permutation composition: (p o q)[i] = p[q[i]]."""
     return tuple(p[i] for i in q)
+
+
+def _order_divides(p, m) -> bool:
+    """Whether p^m = 1: every cycle of the permutation p has a length dividing m."""
+    seen = bytearray(len(p))
+    for start in range(len(p)):
+        x, k = start, 0
+        while not seen[x]:
+            seen[x], x, k = 1, p[x], k + 1
+        if k and m % k:
+            return False
+    return True
 
 
 def _u_mult(a, b):

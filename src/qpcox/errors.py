@@ -10,7 +10,7 @@ class BadMatrix(QpcoxError):
 
 
 class NotFinite(QpcoxError):
-    """A finite system was requested but the bilinear form is not positive definite."""
+    """A finite system was requested but the Coxeter group is infinite."""
 
 
 class SystemMismatch(QpcoxError):

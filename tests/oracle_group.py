@@ -3,13 +3,16 @@
 Represents every element by the full permutation of root indices it induces
 and multiplies by composing permutations; a diagram automorphism acts by the
 linear map alpha_i -> alpha_sigma(i), matched against the root vectors.
-Shares only the root vectors and generator permutations with the
-implementation, whose tables come from simple-root keys and recurrences
+Shares only the Coxeter matrix with the implementation: the oracle closes
+its own float root vectors (float_roots), while the implementation keys its
+roots exactly and builds its tables from simple-root keys and recurrences
 along the search tree.
 
-scan_roots is the root-table construction CoxeterSystem ran before it
-looked roots up by hashing: every new vector is compared with every root
-found so far, coordinate by coordinate within SNAP.
+float_roots is the root-table construction CoxeterSystem ran before it
+keyed roots exactly: the roots closed in floats from the bilinear form
+-cos(pi / m_ij), every new vector compared with every root found so far,
+coordinate by coordinate within SNAP, and each sign read from the first
+coordinate past 1e-6.  scan_roots is its (gen_root_perm, positive).
 
 table_reflections is the breadth-first search of the reflections on the
 group table that CoxeterSystem.reflections ran before it read them on the
@@ -58,9 +61,10 @@ def is_twisted_involution(p):
     return (p * p).is_identity()
 
 
-def scan_roots(matrix):
-    """(gen_root_perm, positive) of the finite Coxeter matrix, the roots
-    closed in discovery order and each image found by a linear scan."""
+def float_roots(matrix):
+    """(root vectors, gen_root_perm, positive) of the finite Coxeter matrix,
+    the roots closed in discovery order and each image found by a linear
+    scan."""
     n = len(matrix)
     form = [[-math.cos(math.pi / matrix[i][j]) for j in range(n)] for i in range(n)]
     roots = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
@@ -78,7 +82,12 @@ def scan_roots(matrix):
             pairing = 2.0 * sum(form[i][j] * vec[j] for j in range(n))
             perms[i].append(find(tuple(c - pairing if j == i else c for j, c in enumerate(vec))))
     positive = tuple(next(c > 0 for c in vec if abs(c) > 1e-6) for vec in roots)
-    return tuple(tuple(p) for p in perms), positive
+    return roots, tuple(tuple(p) for p in perms), positive
+
+
+def scan_roots(matrix):
+    """(gen_root_perm, positive) of the finite Coxeter matrix, from float_roots."""
+    return float_roots(matrix)[1:]
 
 
 def table_reflections(system):
@@ -98,12 +107,13 @@ def table_reflections(system):
 
 
 class OracleGroup:
-    """Breadth-first enumeration of root permutations, ids in discovery order."""
+    """Breadth-first enumeration of root permutations, ids in discovery order,
+    on the float roots of the system's matrix."""
 
     def __init__(self, system):
-        gens = system.gen_root_perm
+        self.roots, gens, _ = float_roots(system.matrix)
         n = system.rank
-        ident = tuple(range(len(system.roots)))
+        ident = tuple(range(len(self.roots)))
         self.rank = n
         self.perms = [ident]
         self.index = {ident: 0}
@@ -131,15 +141,15 @@ class OracleGroup:
         """The root indices of w^-1(alpha_i), i = 0..n-1 (simple root i is root i)."""
         return invert(self.perms[w])[: self.rank]
 
-    def automorphism_images(self, system, sigma):
+    def automorphism_images(self, sigma):
         """theta(w) for every oracle id w, theta the linear map alpha_i -> alpha_sigma(i)."""
         A = []
-        for vec in system.roots:
-            img = [0.0] * system.rank
+        for vec in self.roots:
+            img = [0.0] * self.rank
             for i, c in enumerate(vec):
                 img[sigma[i]] = c
             matches = [
-                k for k, r in enumerate(system.roots)
+                k for k, r in enumerate(self.roots)
                 if all(abs(a - b) < SNAP for a, b in zip(r, img))
             ]
             assert len(matches) == 1, "diagram automorphism does not permute the roots"

@@ -5,7 +5,10 @@ v = 2^b and multiplied int columns: rho(H_s) as columns of LaurentPoly
 entries (rho_columns), every product of rho-matrices by one add_scaled per
 entry, the quadratic relation as (rho - v)(rho + v^-1) = 0 and each braid
 relation as the equality of the two alternating products.  It is kept as an
-independent oracle for the verdict and its witness.
+independent oracle for the verdict and its witness.  verify_wgraph_module
+does not check the quadratic relation, which holds on every labeled graph
+(its docstring has the proof); quadratic_failures does, and test_wgraph runs
+it on arbitrary labeled graphs.
 """
 
 from qpcox.barcanon import CheckVerdict
@@ -43,16 +46,25 @@ def alternating(A, B, m):
     return out
 
 
+def quadratic_failures(G) -> list[int]:
+    """The s with (rho(H_s) - v)(rho(H_s) + v^-1) != 0, in order."""
+    out = []
+    for s in range(G.n_gens):
+        rho = rho_columns(G, s)
+        minus = [add_scaled(dict(col), {x: V}, -1) for x, col in enumerate(rho)]
+        plus = [add_scaled(dict(col), {x: VINV}) for x, col in enumerate(rho)]
+        if any(col for col in mat_mult(minus, plus)):
+            out.append(s)
+    return out
+
+
 def poly_verify_wgraph_module(G) -> CheckVerdict:
     """The quadratic relation and the braid relations for the rho-matrices."""
     system = G.X.system
     rho = [rho_columns(G, s) for s in range(G.n_gens)]
-    for s in range(G.n_gens):
-        # (rho(H_s) - v)(rho(H_s) + v^-1) = 0
-        minus = [add_scaled(dict(col), {x: V}, -1) for x, col in enumerate(rho[s])]
-        plus = [add_scaled(dict(col), {x: VINV}) for x, col in enumerate(rho[s])]
-        if any(col for col in mat_mult(minus, plus)):
-            return CheckVerdict(False, "wgraph-quadratic", {"s": s})
+    failures = quadratic_failures(G)
+    if failures:
+        return CheckVerdict(False, "wgraph-quadratic", {"s": failures[0]})
     for s in range(G.n_gens):
         for t in range(s + 1, G.n_gens):
             m_st = system.matrix[s][t]

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 
@@ -80,12 +82,113 @@ def test_hashed_roots_match_scan_oracle(type_string):
     assert (system.gen_root_perm, system.positive) == scan_roots(system.matrix)
 
 
-@pytest.mark.parametrize("type_string, reason", [("I2(7)", "not an involution"), ("H4", "braid relation")])
-def test_mis_snapped_roots_fail_loudly(monkeypatch, type_string, reason):
-    # a grid this coarse merges distinct roots: a structural self-check refuses them
-    monkeypatch.setattr(coxeter, "_SNAP", 0.9)
-    with pytest.raises(NotFinite, match=reason):
+def plant_dihedral(monkeypatch, k, fault):
+    """Replace reflection k of every dihedral component (t -> m - t for
+    k = 0, t -> m - 2 - t for k = 1) by fault(m)."""
+    root_rule = coxeter._root_rule
+
+    def rule(name, matrix, J):
+        units, reflections, cap = root_rule(name, matrix, J)
+        if len(J) == 2:
+            reflections[k] = fault(matrix[J[0]][J[1]])
+        return units, reflections, cap
+    monkeypatch.setattr(coxeter, "_root_rule", rule)
+
+
+@pytest.mark.parametrize("type_string, fault, relation", [
+    # s2 sends t to m - 1 - t, so s1 s2 turns by one step of pi / m and has order 2m
+    pytest.param("I2(7)", (1, lambda m: lambda t: (m - 1 - t) % (2 * m)), "(s1 s2)^7", id="I2(7)-turn"),
+    # s1 turns t by one step: not an involution
+    pytest.param("I2(7)", (0, lambda m: lambda t: (t + 1) % (2 * m)), "(s1 s1)^1", id="I2(7)-rotation"),
+    # w = sqrt 2 in place of the golden ratio closes B4's roots, where s1 s2 has order 4
+    pytest.param("H4", None, "(s1 s2)^5", id="H4-w-product"),
+])
+def test_planted_faults_in_the_exact_rule_fail_the_gates(monkeypatch, type_string, fault, relation):
+    if fault:
+        plant_dihedral(monkeypatch, *fault)
+    else:
+        monkeypatch.setitem(coxeter._TWO_COS, 5, coxeter._TWO_COS[4])
+    with pytest.raises(ConsistencyError, match=re.escape(f"{relation} = 1 fails")):
         build_system(type_string)
+
+
+def chain(*bonds):
+    """The Coxeter matrix of a path s1 - s2 - ... with these bonds."""
+    n = len(bonds) + 1
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, m in enumerate(bonds):
+        mat[i][i + 1] = mat[i + 1][i] = m
+    return mat
+
+
+def tree(n, edges):
+    """The Coxeter matrix on n generators with bond 3 on each edge (i, j), or bond m on (i, j, m)."""
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, *m in edges:
+        mat[i][j] = mat[j][i] = m[0] if m else 3
+    return mat
+
+
+INFINITE = {
+    "A~2": tree(3, [(0, 1), (1, 2), (0, 2)]),
+    "B~3": tree(4, [(0, 2), (1, 2), (2, 3, 4)]),
+    "C~2": chain(4, 4),
+    "G~2": chain(6, 3),
+    "F~4": chain(3, 3, 4, 3),
+    "E~6": tree(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]),
+    "E~8": tree(9, [(i, i + 1) for i in range(7)] + [(2, 8)]),
+    "(2,3,7)": tree(3, [(0, 1, 3), (1, 2, 7)]),
+    "5-3-3-3": chain(5, 3, 3, 3),
+    "4-5": chain(4, 5),
+}
+
+
+@pytest.mark.parametrize("name", INFINITE)
+def test_infinite_groups_are_refused_at_once(name):
+    start = time.perf_counter()
+    with pytest.raises(NotFinite, match="is infinite"):
+        build_system(INFINITE[name])
+    assert time.perf_counter() - start < 0.1
+
+
+def block_sum(*types):
+    """The Coxeter matrix of the product of these types, in order."""
+    blocks = [build_system(t).matrix for t in types]
+    n = sum(map(len, blocks))
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    k = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            mat[k + i][k:k + len(row)] = row
+        k += len(block)
+    return mat
+
+
+def relabeled(type_string, sigma):
+    """The Coxeter matrix of this type with generator i renamed sigma[i]."""
+    m = build_system(type_string).matrix
+    out = [[0] * len(m) for _ in m]
+    for i, row in enumerate(m):
+        for j, b in enumerate(row):
+            out[sigma[i]][sigma[j]] = b
+    return out
+
+
+@pytest.mark.parametrize("matrix", [
+    relabeled("H3", (2, 0, 1)), relabeled("F4", (3, 1, 0, 2)), relabeled("D5", (4, 2, 0, 1, 3)),
+    block_sum("I2(7)", "A2"), block_sum("H3", "B2"), block_sum("A1", "A1"),
+], ids=["H3 relabeled", "F4 relabeled", "D5 relabeled", "I2(7)xA2", "H3xB2", "A1xA1"])
+def test_reducible_and_relabeled_roots_match_scan_oracle(matrix):
+    system = build_system(matrix)
+    assert (system.gen_root_perm, system.positive) == scan_roots(system.matrix)
+
+
+@pytest.mark.parametrize("m", [4062, 5000, 200000])
+def test_large_dihedral_groups_build(m):
+    # the float build refused all three: two as mis-snapped roots, I2(200000) by its float Cholesky
+    start = time.perf_counter()
+    assert build_system(f"I2({m})").n_positive_roots == m
+    assert time.perf_counter() - start < 2
 
 
 def test_bad_matrices():
@@ -277,7 +380,7 @@ def test_group_tables_match_root_permutation_oracle(type_string):
         assert table.mult_ids(a, b) == oracle.mult_ids(a, b)
     for aut in system.diagram_automorphisms():
         images = [aut(w).key for w in system.elements()]
-        assert images == oracle.automorphism_images(system, aut.sigma), aut
+        assert images == oracle.automorphism_images(aut.sigma), aut
 
 
 def test_automorphism_table_gate_checks_every_edge():

@@ -26,6 +26,10 @@ one-vector fold is a test oracle.  Neither hecke nor barcanon imports or
 names ``Element``: Hecke elements are keyed by element key (the point id on
 the regular carrier), and CoxeterSystem.word_of turns a key into its word.
 
+No module in src/ computes a float: none has a float literal, names
+``float``, or reads a ``math`` name other than ``inf``, which marks an
+infinite bond in matrix input.  The root tables are closed on int keys.
+
 Only laurent and jsonout key a memo by ``id``: no other module in src/ reads
 the name ``id``, except inside a ``__hash__`` method.  A memo keyed that way
 holds its operands only while its call runs, so none outlives the call: no
@@ -198,6 +202,40 @@ def test_no_dead_helpers_in_src():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+MATH_NAMES = {"inf"}
+
+
+def float_uses(source: str) -> list[int]:
+    """The lines of source with a float or complex literal, the name float,
+    a math name outside MATH_NAMES, or math imported under another name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            or isinstance(node, ast.Name) and node.id == "float"
+            or isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math"
+            and node.attr not in MATH_NAMES
+            or isinstance(node, ast.ImportFrom) and node.module == "math"
+            and any(a.name not in MATH_NAMES for a in node.names)
+            or isinstance(node, ast.Import) and any(a.name == "math" and a.asname for a in node.names)
+        ):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_scan_finds_float_uses():
+    assert float_uses("x = 1e-9\ny = 2.0 * x\nz = 3j") == [1, 2, 3]
+    assert float_uses("a = float(n)\nb = map(float, xs)\nc: float = 0") == [1, 2, 3]
+    assert float_uses("import math\nm = math.inf\nq = math.cos(math.pi / 5)") == [3, 3]
+    assert float_uses("from math import inf\nfrom math import sqrt\nimport math as m") == [2, 3]
+    assert float_uses("k = n // 2\nlabel = 'float 1.5'  # 2.5") == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_src_computes_no_float(path):
+    assert float_uses(path.read_text()) == []
 
 
 def id_reads(source: str) -> list[int]:

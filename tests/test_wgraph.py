@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qpcox.barcanon import canonical_basis, primed_basis
@@ -6,7 +8,7 @@ from qpcox.laurent import LaurentPoly, V, VINV, ZERO
 from qpcox.qpsets import conjugacy_set, coset_set, even_double_cover, regular_set
 from oracle_canonical import act_gen, to_canonical_coords
 from oracle_qpsets import payloads
-from oracle_wgraph import poly_verify_wgraph_module, rho_columns
+from oracle_wgraph import poly_verify_wgraph_module, quadratic_failures, rho_columns
 from qpcox.wgraph import (
     WGraph,
     build_wgraph,
@@ -311,6 +313,25 @@ def test_module_check_with_weights_beyond_64_bits_matches_the_oracle():
     for c in (2**64, -(2**80) - 3):
         assert not module_verdict(G._replace(omega={e: c * w for e, w in G.omega.items()})).ok
     assert module_verdict(G._replace(omega={e: -w for e, w in G.omega.items()})).ok
+
+
+def test_quadratic_relation_holds_on_every_labeled_graph():
+    # verify_wgraph_module checks only the braid relations: the oracle's
+    # quadratic check passes arbitrary tau-sets and weights, negative,
+    # asymmetric and past 2^64, while many of these graphs break a braid relation
+    rng = random.Random(29)
+    weights = (-(2**64) - 1, -5, -1, 1, 2, 3, 2**64, 2**70 + 1)
+    braid_failures = 0
+    for name, rank in (("I2(2)", 2), ("A2", 2), ("B3", 3), ("I2(5)", 2)):
+        for _ in range(15):
+            n = rng.randint(1, 6)
+            tau = [set(rng.sample(range(rank), rng.randint(0, rank))) for _ in range(n)]
+            omega = {(x, y): rng.choice(weights) for x in range(n) for y in range(n)
+                     if x != y and rng.random() < 0.6}
+            G = hand_built(name, tau, omega)
+            assert quadratic_failures(G) == []
+            braid_failures += not module_verdict(G).ok
+    assert braid_failures >= 10
 
 
 def test_module_check_does_no_polynomial_arithmetic(monkeypatch):
