@@ -5,7 +5,9 @@ basis {M_x} / {N_x} carry Hecke algebra actions differing only in the
 equal-height case (v M_x versus -v^-1 N_x).  A bar operator is the
 antilinear involution fixing the minimal standard vectors and compatible
 with the bar involution upstairs, so on every carrier it is built by the
-recurrence bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x.
+recurrence bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x,
+one step per column in id order (ids refine height), into the whole bar
+matrix, which every bar of a vector reads.
 (On a twisted-involution class the paper gives it in closed form,
 bar M_(x,t) = v^lmin . bar(H_x) M_(x^-1,t); the tests keep that as an oracle.)
 Canonical bases (built by laurent.canonical_columns from the multiplication
@@ -26,7 +28,7 @@ visit only the points below the columns they read.
 
 The bar columns, the bar verdict and the canonical solve apply H_s + c
 (laurent.generator_rule: c = v^-1 - v for bar(H_s), v^-1 for the solve)
-key by key with laurent.act_generator, through one PolyMemo per call that
+key by key with laurent.act_generator, through one PolyMemo per build that
 interns into the carrier's pool (_polys): each entry is the pooled object
 of its value when it is made, and the verdict compares pooled entries.
 Every sum of scaled columns in a check (the bar of a vector in the bar
@@ -142,13 +144,7 @@ def act_hecke(vec: ModuleVector, A) -> ModuleVector:
     word_of = vec.X.system.word_of
     ar = PolyMemo()
     rule = generator_rule(vec.kind)
-    return _combine(vec.kind, vec.X, ((_apply(vec, word_of(w), rule, ar), c) for w, c in A.coords.items()))
-
-
-def _combine(kind: str, X: ScaledWSet, terms) -> ModuleVector:
-    """The vector sum of c * coords over the (coords, c) pairs of terms, each
-    distinct product one integer product (laurent.lincomb)."""
-    return ModuleVector(kind, X, lincomb(terms))
+    return ModuleVector(vec.kind, vec.X, lincomb((_apply(vec, word_of(w), rule, ar), c) for w, c in A.coords.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +189,6 @@ def _polys(X: ScaledWSet) -> dict:
     return {ONE: ONE}
 
 
-@stage("_barpart")
-def _bar_part(X: ScaledWSet, kind: str) -> dict:
-    """The bar columns of kind filled so far, by point id (see _bar_fill)."""
-    return {}
-
-
 @_kind_stage("_barcols", relabel=lambda cols, X: [_as_n(col) for col in cols])
 def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     """bar of every standard basis vector, as columns indexed by point id."""
@@ -206,51 +196,32 @@ def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
 
 
 def _bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
-    # ids refine height, so in id order each fill is one recurrence step
-    # from a column already filled
-    part = _bar_part(X, kind)
-    _bar_fill(kind, X, part, range(len(X)))
-    return [part[x] for x in range(len(X))]
-
-
-def _bar_fill(kind: str, X: ScaledWSet, part: dict, points) -> None:
-    """Fill part[x] for each x of points, and the columns its recurrence
-    reads: bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering
-    x, down the chain of such steps to a filled column or a minimal point,
-    which keeps M_x.  Every entry is computed key by key through one memo
-    for the call, which interns it into the carrier's pool (_polys)."""
+    """The columns in id order: a minimal point keeps M_x, and otherwise
+    bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x.  Ids
+    refine height, so the column of sx is filled before x's, and each column
+    is one act_generator step, through one memo for the fill that interns
+    every entry into the carrier's pool (_polys)."""
     ar = PolyMemo(_polys(X))
     rule = generator_rule(kind, VINV - V)  # bar(H_s) = H_s + (v^-1 - v)
-    for x in points:
-        chain = []
-        while x not in part:
-            step = lowest_descent(X.action, X.height2, x)
-            if step is None:
-                part[x] = ModuleVector.standard(kind, X, x)
-                break
-            chain.append((x, step))
-            x = step[1]
-        for y, (s, sy) in reversed(chain):
-            part[y] = ModuleVector(kind, X, act_generator(part[sy].coords, X.action, s, X.height2, rule, ar))
+    cols = []
+    for x in range(len(X)):
+        step = lowest_descent(X.action, X.height2, x)
+        if step is None:
+            cols.append(ModuleVector.standard(kind, X, x))
+        else:
+            s, sx = step
+            cols.append(ModuleVector(kind, X, act_generator(cols[sx].coords, X.action, s, X.height2, rule, ar)))
+    return cols
 
 
 def bar_vector(vec: ModuleVector) -> ModuleVector:
-    """The antilinear extension of the bar operator to any vector.
-
-    Reads bar_columns where they are built; otherwise it fills only the
-    columns below the support of vec (the partial store X._barpart), and
-    completes bar_columns once those cover the carrier.  Each distinct
-    coefficient is barred once per call, in a dict keyed by value, so equal
-    coefficients reach lincomb as one scalar."""
-    kind, X = vec.kind, vec.X
-    cols = X.__dict__.get("_barcols", {}).get(kind)
-    if cols is None:
-        cols = _bar_part(X, kind)
-        _bar_fill(kind, X, cols, vec.coords)
-        if len(cols) == len(X):
-            cols = bar_columns(kind, X)
+    """The antilinear extension of the bar operator to any vector, read from
+    bar_columns (so an N vector, where the kinds agree, reads M's columns
+    relabeled N).  Each distinct coefficient is barred once per call, in a
+    dict keyed by value, so equal coefficients reach lincomb as one scalar."""
+    cols = bar_columns(vec.kind, vec.X)
     bars = {c: c.bar() for c in set(vec.coords.values())}
-    return _combine(kind, X, ((cols[p].coords, bars[c]) for p, c in vec.coords.items()))
+    return ModuleVector(vec.kind, vec.X, lincomb((cols[p].coords, bars[c]) for p, c in vec.coords.items()))
 
 
 class BarVerdict(NamedTuple):
@@ -672,7 +643,8 @@ class PhiMaps:
         if vec.kind != source:
             raise ConsistencyError(f"this Phi map takes a vector of kind {source}, got {vec.kind}")
         cols, eps = bar_columns(target, self.X), self.eps
-        return _combine(target, self.X, ((cols[p].coords, c if eps[p] > 0 else -c) for p, c in vec.coords.items()))
+        terms = ((cols[p].coords, c if eps[p] > 0 else -c) for p, c in vec.coords.items())
+        return ModuleVector(target, self.X, lincomb(terms))
 
     @stage("_verdict")
     def verify(self) -> CheckVerdict:

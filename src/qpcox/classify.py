@@ -213,7 +213,7 @@ def class_report(K: ScaledWSet, diagnostics: bool = False) -> ClassReport:
     min_length = K.height2[0]
     n_min = K.height2.count(min_length)
     is_inv = KeyTwist(K.theta).involutive(K.keys[0])
-    qp1_only = verdict.is_qp or check_qp1_only(K)
+    qp1_only = check_qp1_only(K)
     return ClassReport(
         system=system.name,
         theta=K.theta.sigma,

@@ -110,8 +110,25 @@ class ScaledWSet:
 
     @cached_property
     def parity(self) -> list[int]:
-        """Per point, the parity (0 or 1) of its height above its orbit minimum."""
-        return [(h - m) // 2 % 2 for h, m in zip(self.height2, self.h_min2())]
+        """Per point, the parity (0 or 1) of its height above its orbit minimum.
+
+        One search over the generator moves, started at each id not yet
+        reached, in id order.  Ids refine height, so that id lies at its
+        orbit's least height, the base of every point its search reaches."""
+        out = [None] * len(self)
+        for start, base in enumerate(self.height2):
+            if out[start] is not None:
+                continue
+            out[start] = 0
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for row in self.action:
+                    y = row[x]
+                    if y is not None and out[y] is None:
+                        out[y] = (self.height2[y] - base) // 2 % 2
+                        stack.append(y)
+        return out
 
     def __repr__(self):
         extra = f", truncated_at={self.truncated_at}" if self.truncated_at is not None else ""
@@ -140,35 +157,6 @@ class ScaledWSet:
         if self.kind == "conjugacy":
             out["theta"] = list(self.theta.sigma)
         return out
-
-    def orbits(self) -> list[int]:
-        """Orbit index per point (connected components of the generator moves)."""
-        comp = [-1] * len(self)
-        c = 0
-        for start in range(len(self)):
-            if comp[start] >= 0:
-                continue
-            stack = [start]
-            comp[start] = c
-            while stack:
-                x = stack.pop()
-                for s in range(self.n_gens):
-                    y = self.action[s][x]
-                    if y is not None and comp[y] < 0:
-                        comp[y] = c
-                        stack.append(y)
-            c += 1
-        return comp
-
-    def h_min2(self) -> list[int]:
-        """Per point, the minimal height2 in its orbit."""
-        comp = self.orbits()
-        best = {}
-        for x, c in enumerate(comp):
-            h = self.height2[x]
-            if c not in best or h < best[c]:
-                best[c] = h
-        return [best[c] for c in comp]
 
     # -- extremal points ------------------------------------------------------
 
@@ -490,38 +478,33 @@ class XOrder:
 
 @stage("_order")
 def bruhat_order(X: ScaledWSet) -> XOrder:
-    """Transitive closure of x < rx over reflections that raise the height.
+    """Transitive closure of x < rx over reflections that raise the height,
+    closed once, in id order.
 
     Requires the quasiparabolic axioms (raises NotQuasiparabolic otherwise).
-    The result is graded: closing only over height-unit edges gives the same
-    order, which is checked on untruncated carriers (ConsistencyError).
+    The result is graded: on an untruncated carrier only the cover edges
+    (height up by one) are closed, and every longer raising edge must lie in
+    that closure (ConsistencyError otherwise).  The covers are raising
+    edges and a closure is transitive, so that is the closure of every
+    raising edge exactly when the two closures agree.  A truncated carrier
+    closes every raising edge, with no gate.
     """
     verdict = check_quasiparabolic(X)
     if not verdict.is_qp:
         raise NotQuasiparabolic(f"carrier fails {verdict.axiom} at point {verdict.x}")
-    refl = X.reflection_actions()
-    n = len(X)
-    in_edges: list[list[int]] = [[] for _ in range(n)]
-    cover_in: list[list[int]] = [[] for _ in range(n)]
+    refl, h2, full = X.reflection_actions(), X.height2, X.truncated_at is None
+    in_edges: list[list[int]] = [[] for _ in range(len(X))]
     for ra in refl:
-        for x in range(n):
-            y = ra.img[x]
-            if y is not None and X.height2[y] > X.height2[x]:
+        for x, y in enumerate(ra.img):
+            if y is not None and (h2[y] == h2[x] + 2 or not full and h2[y] > h2[x]):
                 in_edges[y].append(x)
-                if X.height2[y] == X.height2[x] + 2:
-                    cover_in[y].append(x)
-
-    def close(edges):
-        down = [0] * n
-        for y in sorted(range(n), key=lambda i: (X.height2[i], i)):
-            bits = 1 << y
-            for x in edges[y]:
-                bits |= down[x]
-            down[y] = bits
-        return down
-
-    down = close(in_edges)
-    if X.truncated_at is None and down != close(cover_in):
+    down = []
+    for y, edges in enumerate(in_edges):  # ids refine height: every x below y comes first
+        bits = 1 << y
+        for x in edges:
+            bits |= down[x]
+        down.append(bits)
+    if full and any(h2[y] > h2[x] + 2 and not down[y] >> x & 1 for ra in refl for x, y in enumerate(ra.img)):
         raise ConsistencyError("Bruhat order on the carrier is not graded")
     return XOrder(down, X.label)
 

@@ -86,7 +86,7 @@ from qpcox.errors import ConsistencyError, TruncationRequired
 from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, v_power
 from qpcox.qpsets import bruhat_order, check_quasiparabolic, lowest_descent
 
-from oracle_qpsets import payloads
+from oracle_qpsets import orbit_min2, payloads
 
 
 def act_word(vec, word, c=ZERO):
@@ -541,7 +541,7 @@ def closed_form_bar_columns(kind, X):
         bar N_(x,t) = (-v)^-lmin . bar(H_x) N_(x^-1,t)
 
     with lmin the minimal length in the orbit."""
-    hmin2 = X.h_min2()
+    hmin2 = orbit_min2(X)
     cols = []
     for pid, p in enumerate(payloads(X)):
         q = X.index[p.x.inverse().key]

@@ -16,6 +16,13 @@ regular carriers before it read them on the roots: an orbit search stepping
 element ids through the group table, and reflection rows composed along the
 table's reflection ids.  Their carriers keep element ids as keys.
 
+orbit_min2, orbit_parity and two_closure_downsets are how qpsets read the
+orbits and the Bruhat order before it did each in one pass in id order: the
+components of the generator moves labeled by a search from every point,
+the least height of each component read off by a second scan, and the
+Bruhat order closed twice, over every raising edge and over the cover
+edges alone, and compared on an untruncated carrier.
+
 A carrier holds keys, not elements.  payloads(X) builds the elements of any
 carrier's points from its keys; tests that need group elements of points go
 through it.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 from oracle_group import table_reflections
 from qpcox.coxeter import CoxeterSystem, Element, ExtElement, stage
+from qpcox.errors import ConsistencyError
 from qpcox.qpsets import QpVerdict, ScaledWSet, _orbit_carrier, _ReflAction
 
 
@@ -258,3 +266,63 @@ def qp_verdict(X):
                 if h_srx < h2[sx] and rx != sx:
                     return QpVerdict(False, "QP2", ra.word, x, s, bound)
     return QpVerdict(True, checked_r_length=bound)
+
+
+def orbit_min2(X):
+    """Per point, the least height2 in its orbit, the connected component
+    of the generator moves that contains it."""
+    comp = [-1] * len(X)
+    c = 0
+    for start in range(len(X)):
+        if comp[start] >= 0:
+            continue
+        stack = [start]
+        comp[start] = c
+        while stack:
+            x = stack.pop()
+            for s in range(X.n_gens):
+                y = X.action[s][x]
+                if y is not None and comp[y] < 0:
+                    comp[y] = c
+                    stack.append(y)
+        c += 1
+    best = {}
+    for x, c in enumerate(comp):
+        h = X.height2[x]
+        if c not in best or h < best[c]:
+            best[c] = h
+    return [best[c] for c in comp]
+
+
+def orbit_parity(X):
+    """Per point, the parity of its height above its orbit minimum."""
+    return [(h - m) // 2 % 2 for h, m in zip(X.height2, orbit_min2(X))]
+
+
+def two_closure_downsets(X):
+    """The down-set bitsets of the Bruhat order closed over every raising
+    edge x -> r x, in (height2, id) order; on an untruncated carrier the
+    closure over the cover edges alone must agree (ConsistencyError)."""
+    n = len(X)
+    in_edges, cover_in = [[] for _ in range(n)], [[] for _ in range(n)]
+    for ra in X.reflection_actions():
+        for x in range(n):
+            y = ra.img[x]
+            if y is not None and X.height2[y] > X.height2[x]:
+                in_edges[y].append(x)
+                if X.height2[y] == X.height2[x] + 2:
+                    cover_in[y].append(x)
+
+    def close(edges):
+        down = [0] * n
+        for y in sorted(range(n), key=lambda i: (X.height2[i], i)):
+            bits = 1 << y
+            for x in edges[y]:
+                bits |= down[x]
+            down[y] = bits
+        return down
+
+    down = close(in_edges)
+    if X.truncated_at is None and down != close(cover_in):
+        raise ConsistencyError("Bruhat order on the carrier is not graded")
+    return down

@@ -608,7 +608,7 @@ def test_every_stage_body_runs_once_per_owner(tmp_path, monkeypatch, capsys):
     # runs once per owner and argument, and a later call returns the same
     # object
     stages = _stage_wrappers()
-    assert len(stages) == 21 and "CoxeterSystem._bruhat_table" in stages  # read by survey diagnostics only
+    assert len(stages) == 20 and "CoxeterSystem._bruhat_table" in stages  # read by survey diagnostics only
     counts, runs = _count_stages(monkeypatch)
     assert run(tmp_path, "verify", "--type", "B3", "--suite", "all") == 0
     assert counts == {"solves": 23, "bar_matrices": 23}

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from qpcox import hecke
-from qpcox.barcanon import ModuleVector, act_hecke
+from qpcox import barcanon, hecke
+from qpcox.barcanon import ModuleVector, act_hecke, bar_vector
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.errors import ConsistencyError, InfiniteParabolic
 from qpcox.hecke import HeckeElt, kl_basis
@@ -152,20 +152,23 @@ def test_t_basis_roundtrip():
     assert to_t_pairs(H(s).scale(V)) == [[[0], [[0, 1]]]]
 
 
-def test_lone_bar_fills_only_the_columns_below():
-    # bar and theta of one element build the bar columns along its descent
-    # chain, not the whole bar matrix; barring every element completes it
+def test_first_bar_builds_the_bar_matrix_once(monkeypatch):
+    # a bar reads the whole bar matrix: the first bar on A4 regular fills
+    # every column, and later bars, theta and N bars (no generator fixes a
+    # point, so N reads M's columns relabeled N) fill none
     a4 = build_system("A4")
     X = hecke.regular_module(a4)
+    fills, fill = [], barcanon._bar_columns
+    monkeypatch.setattr(barcanon, "_bar_columns", lambda kind, X: fills.append(kind) or fill(kind, X))
     s1 = a4.generator(0)
     assert H(s1).bar() == H(s1) + HeckeElt.unit(a4).scale(VINV - V)
-    assert "_barcols" not in vars(X) and sorted(X._barpart["M"]) == [0, s1.key]
+    assert fills == ["M"] and len(X._barcols["M"]) == len(X)
     w = a4.element_from_word((0, 1, 2))
     assert H(w).theta() == H(w).bar().scale(-1)
-    # its chain of lowest descents: s1 s2 s3, s2 s3, s3, then 1, already filled
-    assert len(X._barpart["M"]) == 5 and "_barcols" not in vars(X)
     assert all(H(w).bar().bar() == H(w) for w in a4.elements())
-    assert X._barcols["M"] == [X._barpart["M"][x] for x in range(len(X))]
+    bar_n = bar_vector(ModuleVector.standard("N", X, w.key))
+    assert bar_n.kind == "N" and bar_n.coords == H(w).bar().coords
+    assert fills == ["M"]
 
 
 def test_theta_is_algebra_automorphism():

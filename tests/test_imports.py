@@ -19,10 +19,12 @@ W x A1, so every other module reads it as any other carrier.  No module in
 src/ imports ``dataclasses``: records are NamedTuples, and ``import
 qpcox.cli`` loads neither dataclasses nor inspect.  No module in src/ names
 ``mn_cols`` or ``nm_cols``: the Phi maps read the bar columns, and keep no
-scaled copies of them.  No module in src/ names ``add_scaled``, not even in
-a comment: sums of scaled vectors go through laurent's two kernels, lincomb
-and combine, the W-graph module check multiplies int columns, and the
-one-vector fold is a test oracle.  Neither hecke nor barcanon imports or
+scaled copies of them.  No module in src/ names ``_barpart``, ``_bar_fill``,
+``orbits`` or ``h_min2``: the bar columns, the height parity and the Bruhat
+order are each built in one pass in id order.  No module in src/ names
+``add_scaled``, not even in a comment: sums of scaled vectors go through
+laurent's two kernels, lincomb and combine, the W-graph module check
+multiplies int columns, and the one-vector fold is a test oracle.  Neither hecke nor barcanon imports or
 names ``Element``: Hecke elements are keyed by element key (the point id on
 the regular carrier), and CoxeterSystem.word_of turns a key into its word.
 
@@ -172,6 +174,30 @@ def test_scan_finds_string_constants():
 def test_only_qpsets_names_the_double_cover(path):
     # the cover is a carrier of W x A1, so no reader special-cases it
     assert path.name == "qpsets.py" or "double-cover" not in string_constants(path.read_text())
+
+
+RETIRED = ("_barpart", "_bar_fill", "orbits", "h_min2")
+
+
+def retired_names(source: str) -> list[str]:
+    """The names of RETIRED that source reads, imports or defines, or holds
+    as a whole string constant (a stage's attribute name)."""
+    tree = ast.parse(source)
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return sorted((set(named(source)) | defined | string_constants(source)) & set(RETIRED))
+
+
+def test_scan_finds_retired_names():
+    source = '@stage("_barpart")\ndef _bar_part(X): pass\nX.h_min2()\ndef orbits(self): pass\n'
+    assert retired_names(source) == ["_barpart", "h_min2", "orbits"]
+    assert retired_names("# _bar_fill\n'the orbits of W'\nn_orbits = 2") == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_src_names_no_partial_bar_store_or_orbit_scan(path):
+    # the bar columns, the parity and the Bruhat order are each one pass in
+    # id order: no partial store of bar columns, no second orbit scan
+    assert retired_names(path.read_text()) == []
 
 
 def indented_dumps(source: str) -> list[int]:

@@ -614,3 +614,80 @@ def test_double_cover_needs_one_orbit():
     two_fixed_points = ScaledWSet(a1, "regular", [0, 1], [0, 0], [[0, 1]])
     with pytest.raises(ValueError):
         even_double_cover(two_fixed_points)
+
+
+def disjoint_union(X, Y, lift2):
+    """X and Y, its heights raised by lift2, as one set of X's system with
+    two orbits (or more), ids in (height2, id) order."""
+    points = sorted([(h, 0, x) for x, h in enumerate(X.height2)] + [(h + lift2, 1, y) for y, h in enumerate(Y.height2)])
+    index = {(part, p): i for i, (_, part, p) in enumerate(points)}
+    action = [[index[part, (X if part == 0 else Y).action[s][p]] for _, part, p in points] for s in range(X.n_gens)]
+    return ScaledWSet(X.system, "regular", list(range(len(points))), [h for h, _, _ in points], action)
+
+
+def _hand_built_sets():
+    """Sets with several orbits, built by hand: two fixed points of A1, two
+    A1 edges and a fixed point, the later orbits starting above height 0,
+    and unions of A2 and B2 carriers, one raised by one or two heights."""
+    a1, a2, b2 = build_system("A1"), build_system("A2"), build_system("B2")
+    return [
+        ScaledWSet(a1, "regular", [0, 1], [0, 0], [[0, 1]]),
+        ScaledWSet(a1, "regular", [0, 1, 2, 3, 4], [0, 2, 4, 6, 6], [[1, 0, 3, 2, 4]]),
+        disjoint_union(regular_set(a2), coset_set(a2, [0]), 2),
+        disjoint_union(coset_set(a2, [1]), regular_set(a2), 4),
+        disjoint_union(coset_set(b2, [0]), coset_set(b2, [1]), 2),
+    ]
+
+
+def _orbit_oracle_carriers():
+    """Coset, regular and finite-class carriers, truncated U3 classes,
+    double covers (a cover of a cover too) and hand-built sets with several
+    orbits."""
+    a3, b3, u3 = build_system("A3"), build_system("B3"), build_system("U3")
+    out = [coset_set(a3, [1]), coset_set(b3, [0, 2]), regular_set(a3), regular_set(build_system("H3"))]
+    for system in (a3, b3):
+        for theta in system.diagram_automorphisms():
+            out += twisted_classes(system, theta)
+    for theta in u3.diagram_automorphisms():
+        out += [conjugacy_set(u3, ext(u3, word, theta), cutoff=6) for word in [(), (0,), (0, 1)]]
+    for X, _ in _cover_bases():
+        out += [even_double_cover(X), even_double_cover(even_double_cover(X))]
+    return out + _hand_built_sets()
+
+
+def test_parity_and_bruhat_order_match_orbit_oracles():
+    # the one-pass parity against orbit labels and a second scan for the
+    # orbit minima, and the cover closure with its gate against the two
+    # closures compared, wherever the carrier is quasiparabolic
+    carriers = _orbit_oracle_carriers()
+    qp = 0
+    for X in carriers:
+        assert X.parity == oracle.orbit_parity(X), X
+        if check_quasiparabolic(X).is_qp:
+            qp += 1
+            assert bruhat_order(X).downsets == oracle.two_closure_downsets(X), X
+    assert qp > len(carriers) // 2
+    hand_built = _hand_built_sets()
+    assert all(max(oracle.orbit_min2(X)) > 0 for X in hand_built[1:])  # an orbit starts above height 0
+    assert hand_built[1].parity == [0, 1, 0, 1, 0]
+
+
+def test_bruhat_order_refuses_an_ungraded_order():
+    # a planted fault: A2 regular with its QP verdict kept, and its stored
+    # reflection rows edited to drop the cover edges into w0, keeping the
+    # edge e -> w0 three heights up
+    a2 = build_system("A2")
+    X = regular_set(a2)
+    assert check_quasiparabolic(X).is_qp
+    w0, rows = len(X) - 1, X._refl[None]
+    dropped = 0
+    for ra in rows:
+        for x, y in enumerate(ra.img):
+            if y == w0 and X.height2[x] == X.height2[w0] - 2:
+                ra.img[x], ra.img_h2[x] = x, X.height2[x]
+                dropped += 1
+    assert dropped == 2 and any(ra.img[0] == w0 for ra in rows)
+    with pytest.raises(ConsistencyError, match="not graded"):
+        bruhat_order(X)
+    with pytest.raises(ConsistencyError, match="not graded"):
+        oracle.two_closure_downsets(X)
