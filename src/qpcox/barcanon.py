@@ -23,19 +23,20 @@ height, bar(H_s) bar M_x is bar M_x times the conjugate eigenvalue; where s
 lowers x, the identity follows from the raising one at (s, sx), because
 bar(H_s)^2 = 1 + (v^-1 - v) bar(H_s) (see verify_bar_operator).  The Phi
 maps are read from the bar columns, Phi_MN(M_x) = eps_x bar(N_x), so their
-verdict is the two bar verdicts (see PhiMaps.verify).  The table checks
-visit only the points below the columns they read.
+verdict is the two bar verdicts (see PhiMaps.verify).  The multiplication
+theorem and the recurrences are read at v = 2^b, on one int column per
+table column for the call (see verify_multiplication), and the mu-delta
+lemma on the down-set bitsets of the Bruhat order.
 
 The bar columns, the bar verdict and the canonical solve apply H_s + c
 (laurent.generator_rule: c = v^-1 - v for bar(H_s), v^-1 for the solve)
 key by key with laurent.act_generator, through one PolyMemo per build that
 interns into the carrier's pool (_polys): each entry is the pooled object
 of its value when it is made, and the verdict compares pooled entries.
-Every sum of scaled columns in a check (the bar of a vector in the bar
-verdict, the right side of the multiplication theorem, the primed image
-and the inversion columns) is one laurent.combine, key by key through such
-a memo; the checks after the bar verdict give it a copy of the pool, so
-their sums stay out of it.
+Every other sum of scaled columns (the bar of a vector in the bar verdict,
+the primed image and the inversion columns) is one laurent.combine, key by
+key through such a memo; the primed and inversion checks give it a copy of
+the pool, so their sums stay out of it.  No table check touches the pool.
 
 The carrier is the cache of its own stages: the bar columns, bar verdict,
 canonical table and table checks of each kind (X._barcols[kind], ...) and
@@ -65,7 +66,7 @@ from .coxeter import CoxeterSystem, stage
 from .errors import ConsistencyError, SystemMismatch, TruncationRequired, UncertifiedBar
 from .laurent import (
     ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, act_generator, canonical_columns, combine, generator_rule,
-    lincomb, v_power,
+    int_columns, lincomb,
 )
 from .qpsets import ScaledWSet, bruhat_order, check_quasiparabolic, lowest_descent
 
@@ -476,45 +477,82 @@ def verify_parity(table: CanonicalTable) -> CheckVerdict:
     return CheckVerdict(True, "parity")
 
 
+def _int_table(table: CanonicalTable, down: Optional[list[int]] = None) -> tuple[list[dict[int, int]], int]:
+    """The columns of table read at v = 2^b by laurent.int_columns, entry
+    (x, y) weighted by v^((h2[y] - h2[x]) // 2), and b, the bit length of
+    D = L (3 + M), L the largest L1 norm of an entry and M the largest sum
+    of |mu| over a column (see verify_multiplication).  With down (the
+    Bruhat down-sets), column y keeps only the x <= y."""
+    spread = 3 + max((sum(map(abs, col.values())) for col in table.mus), default=0)
+    return int_columns(table.cols, table.X.height2, spread, down)
+
+
 def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
     """The action of underline H_s on the canonical basis, per kind: with
     u = C_x, (H_s + v^-1) u is (v + v^-1) u where s descends x (key by key,
     u[sk] = v^(+-1) u[k] as s raises or lowers k, and no k is level for N),
     else C_sx (where s raises x) plus the sum of mu(w, x) C_w over the
-    w <= x that s descends (one combine), both sides summed per key through
-    a PolyMemo per generator that interns into a copy of the carrier's
-    pool, so the check's sums stay out of it."""
+    w <= x that s descends.
+
+    Both sides are compared as ints at v = 2^b on the weighted columns of
+    _int_table, W[x][k] = v^((h2[x] - h2[k]) // 2) u[k].  The carrier is
+    quasiparabolic (bruhat_order), so s fixes each point whose height it
+    keeps.  Where s descends x, u[sk] = v^(+-1) u[k] is W[x][sk] = W[x][k]:
+    s must fix the weighted column (M), and no key may be level (N).
+    Elsewhere the identity at key k, times v^((h2[x] - h2[k]) // 2 + 1),
+    is W[x][j] + v^2 W[x][sj] = W[sx][k] + sum mu(w, x) v^((h2[x] -
+    h2[w]) / 2 + 1) W[w][k], j the lower of k and sk, and 0 on the left
+    where s keeps the height of k (N); w <= x lies in x's orbit, so the
+    exponent is an integer.
+
+    Reading at 2^b is a ring map, so an identity that holds passes.  One
+    that fails also fails at 2^b.  Let L be the largest L1 norm (the sum of
+    the absolute coefficients) of an entry and M the largest sum of |mu|
+    over a column.  In each identity here and in verify_recurrences one
+    side is at most two entries and the other at most two entries and the
+    mu terms, so each coefficient of the difference of the two sides lies
+    within D = L (3 + M) of 0.  b is the bit length of D, so every such
+    coefficient lies below 2^b in absolute value, and a nonzero polynomial
+    with such coefficients is nonzero at 2^b: its lowest nonzero
+    coefficient d gives the value 2^(b j) (d + 2^b q) for integers j >= 0
+    and q, and 2^b does not divide d.  The packing multiplies every entry
+    by one power of v, and so the difference of two sides."""
     X = table.X
     h2 = X.height2
-    order = bruhat_order(X)
+    down = bruhat_order(X).downsets
     weak = table.kind == "M"  # M descends weakly, N strictly
-    level = V + VINV  # the left side's factor at a level key (M)
+    cols, b = _int_table(table)
+    b2 = 2 * b
     for s in range(X.n_gens):
-        ar = PolyMemo(dict(_polys(X)))  # one per generator: fewer values are held at a time
-        shift, add, mul, row = ar.shift, ar.add, ar.mul, X.action[s]
-        for x, u in enumerate(table.cols):
-            d = h2[row[x]] - h2[x]
+        row = X.action[s]
+        move = [h2[sk] - h2[k] for k, sk in enumerate(row)]  # > 0 where s raises k
+        for x, u in enumerate(cols):
+            d = move[x]
             if d < 0 or (weak and d == 0):
-                for k, c in u.items():
-                    dk = h2[row[k]] - h2[k]
-                    q, t = u.get(row[k], ZERO), shift(c, 1 if dk > 0 else -1)
-                    if dk == 0 and not weak or dk and q is not t and q != t:
-                        return CheckVerdict(False, "multiplication", {"s": s, "x": x})
+                if {row[k]: c for k, c in u.items() if weak or move[k]} != u:
+                    return CheckVerdict(False, "multiplication", {"s": s, "x": x})
                 continue
-            lhs = {}  # u[sk] + v^(-+1) u[k] as s raises or lowers k; (v + v^-1) u[k] (M) or 0 (N) if level
-            for k, c in u.items():
-                sk = row[k]
-                if h2[sk] != h2[k]:
-                    if (t := add(shift(c, 1 if h2[sk] < h2[k] else -1), u.get(sk, ZERO))) is not ZERO:
-                        lhs[k] = t
-                    if sk not in u:
-                        lhs[sk] = c
+            diff = {}  # left side less right side, per key
+            get = diff.get
+            for k, c in u.items():  # each pair {k, sk} once, from its upper key if both are held
+                dk = move[k]
+                if dk < 0:
+                    sk = row[k]
+                    diff[k] = diff[sk] = u.get(sk, 0) + (c << b2)
+                elif dk > 0:
+                    if (sk := row[k]) not in u:
+                        diff[k] = diff[sk] = c
                 elif weak:
-                    lhs[k] = mul(level, c)
-            rhs = combine(((table.cols[w], m) for w, m in table.mus[x].items()
-                           if m and order.leq(w, x) and ((dw := h2[row[w]] - h2[w]) < 0 or weak and not dw)),
-                          ar, dict(table.cols[row[x]]) if d > 0 else None)
-            if lhs != rhs:
+                    diff[k] = c + (c << b2)
+            if d > 0:
+                for k, c in cols[row[x]].items():
+                    diff[k] = get(k, 0) - c
+            for w, m in table.mus[x].items():
+                if m and down[x] >> w & 1 and ((dw := move[w]) < 0 or weak and not dw):
+                    e = b * ((h2[x] - h2[w]) // 2 + 1)
+                    for k, c in cols[w].items():
+                        diff[k] = get(k, 0) - (m * c << e)
+            if any(diff.values()):
                 return CheckVerdict(False, "multiplication", {"s": s, "x": x})
     return CheckVerdict(True, "multiplication")
 
@@ -522,94 +560,97 @@ def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
 def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
     """The translated-polynomial recurrences that compute the table column-by-column.
 
-    For (s, y) with s lowering y, x runs over D + s D only, where D is
-    down(y) + down(sy): a nonzero term needs x <= y, sx <= y, x <= sy,
-    sx <= sy or x <= t <= sy, so outside that set both sides are 0.  Where s
-    keeps the height of y (kind M), sy = y and D is down(y).
+    With wt(x, y) = v^(ht y - ht x) p[x, y] over x <= y (0 elsewhere), the
+    weighted columns of _int_table: where s keeps the height of y (kind
+    M), wt(x, y) = wt(sx, y) for every x; where s lowers y, for every x,
+    wt(x, y) = wt(sx, y) and wt(x, y) is the bracket (wt(x, sy) +
+    v^2 wt(sx, sy) where s raises x, v^2 wt(x, sy) + wt(sx, sy) where it
+    lowers x or keeps its height (M), 0 where it keeps it (N)) less the
+    sum of mu(t, sy) v^(ht y - ht t) wt(x, t) over the t < sy that s
+    descends (weakly for M, strictly for N).  Both sides are compared as
+    ints at v = 2^b, exact by the bound of verify_multiplication.
 
-    The arithmetic goes through a PolyMemo private to the call: each
-    distinct shift, sum and product is done once, and every value is
-    interned, so the two sides are compared by identity."""
+    A nonzero term needs x or sx in down(y) + down(sy), so only the keys of
+    the columns read and their images under s are visited, and a failure
+    is reported at the least x for its (s, y)."""
     X = table.X
     kind = table.kind
-    order = bruhat_order(X)
-    down = order.downsets
+    down = bruhat_order(X).downsets
     h2 = X.height2
-    ar = PolyMemo()
-    shift, add, mul = ar.shift, ar.add, ar.mul
-
-    # wts[y] = {x: v^(ht y - ht x) p[x, y]} on x <= y, interned
-    wts = [
-        {x: shift(c, (h2[y] - h2[x]) // 2) for x, c in col.items() if order.leq(x, y)}
-        for y, col in enumerate(table.cols)
-    ]
-
-    def near(s, bits):  # the ids of D + s D, ascending, for D given by bits
-        row = X.action[s]
-        ids = [i for i in range(bits.bit_length()) if bits >> i & 1]
-        return sorted(set(ids).union(row[i] for i in ids))
-
+    cols, b = _int_table(table, down)
+    b2 = 2 * b
     for s in range(X.n_gens):
         row = X.action[s]
-        for y in range(len(X)):
+        move = [h2[sk] - h2[k] for k, sk in enumerate(row)]  # > 0 where s raises k
+        for y, here in enumerate(cols):
+            if move[y] > 0 or (move[y] == 0 and kind == "N"):
+                continue
+            diff = {}  # wt(x, y) less its recurrence, per x
+            get = diff.get
             sy = row[y]
-            wt_y = wts[y]
-            if kind == "M" and h2[sy] == h2[y]:
-                for x in near(s, down[y]):
-                    if wt_y.get(x, ZERO) is not wt_y.get(row[x], ZERO):
-                        return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": x})
-                continue
-            if h2[sy] >= h2[y]:
-                continue
-            # the correction runs over x <= t < sy with s descending t (weakly
-            # for M, strictly for N); the t = x term is nonzero exactly when
-            # mu(x, sy) is.  Each term is wt(x, t) times -mu(t, sy) v^(ht y - ht t)
-            corrections = []
-            for t, m in table.mus[sy].items():
-                drop = h2[row[t]] - h2[t]
-                if m and order.lt(t, sy) and (drop < 0 or (kind == "M" and drop == 0)):
-                    corrections.append((wts[t], ar.intern(-m * v_power((h2[y] - h2[t]) // 2))))
-            wt_sy = wts[sy]
-            for x in near(s, down[y] | down[sy]):
-                sx = row[x]
-                dh = h2[sx] - h2[x]
-                a, b = wt_sy.get(x, ZERO), wt_sy.get(sx, ZERO)  # wt(x, sy), wt(sx, sy)
-                if dh > 0:
-                    total = add(a, shift(b, 2))
-                elif dh < 0 or kind == "M":
-                    total = add(shift(a, 2), b)
-                else:
-                    total = ZERO
-                for wt_t, c in corrections:
-                    w = wt_t.get(x)
-                    if w is not None:
-                        total = add(total, mul(w, c))
-                here = wt_y.get(x, ZERO)
-                if here is not total or here is not wt_y.get(sx, ZERO):
-                    return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": x})
+            if sy != y:
+                diff.update(here)
+                lower = cols[sy]
+                for x, c in lower.items():  # each pair {x, sx} once, as in verify_multiplication
+                    dx = move[x]
+                    if dx < 0:
+                        sx = row[x]
+                        t = lower.get(sx, 0) + (c << b2)
+                    elif dx > 0 and (sx := row[x]) not in lower:
+                        t = c
+                    else:
+                        if not dx and kind == "M":
+                            diff[x] = get(x, 0) - c - (c << b2)
+                        continue
+                    diff[x] = get(x, 0) - t
+                    diff[sx] = get(sx, 0) - t
+                for t, m in table.mus[sy].items():
+                    dt = move[t]
+                    if m and t != sy and down[sy] >> t & 1 and (dt < 0 or (kind == "M" and dt == 0)):
+                        e = b * ((h2[y] - h2[t]) // 2)
+                        for x, c in cols[t].items():
+                            diff[x] = get(x, 0) + (m * c << e)
+            if any(diff.values()) or {row[k]: c for k, c in here.items()} != here:
+                at = here.get
+                bad = [x for x in diff.keys() | here.keys() | {row[k] for k in here}
+                       if get(x, 0) or at(x, 0) != at(row[x], 0)]
+                return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": min(bad)})
     return CheckVerdict(True, "recurrence")
 
 
 def verify_mu_lemma(table: CanonicalTable) -> CheckVerdict:
-    """mu(x, y) = delta_{sx,y} whenever s descends y (weakly/strictly) but not x."""
+    """mu(x, y) = delta_{sx,y} whenever s descends y (weakly/strictly) but not x.
+
+    Per (y, s) with s descending y, on the down-set bitsets: of the x in
+    down(y) that s raises (strictly for M, weakly for N; never y itself),
+    only sy may carry a nonzero mu(x, y), and mu(sy, y) must be 1 where sy
+    is one of them (sx = y exactly where x = sy).  A failure is reported at
+    the least x for its y, and there at the least s, as a scan of the pairs
+    x < y in that order finds it."""
     X = table.X
-    order = bruhat_order(X)
+    down = bruhat_order(X).downsets
     h2 = X.height2
-    for y in range(len(X)):
-        mus = table.mus[y]
-        for x in order.downset_ids(y):
-            if x == y:
+    strict = table.kind == "N"  # N descends y strictly, so it counts a level x as raised
+    raised = []  # per s: the bitset of the x that s raises
+    for row in X.action:
+        flags = ("1" if h2[sx] > h2[x] or strict and h2[sx] == h2[x] else "0" for x, sx in enumerate(row))
+        raised.append(int("".join(flags)[::-1] or "0", 2))
+    for y, mus in enumerate(table.mus):
+        nonzero = sum(1 << x for x, m in mus.items() if m)
+        fails = []  # (x, s) of the least failure at y per s
+        for s, row in enumerate(X.action):
+            sy = row[y]
+            if h2[sy] > h2[y] or (strict and h2[sy] == h2[y]):
                 continue
-            for s in range(X.n_gens):
-                sx, sy = X.action[s][x], X.action[s][y]
-                if table.kind == "M":
-                    applies = h2[sy] <= h2[y] and h2[sx] > h2[x]
-                else:
-                    applies = h2[sy] < h2[y] and h2[sx] >= h2[x]
-                if applies:
-                    expect = 1 if sx == y else 0
-                    if mus.get(x, 0) != expect:
-                        return CheckVerdict(False, "mu-delta", {"s": s, "x": x, "y": y})
+            among = down[y] & raised[s]
+            bad = among & nonzero
+            if among >> sy & 1:
+                bad = bad & ~(1 << sy) if mus.get(sy, 0) == 1 else bad | 1 << sy
+            if bad:
+                fails.append(((bad & -bad).bit_length() - 1, s))
+        if fails:
+            x, s = min(fails)
+            return CheckVerdict(False, "mu-delta", {"s": s, "x": x, "y": y})
     return CheckVerdict(True, "mu-delta")
 
 

@@ -13,15 +13,16 @@ at v = 2^b for a b that bounds the result, so each distinct (scalar, entry)
 product is one integer product per call and each key's sum one integer,
 with no polynomial arithmetic.  combine sums them key by key through a
 PolyMemo, so every sum is an object of the memo's pool: the mu corrections
-of the canonical solve, the bar verdict, the multiplication check, the
-primed bases and the inversion pairing.  Arithmetic that redoes the same
-polynomial operations many times goes through a PolyMemo made for that
-call, which interns its results into a pool: the H_s rule of M(X) and N(X)
-(act_generator, applying H_s + c key by key, for the bar columns, the bar
-verdict and the canonical solve built on it), combine and the table checks.
-lincomb and PolyMemo key their memos by id, so both hold every operand
-they key until they are dropped: an id is never reused while its memo
-lives, and no memo outlives its call.
+of the canonical solve, the bar verdict, the primed bases and the inversion
+pairing.  Arithmetic that redoes the same polynomial operations many times
+goes through a PolyMemo made for that call, which interns its results into
+a pool: the H_s rule of M(X) and N(X) (act_generator, applying H_s + c key
+by key, for the bar columns, the bar verdict and the canonical solve built
+on it) and combine.  The table checks of barcanon do no polynomial
+arithmetic: int_columns reads their table at v = 2^b as int columns, each
+distinct entry packed once.  lincomb, int_columns and PolyMemo key their
+memos by id, so each holds every operand it keys until it is dropped: an
+id is never reused while its memo lives, and no memo outlives its call.
 
 >>> p = V - V**-1
 >>> print(p * (V + V**-1))
@@ -192,10 +193,6 @@ V = LaurentPoly({1: 1})
 VINV = LaurentPoly({-1: 1})
 
 
-def v_power(k: int) -> LaurentPoly:
-    return LaurentPoly({k: 1})
-
-
 def lincomb(terms) -> dict:
     """The sum of c * vec over the (vec, c) pairs of terms, as a new sparse
     vector {key: LaurentPoly} without zero entries; c is a LaurentPoly or an
@@ -282,6 +279,46 @@ def lincomb(terms) -> dict:
     return out
 
 
+def int_columns(cols: list[dict], height2, spread: int, down=None) -> tuple[list[dict[int, int]], int]:
+    """The columns cols[y] = {x: LaurentPoly} of a table on a carrier with
+    doubled heights height2, read at v = 2^b as ints, entry (x, y) weighted
+    by v^((height2[y] - height2[x]) // 2), and b: the bit length of spread
+    times the largest L1 norm (the sum of the absolute coefficients) of an
+    entry, at least 1.  With down (bitsets), column y keeps only the x in
+    down[y].
+
+    Each distinct entry (told apart by id) is packed once, as the sum of
+    c 2^(b (e - lo)) over its terms, lo the least exponent of any entry,
+    and each distinct (entry, weight) is shifted once, by b times its
+    weight less the least weight of any entry, so every entry is one power
+    of v times its weighted value, and every shift a left shift; ids
+    refine height, so a column's highest key has its least weight.  Each
+    entry object shares one int per weight.  cols holds every entry keyed
+    by id until the call returns, and nothing keyed by id outlives it."""
+    held = {}  # id(entry) -> entry
+    for col in cols:
+        vals = col.values()
+        held.update(zip(map(id, vals), vals))
+    l1 = max((sum(map(abs, p.terms.values())) for p in held.values()), default=0)
+    b = max(1, (l1 * spread).bit_length())
+    lo = min((e for p in held.values() for e in p.terms), default=0)
+    at = {i: sum(c << b * (e - lo) for e, c in p.terms.items()) for i, p in held.items()}
+    least = min(((height2[y] - height2[max(col)]) // 2 for y, col in enumerate(cols) if col), default=0)
+    shifted = {}  # (id(entry), weight less the least) -> the packed entry, shifted
+    out = []
+    for y, col in enumerate(cols):
+        hy, packed = height2[y] - 2 * least, {}
+        for x, c in col.items():
+            if down is None or down[y] >> x & 1:
+                key = (id(c), (hy - height2[x]) // 2)
+                p = shifted.get(key)
+                if p is None:
+                    p = shifted[key] = at[key[0]] << b * key[1]
+                packed[x] = p
+        out.append(packed)
+    return out, b
+
+
 class PolyMemo:
     """Polynomial arithmetic within one computation, each distinct operation
     done once.  Results are interned by value into pool (a fresh dict if
@@ -289,13 +326,15 @@ class PolyMemo:
     object; interning into a carrier's pool makes every result the pooled
     object its tables share.  Operations are memoized by the ids of their
     operands, and the memo holds every operand it has keyed, so no id is
-    reused while it lives.  An operand from outside (a perturbed table
-    entry) is keyed by its own id and never taken for another; intern maps
-    it to the pooled object of its value.  Make one per call and let it die
-    with the call; the pool outlives it.
+    reused while it lives.  An operand from outside (a planted entry) is
+    keyed by its own id and never taken for another; intern maps it to the
+    pooled object of its value.  Make one per call and let it die with the
+    call; the pool outlives it.  The bar fill, the bar verdict and the
+    canonical solve intern into the carrier's pool, the primed and
+    inversion checks into a copy of it, so their sums stay out of it.
 
     >>> ar = PolyMemo()
-    >>> ar.add(ar.shift(V, 1), ar.intern(ONE)) is ar.intern(v_power(2) + 1)
+    >>> ar.add(ar.shift(V, 1), ar.intern(ONE)) is ar.intern(LaurentPoly({2: 1, 0: 1}))
     True
     """
 

@@ -471,10 +471,6 @@ class XOrder:
     def lt(self, x: int, y: int) -> bool:
         return x != y and self.leq(x, y)
 
-    def downset_ids(self, y: int) -> list[int]:
-        bits = self.downsets[y]
-        return [i for i in range(bits.bit_length()) if bits >> i & 1]
-
 
 @stage("_order")
 def bruhat_order(X: ScaledWSet) -> XOrder:

@@ -62,6 +62,14 @@ either reaches them; only tests apply H_s to a single vector.
 closed_form_bar_columns is the paper's closed form for the bar operator on a
 twisted-involution class, which the package used there before it built every
 bar operator by the recurrence bar M_x = bar(H_s) bar M_sx.
+
+memo_multiplication, memo_recurrences and memo_mu_lemma are the table checks
+as the package ran them before it read the table at v = 2^b: both sides of
+the multiplication theorem summed per key through a PolyMemo per generator
+on a copy of the carrier's pool, the recurrences on a shifted copy of the
+table through a fresh PolyMemo, and the mu-delta lemma as a scan of the
+pairs x < y over the down-set ids (downset_ids, which XOrder had).
+v_power is the monomial v^k, which laurent had.
 """
 
 from collections import Counter
@@ -83,11 +91,16 @@ from qpcox.barcanon import (
 )
 from qpcox.classify import w0_translate
 from qpcox.errors import ConsistencyError, TruncationRequired
-from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, v_power
+from qpcox.laurent import ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, combine
 from qpcox.qpsets import bruhat_order, check_quasiparabolic, lowest_descent
 
 from oracle_qpsets import orbit_min2, payloads
 
+
+
+def v_power(k: int) -> LaurentPoly:
+    """The monomial v^k."""
+    return LaurentPoly({k: 1})
 
 def act_word(vec, word, c=ZERO):
     """Left action of (H_{s_1} + c) ... (H_{s_k} + c) on vec, through
@@ -768,7 +781,7 @@ def _pair_multiplication(table, mu):
                 rhs = add_scaled({}, u.coords, V + VINV)
             else:
                 rhs = dict(table.cols[sx]) if h2[sx] > h2[x] else {}
-                for w in order.downset_ids(x):
+                for w in downset_ids(order, x):
                     m = mu.get((w, x), 0)
                     if m and descends(s, w):
                         add_scaled(rhs, table.cols[w], m)
@@ -805,7 +818,7 @@ def _pair_recurrences(table, mu):
             if h2[sy] >= h2[y]:
                 continue
             corrections = []
-            for t in order.downset_ids(sy):
+            for t in downset_ids(order, sy):
                 m = mu.get((t, sy), 0)
                 drop = h2[X.action[s][t]] - h2[t]
                 if m and t != sy and (drop < 0 or (kind == "M" and drop == 0)):
@@ -848,3 +861,132 @@ def _pair_mu_lemma(table, mu):
                 if applies and mu.get((x, y), 0) != (1 if sx == y else 0):
                     return CheckVerdict(False, "mu-delta", {"s": s, "x": x, "y": y})
     return CheckVerdict(True, "mu-delta")
+
+
+def downset_ids(order, y):
+    """The ids x <= y, ascending, read from the down-set bitset of y."""
+    bits = order.downsets[y]
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def memo_multiplication(table):
+    """verify_multiplication with both sides summed per key through a PolyMemo
+    per generator that interns into a copy of the carrier's pool."""
+    X = table.X
+    h2 = X.height2
+    order = bruhat_order(X)
+    weak = table.kind == "M"  # M descends weakly, N strictly
+    level = V + VINV  # the left side's factor at a level key (M)
+    for s in range(X.n_gens):
+        ar = PolyMemo(dict(barcanon._polys(X)))
+        shift, add, mul, row = ar.shift, ar.add, ar.mul, X.action[s]
+        for x, u in enumerate(table.cols):
+            d = h2[row[x]] - h2[x]
+            if d < 0 or (weak and d == 0):
+                for k, c in u.items():
+                    dk = h2[row[k]] - h2[k]
+                    q, t = u.get(row[k], ZERO), shift(c, 1 if dk > 0 else -1)
+                    if dk == 0 and not weak or dk and q is not t and q != t:
+                        return CheckVerdict(False, "multiplication", {"s": s, "x": x})
+                continue
+            lhs = {}  # u[sk] + v^(-+1) u[k] as s raises or lowers k; (v + v^-1) u[k] (M) or 0 (N) if level
+            for k, c in u.items():
+                sk = row[k]
+                if h2[sk] != h2[k]:
+                    if (t := add(shift(c, 1 if h2[sk] < h2[k] else -1), u.get(sk, ZERO))) is not ZERO:
+                        lhs[k] = t
+                    if sk not in u:
+                        lhs[sk] = c
+                elif weak:
+                    lhs[k] = mul(level, c)
+            rhs = combine(((table.cols[w], m) for w, m in table.mus[x].items()
+                           if m and order.leq(w, x) and ((dw := h2[row[w]] - h2[w]) < 0 or weak and not dw)),
+                          ar, dict(table.cols[row[x]]) if d > 0 else None)
+            if lhs != rhs:
+                return CheckVerdict(False, "multiplication", {"s": s, "x": x})
+    return CheckVerdict(True, "multiplication")
+
+
+def memo_recurrences(table):
+    """verify_recurrences on a shifted copy of the table (wts) through one
+    fresh PolyMemo, comparing interned sides by identity, for x in D + s D."""
+    X = table.X
+    kind = table.kind
+    order = bruhat_order(X)
+    down = order.downsets
+    h2 = X.height2
+    ar = PolyMemo()
+    shift, add, mul = ar.shift, ar.add, ar.mul
+    wts = [
+        {x: shift(c, (h2[y] - h2[x]) // 2) for x, c in col.items() if order.leq(x, y)}
+        for y, col in enumerate(table.cols)
+    ]
+
+    def near(s, bits):  # the ids of D + s D, ascending, for D given by bits
+        row = X.action[s]
+        ids = [i for i in range(bits.bit_length()) if bits >> i & 1]
+        return sorted(set(ids).union(row[i] for i in ids))
+
+    for s in range(X.n_gens):
+        row = X.action[s]
+        for y in range(len(X)):
+            sy = row[y]
+            wt_y = wts[y]
+            if kind == "M" and h2[sy] == h2[y]:
+                for x in near(s, down[y]):
+                    if wt_y.get(x, ZERO) is not wt_y.get(row[x], ZERO):
+                        return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": x})
+                continue
+            if h2[sy] >= h2[y]:
+                continue
+            corrections = []
+            for t, m in table.mus[sy].items():
+                drop = h2[row[t]] - h2[t]
+                if m and order.lt(t, sy) and (drop < 0 or (kind == "M" and drop == 0)):
+                    corrections.append((wts[t], ar.intern(-m * v_power((h2[y] - h2[t]) // 2))))
+            wt_sy = wts[sy]
+            for x in near(s, down[y] | down[sy]):
+                sx = row[x]
+                dh = h2[sx] - h2[x]
+                a, b = wt_sy.get(x, ZERO), wt_sy.get(sx, ZERO)
+                if dh > 0:
+                    total = add(a, shift(b, 2))
+                elif dh < 0 or kind == "M":
+                    total = add(shift(a, 2), b)
+                else:
+                    total = ZERO
+                for wt_t, c in corrections:
+                    w = wt_t.get(x)
+                    if w is not None:
+                        total = add(total, mul(w, c))
+                here = wt_y.get(x, ZERO)
+                if here is not total or here is not wt_y.get(sx, ZERO):
+                    return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": x})
+    return CheckVerdict(True, "recurrence")
+
+
+def memo_mu_lemma(table):
+    """verify_mu_lemma as a scan of the pairs x < y, y-major, x ascending in
+    down(y), then s."""
+    X = table.X
+    order = bruhat_order(X)
+    h2 = X.height2
+    for y in range(len(X)):
+        mus = table.mus[y]
+        for x in downset_ids(order, y):
+            if x == y:
+                continue
+            for s in range(X.n_gens):
+                sx, sy = X.action[s][x], X.action[s][y]
+                if table.kind == "M":
+                    applies = h2[sy] <= h2[y] and h2[sx] > h2[x]
+                else:
+                    applies = h2[sy] < h2[y] and h2[sx] >= h2[x]
+                if applies and mus.get(x, 0) != (1 if sx == y else 0):
+                    return CheckVerdict(False, "mu-delta", {"s": s, "x": x, "y": y})
+    return CheckVerdict(True, "mu-delta")
+
+
+def memo_table_checks(table):
+    """The multiplication, recurrence and mu-delta verdicts of the memo forms."""
+    return [memo_multiplication(table), memo_recurrences(table), memo_mu_lemma(table)]

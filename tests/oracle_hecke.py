@@ -18,10 +18,10 @@ from __future__ import annotations
 from qpcox.barcanon import ModuleVector
 from qpcox.coxeter import Element
 from qpcox.hecke import HeckeElt
-from qpcox.laurent import ONE, V, VINV, LaurentPoly, v_power
+from qpcox.laurent import ONE, V, VINV, LaurentPoly
 from qpcox.qpsets import rht_witness_word
 
-from oracle_canonical import act_bar_word, add_scaled, generic_canonical_columns
+from oracle_canonical import act_bar_word, add_scaled, generic_canonical_columns, v_power
 from oracle_group import left_descents
 
 

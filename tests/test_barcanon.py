@@ -1,6 +1,7 @@
 import copy
 import inspect
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -31,7 +32,7 @@ from qpcox.classify import twisted_classes, w0_translate
 from qpcox.coxeter import Element, ExtElement, build_system
 from qpcox.errors import ConsistencyError, SystemMismatch, TruncationRequired, UncertifiedBar
 from qpcox.hecke import HeckeElt, kl_basis
-from qpcox.laurent import ONE, V, VINV, v_power
+from qpcox.laurent import ONE, V, VINV
 from qpcox.qpsets import (
     check_quasiparabolic,
     conjugacy_set,
@@ -58,10 +59,12 @@ from oracle_canonical import (
     full_bar_verdict,
     full_phi_verdict,
     generic_canonical_columns,
+    memo_table_checks,
     pair_table_checks,
     table_as_int_dicts,
     table_entries,
     to_canonical_coords,
+    v_power,
     vector_bar_verdict,
     vector_phi_verdict,
     vector_primed_basis,
@@ -659,6 +662,11 @@ def _refusal(table):
     return {c.name for c in new if not c.ok}
 
 
+def _int_checks(table):
+    """The multiplication, recurrence and mu-delta verdicts of table."""
+    return [verify_multiplication(table), verify_recurrences(table), verify_mu_lemma(table)]
+
+
 def _mutation_carriers():
     a3 = build_system("A3")
     return [coset_set(a3, [1]), fpf_class(a3), coset_set(build_system("B3"), [0]), regular_set(a3)]
@@ -677,6 +685,7 @@ def test_perturbed_p_is_refused_as_at_the_parent():
                 broken.cols[y][x] = broken.cols[y][x] + v_power(2 - d)
                 assert _refusal(broken), (X, kind, x, y)
                 assert verify_multiplication(broken) == fold_multiplication(broken), (X, kind, x, y)
+                assert _int_checks(broken) == memo_table_checks(broken), (X, kind, x, y)
 
 
 def test_flipped_mu_is_refused_as_at_the_parent():
@@ -693,6 +702,7 @@ def test_flipped_mu_is_refused_as_at_the_parent():
                 broken.mus[y][x] = -broken.mus[y][x]
                 assert "parity" in _refusal(broken), (X, kind, x, y)
                 assert verify_multiplication(broken) == fold_multiplication(broken), (X, kind, x, y)
+                assert _int_checks(broken) == memo_table_checks(broken), (X, kind, x, y)
                 sampled += 1
     assert sampled >= 40
 
@@ -710,6 +720,126 @@ def test_multiplication_matches_the_fold_oracle(name):
                 assert verify_multiplication(table) == fold_multiplication(table), (X, kind)
                 checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)"])
+def test_int_checks_match_the_memo_oracles(name):
+    # the checks at v = 2^b and on down-set bitsets give the verdicts and
+    # witnesses of the PolyMemo forms they replaced, on every quasiparabolic
+    # carrier, in both kinds
+    checked = 0
+    for X in _untruncated_carriers(build_system(name)):
+        if check_quasiparabolic(X).is_qp:
+            for kind in ("M", "N"):
+                table = canonical_basis(kind, X)
+                assert _int_checks(table) == memo_table_checks(table), (X, kind)
+                checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "I2(5)"])
+def test_int_checks_refuse_random_mutations_as_the_memo_oracles(name):
+    # an entry changed, dropped or planted anywhere (above its column's
+    # point and outside its orbit too), and a mu changed anywhere: every
+    # verdict and witness is the memo oracle's
+    rng = random.Random(31)
+    refused = 0
+    for X in _untruncated_carriers(build_system(name)):
+        if not check_quasiparabolic(X).is_qp:
+            continue
+        for kind in ("M", "N"):
+            table = canonical_basis(kind, X)
+            entries = [(x, y) for y, col in enumerate(table.cols) for x in col]
+            for _ in range(6):
+                x, y = rng.choice(entries)
+                changed, dropped, planted, flipped = (_table_copy(table) for _ in range(4))
+                changed.cols[y][x] = changed.cols[y][x] + rng.choice((1, -1, 2)) * v_power(rng.randrange(-4, 4))
+                del dropped.cols[y][x]
+                planted.cols[rng.randrange(len(X))][rng.randrange(len(X))] = v_power(rng.randrange(-5, 1))
+                x2, y2 = rng.randrange(len(X)), rng.randrange(len(X))
+                flipped.mus[y2][x2] = flipped.mus[y2].get(x2, 0) + rng.choice((1, -1))
+                for broken in (changed, dropped, planted, flipped):
+                    expect = memo_table_checks(broken)
+                    assert _int_checks(broken) == expect, (X, kind)
+                    refused += not all(v.ok for v in expect)
+    assert refused >= 50
+
+
+def _scaled(table, lam):
+    """A copy of table with every entry multiplied by lam, its mu kept: the
+    multiplication theorem and the recurrences are linear in the entries
+    for a fixed mu, so they hold on it exactly where they hold on table."""
+    out = _table_copy(table)
+    out.cols = [{x: c * lam for x, c in col.items()} for col in table.cols]
+    return out
+
+
+def test_int_checks_on_entries_beyond_64_bits_match_the_memo_oracles():
+    # canonical tables scaled past 2^64 pass; adding (v - 2^64) v^e to one
+    # entry makes every difference of two sides a multiple of v - 2^64,
+    # which a check read at v = 2^64 would pass
+    a3 = build_system("A3")
+    for X in (coset_set(a3, [1]), fpf_class(a3), regular_set(a3)):
+        for kind in ("M", "N"):
+            for lam in (2**70 + 1, -(2**64) - 3):
+                table = _scaled(canonical_basis(kind, X), lam)
+                assert _int_checks(table) == memo_table_checks(table) == [
+                    CheckVerdict(True, "multiplication"), CheckVerdict(True, "recurrence"),
+                    CheckVerdict(True, "mu-delta")], (X, kind, lam)
+                entries = [(x, y) for y, col in enumerate(table.cols) for x in col]
+                for x, y in entries[::max(1, len(entries) // 8)]:
+                    broken = _table_copy(table)
+                    broken.cols[y][x] = broken.cols[y][x] + (V - 2**64) * v_power((X.height2[x] - X.height2[y]) // 2)
+                    expect = memo_table_checks(broken)
+                    assert not expect[0].ok and not expect[1].ok, (X, kind, x, y)
+                    assert _int_checks(broken) == expect, (X, kind, x, y)
+                assert barcanon._int_table(table)[1] > 64
+
+
+@pytest.mark.parametrize("kind", ["M", "N"])
+def test_a_difference_with_a_root_at_half_of_2_to_the_b_is_refused(kind):
+    # On A1 the table [[W/2], [W/2 v^-1, W/2]] with no mu passes both
+    # checks (mu-delta refuses it: it wants mu(0, 1) = 1); v - W added to
+    # its (0, 0) entry makes each difference of two sides a multiple of
+    # v - W.  Its entries' largest L1 norm is W/2 + 1, so b is the bit
+    # length of 3 (W/2 + 1), one more than W's exponent: the difference
+    # vanishes at v = 2^(b-1), and would pass at a b one bit short
+    X = regular_set(build_system("A1"))
+    no_mu = CheckVerdict(False, "mu-delta", {"s": 0, "x": 0, "y": 1})
+    for exp in (4, 5, 64, 65, 100):
+        W = 2**exp
+        table = _scaled(canonical_basis(kind, X), W // 2)
+        table.mus = [{}, {}]
+        assert _int_checks(table) == memo_table_checks(table) == [
+            CheckVerdict(True, "multiplication"), CheckVerdict(True, "recurrence"), no_mu]
+        table.cols[0][0] = table.cols[0][0] + V - W
+        assert _int_checks(table) == memo_table_checks(table) == [
+            CheckVerdict(False, "multiplication", {"s": 0, "x": 0}),
+            CheckVerdict(False, "recurrence", {"s": 0, "y": 1, "x": 0}), no_mu], (kind, exp)
+        assert barcanon._int_table(table)[1] == exp + 1
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_table_checks_do_no_polynomial_arithmetic(name, monkeypatch):
+    # with LaurentPoly's +, - and * and every PolyMemo method made to fail,
+    # the table checks still pass, and the carrier's pool is unchanged
+    carriers = [X for X in _untruncated_carriers(build_system(name)) if check_quasiparabolic(X).is_qp]
+    for X in carriers:
+        for kind in ("M", "N"):
+            canonical_basis(kind, X)
+
+    def fail(*args, **kw):
+        pytest.fail("polynomial arithmetic ran")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(laurent.LaurentPoly, op, fail)
+    for op in ("__init__", "intern", "shift", "add", "mul"):
+        monkeypatch.setattr(laurent.PolyMemo, op, fail)
+    for X in carriers:
+        pooled = len(barcanon._polys(X))
+        for kind in ("M", "N"):
+            assert all(v.ok for v in table_checks(kind, X)), (X, kind)
+        assert len(barcanon._polys(X)) == pooled, X
 
 
 def test_multiplication_reads_a_planted_copy_by_value():

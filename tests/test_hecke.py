@@ -7,10 +7,10 @@ from qpcox.barcanon import ModuleVector, act_hecke, bar_vector
 from qpcox.coxeter import ExtElement, build_system
 from qpcox.errors import ConsistencyError, InfiniteParabolic
 from qpcox.hecke import HeckeElt, kl_basis
-from qpcox.laurent import ONE, V, VINV, v_power
+from qpcox.laurent import ONE, V, VINV
 from qpcox.qpsets import conjugacy_set, coset_set
 
-from oracle_canonical import table_entries
+from oracle_canonical import table_entries, v_power
 from oracle_group import bruhat_leq
 from oracle_hecke import OracleHecke, by_element, from_t_pairs, mult, to_t_pairs
 

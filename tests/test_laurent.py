@@ -17,12 +17,11 @@ from qpcox.laurent import (
     canonical_columns,
     combine,
     lincomb,
-    v_power,
 )
 from qpcox.qpsets import coset_set, regular_set
 
 from oracle_canonical import (
-    SkewViolation, add_scaled, count_lincomb, fold_combine, generic_canonical_columns, solve_skew,
+    SkewViolation, add_scaled, count_lincomb, fold_combine, generic_canonical_columns, solve_skew, v_power,
 )
 from oracle_hecke import from_pairs
 
