@@ -24,9 +24,10 @@ lowers x, the identity follows from the raising one at (s, sx), because
 bar(H_s)^2 = 1 + (v^-1 - v) bar(H_s) (see verify_bar_operator).  The Phi
 maps are read from the bar columns, Phi_MN(M_x) = eps_x bar(N_x), so their
 verdict is the two bar verdicts (see PhiMaps.verify).  The multiplication
-theorem and the recurrences are read at v = 2^b, on one int column per
-table column for the call (see verify_multiplication), and the mu-delta
-lemma on the down-set bitsets of the Bruhat order.
+theorem is read at v = 2^b, on one int column per table column for the
+call, by one kernel (_theorem_gap, see verify_multiplication); the
+recurrences are that theorem at (s, sy), on the same columns cut to the
+Bruhat down-sets; the mu-delta lemma is read on the down-set bitsets.
 
 The bar columns, the bar verdict and the canonical solve apply H_s + c
 (laurent.generator_rule: c = v^-1 - v for bar(H_s), v^-1 for the solve)
@@ -477,14 +478,46 @@ def verify_parity(table: CanonicalTable) -> CheckVerdict:
     return CheckVerdict(True, "parity")
 
 
-def _int_table(table: CanonicalTable, down: Optional[list[int]] = None) -> tuple[list[dict[int, int]], int]:
+def _int_table(table: CanonicalTable) -> tuple[list[dict[int, int]], int]:
     """The columns of table read at v = 2^b by laurent.int_columns, entry
     (x, y) weighted by v^((h2[y] - h2[x]) // 2), and b, the bit length of
     D = L (3 + M), L the largest L1 norm of an entry and M the largest sum
-    of |mu| over a column (see verify_multiplication).  With down (the
-    Bruhat down-sets), column y keeps only the x <= y."""
+    of |mu| over a column (see verify_multiplication), for _theorem_gap."""
     spread = 3 + max((sum(map(abs, col.values())) for col in table.mus), default=0)
-    return int_columns(table.cols, table.X.height2, spread, down)
+    return int_columns(table.cols, table.X.height2, spread)
+
+
+def _theorem_gap(table: CanonicalTable, cols, b: int, down, row, move, x: int) -> list[int]:
+    """The keys at which the two sides of the multiplication theorem at
+    (s, x) differ, for s (row its action, move[k] = h2[sk] - h2[k]) not
+    descending x, on the int columns of _int_table: (H_s + v^-1) C_x, and
+    C_sx (none where s keeps the height of x) plus the mu(w, x) C_w over
+    the w in down[x] that s descends.  Empty where the theorem holds."""
+    h2 = table.X.height2
+    weak = table.kind == "M"  # M descends weakly, N strictly
+    u = cols[x]
+    b2 = 2 * b
+    lhs = {}  # the left side, per key
+    for k, c in u.items():  # each pair {k, sk} once, from its upper key if both are held
+        dk = move[k]
+        if dk < 0:
+            sk = row[k]
+            lhs[k] = lhs[sk] = u.get(sk, 0) + (c << b2)
+        elif dk > 0:
+            if (sk := row[k]) not in u:
+                lhs[k] = lhs[sk] = c
+        elif weak:
+            lhs[k] = c + (c << b2)
+    rhs = dict(cols[row[x]]) if move[x] > 0 else {}
+    get = rhs.get
+    for w, m in table.mus[x].items():
+        if m and down[x] >> w & 1 and ((dw := move[w]) < 0 or weak and not dw):
+            e = b * ((h2[x] - h2[w]) // 2 + 1)
+            for k, c in cols[w].items():
+                rhs[k] = get(k, 0) + (m * c << e)
+    if lhs == rhs:
+        return []
+    return [k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != get(k, 0)]
 
 
 def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
@@ -499,30 +532,29 @@ def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
     quasiparabolic (bruhat_order), so s fixes each point whose height it
     keeps.  Where s descends x, u[sk] = v^(+-1) u[k] is W[x][sk] = W[x][k]:
     s must fix the weighted column (M), and no key may be level (N).
-    Elsewhere the identity at key k, times v^((h2[x] - h2[k]) // 2 + 1),
-    is W[x][j] + v^2 W[x][sj] = W[sx][k] + sum mu(w, x) v^((h2[x] -
-    h2[w]) / 2 + 1) W[w][k], j the lower of k and sk, and 0 on the left
-    where s keeps the height of k (N); w <= x lies in x's orbit, so the
-    exponent is an integer.
+    Elsewhere (_theorem_gap) the identity at key k, times v^((h2[x] -
+    h2[k]) // 2 + 1), is W[x][j] + v^2 W[x][sj] = W[sx][k] + sum mu(w, x)
+    v^((h2[x] - h2[w]) / 2 + 1) W[w][k], j the lower of k and sk, and 0 on
+    the left where s keeps the height of k (N); w <= x lies in x's orbit,
+    so the exponent is an integer.
 
     Reading at 2^b is a ring map, so an identity that holds passes.  One
     that fails also fails at 2^b.  Let L be the largest L1 norm (the sum of
     the absolute coefficients) of an entry and M the largest sum of |mu|
-    over a column.  In each identity here and in verify_recurrences one
-    side is at most two entries and the other at most two entries and the
-    mu terms, so each coefficient of the difference of the two sides lies
-    within D = L (3 + M) of 0.  b is the bit length of D, so every such
-    coefficient lies below 2^b in absolute value, and a nonzero polynomial
-    with such coefficients is nonzero at 2^b: its lowest nonzero
-    coefficient d gives the value 2^(b j) (d + 2^b q) for integers j >= 0
-    and q, and 2^b does not divide d.  The packing multiplies every entry
-    by one power of v, and so the difference of two sides."""
+    over a column.  In each identity one side is at most two entries and
+    the other at most two entries and the mu terms, so each coefficient of
+    the difference of the two sides lies within D = L (3 + M) of 0.  b is
+    the bit length of D, so every such coefficient lies below 2^b in
+    absolute value, and a nonzero polynomial with such coefficients is
+    nonzero at 2^b: its lowest nonzero coefficient d gives the value
+    2^(b j) (d + 2^b q) for integers j >= 0 and q, and 2^b does not divide
+    d.  The packing multiplies every entry by one power of v, and so the
+    difference of two sides."""
     X = table.X
     h2 = X.height2
     down = bruhat_order(X).downsets
     weak = table.kind == "M"  # M descends weakly, N strictly
     cols, b = _int_table(table)
-    b2 = 2 * b
     for s in range(X.n_gens):
         row = X.action[s]
         move = [h2[sk] - h2[k] for k, sk in enumerate(row)]  # > 0 where s raises k
@@ -531,28 +563,7 @@ def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
             if d < 0 or (weak and d == 0):
                 if {row[k]: c for k, c in u.items() if weak or move[k]} != u:
                     return CheckVerdict(False, "multiplication", {"s": s, "x": x})
-                continue
-            diff = {}  # left side less right side, per key
-            get = diff.get
-            for k, c in u.items():  # each pair {k, sk} once, from its upper key if both are held
-                dk = move[k]
-                if dk < 0:
-                    sk = row[k]
-                    diff[k] = diff[sk] = u.get(sk, 0) + (c << b2)
-                elif dk > 0:
-                    if (sk := row[k]) not in u:
-                        diff[k] = diff[sk] = c
-                elif weak:
-                    diff[k] = c + (c << b2)
-            if d > 0:
-                for k, c in cols[row[x]].items():
-                    diff[k] = get(k, 0) - c
-            for w, m in table.mus[x].items():
-                if m and down[x] >> w & 1 and ((dw := move[w]) < 0 or weak and not dw):
-                    e = b * ((h2[x] - h2[w]) // 2 + 1)
-                    for k, c in cols[w].items():
-                        diff[k] = get(k, 0) - (m * c << e)
-            if any(diff.values()):
+            elif _theorem_gap(table, cols, b, down, row, move, x):
                 return CheckVerdict(False, "multiplication", {"s": s, "x": x})
     return CheckVerdict(True, "multiplication")
 
@@ -561,59 +572,33 @@ def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
     """The translated-polynomial recurrences that compute the table column-by-column.
 
     With wt(x, y) = v^(ht y - ht x) p[x, y] over x <= y (0 elsewhere), the
-    weighted columns of _int_table: where s keeps the height of y (kind
-    M), wt(x, y) = wt(sx, y) for every x; where s lowers y, for every x,
-    wt(x, y) = wt(sx, y) and wt(x, y) is the bracket (wt(x, sy) +
-    v^2 wt(sx, sy) where s raises x, v^2 wt(x, sy) + wt(sx, sy) where it
-    lowers x or keeps its height (M), 0 where it keeps it (N)) less the
-    sum of mu(t, sy) v^(ht y - ht t) wt(x, t) over the t < sy that s
-    descends (weakly for M, strictly for N).  Both sides are compared as
-    ints at v = 2^b, exact by the bound of verify_multiplication.
+    weighted columns of _int_table cut to the Bruhat down-sets: where s keeps
+    the height of y (kind M), wt(x, y) = wt(sx, y) for every x; where s
+    lowers y, wt(x, y) = wt(sx, y) for every x, and column y is the
+    multiplication theorem at (s, sy), C_y = (H_s + v^-1) C_sy less the
+    sum of mu(t, sy) C_t over the t <= sy that s descends (weakly for M,
+    strictly for N), read by _theorem_gap on these columns, exact as in
+    verify_multiplication.
 
     A nonzero term needs x or sx in down(y) + down(sy), so only the keys of
     the columns read and their images under s are visited, and a failure
     is reported at the least x for its (s, y)."""
     X = table.X
-    kind = table.kind
     down = bruhat_order(X).downsets
     h2 = X.height2
-    cols, b = _int_table(table, down)
-    b2 = 2 * b
+    cols, b = _int_table(table)
+    cols = [{x: c for x, c in col.items() if down[y] >> x & 1} for y, col in enumerate(cols)]
     for s in range(X.n_gens):
         row = X.action[s]
         move = [h2[sk] - h2[k] for k, sk in enumerate(row)]  # > 0 where s raises k
         for y, here in enumerate(cols):
-            if move[y] > 0 or (move[y] == 0 and kind == "N"):
+            d = move[y]
+            if d > 0 or (d == 0 and table.kind == "N"):
                 continue
-            diff = {}  # wt(x, y) less its recurrence, per x
-            get = diff.get
-            sy = row[y]
-            if sy != y:
-                diff.update(here)
-                lower = cols[sy]
-                for x, c in lower.items():  # each pair {x, sx} once, as in verify_multiplication
-                    dx = move[x]
-                    if dx < 0:
-                        sx = row[x]
-                        t = lower.get(sx, 0) + (c << b2)
-                    elif dx > 0 and (sx := row[x]) not in lower:
-                        t = c
-                    else:
-                        if not dx and kind == "M":
-                            diff[x] = get(x, 0) - c - (c << b2)
-                        continue
-                    diff[x] = get(x, 0) - t
-                    diff[sx] = get(sx, 0) - t
-                for t, m in table.mus[sy].items():
-                    dt = move[t]
-                    if m and t != sy and down[sy] >> t & 1 and (dt < 0 or (kind == "M" and dt == 0)):
-                        e = b * ((h2[y] - h2[t]) // 2)
-                        for x, c in cols[t].items():
-                            diff[x] = get(x, 0) + (m * c << e)
-            if any(diff.values()) or {row[k]: c for k, c in here.items()} != here:
+            bad = _theorem_gap(table, cols, b, down, row, move, row[y]) if d else []
+            if bad or {row[k]: c for k, c in here.items()} != here:
                 at = here.get
-                bad = [x for x in diff.keys() | here.keys() | {row[k] for k in here}
-                       if get(x, 0) or at(x, 0) != at(row[x], 0)]
+                bad += (x for x in here.keys() | {row[k] for k in here} if at(x, 0) != at(row[x], 0))
                 return CheckVerdict(False, "recurrence", {"s": s, "y": y, "x": min(bad)})
     return CheckVerdict(True, "recurrence")
 

@@ -28,6 +28,7 @@ from .qpsets import (
     check_qp1_only,
     check_quasiparabolic,
     key_class,
+    revalidate_witness,
 )
 
 
@@ -273,15 +274,9 @@ def survey_cross_checks(reports: list[ClassReport]) -> list[str]:
         if rep.qp.is_qp and rep.structure is not None and not rep.structure.all_ok():
             failures.append(f"minimal-element structure failure: {name}")
         if not rep.qp.is_qp:
-            if rep.qp.witness() is None or not _witness_ok(rep):
+            if rep.qp.witness() is None or not revalidate_witness(rep.X, rep.qp.witness()):
                 failures.append(f"missing or invalid witness: {name}")
     return failures
-
-
-def _witness_ok(rep: ClassReport) -> bool:
-    from .qpsets import revalidate_witness
-
-    return revalidate_witness(rep.X, rep.qp.witness())
 
 
 def w0_translate(K: ScaledWSet) -> tuple[DiagramAut, list]:

@@ -235,25 +235,36 @@ def _cache_load(path: Path | None, head: str):
     return None
 
 
+def _render(obj, *writers) -> None:
+    """Write obj's text (a str as it is, anything else its JSON text) to each of writers."""
+    if isinstance(obj, str):
+        for writer in writers:
+            writer.write(obj)
+    else:
+        jsonout.dump(obj, *writers)
+
+
 def _cache_store(path: Path | None, head: str, obj, *sinks) -> None:
     """Store obj's text (a str as it is, anything else its JSON text) as the
     body of the cache entry at path, after its header line, from the same
-    render that writes it to each of sinks."""
+    render that writes it to each of sinks.  Where the entry's directory or
+    temp file cannot be made, obj goes to sinks alone, after one warning."""
     if path is None:
         return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # a temp file renamed into place: a reader never sees a partial entry
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # a temp file renamed into place: a reader never sees a partial entry
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    except OSError as exc:
+        print(f"qpcox: warning: no cache entry stored: {exc}", file=sys.stderr)
+        if sinks:
+            _render(obj, *sinks)
+        return
     sha = hashlib.sha256()
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(_header(head, "0" * 64))  # the digest is filled in below
-            writers = (fh, types.SimpleNamespace(write=lambda text: sha.update(text.encode())), *sinks)
-            if isinstance(obj, str):
-                for writer in writers:
-                    writer.write(obj)
-            else:
-                jsonout.dump(obj, *writers)
+            _render(obj, fh, types.SimpleNamespace(write=lambda text: sha.update(text.encode())), *sinks)
             fh.seek(0)
             fh.write(_header(head, sha.hexdigest()))
         os.replace(tmp, path)

@@ -139,7 +139,7 @@ def _normalize_matrix(matrix):
         for j, m in enumerate(row):
             if m in (math.inf, None, "inf"):
                 m = INF
-            if not isinstance(m, int):
+            if not isinstance(m, int) or isinstance(m, bool):  # JSON's false would read as 0, the infinite bond
                 raise BadMatrix(f"bad entry m[{i}][{j}] = {m!r}")
             if i == j:
                 if m != 1:

@@ -279,13 +279,12 @@ def lincomb(terms) -> dict:
     return out
 
 
-def int_columns(cols: list[dict], height2, spread: int, down=None) -> tuple[list[dict[int, int]], int]:
+def int_columns(cols: list[dict], height2, spread: int) -> tuple[list[dict[int, int]], int]:
     """The columns cols[y] = {x: LaurentPoly} of a table on a carrier with
     doubled heights height2, read at v = 2^b as ints, entry (x, y) weighted
     by v^((height2[y] - height2[x]) // 2), and b: the bit length of spread
     times the largest L1 norm (the sum of the absolute coefficients) of an
-    entry, at least 1.  With down (bitsets), column y keeps only the x in
-    down[y].
+    entry, at least 1.
 
     Each distinct entry (told apart by id) is packed once, as the sum of
     c 2^(b (e - lo)) over its terms, lo the least exponent of any entry,
@@ -309,12 +308,11 @@ def int_columns(cols: list[dict], height2, spread: int, down=None) -> tuple[list
     for y, col in enumerate(cols):
         hy, packed = height2[y] - 2 * least, {}
         for x, c in col.items():
-            if down is None or down[y] >> x & 1:
-                key = (id(c), (hy - height2[x]) // 2)
-                p = shifted.get(key)
-                if p is None:
-                    p = shifted[key] = at[key[0]] << b * key[1]
-                packed[x] = p
+            key = (id(c), (hy - height2[x]) // 2)
+            p = shifted.get(key)
+            if p is None:
+                p = shifted[key] = at[key[0]] << b * key[1]
+            packed[x] = p
         out.append(packed)
     return out, b
 

@@ -461,9 +461,8 @@ def revalidate_witness(X: ScaledWSet, witness: dict) -> bool:
 class XOrder:
     """Reachability bitsets for the Bruhat order on a carrier."""
 
-    def __init__(self, downsets: list[int], label: Optional[str] = None):
+    def __init__(self, downsets: list[int]):
         self.downsets = downsets
-        self.label = label
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.downsets[y] >> x & 1)
@@ -502,7 +501,7 @@ def bruhat_order(X: ScaledWSet) -> XOrder:
         down.append(bits)
     if full and any(h2[y] > h2[x] + 2 and not down[y] >> x & 1 for ra in refl for x, y in enumerate(ra.img)):
         raise ConsistencyError("Bruhat order on the carrier is not graded")
-    return XOrder(down, X.label)
+    return XOrder(down)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from qpcox.errors import ConsistencyError, SystemMismatch, TruncationRequired, U
 from qpcox.hecke import HeckeElt, kl_basis
 from qpcox.laurent import ONE, V, VINV
 from qpcox.qpsets import (
+    bruhat_order,
     check_quasiparabolic,
     conjugacy_set,
     coset_set,
@@ -59,6 +60,8 @@ from oracle_canonical import (
     full_bar_verdict,
     full_phi_verdict,
     generic_canonical_columns,
+    memo_multiplication,
+    memo_recurrences,
     memo_table_checks,
     pair_table_checks,
     table_as_int_dicts,
@@ -763,6 +766,57 @@ def test_int_checks_refuse_random_mutations_as_the_memo_oracles(name):
                     assert _int_checks(broken) == expect, (X, kind)
                     refused += not all(v.ok for v in expect)
     assert refused >= 50
+
+
+def _off_order_plants(table):
+    """Copies of table with one entry planted at an (x, y) outside y's
+    Bruhat down-set, for every such pair in one orbit at an odd height
+    difference k: v^-k, whose weighted value is 1, with mu(x, y) = 1 where
+    k = 1, so parity holds; and copies with mu(y, y) = 1 planted, per y."""
+    X = table.X
+    order, h2 = bruhat_order(X), X.height2
+    for y in range(len(X)):
+        for x in range(len(X)):
+            k, odd = divmod(h2[y] - h2[x], 2)
+            if not odd and k % 2 and not order.leq(x, y):
+                planted = _table_copy(table)
+                planted.cols[y][x] = v_power(-k)
+                if k == 1:
+                    planted.mus[y][x] = 1
+                yield planted
+        planted = _table_copy(table)
+        planted.mus[y][y] = 1
+        yield planted
+
+
+def test_off_order_plants_are_read_as_by_the_memo_oracles():
+    # the recurrence reads only x <= y and the theorem every held key, so
+    # the two checks may part on an entry outside its column's down-set;
+    # each keeps the verdict and witness of its memo oracle there
+    a3 = build_system("A3")
+    for X in (regular_set(a3), coset_set(a3, [1])):
+        parted = 0
+        for kind in ("M", "N"):
+            plants = list(_off_order_plants(canonical_basis(kind, X)))
+            assert len(plants) > len(X), (X, kind)
+            for broken in plants:
+                mult, rec = verify_multiplication(broken), verify_recurrences(broken)
+                assert mult == memo_multiplication(broken), (X, kind)
+                assert rec == memo_recurrences(broken), (X, kind)
+                parted += rec.ok != mult.ok
+        assert parted, X
+
+
+def test_both_table_checks_read_the_one_multiplication_kernel(monkeypatch):
+    # a multiplication kernel that reports a nonzero difference fails both
+    # the theorem and the recurrences: neither keeps a loop of its own
+    a3 = build_system("A3")
+    tables = [canonical_basis(kind, X) for X in (regular_set(a3), coset_set(a3, [1])) for kind in ("M", "N")]
+    assert all(verify_multiplication(t).ok and verify_recurrences(t).ok for t in tables)
+    monkeypatch.setattr(barcanon, "_theorem_gap", lambda table, cols, b, down, row, move, x: [x])
+    for table in tables:
+        assert not verify_multiplication(table).ok, (table.X, table.kind)
+        assert not verify_recurrences(table).ok, (table.X, table.kind)
 
 
 def _scaled(table, lam):

@@ -439,6 +439,17 @@ def test_malformed_matrix_file_is_one_error_line(tmp_path, body):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("body", ["[[true, 3], [3, true]]", '{"matrix": [[1, false], [false, 1]]}'])
+def test_boolean_matrix_entries_are_refused(tmp_path, capsys, body):
+    # a JSON boolean is no bond order: read as an int, the first file would
+    # be A2 and the second U2, as false == 0 spells the infinite bond
+    mat = tmp_path / "m.json"
+    mat.write_text(body)
+    assert run(tmp_path, "survey", "--type", str(mat)) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("qpcox: error: bad entry m[0][") and out.err.count("\n") == 1
+
+
 def test_type_string_wins_over_a_file_of_that_name(tmp_path):
     # a stray file named like a type string does not shadow the type
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -716,6 +727,25 @@ def test_closed_stdout_is_one_io_error(tmp_path, command, unbuffered):
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("qpcox: io error: ")
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--type", "A2"], ["survey", "--type", "A2", "--format", "json"],
+    ["basis", "--type", "A2", "--regular"], ["basis", "--type", "A2", "--regular", "--format", "csv"],
+], ids=["survey-csv", "survey-json", "basis-json", "basis-csv"])
+def test_unusable_cache_dir_keeps_the_output(tmp_path, capsys, argv):
+    # a file where the cache directory should be: no entry can be made, so
+    # the command prints what --no-cache prints, warns once and keeps its
+    # exit code
+    assert main([*argv, "--no-cache"]) == 0
+    expect = capsys.readouterr()
+    blocker = tmp_path / "cache"
+    blocker.write_text("")
+    assert main([*argv, "--cache-dir", str(blocker)]) == 0
+    got = capsys.readouterr()
+    assert got.out == expect.out and expect.out and expect.err == ""
+    assert got.err.count("\n") == 1 and got.err.startswith("qpcox: warning: ")
+    assert blocker.read_text() == ""
 
 
 def test_out_file_is_the_pinned_output(tmp_path):
