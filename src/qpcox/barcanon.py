@@ -31,13 +31,10 @@ Bruhat down-sets; the mu-delta lemma is read on the down-set bitsets.
 
 The bar columns, the bar verdict and the canonical solve apply H_s + c
 (laurent.generator_rule: c = v^-1 - v for bar(H_s), v^-1 for the solve)
-key by key with laurent.act_generator, through one PolyMemo per build that
-interns into the carrier's pool (_polys): each entry is the pooled object
-of its value when it is made, and the verdict compares pooled entries.
-Every other sum of scaled columns (the bar of a vector in the bar verdict,
-the primed image and the inversion columns) is one laurent.combine, key by
-key through such a memo; the primed and inversion checks give it a copy of
-the pool, so their sums stay out of it.  No table check touches the pool.
+key by key with laurent.act_generator, and every other sum of scaled
+columns (the bar of a vector in the bar verdict, the primed image and the
+inversion columns) is one laurent.combine, each through a PolyMemo that
+dies with its call.  No table check makes one.
 
 The carrier is the cache of its own stages: the bar columns, bar verdict,
 canonical table and table checks of each kind (X._barcols[kind], ...) and
@@ -181,16 +178,6 @@ def _kind_stage(attr: str, relabel=_as_n):
     return decorate
 
 
-@stage("_polys")
-def _polys(X: ScaledWSet) -> dict:
-    """The carrier's pool: one object per distinct polynomial, shared by its
-    bar columns and canonical tables of both kinds.  Few distinct values
-    occur (81 among the 98,407 entries of each bar matrix of A5 regular, 123
-    among the 5,491 table entries of H3 regular).  ONE is the entry of every
-    minimal column."""
-    return {ONE: ONE}
-
-
 @_kind_stage("_barcols", relabel=lambda cols, X: [_as_n(col) for col in cols])
 def bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     """bar of every standard basis vector, as columns indexed by point id."""
@@ -201,9 +188,9 @@ def _bar_columns(kind: str, X: ScaledWSet) -> list[ModuleVector]:
     """The columns in id order: a minimal point keeps M_x, and otherwise
     bar M_x = bar(H_s) bar M_sx for the lowest generator s lowering x.  Ids
     refine height, so the column of sx is filled before x's, and each column
-    is one act_generator step, through one memo for the fill that interns
-    every entry into the carrier's pool (_polys)."""
-    ar = PolyMemo(_polys(X))
+    is one act_generator step, through one memo for the fill, so the matrix
+    holds one object per distinct value."""
+    ar = PolyMemo()
     rule = generator_rule(kind, VINV - V)  # bar(H_s) = H_s + (v^-1 - v)
     cols = []
     for x in range(len(X)):
@@ -266,9 +253,9 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     (v^-1 - v)) must first send M_x where that rule, written out here, says;
     the columns and the images are built with that kernel, and one that
     broke the quadratic relation could otherwise pass every raising check.
-    Every image is computed key by key through one memo for the call, which
-    interns into the carrier's pool, so it is compared with the pooled
-    columns entry by entry.
+    Every image is computed key by key through one memo for the call, into
+    which the columns' entries are interned first, so that equal entries of
+    an image and a column are one object when they are compared.
 
     The involution is then checked only at the minimal points, those no
     generator lowers.  The commutation gives bar(H_s V) = bar(H_s) bar(V) for
@@ -288,7 +275,9 @@ def verify_bar_operator(kind: str, X: ScaledWSet) -> BarVerdict:
     cols = bar_columns(kind, X)
     checked = skipped = 0
     full = X.truncated_at is None
-    ar = PolyMemo(_polys(X))
+    ar = PolyMemo()
+    for c in {c for col in cols for c in col.coords.values()}:  # the columns' objects, one per value
+        ar.intern(c)
     h, b = generator_rule(kind), generator_rule(kind, VINV - V)  # H_s and bar(H_s)
     eigen = V if kind == "M" else -VINV  # H_s M_x where s keeps the height of x
     # (H_s M_x, bar(H_s) M_x) as (coefficient of M_sx, of M_x), where s raises, lowers or keeps x
@@ -366,9 +355,7 @@ class CanonicalTable:
     def __init__(self, kind: str, X: ScaledWSet):
         self.kind = kind
         self.X = X
-        # each entry is the carrier's pooled object (_polys), pooled as the
-        # solve makes it
-        p, mu = canonical_columns(kind, X.action, X.height2, _polys(X))
+        p, mu = canonical_columns(kind, X.action, X.height2)
         # the one store, shared with every caller: read-only
         self.cols: list[dict[int, LaurentPoly]] = [{} for _ in range(len(X))]
         for (x, y), c in p.items():
@@ -391,7 +378,7 @@ class CanonicalTable:
         return ModuleVector(self.kind, self.X, self.cols[y])
 
     def to_json(self) -> dict:
-        # one [exponent, coefficient] list per pooled polynomial, shared by
+        # one [exponent, coefficient] list per distinct polynomial, shared by
         # every entry holding it, so jsonout renders each once
         pairs = {c: c.to_pairs() for c in {c for col in self.cols for c in col.values()}}
         return {
@@ -455,8 +442,8 @@ def verify_parity(table: CanonicalTable) -> CheckVerdict:
     Together these give mu(x, y) = 0 wherever ht y - ht x is even.
 
     Each (polynomial, height difference) is decided once per call, in a
-    memo keyed by value (the entries are the carrier's pooled objects): one
-    polynomial can pass at one difference and fail at another."""
+    memo keyed by value: one polynomial can pass at one difference and fail
+    at another."""
     X = table.X
     h2 = X.height2
     unit = table.kind == "M"  # M also needs the constant term 1
@@ -730,16 +717,15 @@ def primed_basis(
     bar verdicts, is required, and without it no vector passes.
 
     Each distinct (polynomial, sign) is barred once per call, in a memo keyed
-    by value (the entries are the carrier's pooled objects), and interned
-    into one PolyMemo on a copy of the carrier's pool.  The image is then
-    one act_generator on the rule of H_s - v, as v - H_s = -(H_s - v), and
-    one combine with the signs eps folded into the scalars, both key by key
-    through that memo; the check's sums stay out of the carrier's pool.
+    by value, and interned into one PolyMemo for the call.  The image is
+    then one act_generator on the rule of H_s - v, as v - H_s = -(H_s - v),
+    and one combine with the signs eps folded into the scalars, both key by
+    key through that memo.
     """
     X = table_m.X
     src = table_n if kind == "M" else table_m
     h2, parity = X.height2, X.parity
-    ar = PolyMemo(dict(_polys(X)))
+    ar = PolyMemo()
     bars: dict = {}  # (p, whether the sign flips) -> bar(p) with that sign, interned
     vectors = []
     for y, col in enumerate(src.cols):
@@ -813,8 +799,7 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
     one vector: the coefficient of M_x in sum_w (-1)^((len y - len w)/2)
     n[y w0+, w w0+] C_w, C_w the canonical M-vectors, is exactly the sum at
     (x, y), so the vector must be M_y (the standard basis expands over the
-    canonical one): one combine per column, through one PolyMemo per class
-    on a copy of its pool, so the check's sums stay out of the pool.
+    canonical one): one combine per column, through one PolyMemo per class.
     """
     classes = iplus_qp_classes(system)
     paired = []
@@ -826,7 +811,7 @@ def inversion_check(system: CoxeterSystem) -> InversionVerdict:
         table_m = canonical_basis("M", K)
         table_n = canonical_basis("N", K2)
         part, parity = [K2.index[k] for k in keys], K.parity
-        ar = PolyMemo(dict(_polys(K)))
+        ar = PolyMemo()
         for y in range(len(K)):
             col = combine(((table_m.cols[w], c if parity[y] == parity[w] else -c) for w in range(len(K))
                            if (c := table_n.poly(part[y], part[w]))), ar)

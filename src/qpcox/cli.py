@@ -420,31 +420,35 @@ def cmd_basis(args) -> int:
     if failure is not None:
         _emit(args, {"schema_version": SCHEMA_VERSION, "config": key, "bar_failure": failure})
         return EXIT_BAR
+    as_csv = args.format == "csv"  # the CSV holds the mu rows only, so no JSON entry is built
     payload = {"schema_version": SCHEMA_VERSION, "config": key, "tables": {}}
     for kind, table in tables.items():
         checks = barcanon.table_checks(kind, X)
+        if not all(c.ok for c in checks):
+            payload["failures"] = [c.name for c in checks if not c.ok]
+        if as_csv:
+            continue
         verdict = barcanon.verify_bar_operator(kind, X)  # the certified verdict, kept on X
         entry = table.to_json()
         entry["verification"] = {c.name: c.ok for c in checks}
         entry["bar"] = {"checked": verdict.checked, "skipped": verdict.skipped, "label": verdict.label}
         payload["tables"][kind] = entry
-        if not all(c.ok for c in checks):
-            payload["failures"] = [c.name for c in checks if not c.ok]
-    if X.kind == "conjugacy" and X.truncated_at is None and KeyTwist(X.theta).involutive(X.keys[0]):
+    if not as_csv and X.kind == "conjugacy" and X.truncated_at is None and KeyTwist(X.theta).involutive(X.keys[0]):
         theta, keys = classify.w0_translate(X)
         payload["inversion_partner"] = {"theta": list(theta.sigma), "seed": list(system.word_of(keys[0]))}
     failed = "failures" in payload
-    _emit(args, _mu_csv(payload) if args.format == "csv" else payload, None if failed else path, head)
+    _emit(args, _mu_csv(tables) if as_csv else payload, None if failed else path, head)
     return EXIT_CONSISTENCY if failed else EXIT_OK
 
 
-def _mu_csv(payload: dict) -> str:
+def _mu_csv(tables: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["kind", "x", "y", "mu"])
-    for kind, entry in sorted(payload["tables"].items()):
-        for x, y, m in entry["mu"]:
-            writer.writerow([kind, x, y, m])
+    for kind, table in sorted(tables.items()):
+        for y, col in enumerate(table.mus):
+            for x in sorted(col):
+                writer.writerow([kind, x, y, col[x]])
     return buf.getvalue()
 
 

@@ -428,10 +428,21 @@ class CoxeterSystem:
     @stage("_aut_list")
     def diagram_automorphisms(self) -> list["DiagramAut"]:
         """All permutations of S preserving the Coxeter matrix, in
-        lexicographic order (so the identity first)."""
+        lexicographic order (so the identity first), depth first: the
+        images of s_0, s_1, ... are tried in increasing order, and a partial
+        permutation is extended only while it keeps the matrix entries among
+        the generators placed."""
         m, n = self.matrix, self.rank
-        return [DiagramAut(self, sigma) for sigma in itertools.permutations(range(n))
-                if all(m[sigma[i]][sigma[j]] == m[i][j] for i in range(n) for j in range(n))]
+
+        def extend(sigma):
+            i = len(sigma)
+            if i == n:
+                yield DiagramAut(self, sigma)
+                return
+            for j in range(n):
+                if j not in sigma and all(m[j][t] == m[i][k] for k, t in enumerate(sigma)):
+                    yield from extend((*sigma, j))
+        return list(extend(()))
 
     def identity_aut(self) -> "DiagramAut":
         return DiagramAut(self, tuple(range(self.rank)))

@@ -12,17 +12,17 @@ product, the Phi maps) by Kronecker substitution: every polynomial is read
 at v = 2^b for a b that bounds the result, so each distinct (scalar, entry)
 product is one integer product per call and each key's sum one integer,
 with no polynomial arithmetic.  combine sums them key by key through a
-PolyMemo, so every sum is an object of the memo's pool: the mu corrections
-of the canonical solve, the bar verdict, the primed bases and the inversion
-pairing.  Arithmetic that redoes the same polynomial operations many times
-goes through a PolyMemo made for that call, which interns its results into
-a pool: the H_s rule of M(X) and N(X) (act_generator, applying H_s + c key
-by key, for the bar columns, the bar verdict and the canonical solve built
-on it) and combine.  The table checks of barcanon do no polynomial
-arithmetic: int_columns reads their table at v = 2^b as int columns, each
-distinct entry packed once.  lincomb, int_columns and PolyMemo key their
-memos by id, so each holds every operand it keys until it is dropped: an
-id is never reused while its memo lives, and no memo outlives its call.
+PolyMemo: the mu corrections of the canonical solve, the bar verdict, the
+primed bases and the inversion pairing.  Arithmetic that redoes the same
+polynomial operations many times goes through a PolyMemo made for that
+call, which interns its results and dies with the call: the H_s rule of
+M(X) and N(X) (act_generator, applying H_s + c key by key, for the bar
+columns, the bar verdict and the canonical solve built on it) and combine.
+The table checks of barcanon do no polynomial arithmetic: int_columns reads
+their table at v = 2^b as int columns, each distinct entry packed once.
+lincomb, int_columns and PolyMemo key their memos by id, so each holds
+every operand it keys until it is dropped: an id is never reused while its
+memo lives, and no memo outlives its call.
 
 >>> p = V - V**-1
 >>> print(p * (V + V**-1))
@@ -319,45 +319,36 @@ def int_columns(cols: list[dict], height2, spread: int) -> tuple[list[dict[int, 
 
 class PolyMemo:
     """Polynomial arithmetic within one computation, each distinct operation
-    done once.  Results are interned by value into pool (a fresh dict if
-    none is given), so two results are equal exactly when they are the same
-    object; interning into a carrier's pool makes every result the pooled
-    object its tables share.  Operations are memoized by the ids of their
+    done once.  Results are interned by value into the memo's own dict,
+    which starts as {ZERO, ONE}, so two results are equal exactly when they
+    are the same object.  Operations are memoized by the ids of their
     operands, and the memo holds every operand it has keyed, so no id is
     reused while it lives.  An operand from outside (a planted entry) is
     keyed by its own id and never taken for another; intern maps it to the
-    pooled object of its value.  Make one per call and let it die with the
-    call; the pool outlives it.  The bar fill, the bar verdict and the
-    canonical solve intern into the carrier's pool, the primed and
-    inversion checks into a copy of it, so their sums stay out of it.
+    object of its value.  Make one per call and let it die with the call: a
+    build (a bar matrix, a canonical table) keeps one object per value.
 
     >>> ar = PolyMemo()
-    >>> ar.add(ar.shift(V, 1), ar.intern(ONE)) is ar.intern(LaurentPoly({2: 1, 0: 1}))
+    >>> ar.add(ar.mul(V, V), ONE) is ar.intern(LaurentPoly({2: 1, 0: 1}))
     True
     """
 
-    __slots__ = ("_pool", "_held", "_shifts", "_sums", "_products")
+    __slots__ = ("_values", "_held", "_sums", "_products")
 
-    def __init__(self, pool: dict | None = None):
-        self._pool = {} if pool is None else pool
-        self._pool[ZERO] = ZERO  # a zero result is ZERO itself
+    def __init__(self):
+        self._values = {ZERO: ZERO, ONE: ONE}
         self._held = []
-        self._shifts, self._sums, self._products = {}, {}, {}
+        self._sums, self._products = {}, {}
 
     def intern(self, p: LaurentPoly) -> LaurentPoly:
-        """The pooled object equal to p."""
-        return self._pool.setdefault(p, p)
+        """The interned object equal to p."""
+        return self._values.setdefault(p, p)
 
     def _keep(self, memo: dict, key: tuple, operands, value: LaurentPoly) -> LaurentPoly:
         """Memoize value, interned, under key, holding the operands key names."""
         self._held.append(operands)
         r = memo[key] = self.intern(value)
         return r
-
-    def shift(self, a: LaurentPoly, k: int) -> LaurentPoly:
-        key = (id(a), k)
-        r = self._shifts.get(key)
-        return self._keep(self._shifts, key, a, a.shift(k)) if r is None else r
 
     def add(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         key = (id(a), id(b))
@@ -374,7 +365,7 @@ def combine(terms, ar: PolyMemo, out: dict | None = None) -> dict:
     """out (a fresh dict if none is given) plus the sum of c * vec over the
     (vec, c) pairs of terms, in place, key by key through ar; returns out.
     c is a LaurentPoly or an int; an int becomes a constant polynomial
-    before it is interned, so the pool holds polynomials only.  A zero
+    before it is interned, so the memo holds polynomials only.  A zero
     scalar adds nothing, and a unit scalar adds the entries themselves,
     with no product.  A key whose sum is zero is removed, so out never
     holds a zero polynomial.  Each entry stored is an entry of a vec (a
@@ -389,7 +380,7 @@ def combine(terms, ar: PolyMemo, out: dict | None = None) -> dict:
         c = ar.intern(c if isinstance(c, LaurentPoly) else LaurentPoly.const(c))
         if c is ZERO:
             continue
-        unit = c == ONE
+        unit = c is ONE
         for k, e in vec.items():
             p = e if unit else mul(c, e)
             q = out.get(k)
@@ -422,7 +413,7 @@ def act_generator(coords: dict, action, s: int, height2, rule: tuple, ar: PolyMe
     k is coords[sk] + up coords[k] where s raises k, coords[sk] + down
     coords[k] where s lowers k, and level coords[k] where s keeps the
     height of k.  Every entry is an entry of coords or a result of ar, so
-    on pooled coords every entry is pooled, and no entry is zero."""
+    on interned coords every entry is interned, and no entry is zero."""
     up, down, level = rule
     row, add, mul = action[s], ar.add, ar.mul
     out = {}
@@ -447,16 +438,15 @@ def act_generator(coords: dict, action, s: int, height2, rule: tuple, ar: PolyMe
     return out
 
 
-def canonical_columns(kind: str, action, height2, pool: dict | None = None) -> tuple[dict, dict]:
+def canonical_columns(kind: str, action, height2) -> tuple[dict, dict]:
     """The canonical basis C_y = sum p[x, y] M_x of M(X) or N(X), X given by
     its action rows and doubled heights (ids refining height).  A minimal
     point keeps C_y = M_y; otherwise, with s the lowest generator lowering y,
     the multiplication theorem gives C_y = (H_s + v^-1) C_sy - sum mu(w, sy) C_w
     over the w < sy that s descends, weakly for M and strictly for N.
     Returns p keyed (x, y) and the nonzero mu[x, y] = [v^-1] p[x, y].  Each
-    entry is computed key by key through one PolyMemo for the call, which
-    interns into pool (a carrier's pool, so the entries are pooled as they
-    are made).
+    entry is computed key by key through one PolyMemo for the call, so the
+    table holds one object per distinct value.
 
     The certificate does not rest on that identity: each column must hold 1
     at y, no entry above id y and all others in v^-1 Z[v^-1], else
@@ -468,15 +458,14 @@ def canonical_columns(kind: str, action, height2, pool: dict | None = None) -> t
     v^-1 Z[v^-1], whose entry at its highest id is then bar-fixed, hence zero:
     each column is the unique canonical one.
     """
-    ar = PolyMemo(pool)
-    one = ar.intern(ONE)
+    ar = PolyMemo()
     rule = generator_rule(kind, VINV)  # H_s + v^-1
     weak = kind == "M"  # s descends w weakly for M, strictly for N
     cols, mus, p, mu = [], [], {}, {}  # per y: C_y and its mu-coefficients; the tables returned
     for y in range(len(height2)):
         step = lowest_descent(action, height2, y)
         if step is None:
-            col = {y: one}
+            col = {y: ONE}
         else:
             s, sy = step
             row = action[s]

@@ -24,7 +24,7 @@ w(alpha_1), ..., w(alpha_n).  A conjugacy class is searched on keys with
 coxeter.KeyTwist, which enumerates W on a finite system.  A truncated
 universal class, whose images can leave the carrier, twisted-conjugates the
 words of its points by the reflection words, also on keys.  Element objects
-are built only at the boundary: describe_point, and witness re-checks.
+are built only at the boundary, for witness re-checks.
 
 Heights are stored doubled (height2 = 2 ht), so the half-integer heights of
 conjugacy classes stay exact integers.  Point ids are dense and sorted by
@@ -153,7 +153,7 @@ class ScaledWSet:
         key = self.keys[pid]
         if self.kind == "double-cover":
             return {"base": self.base.describe_point(key[0]), "bit": key[1]}
-        out = {"x": list(key if isinstance(key, tuple) else Element(self.system, key).word())}
+        out = {"x": list(key if isinstance(key, tuple) else self.system.word_of(key))}
         if self.kind == "conjugacy":
             out["theta"] = list(self.theta.sigma)
         return out

@@ -65,11 +65,12 @@ bar operator by the recurrence bar M_x = bar(H_s) bar M_sx.
 
 memo_multiplication, memo_recurrences and memo_mu_lemma are the table checks
 as the package ran them before it read the table at v = 2^b: both sides of
-the multiplication theorem summed per key through a PolyMemo per generator
-on a copy of the carrier's pool, the recurrences on a shifted copy of the
-table through a fresh PolyMemo, and the mu-delta lemma as a scan of the
-pairs x < y over the down-set ids (downset_ids, which XOrder had).
-v_power is the monomial v^k, which laurent had.
+the multiplication theorem summed per key through a memo per generator, the
+recurrences on a shifted copy of the table through one memo, and the
+mu-delta lemma as a scan of the pairs x < y over the down-set ids
+(downset_ids, which XOrder had).  Their memo is ShiftMemo, a PolyMemo with
+the memoized shift by v^k that laurent's PolyMemo had.  v_power is the
+monomial v^k, which laurent had.
 """
 
 from collections import Counter
@@ -101,6 +102,22 @@ from oracle_qpsets import orbit_min2, payloads
 def v_power(k: int) -> LaurentPoly:
     """The monomial v^k."""
     return LaurentPoly({k: 1})
+
+
+class ShiftMemo(PolyMemo):
+    """A PolyMemo that also multiplies by v^k, each (operand, k) once."""
+
+    __slots__ = ("_shifts",)
+
+    def __init__(self):
+        super().__init__()
+        self._shifts = {}
+
+    def shift(self, a: LaurentPoly, k: int) -> LaurentPoly:
+        key = (id(a), k)
+        r = self._shifts.get(key)
+        return self._keep(self._shifts, key, a, a.shift(k)) if r is None else r
+
 
 def act_word(vec, word, c=ZERO):
     """Left action of (H_{s_1} + c) ... (H_{s_k} + c) on vec, through
@@ -870,15 +887,15 @@ def downset_ids(order, y):
 
 
 def memo_multiplication(table):
-    """verify_multiplication with both sides summed per key through a PolyMemo
-    per generator that interns into a copy of the carrier's pool."""
+    """verify_multiplication with both sides summed per key through a
+    ShiftMemo per generator."""
     X = table.X
     h2 = X.height2
     order = bruhat_order(X)
     weak = table.kind == "M"  # M descends weakly, N strictly
     level = V + VINV  # the left side's factor at a level key (M)
     for s in range(X.n_gens):
-        ar = PolyMemo(dict(barcanon._polys(X)))
+        ar = ShiftMemo()
         shift, add, mul, row = ar.shift, ar.add, ar.mul, X.action[s]
         for x, u in enumerate(table.cols):
             d = h2[row[x]] - h2[x]
@@ -909,13 +926,13 @@ def memo_multiplication(table):
 
 def memo_recurrences(table):
     """verify_recurrences on a shifted copy of the table (wts) through one
-    fresh PolyMemo, comparing interned sides by identity, for x in D + s D."""
+    ShiftMemo, comparing interned sides by identity, for x in D + s D."""
     X = table.X
     kind = table.kind
     order = bruhat_order(X)
     down = order.downsets
     h2 = X.height2
-    ar = PolyMemo()
+    ar = ShiftMemo()
     shift, add, mul = ar.shift, ar.add, ar.mul
     wts = [
         {x: shift(c, (h2[y] - h2[x]) // 2) for x, c in col.items() if order.leq(x, y)}

@@ -18,6 +18,10 @@ table_reflections is the breadth-first search of the reflections on the
 group table that CoxeterSystem.reflections ran before it read them on the
 roots.
 
+scan_automorphisms is the scan of all n! permutations of the generators
+that CoxeterSystem.diagram_automorphisms ran before it searched partial
+permutations depth first.
+
 It also holds the element-level queries that src/ answers on keys and
 carriers instead: descents from products and lengths, the Bruhat order
 (the down-set table of a finite system, which test_coxeter checks against
@@ -25,6 +29,7 @@ the subword property, and the subword property on the unique reduced words
 of a universal one) and the twisted-involution test (x, theta)^2 = 1.
 """
 
+import itertools
 import math
 
 SNAP = 1e-9
@@ -88,6 +93,14 @@ def float_roots(matrix):
 def scan_roots(matrix):
     """(gen_root_perm, positive) of the finite Coxeter matrix, from float_roots."""
     return float_roots(matrix)[1:]
+
+
+def scan_automorphisms(matrix):
+    """The permutations sigma of the generators with m[sigma i][sigma j] =
+    m[i][j] for all i, j, in lexicographic order."""
+    n = len(matrix)
+    return [sigma for sigma in itertools.permutations(range(n))
+            if all(matrix[sigma[i]][sigma[j]] == matrix[i][j] for i in range(n) for j in range(n))]
 
 
 def table_reflections(system):

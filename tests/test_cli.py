@@ -332,6 +332,21 @@ def test_basis_mu_csv(tmp_path):
     assert any(line.startswith("M,") for line in lines[1:])
 
 
+def test_basis_csv_rows_are_the_json_mu_rows(tmp_path, monkeypatch):
+    # the CSV is built from the tables' mu columns, with no JSON entry, and
+    # holds exactly the mu rows of the JSON output, for both kinds
+    argv = ["basis", "--type", "A3", "--class", "fpf", "--kind", "both"]
+    as_json, as_csv = tmp_path / "mu.json", tmp_path / "mu.csv"
+    assert run(tmp_path, *argv, "--out", str(as_json)) == 0
+    with monkeypatch.context() as m:
+        m.setattr(barcanon.CanonicalTable, "to_json", lambda self: pytest.fail("the CSV built a JSON entry"))
+        assert run(tmp_path, *argv, "--format", "csv", "--out", str(as_csv)) == 0
+    tables = json.loads(as_json.read_text())["tables"]
+    assert sorted(tables) == ["M", "N"] and all(tables[kind]["mu"] for kind in tables)
+    rows = [",".join(map(str, [kind, *row])) for kind in sorted(tables) for row in tables[kind]["mu"]]
+    assert as_csv.read_text().splitlines() == ["kind,x,y,mu", *rows]
+
+
 def test_explicit_theta_images(tmp_path):
     out = tmp_path / "tw.json"
     code = run(
@@ -591,9 +606,9 @@ def _count_stages(monkeypatch):
     counts = {"solves": 0, "bar_matrices": 0}
     solve, fill = barcanon.canonical_columns, barcanon._bar_columns
 
-    def counted_solve(kind, action, height2, pool=None):
+    def counted_solve(kind, action, height2):
         counts["solves"] += 1
-        return solve(kind, action, height2, pool)
+        return solve(kind, action, height2)
 
     def counted_fill(kind, X):
         counts["bar_matrices"] += 1
@@ -619,7 +634,7 @@ def test_every_stage_body_runs_once_per_owner(tmp_path, monkeypatch, capsys):
     # runs once per owner and argument, and a later call returns the same
     # object
     stages = _stage_wrappers()
-    assert len(stages) == 20 and "CoxeterSystem._bruhat_table" in stages  # read by survey diagnostics only
+    assert len(stages) == 19 and "CoxeterSystem._bruhat_table" in stages  # read by survey diagnostics only
     counts, runs = _count_stages(monkeypatch)
     assert run(tmp_path, "verify", "--type", "B3", "--suite", "all") == 0
     assert counts == {"solves": 23, "bar_matrices": 23}

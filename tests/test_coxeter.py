@@ -4,7 +4,9 @@ import time
 
 import pytest
 
-from oracle_group import OracleGroup, bruhat_leq, is_twisted_involution, left_descents, right_descents, scan_roots
+from oracle_group import (
+    OracleGroup, bruhat_leq, is_twisted_involution, left_descents, right_descents, scan_automorphisms, scan_roots,
+)
 from qpcox import coxeter
 from qpcox.coxeter import ExtElement, KeyTwist, build_system, twisted_conjugate
 from qpcox.errors import (
@@ -329,6 +331,31 @@ def test_diagram_automorphisms():
     # D4 automorphisms permute the outer nodes {s1, s3, s4} and fix the branch node s2
     for aut in build_system("D4").diagram_automorphisms():
         assert aut.sigma[1] == 1
+
+
+SMALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)] + [
+    "E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(6)", "U3", "U4"]
+
+
+@pytest.mark.parametrize("matrix", [build_system(name).matrix for name in SMALL_TYPES] + [
+    relabeled("D4", (2, 0, 3, 1)), relabeled("E6", (5, 3, 0, 1, 4, 2)), relabeled("F4", (3, 1, 0, 2)),
+    relabeled("A5", (4, 0, 3, 1, 2)), [[1, 2, 3, 2], [2, 1, 2, 3], [3, 2, 1, 2], [2, 3, 2, 1]],
+    block_sum("A2", "A2"), block_sum("A1", "A1", "A1"), block_sum("B2", "B2", "A1"), block_sum("D4", "A3"),
+    block_sum("I2(5)", "H3", "I2(5)"), block_sum("A2", "I2(5)", "A2"),
+], ids=SMALL_TYPES + ["D4 relabeled", "E6 relabeled", "F4 relabeled", "A5 relabeled", "A2xA2 relabeled",
+                      "A2xA2", "A1xA1xA1", "B2xB2xA1", "D4xA3", "I2(5)xH3xI2(5)", "A2xI2(5)xA2"])
+def test_diagram_automorphisms_match_the_permutation_scan(matrix):
+    found = [aut.sigma for aut in build_system(matrix).diagram_automorphisms()]
+    assert found == scan_automorphisms(matrix)
+
+
+@pytest.mark.parametrize("name, count", [("A12", 2), ("D12", 2)])
+def test_diagram_automorphisms_of_rank_12_are_fast(name, count):
+    # the scan of all 12! permutations took minutes
+    system = build_system(name)
+    start = time.perf_counter()
+    assert len(system.diagram_automorphisms()) == count
+    assert time.perf_counter() - start < 1
 
 
 def assert_group_automorphism(system, aut, seed, pairs):

@@ -176,7 +176,7 @@ def test_only_qpsets_names_the_double_cover(path):
     assert path.name == "qpsets.py" or "double-cover" not in string_constants(path.read_text())
 
 
-RETIRED = ("_barpart", "_bar_fill", "orbits", "h_min2")
+RETIRED = ("_barpart", "_bar_fill", "orbits", "h_min2", "_polys")
 
 
 def retired_names(source: str) -> list[str]:
@@ -196,7 +196,8 @@ def test_scan_finds_retired_names():
 @pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
 def test_src_names_no_partial_bar_store_or_orbit_scan(path):
     # the bar columns, the parity and the Bruhat order are each one pass in
-    # id order: no partial store of bar columns, no second orbit scan
+    # id order: no partial store of bar columns, no second orbit scan; and
+    # no carrier keeps a pool of polynomials past the call that made them
     assert retired_names(path.read_text()) == []
 
 

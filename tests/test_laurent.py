@@ -21,7 +21,7 @@ from qpcox.laurent import (
 from qpcox.qpsets import coset_set, regular_set
 
 from oracle_canonical import (
-    SkewViolation, add_scaled, count_lincomb, fold_combine, generic_canonical_columns, solve_skew, v_power,
+    ShiftMemo, SkewViolation, add_scaled, count_lincomb, fold_combine, generic_canonical_columns, solve_skew, v_power,
 )
 from oracle_hecke import from_pairs
 
@@ -394,7 +394,7 @@ def test_combine_matches_the_add_scaled_fold():
         assert out == fold_combine([(start, ONE), *terms])
         assert all(out.values())  # a sum that cancels leaves its key absent
         assert all(q.terms == t for q, t in held)  # no input polynomial was mutated
-        assert all(type(k) is LaurentPoly for k in ar._pool)  # an int scalar is interned as a polynomial
+        assert all(type(k) is LaurentPoly for k in ar._values)  # an int scalar is interned as a polynomial
     vec = {0: V, 1: ONE + VINV}
     got = combine([(vec, 1), ({}, V), (vec, 0), (vec, ZERO)], PolyMemo())
     assert got == vec and all(got[k] is vec[k] for k in vec)  # a unit scalar adds the entries themselves
@@ -419,10 +419,13 @@ def test_lincomb_holds_the_entries_it_keys_by_id():
 
 
 def test_poly_memo_interns_and_matches_the_operators():
-    ar = PolyMemo()
+    ar = ShiftMemo()
     a = LaurentPoly({1: 2, -1: 1})
     assert ar.intern(a) is a and ar.intern(LaurentPoly(dict(a.terms))) is a
     assert ar.intern(LaurentPoly()) is ZERO and ar.intern(a - a) is ZERO
+    # a memo starts with ZERO and ONE: an interned constant 1 is ONE itself
+    assert PolyMemo().intern(LaurentPoly.const(1)) is ONE and PolyMemo().intern(LaurentPoly()) is ZERO
+    assert PolyMemo().add(V - V, ONE) is ONE
     rng = random.Random(19)
     polys = [random_poly(rng, span=3, nterms=3, cmax=2) for _ in range(12)]
     results = []
@@ -440,7 +443,7 @@ def test_poly_memo_interns_and_matches_the_operators():
 def test_poly_memo_holds_the_operands_it_keys_by_id():
     # each operand is dropped after its call, so without the hold its id
     # would come back with another value and hit a stale entry
-    ar = PolyMemo()
+    ar = ShiftMemo()
     for i in range(300):
         assert ar.shift(LaurentPoly({0: i, 2: 1}), 1) == LaurentPoly({1: i, 3: 1})
         assert ar.add(LaurentPoly.const(i), LaurentPoly({1: i})) == LaurentPoly({0: i, 1: i})

@@ -515,15 +515,15 @@ def test_truncated_reflections_and_qp_check_build_no_elements(monkeypatch):
 
 
 def test_class_search_builds_no_elements(monkeypatch):
-    # classes are searched and stored on keys; elements are built only when
-    # a point is described
+    # classes are searched and stored on keys, and a point is described by
+    # the word of its key, so no element is built
     b3 = build_system("B3")
     b3.order()
     count = count_elements(monkeypatch)
     classes = twisted_classes(b3, b3.identity_aut())
     assert count[0] == 0 and sum(len(K) for K in classes) == 48
-    classes[-1].describe_point(0)
-    assert count[0] == 1
+    assert classes[-1].describe_point(0) == {"x": list(b3.word_of(classes[-1].keys[0])), "theta": [0, 1, 2]}
+    assert count[0] == 0
 
 
 def test_revalidate_witness_rejects_malformed_witnesses():
