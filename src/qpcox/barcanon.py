@@ -24,10 +24,11 @@ lowers x, the identity follows from the raising one at (s, sx), because
 bar(H_s)^2 = 1 + (v^-1 - v) bar(H_s) (see verify_bar_operator).  The Phi
 maps are read from the bar columns, Phi_MN(M_x) = eps_x bar(N_x), so their
 verdict is the two bar verdicts (see PhiMaps.verify).  The multiplication
-theorem is read at v = 2^b, on one int column per table column for the
-call, by one kernel (_theorem_gap, see verify_multiplication); the
-recurrences are that theorem at (s, sy), on the same columns cut to the
-Bruhat down-sets; the mu-delta lemma is read on the down-set bitsets.
+theorem is read at v = 2^b, on one int column per table column, packed
+once per table_checks call and dropped with it, by one kernel
+(_theorem_gap, see verify_multiplication); the recurrences are that theorem
+at (s, sy), on the same columns cut to the Bruhat down-sets; the mu-delta
+lemma is read on the down-set bitsets.
 
 The bar columns, the bar verdict and the canonical solve apply H_s + c
 (laurent.generator_rule: c = v^-1 - v for bar(H_s), v^-1 for the solve)
@@ -62,6 +63,7 @@ from typing import NamedTuple, Optional, Sequence
 from .classify import twisted_classes, w0_translate
 from .coxeter import CoxeterSystem, stage
 from .errors import ConsistencyError, SystemMismatch, TruncationRequired, UncertifiedBar
+from .jsonout import Rows
 from .laurent import (
     ONE, V, VINV, ZERO, LaurentPoly, PolyMemo, act_generator, canonical_columns, combine, generator_rule,
     int_columns, lincomb,
@@ -378,9 +380,13 @@ class CanonicalTable:
         return ModuleVector(self.kind, self.X, self.cols[y])
 
     def to_json(self) -> dict:
-        # one [exponent, coefficient] list per distinct polynomial, shared by
-        # every entry holding it, so jsonout renders each once
-        pairs = {c: c.to_pairs() for c in {c for col in self.cols for c in col.values()}}
+        """The table's JSON document.  Its entries, rows [x, y, pairs of
+        p[x, y]], and its mu rows [x, y, mu(x, y)] are jsonout.Rows read from
+        cols and mus on each iteration, y ascending and then x, so no row
+        list is kept.  Every entry holding one polynomial holds its one
+        [exponent, coefficient] pairs list, so jsonout renders each once."""
+        cols, mus = self.cols, self.mus
+        pairs = {c: c.to_pairs() for c in {c for col in cols for c in col.values()}}
         return {
             "schema_version": 1,
             "kind": self.kind,
@@ -391,10 +397,8 @@ class CanonicalTable:
                 "truncated_at": self.X.truncated_at,
             },
             "label": self.label,
-            "entries": [
-                [x, y, pairs[col[x]]] for y, col in enumerate(self.cols) for x in sorted(col)
-            ],
-            "mu": [[x, y, col[x]] for y, col in enumerate(self.mus) for x in sorted(col)],
+            "entries": Rows(lambda: ((x, y, pairs[col[x]]) for y, col in enumerate(cols) for x in sorted(col))),
+            "mu": Rows(lambda: ((x, y, col[x]) for y, col in enumerate(mus) for x in sorted(col))),
         }
 
 
@@ -432,7 +436,8 @@ def table_checks(kind: str, X: ScaledWSet) -> list[CheckVerdict]:
 def _table_checks(table: CanonicalTable) -> list[CheckVerdict]:
     checks = [verify_parity(table)]
     if table.X.truncated_at is None:
-        checks += [verify_multiplication(table), verify_recurrences(table), verify_mu_lemma(table)]
+        packed = _int_table(table)  # read by both int checks, and dropped with this call
+        checks += [verify_multiplication(table, packed), verify_recurrences(table, packed), verify_mu_lemma(table)]
     return checks
 
 
@@ -507,7 +512,7 @@ def _theorem_gap(table: CanonicalTable, cols, b: int, down, row, move, x: int) -
     return [k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != get(k, 0)]
 
 
-def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
+def verify_multiplication(table: CanonicalTable, packed=None) -> CheckVerdict:
     """The action of underline H_s on the canonical basis, per kind: with
     u = C_x, (H_s + v^-1) u is (v + v^-1) u where s descends x (key by key,
     u[sk] = v^(+-1) u[k] as s raises or lowers k, and no k is level for N),
@@ -536,12 +541,13 @@ def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
     nonzero at 2^b: its lowest nonzero coefficient d gives the value
     2^(b j) (d + 2^b q) for integers j >= 0 and q, and 2^b does not divide
     d.  The packing multiplies every entry by one power of v, and so the
-    difference of two sides."""
+    difference of two sides.  packed is _int_table(table), where the caller
+    has it (_table_checks packs once for this check and the recurrences)."""
     X = table.X
     h2 = X.height2
     down = bruhat_order(X).downsets
     weak = table.kind == "M"  # M descends weakly, N strictly
-    cols, b = _int_table(table)
+    cols, b = packed or _int_table(table)
     for s in range(X.n_gens):
         row = X.action[s]
         move = [h2[sk] - h2[k] for k, sk in enumerate(row)]  # > 0 where s raises k
@@ -555,7 +561,7 @@ def verify_multiplication(table: CanonicalTable) -> CheckVerdict:
     return CheckVerdict(True, "multiplication")
 
 
-def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
+def verify_recurrences(table: CanonicalTable, packed=None) -> CheckVerdict:
     """The translated-polynomial recurrences that compute the table column-by-column.
 
     With wt(x, y) = v^(ht y - ht x) p[x, y] over x <= y (0 elsewhere), the
@@ -569,11 +575,13 @@ def verify_recurrences(table: CanonicalTable) -> CheckVerdict:
 
     A nonzero term needs x or sx in down(y) + down(sy), so only the keys of
     the columns read and their images under s are visited, and a failure
-    is reported at the least x for its (s, y)."""
+    is reported at the least x for its (s, y).  packed is _int_table(table),
+    as in verify_multiplication; the cut makes new columns and leaves it
+    as it is."""
     X = table.X
     down = bruhat_order(X).downsets
     h2 = X.height2
-    cols, b = _int_table(table)
+    cols, b = packed or _int_table(table)
     cols = [{x: c for x, c in col.items() if down[y] >> x & 1} for y, col in enumerate(cols)]
     for s in range(X.n_gens):
         row = X.action[s]

@@ -41,9 +41,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import hashlib
 import io
 import itertools
 import json
@@ -189,10 +187,18 @@ def carrier_descriptor(X: qpsets.ScaledWSet) -> dict:
 # caching
 
 
+def _sha256(data: bytes = b""):
+    """hashlib.sha256(data), with hashlib (and OpenSSL) loaded at the first
+    use of the cache, so the commands that never hash never pay for it."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 @functools.cache
 def _source_digest() -> str:
     """sha256 of the package's *.py sources, read once per process."""
-    return hashlib.sha256(b"".join(p.read_bytes() for p in sorted(Path(__file__).parent.glob("*.py")))).hexdigest()
+    return _sha256(b"".join(p.read_bytes() for p in sorted(Path(__file__).parent.glob("*.py")))).hexdigest()
 
 
 def _cache_path(args, key, system: CoxeterSystem) -> tuple[Path | None, str]:
@@ -204,7 +210,7 @@ def _cache_path(args, key, system: CoxeterSystem) -> tuple[Path | None, str]:
     head = json.dumps({"config": key, "matrix": system.matrix}, sort_keys=True)
     if args.no_cache:
         return None, head
-    name = hashlib.sha256(head.encode()).hexdigest()[:24]
+    name = _sha256(head.encode()).hexdigest()[:24]
     return Path(args.cache_dir) / _source_digest() / f"{name}.json", head
 
 
@@ -223,7 +229,7 @@ def _cache_load(path: Path | None, head: str):
     except OSError:
         return None
     try:
-        line, sha = fh.readline(), hashlib.sha256()
+        line, sha = fh.readline(), _sha256()
         for chunk in iter(functools.partial(fh.read, jsonout.CHUNK), b""):
             sha.update(chunk)
         if line == _header(head, sha.hexdigest()).encode():
@@ -260,7 +266,7 @@ def _cache_store(path: Path | None, head: str, obj, *sinks) -> None:
         if sinks:
             _render(obj, *sinks)
         return
-    sha = hashlib.sha256()
+    sha = _sha256()
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(_header(head, "0" * 64))  # the digest is filled in below
@@ -297,6 +303,8 @@ def _emit(args, doc, path: Path | None = None, head: str = "") -> None:
 
 
 def _survey_csv(reports_json: list[dict]) -> str:
+    import csv  # loaded by the CSV outputs alone
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(classify.SURVEY_COLUMNS)
@@ -442,6 +450,8 @@ def cmd_basis(args) -> int:
 
 
 def _mu_csv(tables: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["kind", "x", "y", "mu"])

@@ -143,10 +143,6 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
-
     def bar(self) -> "LaurentPoly":
         """The ring involution v -> v^-1: every exponent is negated."""
         return LaurentPoly({-e: c for e, c in self.terms.items()})

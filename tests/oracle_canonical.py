@@ -69,8 +69,14 @@ the multiplication theorem summed per key through a memo per generator, the
 recurrences on a shifted copy of the table through one memo, and the
 mu-delta lemma as a scan of the pairs x < y over the down-set ids
 (downset_ids, which XOrder had).  Their memo is ShiftMemo, a PolyMemo with
-the memoized shift by v^k that laurent's PolyMemo had.  v_power is the
-monomial v^k, which laurent had.
+the memoized shift by v^k that laurent's PolyMemo had, by shift, the
+product with v^k that LaurentPoly had.  v_power is the monomial v^k, which
+laurent had.
+
+table_to_json is CanonicalTable.to_json as it was before its entries and mu
+rows became jsonout.Rows read from the columns: one [x, y, pairs] list per
+entry and one [x, y, mu] list per mu row, in the same order, every entry of
+one polynomial holding its one pairs list.
 """
 
 from collections import Counter
@@ -104,6 +110,11 @@ def v_power(k: int) -> LaurentPoly:
     return LaurentPoly({k: 1})
 
 
+def shift(a: LaurentPoly, k: int) -> LaurentPoly:
+    """a times v^k."""
+    return LaurentPoly({e + k: c for e, c in a.terms.items()})
+
+
 class ShiftMemo(PolyMemo):
     """A PolyMemo that also multiplies by v^k, each (operand, k) once."""
 
@@ -116,7 +127,7 @@ class ShiftMemo(PolyMemo):
     def shift(self, a: LaurentPoly, k: int) -> LaurentPoly:
         key = (id(a), k)
         r = self._shifts.get(key)
-        return self._keep(self._shifts, key, a, a.shift(k)) if r is None else r
+        return self._keep(self._shifts, key, a, shift(a, k)) if r is None else r
 
 
 def act_word(vec, word, c=ZERO):
@@ -767,7 +778,7 @@ def _pair_parity(table, mu):
     coeffs = {(x, y): c.terms[-1] for (x, y), c in table_entries(table.cols).items() if -1 in c.terms}
     for y, col in enumerate(table.cols):
         for x, c in col.items():
-            wt = c.shift((X.height2[y] - X.height2[x]) // 2)
+            wt = shift(c, (X.height2[y] - X.height2[x]) // 2)
             if any(e < 0 or e % 2 for e in wt.terms):
                 return CheckVerdict(False, "parity", {"x": x, "y": y})
             if table.kind == "M" and wt.coeff(0) != 1:
@@ -813,7 +824,7 @@ def _pair_recurrences(table, mu):
     order = bruhat_order(X)
     h2 = X.height2
     wts = {
-        (x, y): c.shift((h2[y] - h2[x]) // 2)
+        (x, y): shift(c, (h2[y] - h2[x]) // 2)
         for y, col in enumerate(table.cols)
         for x, c in col.items()
         if order.leq(x, y)
@@ -1007,3 +1018,21 @@ def memo_mu_lemma(table):
 def memo_table_checks(table):
     """The multiplication, recurrence and mu-delta verdicts of the memo forms."""
     return [memo_multiplication(table), memo_recurrences(table), memo_mu_lemma(table)]
+
+
+def table_to_json(table):
+    """CanonicalTable.to_json with its entries and mu rows as lists of lists."""
+    pairs = {c: c.to_pairs() for c in {c for col in table.cols for c in col.values()}}
+    return {
+        "schema_version": 1,
+        "kind": table.kind,
+        "system": table.X.system.name,
+        "carrier": {
+            "kind": table.X.kind,
+            "size": len(table.X),
+            "truncated_at": table.X.truncated_at,
+        },
+        "label": table.label,
+        "entries": [[x, y, pairs[col[x]]] for y, col in enumerate(table.cols) for x in sorted(col)],
+        "mu": [[x, y, col[x]] for y, col in enumerate(table.mus) for x in sorted(col)],
+    }

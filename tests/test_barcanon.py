@@ -813,6 +813,25 @@ def test_both_table_checks_read_the_one_multiplication_kernel(monkeypatch):
         assert not verify_recurrences(table).ok, (table.X, table.kind)
 
 
+def test_table_checks_pack_each_table_once(monkeypatch):
+    # the two int checks read one pack, made by the call and dropped with
+    # it: the verdicts are those of the checks run alone, witnesses included
+    a3 = build_system("A3")
+    tables = [canonical_basis(kind, X) for X in (regular_set(a3), fpf_class(a3)) for kind in ("M", "N")]
+    broken = _table_copy(tables[0])
+    broken.cols[5] = {x: c + V for x, c in broken.cols[5].items()}
+    alone = {id(t): [verify_parity(t), *_int_checks(t)] for t in tables + [broken]}
+    assert not alone[id(broken)][1].ok
+    real, packs = barcanon._int_table, []
+    monkeypatch.setattr(barcanon, "_int_table", lambda table: packs.append(table) or real(table))
+    for table in tables + [broken]:
+        before = (set(vars(table)), set(vars(table.X)))
+        packs.clear()
+        assert barcanon._table_checks(table) == alone[id(table)]
+        assert packs == [table]
+        assert (set(vars(table)), set(vars(table.X))) == before
+
+
 def _scaled(table, lam):
     """A copy of table with every entry multiplied by lam, its mu kept: the
     multiplication theorem and the recurrences are linear in the entries

@@ -662,9 +662,9 @@ def test_shared_table_checks_run_once(tmp_path, monkeypatch, capsys):
     # on the regular carrier N's table is M's, so only parity runs per kind
     counts = {}
     for name in ("verify_parity", "verify_multiplication", "verify_recurrences", "verify_mu_lemma"):
-        def counted(table, check=getattr(barcanon, name), name=name):
+        def counted(table, *packed, check=getattr(barcanon, name), name=name):
             counts[name] = counts.get(name, 0) + 1
-            return check(table)
+            return check(table, *packed)
         monkeypatch.setattr(barcanon, name, counted)
     assert run(tmp_path, "basis", "--type", "H3", "--regular") == 0
     assert counts == {"verify_parity": 2, "verify_multiplication": 1, "verify_recurrences": 1, "verify_mu_lemma": 1}

@@ -17,11 +17,14 @@ document goes through jsonout.dump, which streams it.  Only qpsets names the
 carrier kind ``"double-cover"``: the even double cover is a carrier of
 W x A1, so every other module reads it as any other carrier.  No module in
 src/ imports ``dataclasses``: records are NamedTuples, and ``import
-qpcox.cli`` loads neither dataclasses nor inspect.  No module in src/ names
+qpcox.cli`` loads neither dataclasses nor inspect, nor hashlib (loaded by
+the cache alone) nor csv (loaded by the CSV outputs alone).  No module in src/ names
 ``mn_cols`` or ``nm_cols``: the Phi maps read the bar columns, and keep no
 scaled copies of them.  No module in src/ names ``_barpart``, ``_bar_fill``,
 ``orbits`` or ``h_min2``: the bar columns, the height parity and the Bruhat
-order are each built in one pass in id order.  No module in src/ names
+order are each built in one pass in id order.  None names ``_polys`` (no
+carrier pools polynomials) or ``shift``: the product with v^k is read by
+test oracles alone, and lives with them.  No module in src/ names
 ``add_scaled``, not even in a comment: sums of scaled vectors go through
 laurent's two kernels, lincomb and combine, the W-graph module check
 multiplies int columns, and the one-vector fold is a test oracle.  Neither hecke nor barcanon imports or
@@ -176,7 +179,7 @@ def test_only_qpsets_names_the_double_cover(path):
     assert path.name == "qpsets.py" or "double-cover" not in string_constants(path.read_text())
 
 
-RETIRED = ("_barpart", "_bar_fill", "orbits", "h_min2", "_polys")
+RETIRED = ("_barpart", "_bar_fill", "orbits", "h_min2", "_polys", "shift")
 
 
 def retired_names(source: str) -> list[str]:
@@ -196,8 +199,9 @@ def test_scan_finds_retired_names():
 @pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT)) for p in SRC])
 def test_src_names_no_partial_bar_store_or_orbit_scan(path):
     # the bar columns, the parity and the Bruhat order are each one pass in
-    # id order: no partial store of bar columns, no second orbit scan; and
-    # no carrier keeps a pool of polynomials past the call that made them
+    # id order: no partial store of bar columns, no second orbit scan; no
+    # carrier keeps a pool of polynomials past the call that made them; and
+    # the product with v^k, read by test oracles alone, is theirs (shift)
     assert retired_names(path.read_text()) == []
 
 
@@ -385,8 +389,11 @@ def test_src_imports_no_dataclasses(path):
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # -S keeps site hooks (a .pth that imports a package) out of the answer
-    code = "import sys, qpcox.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S keeps site hooks (a .pth that imports a package) out of the answer.
+    # hashlib (with OpenSSL) is loaded by the cache alone and csv by the CSV
+    # outputs alone, so wgraph and verify never pay for them
+    unwanted = {"dataclasses", "inspect", "hashlib", "_hashlib", "csv"}
+    code = f"import sys, qpcox.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
