@@ -88,10 +88,7 @@ class StructureFlags(NamedTuple):
     squares_onto_iota: bool
 
     def all_ok(self) -> bool:
-        return all(
-            (self.fixed_by_J, self.J_theta_stable, self.x_is_longest,
-             self.centralizer_is_twisted_normalizer, self.squares_onto_iota)
-        )
+        return all(self[1:])  # every flag but J
 
 
 def structure_check(K: ScaledWSet) -> StructureFlags:
@@ -175,13 +172,7 @@ class ClassReport(NamedTuple):
             "J": list(self.structure.J) if self.structure is not None else None,
         }
         if self.structure is not None:
-            out["structure"] = {
-                "fixed_by_J": self.structure.fixed_by_J,
-                "J_theta_stable": self.structure.J_theta_stable,
-                "x_is_longest": self.structure.x_is_longest,
-                "centralizer_is_twisted_normalizer": self.structure.centralizer_is_twisted_normalizer,
-                "squares_onto_iota": self.structure.squares_onto_iota,
-            }
+            out["structure"] = {k: v for k, v in self.structure._asdict().items() if k != "J"}
         if self.order_agrees is not None:
             out["order_agrees"] = self.order_agrees
         if self.strong_exchange_ok is not None:

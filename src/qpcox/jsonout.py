@@ -16,12 +16,12 @@ entry is built.
 An item of a streamed list (a table row, a survey report) is rendered in one
 piece.  A row of two ints and an int or a list (an entry, a mu row, a
 W-graph edge) is rendered by one format step with the separators of its
-level; any other row by the generic path.  Each list a row holds is
-rendered once per indent level, memoized by (id, level); the memo holds
-every list it keys until dump returns, so no id is reused while it is
+level, the list once per indent level, memoized by (id, level); the memo
+holds every list it keys until dump returns, so no id is reused while it is
 keyed, even for the lists of rows made on the fly.  So a payload that hands
 one list to many rows renders it once: CanonicalTable.to_json gives every
-entry holding the same polynomial the same pairs list.
+entry holding the same polynomial the same pairs list.  Any other row (a
+dict, a list of ints) is rendered by whole, the generic path, unmemoized.
 
 >>> import io, json
 >>> obj = {"b": [[0, 1, [[-1, 1]]]], "a": None}
@@ -116,24 +116,11 @@ def dump(obj, *sinks) -> None:
             ]) + nl(level) + "}"
         return _scalar(o)
 
-    def row(o, level: int) -> str:
-        """whole(o, level) for an item of a streamed list, with the lists it
-        holds rendered once per (id, level)."""
-        if not isinstance(o, (list, tuple)) or not o:
-            return whole(o, level)
-        sep = nl(level + 1)
-        return "[" + sep + ("," + sep).join([
-            int.__repr__(v) if type(v) is int else memoized(v, level + 1) for v in o
-        ]) + nl(level) + "]"
-
     def memoized(o, level: int) -> str:
-        if not isinstance(o, (list, tuple)):
-            return whole(o, level)
-        key = (id(o), level)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = whole(o, level)
-            held.append(o)
+        """whole(o, level) for a list or tuple o that memo does not key yet,
+        kept in memo under (id, level) with o held."""
+        text = memo[(id(o), level)] = whole(o, level)
+        held.append(o)
         return text
 
     def stream_list(o, level: int) -> None:
@@ -158,7 +145,7 @@ def dump(obj, *sinks) -> None:
                     elif kind is list or kind is tuple:
                         text = three % (x, y, get((id(z), deep)) or memoized(z, deep))
             if text is None:
-                text = lead + row(r, inner)
+                text = lead + whole(r, inner)
             append(text)
             size += len(text)
             lead, three = sep, rest

@@ -297,7 +297,8 @@ def _fold_bar(coords, cols):
 
 def fold_bar_verdict(kind, X):
     """verify_bar_operator on the package's bar columns, its kernel checks,
-    images and sums formed by fold_act_generator and add_scaled."""
+    images and sums formed by fold_act_generator and add_scaled.  On a
+    truncated carrier it keeps the point-by-point check that verdict replaced."""
     verdict = check_quasiparabolic(X)
     if not verdict.is_qp:
         return BarVerdict(False, kind, {"reason": "not quasiparabolic", **(verdict.witness() or {})})

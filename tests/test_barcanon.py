@@ -401,6 +401,37 @@ def test_bar_broken_off_the_minima_is_refused():
     assert full_bar_verdict("M", X).failure == {"reason": "not an involution", "x": top}
 
 
+def _truncated_rot_class():
+    """The class of the twisted identity of U3 under its order-3 diagram
+    automorphism, truncated at height 8: 46 points, one minimum."""
+    u3 = build_system("U3")
+    rot = next(a for a in u3.diagram_automorphisms() if a.order() == 3)
+    return conjugacy_set(u3, ExtElement(u3.identity, rot), 8)
+
+
+def test_truncated_bar_broken_off_the_minima_is_refused():
+    # the column comparison refuses the break at a raising pair, as on an
+    # untruncated carrier; the point-by-point oracle finds it at the point
+    X = _truncated_rot_class()
+    assert len(X) == 46
+    cols = bar_columns("M", X)
+    cols[45] = cols[45] + M(X, 0).scale(VINV)
+    verdict = verify_bar_operator("M", X)
+    assert not verdict.ok and verdict.failure == {"reason": "incompatible with H_s", "s": 2, "x": 17}
+    assert full_bar_verdict("M", X).failure == {"reason": "not an involution", "x": 45}
+
+
+def test_truncated_bar_verdict_combines_once_per_minimum(monkeypatch):
+    # a truncated carrier takes the one column comparison: combine forms
+    # only the involution at the minima, no bar of H_s M_x
+    X = _truncated_rot_class()
+    calls = []
+    real = barcanon.combine
+    monkeypatch.setattr(barcanon, "combine", lambda *args: calls.append(args) or real(*args))
+    assert verify_bar_operator("M", X).ok
+    assert len(calls) == len(X.minimal_elements()) == 1
+
+
 def test_bar_broken_at_a_twisted_involution_minimum_is_refused():
     X = fpf_class(build_system("A3"))
     x0 = X.minimal_elements()[0]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -817,3 +818,26 @@ def test_benchmark_trace_targets_exist():
     proc = subprocess.run([sys.executable, "-c", code], cwd=repo, env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == []
+
+
+# stdout sha256 of basis on truncated universal classes, the bar verdict and
+# the canonical tables of carriers no qpbench reference builds
+TRUNCATED_BASIS_PINS = {
+    'basis --type U3 --theta rot --seed "" --cutoff 8':
+        (0, "519714272f1a6eeab456203fa58afac7c2991565d293a0f9226e550ff8a6ddee"),
+    "basis --type U3 --seed s1 --cutoff 9":
+        (0, "82ff5c0f0828db7cc34751ff31565a8491dc9906ba453266caabe3fa0b5278c1"),
+    'basis --type U4 --seed "" --theta 2,1,3,4 --cutoff 6':
+        (0, "c18d1d69ca9d8a429225234c7d5f295a0fc0a4025bb572b55de25753d35c5516"),
+    # not quasiparabolic: the bar failure, exit 3
+    'basis --type U3 --seed "s1 s2" --cutoff 7':
+        (3, "1b9efb1913635ce9366bf94587beecfe6ac861c9e600432700340afe3146e3a9"),
+}
+
+
+@pytest.mark.parametrize("command", list(TRUNCATED_BASIS_PINS))
+def test_truncated_basis_is_the_pinned_output(command, capsys):
+    code, sha = TRUNCATED_BASIS_PINS[command]
+    assert main([*shlex.split(command), "--no-cache"]) == code
+    got = capsys.readouterr()
+    assert got.err == "" and hashlib.sha256(got.out.encode()).hexdigest() == sha

@@ -553,13 +553,14 @@ def test_revalidate_witness_rejects_malformed_witnesses():
     assert not revalidate_witness(X, {"axiom": "QP1", "r_word": [0, 1], "x": x, "s": None})
 
 
-@pytest.mark.parametrize("height2, row", [
-    ([0, 4], [1, 0]),  # a move that jumps two heights
-    ([0, 2, 2], [1, 2, 0]),  # s sends 0 to 1 but 1 to 2
-], ids=["two-heights", "not-involutive"])
-def test_scaled_set_refuses_bad_action_rows(height2, row):
+@pytest.mark.parametrize("height2, row, message", [
+    ([0, 4], [1, 0], "scaled axiom fails"),  # a move that jumps two heights
+    ([0, 2, 2], [1, 2, 0], "not an involution"),  # s sends 0 to 1 but 1 to 2
+    ([2, 0], [1, 0], "point ids do not refine the height order"),
+], ids=["two-heights", "not-involutive", "height-order"])
+def test_scaled_set_refuses_bad_action_rows(height2, row, message):
     # a typed gate, so the CLI exits 2 with "consistency check failed"
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match=message):
         ScaledWSet(build_system("A1"), "regular", list(range(len(row))), height2, [row])
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -289,6 +290,19 @@ def test_module_check_on_dihedral_regular_graphs_matches_the_oracle(name):
 def hand_built(name, tau, omega):
     X = regular_set(build_system(name))  # only its system's matrix is read
     return WGraph("m", X, [frozenset(t) for t in tau], omega, X.n_gens)
+
+
+# regular A2: ids 0..5 at heights 0, 1, 1, 2, 2, 3, so the parity of 0 and 3
+# is 0 and of 1 and 2 is 1; every tau-set not named is empty
+@pytest.mark.parametrize("tau, omega, reason, x, y", [
+    ({0: {0}, 1: {0, 1}}, {(0, 1): 1}, "not reduced", 0, 1),
+    ({0: {0, 1}, 1: {0}}, {(0, 1): Fraction(1, 2)}, "non-integer weight", 0, 1),
+    ({0: {0, 1}, 3: {0}}, {(0, 3): 1}, "not bipartite", 0, 3),
+    ({0: {0}, 1: {1}}, {(0, 1): 1, (1, 0): 2}, "asymmetric weight", 0, 1),
+], ids=["not-reduced", "non-integer", "not-bipartite", "asymmetric"])
+def test_quasi_admissibility_failures_carry_their_edge(tau, omega, reason, x, y):
+    G = hand_built("A2", [tau.get(v, set()) for v in range(6)], omega)
+    assert check_quasi_admissible(G) == (False, False, {"reason": reason, "x": x, "y": y})
 
 
 def test_module_check_with_weights_beyond_64_bits_matches_the_oracle():
